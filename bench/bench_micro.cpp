@@ -11,9 +11,11 @@
 // GestureWrist/FreeDigiter-class recognisers need).
 #include <benchmark/benchmark.h>
 
-#include <filesystem>
-
+#include <array>
 #include <cmath>
+#include <filesystem>
+#include <span>
+#include <vector>
 
 #include "core/distscroll_device.h"
 #include "core/island_mapper.h"
@@ -34,6 +36,7 @@
 #include "study/sweep_runner.h"
 #include "util/alloc_guard.h"
 #include "util/crc.h"
+#include "wireless/arq.h"
 #include "wireless/packet.h"
 
 using namespace distscroll;
@@ -330,6 +333,61 @@ void BM_Crc8(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Crc8)->Arg(11)->Arg(64);
+
+/// DSTL containers and fleet checkpoints are sealed with one crc32 over
+/// the whole file (~0.9 MB for a 2000-device host ingest run).
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> data(std::size_t{1} << 20);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 131u);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32);
+
+/// Host ingest's per-frame validation of one delimited State frame
+/// (sync, length, type, CRC-8, zero-copy payload view).
+void BM_ParseWireFrame(benchmark::State& state) {
+  std::array<std::uint8_t, wireless::StateReport::kPackedSize> payload;
+  wireless::StateReport{512, 1, 3, 9, 0}.pack_into(payload);
+  std::array<std::uint8_t, wireless::kMaxEncodedFrame> wire{};
+  const std::size_t len = wireless::encode_into(wireless::FrameType::State, 7, payload, wire);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wireless::parse_wire_frame({wire.data(), len}));
+  }
+}
+BENCHMARK(BM_ParseWireFrame);
+
+/// One reliable-delivery round trip on the device side: send (encode
+/// into the retransmit queue), transmit through the wire sink (arming
+/// the retransmit timer), then the ack (cancel the timer, slide the
+/// window) — what every report costs a host ingest link.
+void BM_ArqSendAck(benchmark::State& state) {
+  sim::EventQueue queue;
+  wireless::ArqSender sender(wireless::ArqConfig{}, queue);
+  std::size_t wire_bytes = 0;
+  sender.set_wire_sink([&wire_bytes](std::span<const std::uint8_t> wire) {
+    wire_bytes += wire.size();
+    return true;
+  });
+  std::array<std::uint8_t, wireless::StateReport::kPackedSize> payload;
+  wireless::StateReport{512, 1, 3, 9, 0}.pack_into(payload);
+  std::uint8_t seq = 0;
+  for (auto _ : state) {
+    sender.send(wireless::FrameType::State, payload);
+    sender.on_ack(seq++);
+    // Dispatcher pass at the same instant: pops the cancelled timer's
+    // heap entry, as the link's run_until does once time reaches it.
+    queue.run_until(queue.now());
+  }
+  benchmark::DoNotOptimize(wire_bytes);
+  if (sender.acks_received() != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a send/ack round trip was lost");
+  }
+}
+BENCHMARK(BM_ArqSendAck);
 
 /// Cost of the AllocGuard interposer on the allocator itself: a
 /// new/delete pair with the counting operator new linked in (linking

@@ -11,6 +11,9 @@
 #                gcc/clang extra UBSan checks CMakeLists.txt adds per
 #                compiler); host runs here too so the ingest drain loop
 #                and the DSTL decoder get the over-read instrumentation
+#   tsan         threading + fleet + host + batch under ThreadSanitizer:
+#                every sim::ThreadPool user (sweep runner, fleet engine,
+#                host ingest's per-lane produce phase, batch kernel)
 #
 # Every flavour runs the same pre-step: build ds_lint alone and assert
 # `ds_lint --root .` exits 0 BEFORE the (much longer) test build. A
@@ -82,6 +85,7 @@ run_perf_gate() {
 run_flavour default     'lint|unit|property|golden|batch|fleet|host'
 run_flavour tracing-off 'lint|unit|property|golden|batch|fleet|host'
 run_flavour asan-ubsan  'lint|unit|fuzz|host'
+run_flavour tsan        'threading|fleet|host|batch'
 run_perf_gate
 
 echo "==> all flavours green (perf gate: ${PERF_STATUS})"

@@ -67,8 +67,8 @@ class SimDeviceLink {
   void step_window(double end_s);
 
   /// Consumer side (serial drain phase): queue an ack for `seq`. Subject
-  /// to ack-loss injection; surviving acks are consumed at the start of
-  /// this device's next step_window().
+  /// to ack-loss injection; surviving acks reach ArqSender::on_ack() at
+  /// the start of this device's next step_window().
   void queue_ack(std::uint8_t seq);
 
   /// Telemetry index of the report carried by ARQ sequence `seq`
@@ -117,7 +117,10 @@ class SimDeviceLink {
   sim::Rng ack_rng_;
 
   std::array<std::uint64_t, 256> seq_to_index_{};
-  std::vector<std::uint8_t> ack_buffer_;  // encoded ack frames awaiting the device
+  // Acks awaiting the device, as seqs: this channel drops whole acks
+  // (ack_loss) but never corrupts their bytes, so there is nothing for
+  // an encode/CRC/decode round trip to catch.
+  std::vector<std::uint8_t> acked_seqs_;
 
   RawRecord held_{};      // reorder: one frame delayed behind its successor
   bool held_valid_ = false;

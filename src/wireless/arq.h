@@ -12,6 +12,7 @@
 // * 8-bit sequence numbers, a sliding window of `window` unacked frames;
 // * per-frame retransmit timers with exponential backoff
 //   (initial_timeout · backoff_factor^attempt, capped at max_timeout);
+//   an ack cancels its frame's timer, so none outlives its frame;
 // * a bounded device-side retransmit queue (`queue_capacity`) — the
 //   PIC's RAM budget is real, so overload sheds new frames, counted;
 // * frames that exhaust `max_attempts` transmissions are dropped and
@@ -24,8 +25,8 @@
 // payload) over whatever reverse channel the caller wires up.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
@@ -70,12 +71,22 @@ class ArqSender {
   /// ArqDrop). Null detaches; tracing must never change behaviour.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Queue a frame for reliable delivery. Returns false (and counts the
-  /// drop) when the bounded queue is full.
-  bool send(FrameType type, std::vector<std::uint8_t> payload);
+  /// Queue a frame for reliable delivery; the payload is encoded into
+  /// the retransmit queue at once, so the span need not outlive the
+  /// call. Returns false (and counts the drop) when the bounded queue is
+  /// full; returns false without queueing a payload over kMaxPayload.
+  bool send(FrameType type, std::span<const std::uint8_t> payload);
 
-  /// Feed reverse-channel bytes (the host's ack stream).
+  /// Feed reverse-channel bytes (the host's ack stream). For channels
+  /// that can corrupt ack bytes (RfLink): the decoder resyncs and drops
+  /// damaged acks, and the retransmit timer recovers.
   void on_ack_byte(std::uint8_t byte);
+
+  /// Ack for `seq`, already decoded — for reverse channels that drop
+  /// whole acks but never corrupt their bytes (the host ingest links),
+  /// where encoding and re-decoding the ack could not fail. The same
+  /// effect as feeding encode(Ack seq) through on_ack_byte().
+  void on_ack(std::uint8_t seq);
 
   /// UART backpressure hook: the TX FIFO freed a byte, try flushing.
   void notify_tx_space() { pump(); }
@@ -103,19 +114,22 @@ class ArqSender {
 
  private:
   struct Pending {
-    Frame frame;
-    std::vector<std::uint8_t> wire;  // encoded once, retransmitted verbatim
+    std::array<std::uint8_t, kMaxEncodedFrame> wire;  // encoded once, retransmitted verbatim
+    std::uint8_t wire_len = 0;
+    std::uint8_t seq = 0;
+    bool needs_tx = true;    // not yet (re)transmitted
+    int attempts = 0;        // transmissions so far
     double enqueued_at_s = 0.0;
     double timeout_s = 0.0;  // current backoff value
-    int attempts = 0;        // transmissions so far
-    bool needs_tx = true;    // not yet (re)transmitted
-    std::uint64_t epoch = 0; // stale-timer guard
+    std::uint64_t epoch = 0; // names the armed retransmit timer
+    sim::EventQueue::Handle timer = sim::EventQueue::kInvalidHandle;
+
+    [[nodiscard]] std::span<const std::uint8_t> bytes() const { return {wire.data(), wire_len}; }
   };
 
   void pump();
   void arm_timer(Pending& pending);
-  void on_timeout(std::uint8_t seq, std::uint64_t epoch);
-  void handle_ack(std::uint8_t seq);
+  void on_timeout(std::uint64_t epoch);
 
   ArqConfig config_;
   sim::EventQueue* events_;
@@ -124,7 +138,9 @@ class ArqSender {
   AckCallback ack_callback_;
   DropCallback drop_callback_;
   FrameDecoder ack_decoder_;
-  std::deque<Pending> queue_;  // seq order; first `window` entries are active
+  // Seq order; the first `window` entries are active. Grows to the
+  // link's peak depth, then erase/emplace reuse its capacity.
+  std::vector<Pending> queue_;
   std::uint8_t next_seq_ = 0;
   std::uint64_t next_epoch_ = 1;
   std::uint64_t frames_accepted_ = 0;

@@ -3,22 +3,27 @@
 // process (file:line) if the wrapped scope allocates. These tests pin
 // the allocation-free claims the session kernel makes on its hot paths:
 // Tracer::record past ring capacity, EventQueue schedule/dispatch at
-// recycled depth, the device firmware sample loop, and warm pooled
-// session reuse.
+// recycled depth, the device firmware sample loop, warm pooled session
+// reuse, and a host ingest device link's send/drain/ack/retransmit
+// cycle.
 //
 // The interposer is compiled out under sanitizer builds (they own the
 // allocator), so every assertion skips when it is not linked in.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "core/distscroll_device.h"
+#include "host/ingest_queue.h"
+#include "host/sim_link.h"
 #include "menu/menu_builder.h"
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "study/device_pool.h"
 #include "util/alloc_guard.h"
+#include "wireless/packet.h"
 
 namespace distscroll {
 namespace {
@@ -133,6 +138,54 @@ TEST(AllocGuard, PooledSessionReuseIsAllocationFreeWhenWarm) {
   ASSERT_NE(recycled, nullptr);
   run_once(*recycled);  // and the recycled device still works
   EXPECT_LT(recycled->cursor().index(), 5u);
+}
+
+TEST(AllocGuard, HostLinkSendDrainAckRetransmitIsAllocationFreeWhenWarm) {
+  SKIP_WITHOUT_INTERPOSER();
+  host::IngestQueue lanes(/*lanes=*/1, /*lane_capacity=*/64);
+  host::LinkFaultConfig faults;
+  faults.frame_loss = 0.05;
+  faults.bit_flip = 0.02;
+  faults.reorder = 0.02;
+  faults.ack_loss = 0.05;
+  host::SimDeviceLink link(/*device_id=*/0, /*lane=*/0, lanes, wireless::ArqConfig{}, faults,
+                           /*report_period_s=*/1.0 / 38.0, /*duration_s=*/1000.0, sim::Rng(5));
+  // One pipeline window: the device produces, the consumer drains the
+  // lane, CRC-checks each frame and queues an ack for every valid one.
+  std::array<host::RawRecord, 16> drained;
+  std::uint64_t acks_queued = 0;
+  double now_s = 0.0;
+  const auto run_window = [&](bool ack) {
+    now_s += 0.05;
+    link.step_window(now_s);
+    for (std::size_t n = 0; (n = lanes.pop_batch(0, drained)) > 0;) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto view = wireless::parse_wire_frame({drained[i].wire.data(), drained[i].len});
+        if (view && ack) {
+          link.queue_ack(view->seq);
+          ++acks_queued;
+        }
+      }
+    }
+  };
+  // Warm-up. Two seconds without acks fill the retransmit queue to its
+  // capacity (shedding and retry exhaustion included), so it never
+  // grows again; then twenty seconds of normal traffic take the
+  // calendar to its working depth.
+  for (int w = 0; w < 40; ++w) run_window(/*ack=*/false);
+  ASSERT_EQ(link.pending(), wireless::ArqConfig{}.queue_capacity);
+  for (int w = 0; w < 400; ++w) run_window(/*ack=*/true);
+
+  const std::uint64_t offered_before = link.reports_offered();
+  const std::uint64_t acks_before = acks_queued;
+  const std::uint64_t retransmits_before = link.sender().retransmissions();
+  DS_ASSERT_NO_ALLOC {
+    for (int w = 0; w < 40; ++w) run_window(/*ack=*/true);
+  }
+  // The guarded windows exercised every stage of the cycle.
+  EXPECT_GT(link.reports_offered(), offered_before);
+  EXPECT_GT(acks_queued, acks_before);
+  EXPECT_GT(link.sender().retransmissions(), retransmits_before);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 // SKIP_RETURN_CODE). The malformed-input cases are the regression a
 // past PR fixed: --tolerance used to go through atof, which silently
 // truncated "1,6" to 1.0 and "1.6x" to 1.6 instead of rejecting them.
+// A missing directory is also a usage error for both tools: bench_compare
+// used to abort on it and ds_lint used to lint nothing and pass.
 // For ds_lint the same file also pins both report formats: the text
 // `file:line: rule: message` shape and the --format=json document.
 #include <gtest/gtest.h>
@@ -120,6 +122,17 @@ TEST(BenchCompareCli, NonPositiveToleranceIsUsageError) {
 
 TEST(BenchCompareCli, MissingBaselineDirIsUsageError) {
   EXPECT_EQ(run_bench_compare("--tolerance 1.5"), 64);
+}
+
+TEST(BenchCompareCli, NonexistentBaselineDirIsUsageError) {
+  // Used to escape as an uncaught filesystem_error (abort, exit 134).
+  EXPECT_EQ(run_bench_compare("/nonexistent/bench_baselines ."), 64);
+}
+
+TEST(BenchCompareCli, NonexistentFreshDirIsUsageError) {
+  // With --allow-missing this used to skip every report (exit 77).
+  const std::string root = make_case_dirs("no_fresh", 1.0, 1.0, true, 1.0);
+  EXPECT_EQ(run_bench_compare(root + "/baseline /nonexistent/fresh --allow-missing"), 64);
 }
 
 TEST(BenchCompareCli, MatchingReportsPass) {
@@ -292,6 +305,21 @@ TEST(DsLintCli, UnknownRuleIsUsageError) {
                          " --rule no-such-rule")
                 .exit_code,
             64);
+}
+
+TEST(DsLintCli, RootWithoutSrcIsUsageError) {
+  // Used to lint zero files and exit 0, so a misconfigured gate read green.
+  EXPECT_EQ(run_lint_cli("--root /nonexistent/repo").exit_code, 64);
+  const std::string root = testing::TempDir() + "/ds_lint_no_src";
+  std::filesystem::create_directories(root + "/tools");
+  std::ofstream(root + "/tools/main.cpp") << "int main() { return 0; }\n";
+  EXPECT_EQ(run_lint_cli("--root " + root).exit_code, 64);
+}
+
+TEST(DsLintCli, RootWithNoSourceFilesIsUsageError) {
+  const std::string root = testing::TempDir() + "/ds_lint_empty_src";
+  std::filesystem::create_directories(root + "/src");
+  EXPECT_EQ(run_lint_cli("--root " + root).exit_code, 64);
 }
 
 TEST(DsLintCli, HelpExitsZero) {

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
+#include "sim/random.h"
 #include "util/ascii_plot.h"
 #include "util/crc.h"
 #include "util/csv.h"
@@ -129,6 +131,59 @@ TEST(Crc, Crc8KnownProperties) {
   std::uint8_t tampered[] = {0x01, 0x02, 0x07};
   EXPECT_NE(crc8(tampered), c);
   EXPECT_EQ(crc8(data), c);
+}
+
+// Check values from the CRC catalogue convention ("123456789"). 0xA2 is
+// the non-reflected poly-0x31 CRC the wire format uses; the reflected
+// Dallas/Maxim 1-Wire CRC over the same polynomial gives 0xA1.
+TEST(Crc, Crc8KnownVector) {
+  const std::uint8_t msg[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(crc8(msg), 0xA2);
+}
+
+TEST(Crc, Crc32KnownVector) {
+  const std::uint8_t msg[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(crc32(msg), 0xCBF43926u);
+  EXPECT_EQ(crc32({msg, 0}), 0x00000000u);  // empty: init ^ xorout
+}
+
+// Bit-at-a-time references: the definitions the table-driven CRCs must
+// reproduce exactly.
+std::uint8_t crc8_bitwise(std::span<const std::uint8_t> data) {
+  std::uint8_t crc = 0x00;
+  for (std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = static_cast<std::uint8_t>((crc & 0x80u) ? (crc << 1) ^ 0x31u : crc << 1);
+    }
+  }
+  return crc;
+}
+
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc, TableDrivenMatchesBitwiseAtEveryLengthAndAlignment) {
+  // Every length 0..64 covers whole 8-byte slices plus each tail length;
+  // the start offsets 0..7 put the slices at every alignment.
+  sim::Rng rng(0xC0FFEE);
+  std::vector<std::uint8_t> buffer(64 + 8);
+  for (int round = 0; round < 4; ++round) {
+    for (std::uint8_t& b : buffer) b = static_cast<std::uint8_t>(rng.next_u64());
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t len = 0; len <= 64; ++len) {
+        const std::span<const std::uint8_t> data(buffer.data() + offset, len);
+        ASSERT_EQ(crc8(data), crc8_bitwise(data)) << "offset " << offset << " len " << len;
+        ASSERT_EQ(crc32(data), crc32_bitwise(data)) << "offset " << offset << " len " << len;
+      }
+    }
+  }
 }
 
 TEST(Crc, Crc16DetectsSingleBitFlips) {

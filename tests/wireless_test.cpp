@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "hw/uart.h"
@@ -540,7 +542,8 @@ TEST_F(ArqFixture, CleanChannelDeliversEverythingOnceWithoutRetransmits) {
   receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
   wire(sender, receiver);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(sender.send(FrameType::State, {static_cast<std::uint8_t>(i)}));
+    const std::uint8_t payload[] = {static_cast<std::uint8_t>(i)};
+    EXPECT_TRUE(sender.send(FrameType::State, payload));
   }
   queue.run_until(util::Seconds{2.0});
   ASSERT_EQ(delivered.size(), 20u);
@@ -558,7 +561,8 @@ TEST_F(ArqFixture, LostFrameIsRetransmittedAfterTimeout) {
   std::vector<std::uint8_t> delivered;
   receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
   wire(sender, receiver);
-  sender.send(FrameType::State, {42});
+  const std::uint8_t payload[] = {42};
+  sender.send(FrameType::State, payload);
   queue.run_until(util::Seconds{1.0});
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(sender.retransmissions(), 1u);
@@ -573,7 +577,8 @@ TEST_F(ArqFixture, LostAckTriggersRetransmitAndDuplicateDiscard) {
   std::vector<std::uint8_t> delivered;
   receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
   wire(sender, receiver);
-  sender.send(FrameType::State, {7});
+  const std::uint8_t payload[] = {7};
+  sender.send(FrameType::State, payload);
   queue.run_until(util::Seconds{1.0});
   // Delivered exactly once despite the retransmission.
   ASSERT_EQ(delivered.size(), 1u);
@@ -591,7 +596,8 @@ TEST_F(ArqFixture, RetryExhaustionDropsTheFrameAndFreesTheWindow) {
   std::vector<std::uint8_t> dropped;
   sender.set_drop_callback([&](std::uint8_t seq) { dropped.push_back(seq); });
   wire(sender, receiver);
-  sender.send(FrameType::State, {1});
+  const std::uint8_t payload[] = {1};
+  sender.send(FrameType::State, payload);
   queue.run_until(util::Seconds{5.0});
   EXPECT_EQ(sender.transmissions(), 3u);
   EXPECT_EQ(sender.drops_retry_exhausted(), 1u);
@@ -630,7 +636,8 @@ TEST_F(ArqFixture, BoundedQueueShedsOverloadAndWindowLimitsInFlight) {
   wire(sender, receiver);
   int accepted = 0;
   for (int i = 0; i < 10; ++i) {
-    if (sender.send(FrameType::State, {static_cast<std::uint8_t>(i)})) ++accepted;
+    const std::uint8_t payload[] = {static_cast<std::uint8_t>(i)};
+    if (sender.send(FrameType::State, payload)) ++accepted;
   }
   EXPECT_EQ(accepted, 4);
   EXPECT_EQ(sender.drops_queue_full(), 6u);
@@ -662,7 +669,8 @@ TEST_F(ArqFixture, TransportBackpressureDefersUntilSpace) {
     });
     return true;
   });
-  sender.send(FrameType::State, {5});
+  const std::uint8_t payload[] = {5};
+  sender.send(FrameType::State, payload);
   queue.run_until(util::Seconds{0.005});
   EXPECT_EQ(sender.transmissions(), 0u);  // blocked on backpressure
   fifo_full = false;
@@ -670,6 +678,144 @@ TEST_F(ArqFixture, TransportBackpressureDefersUntilSpace) {
   queue.run_until(util::Seconds{0.100});
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(sender.transmissions(), 1u);
+}
+
+TEST_F(ArqFixture, OversizedPayloadIsRejectedWithoutTakingASeq) {
+  ArqSender sender(config, queue);
+  std::vector<Frame> delivered;
+  ArqReceiver receiver;
+  receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f); });
+  wire(sender, receiver);
+  const std::vector<std::uint8_t> oversized(kMaxPayload + 1, 0x55);
+  EXPECT_FALSE(sender.send(FrameType::Debug, oversized));
+  EXPECT_EQ(sender.frames_accepted(), 0u);
+  EXPECT_EQ(sender.drops_queue_full(), 0u);  // not a capacity drop
+  const std::vector<std::uint8_t> largest(kMaxPayload, 0x55);
+  EXPECT_TRUE(sender.send(FrameType::Debug, largest));
+  queue.run_until(util::Seconds{1.0});
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0].seq, 0);  // the rejected send consumed no seq
+  EXPECT_EQ(delivered[0].payload, largest);
+}
+
+TEST_F(ArqFixture, AckCancelsTheRetransmitTimer) {
+  ArqSender sender(config, queue);
+  sender.set_wire_sink([](std::span<const std::uint8_t>) { return true; });
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    const std::uint8_t payload[] = {i};
+    ASSERT_TRUE(sender.send(FrameType::State, payload));
+  }
+  EXPECT_EQ(queue.pending(), 3u);  // one armed retransmit timer per frame
+  for (std::uint8_t b : encode(Frame{FrameType::Ack, 1, {}})) sender.on_ack_byte(b);
+  EXPECT_EQ(sender.queued(), 2u);
+  EXPECT_EQ(queue.pending(), 2u) << "the acked frame's timer must be cancelled";
+  sender.on_ack(0);
+  sender.on_ack(2);
+  EXPECT_EQ(sender.queued(), 0u);
+  EXPECT_EQ(queue.pending(), 0u);
+  // Nothing left to dispatch: no stale timer fires and nothing resends.
+  EXPECT_EQ(queue.run_until(util::Seconds{5.0}), 0u);
+  EXPECT_EQ(sender.transmissions(), 3u);
+  EXPECT_EQ(sender.acks_received(), 3u);
+}
+
+TEST_F(ArqFixture, AckAfterTimeoutLeavesTheRecycledTimerSlotAlone) {
+  // An ack that arrives after its frame's timer fired (the frame is
+  // waiting for a resend) holds a spent handle. Cancelling it must not
+  // touch whatever event has since taken the recycled calendar slot.
+  config.initial_timeout = util::Seconds{0.010};
+  ArqSender sender(config, queue);
+  bool accept = true;
+  sender.set_wire_sink([&](std::span<const std::uint8_t>) { return accept; });
+  const std::uint8_t payload[] = {0};
+  ASSERT_TRUE(sender.send(FrameType::State, payload));
+  accept = false;
+  queue.run_until(util::Seconds{0.015});  // timer fired; resend refused
+  EXPECT_EQ(sender.unsent(), 1u);
+  EXPECT_EQ(queue.pending(), 0u);
+  bool other_fired = false;
+  queue.schedule_after(util::Seconds{0.1}, [&other_fired] { other_fired = true; });
+  sender.on_ack(0);
+  EXPECT_EQ(sender.queued(), 0u);
+  EXPECT_EQ(queue.pending(), 1u);
+  queue.run_until(util::Seconds{1.0});
+  EXPECT_TRUE(other_fired);
+  EXPECT_EQ(sender.transmissions(), 1u);
+}
+
+// The host ingest links deliver acks as seqs through on_ack(); the RF
+// path feeds encoded ack bytes through on_ack_byte(). Over an uncorrupted
+// reverse channel the two must leave the sender in the same state.
+TEST(ArqSenderAck, OnAckMatchesFeedingEncodedAckBytes) {
+  ArqConfig config;
+  config.window = 4;
+  config.queue_capacity = 6;
+  config.max_attempts = 3;
+  config.initial_timeout = util::Seconds{0.010};
+  sim::EventQueue queue_seq;
+  sim::EventQueue queue_bytes;
+  ArqSender by_seq(config, queue_seq);
+  ArqSender by_bytes(config, queue_bytes);
+  // Same scripted forward channel on both: every fifth transmission is
+  // refused (backpressure) and the log records what got through, when.
+  using Log = std::vector<std::pair<double, std::vector<std::uint8_t>>>;
+  Log log_seq;
+  Log log_bytes;
+  const auto wire_into = [](Log& log, sim::EventQueue& q) {
+    return [&log, &q, n = 0](std::span<const std::uint8_t> bytes) mutable {
+      if (++n % 5 == 0) return false;
+      log.emplace_back(q.now().value, std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+      return true;
+    };
+  };
+  by_seq.set_wire_sink(wire_into(log_seq, queue_seq));
+  by_bytes.set_wire_sink(wire_into(log_bytes, queue_bytes));
+
+  const auto expect_same = [&](int step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(by_seq.queued(), by_bytes.queued());
+    EXPECT_EQ(by_seq.in_flight(), by_bytes.in_flight());
+    EXPECT_EQ(by_seq.unsent(), by_bytes.unsent());
+    EXPECT_EQ(by_seq.frames_accepted(), by_bytes.frames_accepted());
+    EXPECT_EQ(by_seq.transmissions(), by_bytes.transmissions());
+    EXPECT_EQ(by_seq.retransmissions(), by_bytes.retransmissions());
+    EXPECT_EQ(by_seq.acks_received(), by_bytes.acks_received());
+    EXPECT_EQ(by_seq.duplicate_acks(), by_bytes.duplicate_acks());
+    EXPECT_EQ(by_seq.drops_queue_full(), by_bytes.drops_queue_full());
+    EXPECT_EQ(by_seq.drops_retry_exhausted(), by_bytes.drops_retry_exhausted());
+    EXPECT_EQ(queue_seq.pending(), queue_bytes.pending());
+    for (int seq = 0; seq < 256; ++seq) {
+      const auto s = static_cast<std::uint8_t>(seq);
+      EXPECT_EQ(by_seq.enqueue_time_s(s), by_bytes.enqueue_time_s(s));
+    }
+    EXPECT_EQ(log_seq, log_bytes);
+  };
+
+  for (int step = 0; step < 80; ++step) {
+    const std::uint8_t payload[] = {static_cast<std::uint8_t>(step)};
+    by_seq.send(FrameType::State, payload);
+    by_bytes.send(FrameType::State, payload);
+    // Acks: a recent frame most steps, a repeat of an old one (a
+    // duplicate ack) every fourth, and a seq never sent every seventh.
+    std::vector<std::uint8_t> acks;
+    if (step % 3 != 0) acks.push_back(static_cast<std::uint8_t>(step - 2));
+    if (step % 4 == 0) acks.push_back(static_cast<std::uint8_t>(step - 6));
+    if (step % 7 == 0) acks.push_back(200);
+    for (const std::uint8_t seq : acks) {
+      by_seq.on_ack(seq);
+      for (std::uint8_t b : encode(Frame{FrameType::Ack, seq, {}})) by_bytes.on_ack_byte(b);
+    }
+    const util::Seconds until{0.004 * (step + 1)};
+    queue_seq.run_until(until);
+    queue_bytes.run_until(until);
+    expect_same(step);
+  }
+  // The script exercised every path it means to compare.
+  EXPECT_GT(by_seq.acks_received(), 0u);
+  EXPECT_GT(by_seq.duplicate_acks(), 0u);
+  EXPECT_GT(by_seq.retransmissions(), 0u);
+  EXPECT_GT(by_seq.drops_queue_full(), 0u);
+  EXPECT_GT(by_seq.drops_retry_exhausted(), 0u);
 }
 
 // Full stack: ARQ over the real UART + lossy RfLink in both directions.
@@ -703,7 +849,8 @@ TEST_F(LinkFixture, ArqOverLossyLinkDeliversEverythingExactlyOnce) {
 
   constexpr int kFrames = 120;
   for (int i = 0; i < kFrames; ++i) {
-    sender.send(FrameType::State, {static_cast<std::uint8_t>(i)});
+    const std::uint8_t payload[] = {static_cast<std::uint8_t>(i)};
+    sender.send(FrameType::State, payload);
     queue.run_until(util::Seconds{queue.now().value + 0.02});
   }
   queue.run_until(util::Seconds{queue.now().value + 3.0});

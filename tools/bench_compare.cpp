@@ -31,7 +31,8 @@
 //
 // Exit codes: 0 = all gates passed, 1 = regression or unreadable
 // report, 64 = malformed command line (e.g. an unparseable
-// --tolerance), 77 = environment not comparable (hardware thread count
+// --tolerance, or a baseline/fresh directory that does not exist or
+// cannot be listed), 77 = environment not comparable (hardware thread count
 // or tracing build flavour differs from the baseline's) — wired into
 // ctest as SKIP_RETURN_CODE so a laptop checkout doesn't fail the
 // `perf` label against CI-recorded baselines.
@@ -180,9 +181,22 @@ int main(int argc, char** argv) {
   }
   baseline_dir = positional[0];
   if (positional.size() > 1) fresh_dir = positional[1];
+  // A missing directory is a misconfigured gate, not a regression (1)
+  // and not an incomparable environment (77): with --allow-missing a
+  // missing fresh dir would otherwise skip every report.
+  for (const std::string& dir : {baseline_dir, fresh_dir}) {
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir, ec)) {
+      std::fprintf(stderr, "bench_compare: '%s' is not a directory\n", dir.c_str());
+      return kExitUsage;
+    }
+  }
 
   int compared = 0, failed = 0, skipped = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(baseline_dir)) {
+  std::error_code list_error;
+  for (std::filesystem::directory_iterator it(baseline_dir, list_error), end;
+       !list_error && it != end; it.increment(list_error)) {
+    const auto& entry = *it;
     const std::string file = entry.path().filename().string();
     if (file.rfind("BENCH_", 0) != 0 || entry.path().extension() != ".json") continue;
 
@@ -329,6 +343,11 @@ int main(int argc, char** argv) {
                 fresh->sequential_wall_s, baseline->sequential_wall_s, limit);
   }
 
+  if (list_error) {
+    std::fprintf(stderr, "bench_compare: cannot list '%s': %s\n", baseline_dir.c_str(),
+                 list_error.message().c_str());
+    return kExitUsage;
+  }
   std::printf("bench_compare: %d compared, %d failed, %d skipped\n", compared, failed, skipped);
   if (failed > 0) return kExitFail;
   if (compared == 0) return skipped > 0 ? kExitSkip : kExitFail;

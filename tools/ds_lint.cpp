@@ -12,7 +12,8 @@
 //   ds_lint --list-rules                registry with summaries
 //
 // Exit codes: 0 clean, 1 findings survived suppression, 64 usage or
-// configuration error (EX_USAGE).
+// configuration error (EX_USAGE) — including a --root with no src/ and
+// a run that finds no source files to lint.
 #include <cstdio>
 #include <cstring>
 #include <string>

@@ -146,11 +146,24 @@ int run(const Options& options) {
     return kExitUsage;
   }
 
+  // A root without src/ (a typo, the wrong cwd) would otherwise lint
+  // nothing and exit clean, so a misconfigured gate would read green.
+  const std::filesystem::path root = std::filesystem::absolute(options.root);
+  std::error_code ec;
+  if (!std::filesystem::is_directory(root / "src", ec)) {
+    std::fprintf(stderr, "ds_lint: --root '%s' has no src/ directory\n",
+                 options.root.string().c_str());
+    return kExitUsage;
+  }
   std::string error;
-  const FileIndex index =
-      build_index(std::filesystem::absolute(options.root), options.paths, &error);
+  const FileIndex index = build_index(root, options.paths, &error);
   if (!error.empty()) {
     std::fprintf(stderr, "ds_lint: %s\n", error.c_str());
+    return kExitUsage;
+  }
+  if (index.files.empty()) {
+    std::fprintf(stderr, "ds_lint: no source files to lint under '%s'\n",
+                 options.root.string().c_str());
     return kExitUsage;
   }
   const auto t_index = std::chrono::steady_clock::now();

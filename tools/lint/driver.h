@@ -27,7 +27,7 @@ struct Options {
 
 inline constexpr int kExitClean = 0;
 inline constexpr int kExitFindings = 1;
-inline constexpr int kExitUsage = 64;  // EX_USAGE; also config/IO errors
+inline constexpr int kExitUsage = 64;  // EX_USAGE; also config/IO errors, no src/, 0 files
 
 /// Run the configured lint. Renders findings to stdout, a one-line
 /// run summary (file count, finding count, wall time) to stderr, and
