@@ -17,11 +17,14 @@
 #include <span>
 #include <vector>
 
+#include "baselines/distance_scroll.h"
 #include "core/distscroll_device.h"
 #include "core/island_mapper.h"
 #include "core/scroll_controller.h"
 #include "display/bt96040.h"
 #include "display/display_driver.h"
+#include "human/hand_model.h"
+#include "human/motion_planner.h"
 #include "hw/adc.h"
 #include "lint/index.h"
 #include "lint/rules.h"
@@ -34,6 +37,7 @@
 #include "sim/event_queue.h"
 #include "study/device_pool.h"
 #include "study/sweep_runner.h"
+#include "study/task.h"
 #include "util/alloc_guard.h"
 #include "util/crc.h"
 #include "wireless/arq.h"
@@ -179,6 +183,42 @@ void BM_Gp2d120Sample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Gp2d120Sample);
+
+/// Tremor over the planner's 4 ms grid. Arg 0: displacement_cm() on
+/// every step (what each dense control step paid); arg 1: advance()
+/// only, what a step before DistScroll's next firmware tick now costs.
+void BM_TremorDisplacement(benchmark::State& state) {
+  const bool advance_only = state.range(0) != 0;
+  human::Tremor tremor({}, sim::Rng(1));
+  double t = 0.0;
+  for (auto _ : state) {
+    t += 0.004;
+    if (advance_only) {
+      tremor.advance(t);
+    } else {
+      benchmark::DoNotOptimize(tremor.displacement_cm(t));
+    }
+  }
+}
+BENCHMARK(BM_TremorDisplacement)->Arg(0)->Arg(1);
+
+/// One DistScroll trial through MotionPlanner::acquire (reset, reaches,
+/// settles, commit press) on a 20-entry menu, cycling over 64 tasks.
+void BM_PlannerAbsoluteTrial(benchmark::State& state) {
+  baselines::DistanceScroll technique({}, sim::Rng(1));
+  const human::UserProfile profile = human::UserProfile::average();
+  sim::Rng task_rng(2);
+  const auto tasks = study::random_tasks(task_rng, 20, 64);
+  const sim::Rng trials_rng(3);
+  std::uint64_t trial = 0;
+  for (auto _ : state) {
+    const study::SelectionTask& task = tasks[trial % tasks.size()];
+    technique.reset(task.level_size, task.start_index);
+    human::MotionPlanner planner({}, trials_rng.fork(trial++));
+    benchmark::DoNotOptimize(planner.acquire(technique, task.target_index, profile));
+  }
+}
+BENCHMARK(BM_PlannerAbsoluteTrial);
 
 void BM_EventQueueSchedule(benchmark::State& state) {
   sim::EventQueue queue;

@@ -46,6 +46,7 @@ class ConflictedAim final : public baselines::ScrollTechnique {
   std::size_t cursor() const override { return inner_->cursor(); }
   std::size_t level_size() const override { return inner_->level_size(); }
   void on_control(util::Seconds now, double u) override { inner_->on_control(now, u); }
+  double next_control_s() const override { return inner_->next_control_s(); }
   std::optional<double> target_u(std::size_t target) const override {
     if (const_cast<ConflictedAim*>(this)->rng_.bernoulli(confusion_)) {
       // Reaches the wrong way: aims at the mirrored entry.

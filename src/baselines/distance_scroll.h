@@ -34,6 +34,8 @@ class DistanceScroll final : public ScrollTechnique {
   [[nodiscard]] std::size_t cursor() const override { return cursor_; }
   [[nodiscard]] std::size_t level_size() const override { return level_size_; }
   void on_control(util::Seconds now, double u) override;
+  /// The firmware's next tick: earlier samples are never read.
+  [[nodiscard]] double next_control_s() const override { return next_tick_s_; }
   [[nodiscard]] std::optional<double> target_u(std::size_t target) const override;
   [[nodiscard]] double target_width_u(std::size_t target) const override;
   /// Gross arm movement + one thumb button: nearly glove-insensitive.

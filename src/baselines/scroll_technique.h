@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -60,6 +61,15 @@ class ScrollTechnique {
   /// Continuous techniques: the channel's value at time `now`. Called
   /// densely (every few ms) by the planner.
   virtual void on_control(util::Seconds now, double u) = 0;
+
+  /// Control deadline: an on_control(now, u) with now < next_control_s()
+  /// changes no state, draws no randomness and moves no output, so the
+  /// planner may skip synthesising the hand sample for it. The default,
+  /// -infinity, makes every call count; a forwarding wrapper that does
+  /// not override this keeps the dense feed.
+  [[nodiscard]] virtual double next_control_s() const {
+    return -std::numeric_limits<double>::infinity();
+  }
 
   /// DiscreteSteps techniques: a key event. Default ignores.
   virtual void on_step(util::Seconds /*now*/, int /*delta*/) {}

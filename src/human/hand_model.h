@@ -37,19 +37,36 @@ class Tremor {
     phase_ = rng_.uniform(0.0, 2.0 * 3.14159265358979);
   }
 
-  /// Tremor displacement at simulated time t.
+  /// Tremor displacement at simulated time t: advance(t), then at(t).
   [[nodiscard]] double displacement_cm(double t_seconds) {
+    advance(t_seconds);
+    return at(t_seconds);
+  }
+
+  /// Move the tremor clock to t: draws the cycle's amplitude when t
+  /// enters a new cycle. A caller that skips evaluating some times must
+  /// still advance through each of them, so the draws (and the shared
+  /// stream) stay exactly those of displacement_cm() at every time.
+  void advance(double t_seconds) {
     // A slowly amplitude-modulated sinusoid is a decent band-limited
     // surrogate; the modulation draw is keyed to the cycle count so
     // repeated queries at the same time agree.
-    const double omega = 2.0 * 3.14159265358979 * config_.frequency_hz;
     const auto cycle = static_cast<long>(t_seconds * config_.frequency_hz);
     if (cycle != last_cycle_) {
       last_cycle_ = cycle;
       amp_scale_ = 1.0 + rng_.gaussian(0.0, config_.amplitude_jitter);
     }
+  }
+
+  /// Displacement at t, which must be the time of the last advance().
+  [[nodiscard]] double at(double t_seconds) const {
+    const double omega = 2.0 * 3.14159265358979 * config_.frequency_hz;
     return config_.amplitude_cm * amp_scale_ * std::sin(omega * t_seconds + phase_);
   }
+
+  /// The amplitude stream: its position depends only on the times
+  /// advanced through, not on which of them were evaluated.
+  [[nodiscard]] const sim::Rng& rng() const { return rng_; }
 
  private:
   Config config_;

@@ -127,12 +127,19 @@ bool MotionPlanner::commit_selection(baselines::ScrollTechnique& t, std::size_t 
     return false;
   }
   // Holding the channel steady during the press: tremor may push an
-  // absolute channel across an island boundary mid-press.
+  // absolute channel across an island boundary mid-press. Steps before
+  // the technique's control deadline are skipped; the tremor still
+  // advances through them.
   if (feed_control) {
     Tremor tremor(p.tremor, rng_.fork(777));
     const double t0 = outcome.time_s;
+    double next_control = t.next_control_s();
     for (double dt = 0.0; dt < press_time; dt += config_.dt_s) {
-      t.on_control(util::Seconds{t0 + dt}, hold_u + tremor.displacement_cm(t0 + dt));
+      const double now = t0 + dt;
+      tremor.advance(now);
+      if (now < next_control) continue;
+      t.on_control(util::Seconds{now}, hold_u + tremor.at(now));
+      next_control = t.next_control_s();
     }
   }
   outcome.time_s += press_time;
@@ -158,6 +165,28 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
   double now = 0.0;
   bool first_move = true;
 
+  // One control step. Before the technique's control deadline the hand
+  // sample would be discarded, so it is not synthesised: no min-jerk, no
+  // sin, no technique call; the tremor still advances, keeping its draws
+  // those of the dense feed. The cursor cannot move on such a step, and
+  // re-observing an observed cursor is a no-op, except right after the
+  // cursor moved unobserved (trial start, a failed commit's press): the
+  // dense feed's next step observes it, so a skipped one does too.
+  double next_control = t.next_control_s();
+  bool observe_pending = true;
+  const auto step = [&](const auto& hand_u) {
+    tremor.advance(now);
+    if (now < next_control) {
+      if (observe_pending) overshoots.observe(static_cast<long>(t.cursor()));
+    } else {
+      t.on_control(util::Seconds{now}, hand_u() + tremor.at(now));
+      next_control = t.next_control_s();
+      overshoots.observe(static_cast<long>(t.cursor()));
+    }
+    observe_pending = false;
+    now += config_.dt_s;
+  };
+
   while (now < config_.timeout_s) {
     // Aim with amplitude-proportional scatter; corrective movements aim
     // tighter (shorter amplitude => smaller sigma by Schmidt's law).
@@ -170,14 +199,11 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
     if (!first_move) ++outcome.corrective_movements;
     first_move = false;
 
-    // Execute the reach, feeding the channel densely.
+    // Execute the reach along the min-jerk profile.
     const double t0 = now;
     const double u0 = u;
     while (now < t0 + reach_time.value) {
-      u = min_jerk(u0, aim, now - t0, reach_time.value);
-      t.on_control(util::Seconds{now}, u + tremor.displacement_cm(now));
-      overshoots.observe(static_cast<long>(t.cursor()));
-      now += config_.dt_s;
+      step([&] { return min_jerk(u0, aim, now - t0, reach_time.value); });
     }
     u = aim;
 
@@ -185,9 +211,7 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
     const double dwell = p.reaction_time_s + config_.settle_dwell_s;
     const double s0 = now;
     while (now < s0 + dwell) {
-      t.on_control(util::Seconds{now}, u + tremor.displacement_cm(now));
-      overshoots.observe(static_cast<long>(t.cursor()));
-      now += config_.dt_s;
+      step([&] { return u; });
     }
 
     if (t.cursor() == target) {
@@ -200,6 +224,8 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
         return outcome;
       }
       now = outcome.time_s;
+      next_control = t.next_control_s();
+      observe_pending = true;
       continue;  // slipped or drifted: re-settle and retry
     }
   }

@@ -186,7 +186,7 @@ void BatchSessionKernel::run_block(std::size_t lane, std::span<const double> now
 
   // --- LUT + FSM stage: sequential by nature (each sample's hysteresis
   // depends on the previous selection), then the cursor is fanned back
-  // out over the dense sample axis for the planner's observer.
+  // out over the block's sample axis for the planner's observer.
   std::size_t cursor = L.cursor;
   const std::size_t last = L.level_size - 1;
   std::size_t j = 0;

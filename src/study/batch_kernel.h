@@ -81,11 +81,19 @@ class BatchSessionKernel {
   [[nodiscard]] baselines::ControlSpec spec(std::size_t lane) const;
   [[nodiscard]] std::optional<double> target_u(std::size_t lane, std::size_t target) const;
   [[nodiscard]] double target_width_u(std::size_t lane, std::size_t target) const;
+  /// DistanceScroll::next_control_s() and its firmware tick period: the
+  /// trial driver stages only the samples run_block() would tick on.
+  [[nodiscard]] double next_tick_s(std::size_t lane) const { return lanes_[lane].next_tick_s; }
+  [[nodiscard]] double tick_period_s(std::size_t lane) const {
+    return lanes_[lane].config.firmware_tick.value;
+  }
 
   /// Advance one lane over a block of control samples: now_s/u are the
-  /// dense planner feed (one entry per dt step), cursors_out[k] receives
-  /// the lane's cursor AFTER sample k (what the planner's overshoot
-  /// observer reads). All three spans must have equal length.
+  /// planner feed (the dense one entry per dt step, or only its tick
+  /// samples: samples before the next tick are ignored either way),
+  /// cursors_out[k] receives the lane's cursor AFTER sample k (what the
+  /// planner's overshoot observer reads). All three spans must have
+  /// equal length.
   /// Allocation-free once scratch is warm (DS_ASSERT_NO_ALLOC-pinned).
   void run_block(std::size_t lane, std::span<const double> now_s, std::span<const double> u,
                  std::span<std::uint32_t> cursors_out);

@@ -13,8 +13,8 @@ namespace {
 
 /// Counts sign changes of (cursor - target) — replica of the planner's
 /// file-local OvershootCounter, observing the same cursor sequence the
-/// scalar loop sees (kernel cursors_out is the cursor after each dt
-/// step).
+/// scalar loop sees (kernel cursors_out is the cursor after each staged
+/// tick).
 class OvershootCounter {
  public:
   explicit OvershootCounter(long target) : target_(target) {}
@@ -124,6 +124,26 @@ human::AcquisitionOutcome BatchTrialRunner::acquire_absolute(
   double now = 0.0;
   bool first_move = true;
 
+  // One control step, as in MotionPlanner::run_absolute: only firmware
+  // ticks are staged; the tremor advances through every step; a skipped
+  // step right after an unobserved cursor move observes it (the block
+  // has not run yet, so the kernel cursor is still the pre-block one).
+  double next_tick = kernel_.next_tick_s(lane);
+  const double tick_period = kernel_.tick_period_s(lane);
+  bool observe_pending = true;
+  const auto step = [&](const auto& hand_u) {
+    tremor.advance(now);
+    if (now < next_tick) {
+      if (observe_pending) overshoots.observe(static_cast<long>(kernel_.cursor(lane)));
+    } else {
+      next_tick = now + tick_period;
+      times_.push_back(now);
+      us_.push_back(hand_u() + tremor.at(now));
+    }
+    observe_pending = false;
+    now += cfg.dt_s;
+  };
+
   while (now < cfg.timeout_s) {
     const double amplitude = std::abs(goal_u - u);
     const double sigma = p.aim_w0_cm + p.aim_w1 * amplitude;
@@ -134,18 +154,15 @@ human::AcquisitionOutcome BatchTrialRunner::acquire_absolute(
     if (!first_move) ++outcome.corrective_movements;
     first_move = false;
 
-    // Reach: stage the dense control feed, then one kernel block. The
-    // time/value sequences are built with the scalar loop's exact FP
-    // accumulation (now += dt inside the same-shaped while).
+    // Reach: stage the control feed, then one kernel block. The time
+    // sequence is built with the scalar loop's exact FP accumulation
+    // (now += dt inside the same-shaped while).
     const double t0 = now;
     const double u0 = u;
     times_.clear();
     us_.clear();
     while (now < t0 + reach_time.value) {
-      const double reach_u = human::min_jerk(u0, aim, now - t0, reach_time.value);
-      times_.push_back(now);
-      us_.push_back(reach_u + tremor.displacement_cm(now));
-      now += cfg.dt_s;
+      step([&] { return human::min_jerk(u0, aim, now - t0, reach_time.value); });
     }
     run_staged_block(lane);
     for (const std::uint32_t cursor : cursors_) {
@@ -159,9 +176,7 @@ human::AcquisitionOutcome BatchTrialRunner::acquire_absolute(
     times_.clear();
     us_.clear();
     while (now < s0 + dwell) {
-      times_.push_back(now);
-      us_.push_back(u + tremor.displacement_cm(now));
-      now += cfg.dt_s;
+      step([&] { return u; });
     }
     run_staged_block(lane);
     for (const std::uint32_t cursor : cursors_) {
@@ -177,6 +192,8 @@ human::AcquisitionOutcome BatchTrialRunner::acquire_absolute(
         return outcome;
       }
       now = outcome.time_s;
+      next_tick = kernel_.next_tick_s(lane);
+      observe_pending = true;
       continue;  // slipped or drifted: re-settle and retry
     }
   }
@@ -198,14 +215,21 @@ bool BatchTrialRunner::commit(std::size_t lane, std::size_t target, const human:
     outcome.time_s += press_time * 1.5;  // failed press + noticing
     return false;
   }
-  // Holding the channel steady during the press, fed as one block.
+  // Holding the channel steady during the press, its ticks fed as one
+  // block.
   human::Tremor tremor(p.tremor, rng.fork(777));
   const double t0 = outcome.time_s;
+  double next_tick = kernel_.next_tick_s(lane);
+  const double tick_period = kernel_.tick_period_s(lane);
   times_.clear();
   us_.clear();
   for (double dt = 0.0; dt < press_time; dt += cfg.dt_s) {
-    times_.push_back(t0 + dt);
-    us_.push_back(hold_u + tremor.displacement_cm(t0 + dt));
+    const double now = t0 + dt;
+    tremor.advance(now);
+    if (now < next_tick) continue;
+    next_tick = now + tick_period;
+    times_.push_back(now);
+    us_.push_back(hold_u + tremor.at(now));
   }
   run_staged_block(lane);
   outcome.time_s += press_time;

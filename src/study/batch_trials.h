@@ -10,8 +10,11 @@
 // in lockstep at trial granularity (lane-major within each trial
 // round), with every control phase — reach, settle, commit press —
 // executed as one SoA block through the kernel instead of per-dt-step
-// virtual calls. The planner-side arithmetic (aim scatter, Fitts
-// timing, min-jerk reach, tremor, commit slips) mirrors
+// virtual calls. Like the scalar planner, a phase stages only the
+// samples that fall on a firmware tick (the control deadline of
+// ScrollTechnique::next_control_s); the rest are never synthesised.
+// The planner-side arithmetic (aim scatter, Fitts timing, min-jerk
+// reach, tremor, commit slips) mirrors
 // human::MotionPlanner::run_absolute / commit_selection expression by
 // expression, reusing the same human:: primitives, so the per-trial
 // draw streams and FP sequences are exactly the scalar ones.

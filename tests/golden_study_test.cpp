@@ -1,0 +1,132 @@
+// Golden study digests: pins the scalar run_trials() output of a small
+// Q1-style grid (five techniques x {no gloves, thick gloves}) and the
+// FleetAggregates bytes of a 64-participant run_fleet(), batched and
+// scalar, bit-exactly.
+//
+// The committed CSVs round their figures, and the batched == scalar
+// tests only compare two paths with each other, so a change that moves
+// an overshoot count in a handful of trials can pass every other test.
+// These digests catch it. A change that moves study outputs on purpose
+// updates the constants here and says why.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "baselines/button_scroll.h"
+#include "baselines/distance_scroll.h"
+#include "baselines/radial_scroll.h"
+#include "baselines/tilt_scroll.h"
+#include "baselines/wheel_scroll.h"
+#include "study/fleet_study.h"
+#include "study/task.h"
+#include "study/trial.h"
+
+namespace distscroll::study {
+namespace {
+
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 0x100000001B3ull;
+    }
+  }
+  void text(const std::string& s) { bytes(s.data(), s.size()); }
+  [[nodiscard]] std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+/// Every TrialRecord field, doubles as exact hex floats, so the digest
+/// does not depend on struct padding or on decimal rounding.
+std::string exact(const TrialRecord& r) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "%d %a %d %d %d %a %zu %zu\n", r.outcome.success ? 1 : 0,
+                r.outcome.time_s, r.outcome.corrective_movements, r.outcome.overshoots,
+                r.outcome.wrong_selections, r.outcome.id_bits, r.level_size, r.scroll_distance);
+  return buf;
+}
+
+std::unique_ptr<baselines::ScrollTechnique> make_technique(int index, sim::Rng rng) {
+  switch (index) {
+    case 0:
+      return std::make_unique<baselines::DistanceScroll>(baselines::DistanceScroll::Config{}, rng);
+    case 1:
+      return std::make_unique<baselines::TiltScroll>(baselines::TiltScroll::Config{}, rng);
+    case 2:
+      return std::make_unique<baselines::WheelScroll>(baselines::WheelScroll::Config{}, rng);
+    case 3:
+      return std::make_unique<baselines::ButtonScroll>();
+    default:
+      return std::make_unique<baselines::RadialScroll>();
+  }
+}
+
+/// One digest per technique over both glove conditions, 4 participants
+/// x 30 trials each on a 20-entry menu, with the bench's fork layout:
+/// fork(1) technique, fork(2) tasks, fork(3) trials.
+std::uint64_t technique_digest(int technique) {
+  Fnv1a digest;
+  const human::Glove gloves[] = {human::Glove::None, human::Glove::Thick};
+  for (std::size_t g = 0; g < 2; ++g) {
+    for (std::size_t participant = 0; participant < 4; ++participant) {
+      const sim::Rng rng =
+          sim::Rng(0x601D).fork(static_cast<std::uint64_t>(technique) * 100 + g * 10 + participant);
+      auto t = make_technique(technique, rng.fork(1));
+      const auto profile = human::UserProfile::average()
+                               .with_expertise(0.25 + 0.1 * static_cast<double>(participant))
+                               .with_glove(gloves[g]);
+      sim::Rng task_rng = rng.fork(2);
+      const auto tasks = random_tasks(task_rng, 20, 30);
+      for (const TrialRecord& r : run_trials(*t, tasks, profile, rng.fork(3))) {
+        digest.text(exact(r));
+      }
+    }
+  }
+  return digest.hash();
+}
+
+TEST(GoldenStudy, ScalarTrialRecordsDigest) {
+  // Recorded under the dense control feed, before the planner skipped
+  // the hand samples DistScroll's firmware tick never reads.
+  EXPECT_EQ(technique_digest(0), 0x71bd86664b3ee1e3ull) << "DistScroll";
+  EXPECT_EQ(technique_digest(1), 0x98e00c01d2d62909ull) << "TiltScroll";
+  EXPECT_EQ(technique_digest(2), 0x96eb33dd94fd981eull) << "YoYoWheel";
+  EXPECT_EQ(technique_digest(3), 0x1793301148318e85ull) << "ButtonScroll";
+  EXPECT_EQ(technique_digest(4), 0x08d389845d3394ccull) << "RadialScroll";
+}
+
+std::uint64_t fleet_digest(bool batched) {
+  FleetStudyConfig config;
+  config.participants = 64;
+  config.trials_per_participant = 4;
+  config.menu_size = 40;
+  config.base_seed = 0x601D;
+  config.chunk = 16;
+  config.threads = 1;
+  config.batched = batched;
+  const FleetRunResult result = run_fleet(config);
+  EXPECT_TRUE(result.complete);
+  const std::vector<std::uint8_t> bytes = result.aggregates.to_bytes();
+  Fnv1a digest;
+  digest.bytes(bytes.data(), bytes.size());
+  return digest.hash();
+}
+
+TEST(GoldenStudy, FleetAggregateBytesBatched) {
+  EXPECT_EQ(fleet_digest(true), 0x5ff902d3388997b9ull);
+}
+
+TEST(GoldenStudy, FleetAggregateBytesScalar) {
+  EXPECT_EQ(fleet_digest(false), 0x5ff902d3388997b9ull);
+}
+
+}  // namespace
+}  // namespace distscroll::study

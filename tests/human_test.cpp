@@ -66,6 +66,31 @@ TEST(Tremor, OscillatesAtConfiguredBand) {
   EXPECT_NEAR(crossings, 36, 4);
 }
 
+TEST(Tremor, SparseEvaluationMatchesDenseBitForBit) {
+  Tremor::Config config;
+  config.amplitude_jitter = 0.4;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Tremor dense(config, sim::Rng(seed));
+    Tremor sparse(config, sim::Rng(seed));
+    // Advance on every 4 ms step, but evaluate only on an irregular
+    // subset (every 5th or 6th step, like a 20 ms firmware tick).
+    double next = 0.0;
+    std::size_t evaluated = 0;
+    std::size_t steps = 0;
+    for (double t = 0.0; t < 3.0; t += 0.004, ++steps) {
+      const double expected = dense.displacement_cm(t);
+      sparse.advance(t);
+      if (t < next) continue;
+      next = t + 0.02;
+      ++evaluated;
+      EXPECT_EQ(sparse.at(t), expected) << "seed " << seed << " t " << t;
+    }
+    EXPECT_LT(evaluated * 4, steps);
+    EXPECT_EQ(sparse.rng().engine_state(), dense.rng().engine_state()) << "seed " << seed;
+    EXPECT_EQ(sparse.rng().has_cached_spare(), dense.rng().has_cached_spare());
+  }
+}
+
 // --- hand model ---------------------------------------------------------------------
 
 TEST(HandModel, ReachMovesToTarget) {

@@ -96,6 +96,87 @@ TEST(Trial, RecordsScrollDistance) {
   EXPECT_EQ(record.level_size, 10u);
 }
 
+// --- control deadline: the sparse feed equals the dense one ------------------------
+
+/// Forwards every call to a DistanceScroll and counts on_control calls.
+/// kForwardDeadline false leaves next_control_s() at the default, so the
+/// planner feeds it densely, as it fed every technique before the hook.
+template <bool kForwardDeadline>
+class CountingDistanceScroll final : public baselines::ScrollTechnique {
+ public:
+  explicit CountingDistanceScroll(sim::Rng rng) : inner_({}, rng) {}
+
+  std::string name() const override { return inner_.name(); }
+  baselines::ControlSpec spec() const override { return inner_.spec(); }
+  void reset(std::size_t level_size, std::size_t start) override {
+    inner_.reset(level_size, start);
+  }
+  std::size_t cursor() const override { return inner_.cursor(); }
+  std::size_t level_size() const override { return inner_.level_size(); }
+  void on_control(util::Seconds now, double u) override {
+    ++control_calls;
+    inner_.on_control(now, u);
+  }
+  double next_control_s() const override {
+    return kForwardDeadline ? inner_.next_control_s() : ScrollTechnique::next_control_s();
+  }
+  std::optional<double> target_u(std::size_t target) const override {
+    return inner_.target_u(target);
+  }
+  double target_width_u(std::size_t target) const override {
+    return inner_.target_width_u(target);
+  }
+  double glove_sensitivity() const override { return inner_.glove_sensitivity(); }
+
+  std::size_t control_calls = 0;
+
+ private:
+  baselines::DistanceScroll inner_;
+};
+
+/// Runs `technique` over 40 trials per glove condition, 20-entry menu.
+template <typename Technique>
+std::vector<TrialRecord> deadline_records(Technique& technique, human::Glove glove,
+                                          std::uint64_t seed) {
+  sim::Rng rng(seed);
+  const auto tasks = random_tasks(rng, 20, 40);
+  return run_trials(technique, tasks, human::UserProfile::novice().with_glove(glove), rng.fork(1));
+}
+
+TEST(ControlDeadline, DenseWrapperMatchesBareTechnique) {
+  int failed_commits = 0;
+  for (const human::Glove glove : {human::Glove::None, human::Glove::Thin, human::Glove::Thick}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      baselines::DistanceScroll bare({}, sim::Rng(seed * 31));
+      CountingDistanceScroll<false> dense(sim::Rng(seed * 31));
+      const auto sparse_records = deadline_records(bare, glove, seed);
+      const auto dense_records = deadline_records(dense, glove, seed);
+      ASSERT_EQ(sparse_records.size(), dense_records.size());
+      for (std::size_t i = 0; i < dense_records.size(); ++i) {
+        EXPECT_TRUE(sparse_records[i] == dense_records[i]) << "seed " << seed << " trial " << i;
+        failed_commits += dense_records[i].outcome.wrong_selections;
+      }
+    }
+  }
+  // The commit press moves the cursor without an overshoot observation;
+  // the grid must exercise that path for the comparison to mean much.
+  EXPECT_GT(failed_commits, 0);
+}
+
+TEST(ControlDeadline, PlannerFeedsOnlyFirmwareTicks) {
+  CountingDistanceScroll<true> sparse(sim::Rng(7));
+  CountingDistanceScroll<false> dense(sim::Rng(7));
+  const auto sparse_records = deadline_records(sparse, human::Glove::Thick, 9);
+  const auto dense_records = deadline_records(dense, human::Glove::Thick, 9);
+  EXPECT_TRUE(sparse_records == dense_records);
+  // A 20 ms tick over 4 ms steps: one call in every five or six steps.
+  ASSERT_GT(dense.control_calls, 0u);
+  const double ratio =
+      static_cast<double>(sparse.control_calls) / static_cast<double>(dense.control_calls);
+  EXPECT_GT(ratio, 1.0 / 6.5);
+  EXPECT_LT(ratio, 1.0 / 4.5);
+}
+
 // --- sessions: the learning curve -----------------------------------------------------
 
 TEST(Session, ErrorRateDropsWithPractice) {

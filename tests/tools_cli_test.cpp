@@ -1,4 +1,5 @@
-// CLI contract of the bench_compare perf gate and the ds_lint analyzer.
+// CLI contract of the bench_compare perf gate, the ds_lint analyzer and
+// the fleet_run / host_ingest / trace_replay drivers.
 //
 // Pins the exit-code protocol the scripts and ctest wiring rely on:
 // 0 = gates passed, 1 = regression/finding, 64 = malformed command
@@ -268,8 +269,8 @@ struct CliRun {
   int exit_code = -1;
 };
 
-CliRun run_lint_cli(const std::string& args) {
-  const std::string cmd = std::string(DS_LINT_BIN) + " " + args + " 2>/dev/null";
+CliRun run_cli(const char* bin, const std::string& args) {
+  const std::string cmd = std::string(bin) + " " + args + " 2>/dev/null";
   CliRun result;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -279,6 +280,8 @@ CliRun run_lint_cli(const std::string& args) {
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
 }
+
+CliRun run_lint_cli(const std::string& args) { return run_cli(DS_LINT_BIN, args); }
 
 TEST(DsLintCli, CleanTreeExitsZeroWithEmptyOutput) {
   // The allowlisted fixture subtree is the canonical clean input.
@@ -360,6 +363,39 @@ TEST(DsLintCli, JsonFormatOnCleanInputHasEmptyFindings) {
                                   DS_LINT_FIXTURE_DIR + "/src/obs --format=json");
   EXPECT_EQ(run.exit_code, 0);
   EXPECT_NE(run.out.find("\"findings\": []"), std::string::npos);
+}
+
+// --- every tool: --help and usage errors ----------------------------------
+
+struct ToolCase {
+  const char* bin;
+  const char* args;
+  int exit_code;
+  bool usage_on_stdout;
+};
+
+TEST(ToolsCli, HelpExitsZeroAndUsageErrorsExit64) {
+  // --help prints usage to stdout and exits 0; a malformed command line
+  // exits 64 (EX_USAGE) with usage on stderr, on all five tools.
+  const ToolCase cases[] = {
+      {DS_FLEET_RUN_BIN, "--help", 0, true},
+      {DS_FLEET_RUN_BIN, "--no-such-flag", 64, false},
+      {DS_HOST_INGEST_BIN, "--help", 0, true},
+      {DS_HOST_INGEST_BIN, "--no-such-flag", 64, false},
+      {DS_BENCH_COMPARE_BIN, "--help", 0, true},
+      {DS_BENCH_COMPARE_BIN, "", 64, false},
+      {DS_TRACE_REPLAY_BIN, "--help", 0, true},
+      {DS_TRACE_REPLAY_BIN, "", 64, false},
+      {DS_TRACE_REPLAY_BIN, "no-such-mode /nonexistent.trace", 64, false},
+      {DS_LINT_BIN, "--help", 0, true},
+      {DS_LINT_BIN, "--no-such-flag", 64, false},
+  };
+  for (const ToolCase& c : cases) {
+    const CliRun run = run_cli(c.bin, c.args);
+    EXPECT_EQ(run.exit_code, c.exit_code) << c.bin << " " << c.args;
+    EXPECT_EQ(run.out.find("usage") != std::string::npos, c.usage_on_stdout)
+        << c.bin << " " << c.args << ": " << run.out;
+  }
 }
 
 }  // namespace

@@ -29,7 +29,7 @@
 // baseline * tolerance). Older baselines lack the fields and skip
 // those gates.
 //
-// Exit codes: 0 = all gates passed, 1 = regression or unreadable
+// Exit codes: 0 = all gates passed (or --help), 1 = regression or unreadable
 // report, 64 = malformed command line (e.g. an unparseable
 // --tolerance, or a baseline/fresh directory that does not exist or
 // cannot be listed), 77 = environment not comparable (hardware thread count
@@ -56,6 +56,13 @@ constexpr int kExitSkip = 77;
 /// Fleet runs must keep peak RSS flat (within 10%) relative to their
 /// small-run baseline — the O(aggregates) memory contract.
 constexpr double kFleetRssFlatLimit = 1.10;
+
+int usage(std::FILE* to) {
+  std::fprintf(to,
+               "usage: bench_compare <baseline_dir> [<fresh_dir>] [--tolerance <factor>]"
+               " [--allow-missing]\n");
+  return kExitUsage;
+}
 
 struct Report {
   std::string name;
@@ -170,15 +177,14 @@ int main(int argc, char** argv) {
       tolerance = *parsed;
     } else if (std::strcmp(argv[i], "--allow-missing") == 0) {
       allow_missing = true;
+    } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
+      usage(stdout);
+      return kExitOk;
     } else {
       positional.emplace_back(argv[i]);
     }
   }
-  if (positional.empty()) {
-    std::fprintf(stderr,
-                 "usage: bench_compare <baseline_dir> [<fresh_dir>] [--tolerance <factor>]\n");
-    return kExitUsage;
-  }
+  if (positional.empty()) return usage(stderr);
   baseline_dir = positional[0];
   if (positional.size() > 1) fresh_dir = positional[1];
   // A missing directory is a misconfigured gate, not a regression (1)

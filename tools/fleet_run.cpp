@@ -17,8 +17,8 @@
 // participants (rounded up to a chunk) and exits — the manual way to
 // produce a resumable half-run.
 //
-// Exit codes: 0 = ran (complete or stopped as asked), 1 = bad resume
-// file / unwritable checkpoint, 64 = malformed command line.
+// Exit codes: 0 = ran (complete or stopped as asked) or --help, 1 = bad
+// resume file / unwritable checkpoint, 64 = malformed command line.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -44,8 +44,8 @@ bool parse_u64(const char* text, std::uint64_t& out) {
   return true;
 }
 
-int usage() {
-  std::fprintf(stderr,
+int usage(std::FILE* to = stderr) {
+  std::fprintf(to,
                "usage: fleet_run [--participants N] [--trials N] [--menu N] [--seed S]\n"
                "                 [--threads N] [--chunk N] [--window N] [--scalar]\n"
                "                 [--checkpoint PATH] [--checkpoint-every N] [--resume]\n"
@@ -67,7 +67,10 @@ int main(int argc, char** argv) {
       return i + 1 < argc && parse_u64(argv[++i], out);
     };
     std::uint64_t value = 0;
-    if (std::strcmp(arg, "--participants") == 0) {
+    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
+      usage(stdout);
+      return kExitOk;
+    } else if (std::strcmp(arg, "--participants") == 0) {
       if (!next_u64(config.participants)) return usage();
     } else if (std::strcmp(arg, "--trials") == 0) {
       if (!next_u64(value) || value == 0) return usage();

@@ -11,8 +11,9 @@
 // Prints an ingest summary to stdout; --out writes the DSTL container,
 // --jsonl the decoded accepted stream as JSON lines.
 //
-// Exit codes: 0 = clean ingest (no content mismatches), 1 = content
-// mismatch detected or unwritable output, 64 = malformed command line.
+// Exit codes: 0 = clean ingest (no content mismatches) or --help, 1 =
+// content mismatch detected or unwritable output, 64 = malformed
+// command line.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -47,8 +48,8 @@ bool parse_prob(const char* text, double& out) {
   return true;
 }
 
-int usage() {
-  std::fprintf(stderr,
+int usage(std::FILE* to = stderr) {
+  std::fprintf(to,
                "usage: host_ingest [--devices N] [--duration S] [--loss P] [--reorder P]\n"
                "                   [--corrupt P] [--ack-loss P] [--lanes N]\n"
                "                   [--lane-capacity N] [--batch N] [--threads N] [--seed S]\n"
@@ -74,7 +75,10 @@ int main(int argc, char** argv) {
     };
     auto next_prob = [&](double& out) { return i + 1 < argc && parse_prob(argv[++i], out); };
     std::uint64_t value = 0;
-    if (std::strcmp(arg, "--devices") == 0) {
+    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
+      usage(stdout);
+      return kExitOk;
+    } else if (std::strcmp(arg, "--devices") == 0) {
       if (!next_u64(value) || value == 0 || value > 65535) return usage();
       config.devices = static_cast<std::size_t>(value);
     } else if (std::strcmp(arg, "--duration") == 0) {

@@ -12,6 +12,9 @@
 //
 //   trace_replay dump <in.trace>
 //       Print the trace as JSONL on stdout.
+//
+// Exit codes: 0 = done (--help prints usage to stdout), 1 = unreadable
+// or unwritable trace, or a diverged replay, 64 = malformed command line.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -21,21 +24,28 @@
 
 namespace {
 
-int usage() {
-  std::fprintf(stderr,
+constexpr int kExitUsage = 64;
+
+int usage(std::FILE* to = stderr) {
+  std::fprintf(to,
                "usage: trace_replay record <out.trace> [out.jsonl]\n"
                "       trace_replay verify <in.trace>\n"
                "       trace_replay dump <in.trace>\n");
-  return 2;
+  return kExitUsage;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace distscroll;
+  if (argc >= 2 && (std::string(argv[1]) == "--help" || std::string(argv[1]) == "-h")) {
+    usage(stdout);
+    return 0;
+  }
   if (argc < 3) return usage();
   const std::string mode = argv[1];
   const std::string path = argv[2];
+  if (mode != "record" && mode != "verify" && mode != "dump") return usage();
 
   if (mode == "record") {
     const obs::Trace trace = obs::record_canonical_session();
@@ -71,10 +81,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (mode == "dump") {
-    obs::write_jsonl(std::cout, *trace);
-    return 0;
-  }
-
-  return usage();
+  obs::write_jsonl(std::cout, *trace);  // dump
+  return 0;
 }
