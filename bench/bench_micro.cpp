@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "baselines/distance_scroll.h"
+#include "baselines/radial_scroll.h"
+#include "baselines/tilt_scroll.h"
 #include "core/distscroll_device.h"
 #include "core/island_mapper.h"
 #include "core/scroll_controller.h"
@@ -202,10 +204,9 @@ void BM_TremorDisplacement(benchmark::State& state) {
 }
 BENCHMARK(BM_TremorDisplacement)->Arg(0)->Arg(1);
 
-/// One DistScroll trial through MotionPlanner::acquire (reset, reaches,
-/// settles, commit press) on a 20-entry menu, cycling over 64 tasks.
-void BM_PlannerAbsoluteTrial(benchmark::State& state) {
-  baselines::DistanceScroll technique({}, sim::Rng(1));
+/// One trial through MotionPlanner::acquire (reset, the technique's
+/// control path, commit press) on a 20-entry menu, cycling over 64 tasks.
+void run_planner_trials(benchmark::State& state, baselines::ScrollTechnique& technique) {
   const human::UserProfile profile = human::UserProfile::average();
   sim::Rng task_rng(2);
   const auto tasks = study::random_tasks(task_rng, 20, 64);
@@ -218,7 +219,27 @@ void BM_PlannerAbsoluteTrial(benchmark::State& state) {
     benchmark::DoNotOptimize(planner.acquire(technique, task.target_index, profile));
   }
 }
+
+/// DistScroll: absolute control (reaches, settles, firmware-tick feed).
+void BM_PlannerAbsoluteTrial(benchmark::State& state) {
+  baselines::DistanceScroll technique({}, sim::Rng(1));
+  run_planner_trials(state, technique);
+}
 BENCHMARK(BM_PlannerAbsoluteTrial);
+
+/// TiltScroll: rate control (delayed perception, 20 ms accelerometer tick).
+void BM_PlannerRateTrial(benchmark::State& state) {
+  baselines::TiltScroll technique({}, sim::Rng(1));
+  run_planner_trials(state, technique);
+}
+BENCHMARK(BM_PlannerRateTrial);
+
+/// RadialScroll: unbounded relative control (circling, touch dropouts).
+void BM_PlannerUnboundedTrial(benchmark::State& state) {
+  baselines::RadialScroll technique;
+  run_planner_trials(state, technique);
+}
+BENCHMARK(BM_PlannerUnboundedTrial);
 
 void BM_EventQueueSchedule(benchmark::State& state) {
   sim::EventQueue queue;

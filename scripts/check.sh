@@ -7,10 +7,13 @@
 #   tracing-off  same labels — proves tracing compiled out changes no
 #                behaviour (perf baselines are recorded for the tracing
 #                build, so the perf gate only runs on default)
-#   asan-ubsan   lint + unit + fuzz + host under ASan/UBSan (+ the
-#                gcc/clang extra UBSan checks CMakeLists.txt adds per
-#                compiler); host runs here too so the ingest drain loop
-#                and the DSTL decoder get the over-read instrumentation
+#   asan-ubsan   lint + unit + fuzz + host + golden under ASan/UBSan
+#                (+ the gcc/clang extra UBSan checks CMakeLists.txt adds
+#                per compiler); host runs here too so the ingest drain
+#                loop and the DSTL decoder get the over-read
+#                instrumentation, and golden so the bit-exact study
+#                digests drive every double->integer rounding past
+#                UBSan's float-cast-overflow check
 #   tsan         threading + fleet + host + batch under ThreadSanitizer:
 #                every sim::ThreadPool user (sweep runner, fleet engine,
 #                host ingest's per-lane produce phase, batch kernel)
@@ -84,7 +87,7 @@ run_perf_gate() {
 
 run_flavour default     'lint|unit|property|golden|batch|fleet|host'
 run_flavour tracing-off 'lint|unit|property|golden|batch|fleet|host'
-run_flavour asan-ubsan  'lint|unit|fuzz|host'
+run_flavour asan-ubsan  'lint|unit|fuzz|host|golden'
 run_flavour tsan        'threading|fleet|host|batch'
 run_perf_gate
 

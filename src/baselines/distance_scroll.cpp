@@ -1,9 +1,9 @@
 #include "baselines/distance_scroll.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/stage_timer.h"
+#include "util/rounding.h"
 
 namespace distscroll::baselines {
 
@@ -52,7 +52,7 @@ void DistanceScroll::on_control(util::Seconds now, double u) {
     double counts = v.value / config_.curve.params().vref * 1023.0;
     counts += rng_.gaussian(0.0, config_.adc_noise_lsb);
     counts = std::clamp(counts, 0.0, 1023.0);
-    sampled = util::AdcCounts{static_cast<std::uint16_t>(std::lround(counts))};
+    sampled = util::AdcCounts{static_cast<std::uint16_t>(util::round_nonneg(counts))};
   }
   DS_STAGE(Controller);
   const auto update = controller_.on_sample(sampled);

@@ -1,19 +1,14 @@
 #include "baselines/radial_scroll.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace distscroll::baselines {
 
 void RadialScroll::reset(std::size_t level_size, std::size_t start_index) {
   level_size_ = std::max<std::size_t>(1, level_size);
   position_ = static_cast<double>(std::min(start_index, level_size_ - 1));
+  cursor_ = entry_at(position_, level_size_);
   have_last_u_ = false;
-}
-
-std::size_t RadialScroll::cursor() const {
-  const double clamped = std::clamp(position_, 0.0, static_cast<double>(level_size_ - 1));
-  return static_cast<std::size_t>(std::lround(clamped));
 }
 
 void RadialScroll::on_control(util::Seconds /*now*/, double u) {
@@ -26,6 +21,7 @@ void RadialScroll::on_control(util::Seconds /*now*/, double u) {
   last_u_ = u;
   position_ += du * config_.entries_per_revolution;
   position_ = std::clamp(position_, 0.0, static_cast<double>(level_size_ - 1));
+  cursor_ = entry_at(position_, level_size_);
 }
 
 }  // namespace distscroll::baselines

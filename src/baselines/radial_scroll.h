@@ -27,7 +27,7 @@ class RadialScroll final : public ScrollTechnique {
     return {ControlStyle::RelativeUnbounded, -1e9, 1e9, 0.0, 2.0, "rev"};
   }
   void reset(std::size_t level_size, std::size_t start_index) override;
-  [[nodiscard]] std::size_t cursor() const override;
+  [[nodiscard]] std::size_t cursor() const override { return cursor_; }
   [[nodiscard]] std::size_t level_size() const override { return level_size_; }
   void on_control(util::Seconds now, double u) override;
 
@@ -41,6 +41,7 @@ class RadialScroll final : public ScrollTechnique {
   Config config_;
   std::size_t level_size_ = 1;
   double position_ = 0.0;
+  std::size_t cursor_ = 0;  // position_ rounded; refreshed when it moves
   double last_u_ = 0.0;
   bool have_last_u_ = false;
 };

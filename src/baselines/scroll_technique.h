@@ -10,11 +10,13 @@
 // technique turns the channel into cursor motion.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
 
+#include "util/rounding.h"
 #include "util/units.h"
 
 namespace distscroll::baselines {
@@ -44,6 +46,12 @@ struct ControlSpec {
   std::string unit = "u";
 };
 
+/// The entry a continuous cursor position selects: clamped to the list,
+/// then rounded half away from zero (std::lround, inline).
+[[nodiscard]] inline std::size_t entry_at(double position, std::size_t level_size) {
+  return util::round_nonneg(std::clamp(position, 0.0, static_cast<double>(level_size - 1)));
+}
+
 class ScrollTechnique {
  public:
   virtual ~ScrollTechnique() = default;
@@ -64,9 +72,11 @@ class ScrollTechnique {
 
   /// Control deadline: an on_control(now, u) with now < next_control_s()
   /// changes no state, draws no randomness and moves no output, so the
-  /// planner may skip synthesising the hand sample for it. The default,
-  /// -infinity, makes every call count; a forwarding wrapper that does
-  /// not override this keeps the dense feed.
+  /// planner may skip synthesising the hand sample for it. A deadline
+  /// may be early (conservative: a call at or after it may still be a
+  /// no-op) but never late. The default, -infinity, makes every call
+  /// count; a forwarding wrapper that does not override this keeps the
+  /// dense feed.
   [[nodiscard]] virtual double next_control_s() const {
     return -std::numeric_limits<double>::infinity();
   }

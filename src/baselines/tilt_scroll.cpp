@@ -8,12 +8,8 @@ namespace distscroll::baselines {
 void TiltScroll::reset(std::size_t level_size, std::size_t start_index) {
   level_size_ = std::max<std::size_t>(1, level_size);
   position_ = static_cast<double>(std::min(start_index, level_size_ - 1));
+  cursor_ = entry_at(position_, level_size_);
   last_sample_s_ = -1.0;
-}
-
-std::size_t TiltScroll::cursor() const {
-  const double clamped = std::clamp(position_, 0.0, static_cast<double>(level_size_ - 1));
-  return static_cast<std::size_t>(std::lround(clamped));
 }
 
 void TiltScroll::on_control(util::Seconds now, double u) {
@@ -38,6 +34,7 @@ void TiltScroll::on_control(util::Seconds now, double u) {
   }
   position_ += deflection * config_.max_velocity * dt;
   position_ = std::clamp(position_, 0.0, static_cast<double>(level_size_ - 1));
+  cursor_ = entry_at(position_, level_size_);
 }
 
 }  // namespace distscroll::baselines

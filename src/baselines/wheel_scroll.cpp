@@ -1,21 +1,16 @@
 #include "baselines/wheel_scroll.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace distscroll::baselines {
 
 void WheelScroll::reset(std::size_t level_size, std::size_t start_index) {
   level_size_ = std::max<std::size_t>(1, level_size);
   position_ = static_cast<double>(std::min(start_index, level_size_ - 1));
+  cursor_ = entry_at(position_, level_size_);
   engaged_ = false;
   have_last_u_ = false;
   jam_until_s_ = -1.0;
-}
-
-std::size_t WheelScroll::cursor() const {
-  const double clamped = std::clamp(position_, 0.0, static_cast<double>(level_size_ - 1));
-  return static_cast<std::size_t>(std::lround(clamped));
 }
 
 void WheelScroll::on_control(util::Seconds now, double u) {
@@ -40,6 +35,7 @@ void WheelScroll::on_control(util::Seconds now, double u) {
   }
   position_ += direction_ * du * config_.gain_entries_per_cm;
   position_ = std::clamp(position_, 0.0, static_cast<double>(level_size_ - 1));
+  cursor_ = entry_at(position_, level_size_);
 }
 
 }  // namespace distscroll::baselines

@@ -31,7 +31,7 @@ class WheelScroll final : public ScrollTechnique {
     return {ControlStyle::RelativeStroke, 0.0, config_.stroke_max_cm, 0.0, 40.0, "cm"};
   }
   void reset(std::size_t level_size, std::size_t start_index) override;
-  [[nodiscard]] std::size_t cursor() const override;
+  [[nodiscard]] std::size_t cursor() const override { return cursor_; }
   [[nodiscard]] std::size_t level_size() const override { return level_size_; }
   void on_control(util::Seconds now, double u) override;
   void set_engaged(bool engaged) override {
@@ -56,6 +56,7 @@ class WheelScroll final : public ScrollTechnique {
   sim::Rng rng_;
   std::size_t level_size_ = 1;
   double position_ = 0.0;
+  std::size_t cursor_ = 0;  // position_ rounded; refreshed when it moves
   bool engaged_ = false;
   int direction_ = 1;
   double last_u_ = 0.0;

@@ -245,9 +245,15 @@ AcquisitionOutcome MotionPlanner::run_rate(baselines::ScrollTechnique& t, std::s
   double u = spec.u_neutral;
   double now = 0.0;
   double on_target_since = -1.0;
+  // The cursor moves only inside on_control (a rate commit feeds no
+  // control), so one read after each call serves perception, the
+  // overshoot counter and the on-target test. Steps before the
+  // technique's control deadline skip the call; the wrist still moves.
+  long cursor = static_cast<long>(t.cursor());
+  double next_control = t.next_control_s();
 
   while (now < config_.timeout_s) {
-    perception.observe(now, static_cast<long>(t.cursor()));
+    perception.observe(now, cursor);
     const long perceived = perception.perceived(now);
     const long err = static_cast<long>(target) - perceived;
 
@@ -262,11 +268,15 @@ AcquisitionOutcome MotionPlanner::run_rate(baselines::ScrollTechnique& t, std::s
     u += delta + rng_.gaussian(0.0, 0.008 * penalty);
     u = std::clamp(u, spec.u_min, spec.u_max);
 
-    t.on_control(util::Seconds{now}, u);
-    overshoots.observe(static_cast<long>(t.cursor()));
+    if (now >= next_control) {
+      t.on_control(util::Seconds{now}, u);
+      cursor = static_cast<long>(t.cursor());
+      next_control = t.next_control_s();
+    }
+    overshoots.observe(cursor);
     now += config_.dt_s;
 
-    if (t.cursor() == target && std::abs(u) < 0.5 * spec.u_max) {
+    if (cursor == static_cast<long>(target) && std::abs(u) < 0.5 * spec.u_max) {
       if (on_target_since < 0.0) on_target_since = now;
       if (now - on_target_since >= config_.settle_dwell_s + p.reaction_time_s) {
         now += p.verification_time_s;
@@ -366,9 +376,11 @@ AcquisitionOutcome MotionPlanner::run_unbounded(baselines::ScrollTechnique& t, s
   double now = 0.0;
   double on_target_since = -1.0;
   bool touching = true;
+  // As in run_rate: the cursor moves only inside on_control.
+  long cursor = static_cast<long>(t.cursor());
 
   while (now < config_.timeout_s) {
-    perception.observe(now, static_cast<long>(t.cursor()));
+    perception.observe(now, cursor);
     const long err = static_cast<long>(target) - perception.perceived(now);
 
     if (touching && rng_.bernoulli(dropout_per_s * config_.dt_s)) {
@@ -386,10 +398,11 @@ AcquisitionOutcome MotionPlanner::run_unbounded(baselines::ScrollTechnique& t, s
         std::clamp(static_cast<double>(err) * 0.25, -max_rate, max_rate);
     u += rate * config_.dt_s + rng_.gaussian(0.0, 0.002 * penalty);
     t.on_control(util::Seconds{now}, u);
-    overshoots.observe(static_cast<long>(t.cursor()));
+    cursor = static_cast<long>(t.cursor());
+    overshoots.observe(cursor);
     now += config_.dt_s;
 
-    if (t.cursor() == target) {
+    if (cursor == static_cast<long>(target)) {
       if (on_target_since < 0.0) on_target_since = now;
       if (now - on_target_since >= config_.settle_dwell_s + p.reaction_time_s) {
         now += p.verification_time_s;

@@ -1,7 +1,8 @@
 #include "hw/adc.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "util/rounding.h"
 
 namespace distscroll::hw {
 
@@ -17,7 +18,7 @@ util::AdcCounts Adc10::sample(std::size_t channel, util::Seconds now) {
   double counts = v.value / config_.vref * 1023.0;
   counts += rng_.gaussian(0.0, config_.noise_lsb_stddev);
   counts = std::clamp(counts, 0.0, 1023.0);
-  return util::AdcCounts{static_cast<std::uint16_t>(std::lround(counts))};
+  return util::AdcCounts{static_cast<std::uint16_t>(util::round_nonneg(counts))};
 }
 
 }  // namespace distscroll::hw

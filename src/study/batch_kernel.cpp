@@ -1,9 +1,9 @@
 #include "study/batch_kernel.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/hot_path.h"
+#include "util/rounding.h"
 
 namespace distscroll::study {
 
@@ -180,7 +180,7 @@ void BatchSessionKernel::run_block(std::size_t lane, std::span<const double> now
     double counts = held / vref * 1023.0;
     counts += adc_noise_[j];
     counts = std::clamp(counts, 0.0, 1023.0);
-    sampled_[j] = static_cast<std::uint16_t>(std::lround(counts));
+    sampled_[j] = static_cast<std::uint16_t>(util::round_nonneg(counts));
   }
   L.held_volts = held;
 

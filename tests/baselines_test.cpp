@@ -2,6 +2,12 @@
 // study pits against DistScroll.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "baselines/button_scroll.h"
 #include "baselines/distance_scroll.h"
 #include "baselines/radial_scroll.h"
@@ -127,6 +133,90 @@ TEST_F(TiltFixture, ClampsAtEnds) {
   double t = 0.0;
   hold_tilt(0.55, 5.0, t);
   EXPECT_EQ(technique.cursor(), 4u);
+}
+
+/// A processed on_control always moves the sample clock to `now`, and
+/// next_control_s() exposes that clock bit for bit, so equal deadlines,
+/// equal cursors and an equal shared continuation mean "untouched".
+void expect_untouched(TiltScroll probe, TiltScroll clone, double t) {
+  EXPECT_EQ(probe.cursor(), clone.cursor());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(probe.next_control_s()),
+            std::bit_cast<std::uint64_t>(clone.next_control_s()));
+  for (int i = 0; i < 40; ++i) {
+    t += 0.004 * (i % 7 + 1);
+    const double u = (i % 3 == 0) ? -0.4 : 0.5;
+    probe.on_control(util::Seconds{t}, u);
+    clone.on_control(util::Seconds{t}, u);
+    ASSERT_EQ(probe.cursor(), clone.cursor()) << "continuation step " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(probe.next_control_s()),
+              std::bit_cast<std::uint64_t>(clone.next_control_s()));
+  }
+}
+
+TEST(TiltScrollDeadline, MinusInfinityBeforeTheFirstSample) {
+  TiltScroll technique({}, sim::Rng(3));
+  technique.reset(20, 10);
+  EXPECT_EQ(technique.next_control_s(), -std::numeric_limits<double>::infinity());
+  technique.on_control(util::Seconds{0.0}, 0.3);
+  EXPECT_GT(technique.next_control_s(), 0.0);
+  EXPECT_LT(technique.next_control_s(), 0.02);
+  technique.reset(20, 10);
+  EXPECT_EQ(technique.next_control_s(), -std::numeric_limits<double>::infinity());
+}
+
+TEST(TiltScrollDeadline, CallsBeforeTheDeadlineAreNoOps) {
+  // Sample clocks from the planner's 4 ms grid (its FP accumulation)
+  // out past the 40 s trial timeout, plus far-off clocks.
+  std::vector<double> clocks;
+  double grid = 0.0;
+  for (int step = 0; step < 12'000; ++step, grid += 0.004) {
+    if (step % 997 == 5) clocks.push_back(grid);
+  }
+  for (const double far : {1e3, 123456.789, 1e6}) clocks.push_back(far);
+
+  const double tick = TiltScroll::Config{}.sample_tick.value;
+  sim::Rng rng(11);
+  int skipped = 0;
+  int near_boundary_processed = 0;
+  for (const double last : clocks) {
+    TiltScroll base({}, sim::Rng(5));
+    base.reset(40, 20);
+    base.on_control(util::Seconds{last - tick - 0.004}, 0.3);  // first sample
+    base.on_control(util::Seconds{last}, 0.45);                // a tick at `last`
+    const double deadline = base.next_control_s();
+    ASSERT_LT(deadline, last + tick);
+
+    // Random times before the deadline, and a few ulps around both the
+    // deadline and last + tick, where the rounding of now - last matters.
+    std::vector<double> times;
+    for (int i = 0; i < 16; ++i) times.push_back(rng.uniform(last, deadline));
+    for (const double edge : {deadline, last + tick}) {
+      double below = edge;
+      double above = edge;
+      for (int k = 0; k < 4; ++k) {
+        times.push_back(below);
+        times.push_back(above);
+        below = std::nextafter(below, 0.0);
+        above = std::nextafter(above, 1e300);
+      }
+    }
+    for (const double now : times) {
+      TiltScroll probe = base;
+      probe.on_control(util::Seconds{now}, 0.5);
+      if (now < deadline) {
+        ++skipped;
+        expect_untouched(probe, base, now);
+      } else if (now - last >= tick) {
+        // Past the exact tick the call is processed: the check above
+        // would catch a late deadline.
+        ++near_boundary_processed;
+        EXPECT_NE(std::bit_cast<std::uint64_t>(probe.next_control_s()),
+                  std::bit_cast<std::uint64_t>(deadline));
+      }
+    }
+  }
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(near_boundary_processed, 0);
 }
 
 // --- WheelScroll -------------------------------------------------------------------

@@ -2,8 +2,11 @@
 // learning, the full-device user study, and the report tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/button_scroll.h"
 #include "baselines/distance_scroll.h"
+#include "baselines/tilt_scroll.h"
 #include "menu/phone_menu.h"
 #include "study/device_study.h"
 #include "study/metrics.h"
@@ -98,13 +101,14 @@ TEST(Trial, RecordsScrollDistance) {
 
 // --- control deadline: the sparse feed equals the dense one ------------------------
 
-/// Forwards every call to a DistanceScroll and counts on_control calls.
-/// kForwardDeadline false leaves next_control_s() at the default, so the
-/// planner feeds it densely, as it fed every technique before the hook.
-template <bool kForwardDeadline>
-class CountingDistanceScroll final : public baselines::ScrollTechnique {
+/// Forwards every call to an `Inner` technique and counts on_control
+/// calls. kForwardDeadline false leaves next_control_s() at the default,
+/// so the planner feeds it densely, as it fed every technique before the
+/// hook.
+template <typename Inner, bool kForwardDeadline>
+class CountingTechnique final : public baselines::ScrollTechnique {
  public:
-  explicit CountingDistanceScroll(sim::Rng rng) : inner_({}, rng) {}
+  explicit CountingTechnique(sim::Rng rng) : inner_({}, rng) {}
 
   std::string name() const override { return inner_.name(); }
   baselines::ControlSpec spec() const override { return inner_.spec(); }
@@ -126,12 +130,13 @@ class CountingDistanceScroll final : public baselines::ScrollTechnique {
   double target_width_u(std::size_t target) const override {
     return inner_.target_width_u(target);
   }
+  bool one_handed() const override { return inner_.one_handed(); }
   double glove_sensitivity() const override { return inner_.glove_sensitivity(); }
 
   std::size_t control_calls = 0;
 
  private:
-  baselines::DistanceScroll inner_;
+  Inner inner_;
 };
 
 /// Runs `technique` over 40 trials per glove condition, 20-entry menu.
@@ -143,36 +148,65 @@ std::vector<TrialRecord> deadline_records(Technique& technique, human::Glove glo
   return run_trials(technique, tasks, human::UserProfile::novice().with_glove(glove), rng.fork(1));
 }
 
-TEST(ControlDeadline, DenseWrapperMatchesBareTechnique) {
-  int failed_commits = 0;
+/// Runs the bare technique and a dense (non-forwarding) wrapper over it
+/// through the same none/thin/thick grid and expects identical records.
+/// Returns the outcome totals, so a test can assert that the grid
+/// reached the path it cares about.
+template <typename Inner>
+human::AcquisitionOutcome expect_dense_matches_bare() {
+  human::AcquisitionOutcome totals;
   for (const human::Glove glove : {human::Glove::None, human::Glove::Thin, human::Glove::Thick}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      baselines::DistanceScroll bare({}, sim::Rng(seed * 31));
-      CountingDistanceScroll<false> dense(sim::Rng(seed * 31));
+      Inner bare({}, sim::Rng(seed * 31));
+      CountingTechnique<Inner, false> dense(sim::Rng(seed * 31));
       const auto sparse_records = deadline_records(bare, glove, seed);
       const auto dense_records = deadline_records(dense, glove, seed);
-      ASSERT_EQ(sparse_records.size(), dense_records.size());
-      for (std::size_t i = 0; i < dense_records.size(); ++i) {
+      EXPECT_EQ(sparse_records.size(), dense_records.size());
+      for (std::size_t i = 0; i < std::min(sparse_records.size(), dense_records.size()); ++i) {
         EXPECT_TRUE(sparse_records[i] == dense_records[i]) << "seed " << seed << " trial " << i;
-        failed_commits += dense_records[i].outcome.wrong_selections;
+        totals.wrong_selections += dense_records[i].outcome.wrong_selections;
+        totals.corrective_movements += dense_records[i].outcome.corrective_movements;
       }
     }
   }
-  // The commit press moves the cursor without an overshoot observation;
-  // the grid must exercise that path for the comparison to mean much.
-  EXPECT_GT(failed_commits, 0);
+  return totals;
 }
 
-TEST(ControlDeadline, PlannerFeedsOnlyFirmwareTicks) {
-  CountingDistanceScroll<true> sparse(sim::Rng(7));
-  CountingDistanceScroll<false> dense(sim::Rng(7));
+/// Control calls the planner makes with the deadline forwarded, as a
+/// share of the dense feed's, after checking both give the same records.
+template <typename Inner>
+double sparse_call_ratio() {
+  CountingTechnique<Inner, true> sparse(sim::Rng(7));
+  CountingTechnique<Inner, false> dense(sim::Rng(7));
   const auto sparse_records = deadline_records(sparse, human::Glove::Thick, 9);
   const auto dense_records = deadline_records(dense, human::Glove::Thick, 9);
   EXPECT_TRUE(sparse_records == dense_records);
+  EXPECT_GT(dense.control_calls, 0u);
+  return static_cast<double>(sparse.control_calls) / static_cast<double>(dense.control_calls);
+}
+
+TEST(ControlDeadline, DenseWrapperMatchesBareTechnique) {
+  // The commit press moves the cursor without an overshoot observation;
+  // the grid must exercise that path for the comparison to mean much.
+  EXPECT_GT(expect_dense_matches_bare<baselines::DistanceScroll>().wrong_selections, 0);
+}
+
+TEST(ControlDeadline, PlannerFeedsOnlyFirmwareTicks) {
   // A 20 ms tick over 4 ms steps: one call in every five or six steps.
-  ASSERT_GT(dense.control_calls, 0u);
-  const double ratio =
-      static_cast<double>(sparse.control_calls) / static_cast<double>(dense.control_calls);
+  const double ratio = sparse_call_ratio<baselines::DistanceScroll>();
+  EXPECT_GT(ratio, 1.0 / 6.5);
+  EXPECT_LT(ratio, 1.0 / 4.5);
+}
+
+TEST(ControlDeadline, TiltDenseWrapperMatchesBareTechnique) {
+  // A rate-control retry (slipped press) resumes the loop with the
+  // deadline carried over; the grid must exercise it.
+  EXPECT_GT(expect_dense_matches_bare<baselines::TiltScroll>().corrective_movements, 0);
+}
+
+TEST(ControlDeadline, PlannerFeedsOnlyTiltSamples) {
+  // A 20 ms accelerometer tick over 4 ms steps: one call in five or six.
+  const double ratio = sparse_call_ratio<baselines::TiltScroll>();
   EXPECT_GT(ratio, 1.0 / 6.5);
   EXPECT_LT(ratio, 1.0 / 4.5);
 }

@@ -398,4 +398,48 @@ TEST(ToolsCli, HelpExitsZeroAndUsageErrorsExit64) {
   }
 }
 
+TEST(ToolsCli, NumericFlagsAreStrict) {
+  // fleet_run and host_ingest share tools/cli_args.h. Overflowing
+  // integers used to saturate to 2^64-1 (ERANGE ignored), so --threads
+  // and --lane-capacity aborted on an uncaught length_error (exit 134),
+  // and NaN probabilities passed the [0, 1] check and ran (exit 0).
+  const char* huge = "99999999999999999999";
+  const std::string cases[][2] = {
+      {DS_FLEET_RUN_BIN, std::string("--threads ") + huge},
+      {DS_FLEET_RUN_BIN, "--threads 257"},
+      {DS_FLEET_RUN_BIN, std::string("--participants ") + huge},
+      {DS_FLEET_RUN_BIN, std::string("--trials ") + huge},
+      {DS_FLEET_RUN_BIN, std::string("--menu ") + huge},
+      {DS_FLEET_RUN_BIN, std::string("--window ") + huge},
+      {DS_FLEET_RUN_BIN, "--seed +5"},
+      {DS_FLEET_RUN_BIN, "--seed ' 5'"},
+      {DS_HOST_INGEST_BIN, std::string("--threads ") + huge},
+      {DS_HOST_INGEST_BIN, "--threads 257"},
+      {DS_HOST_INGEST_BIN, std::string("--lane-capacity ") + huge},
+      {DS_HOST_INGEST_BIN, "--lane-capacity 1048577"},
+      {DS_HOST_INGEST_BIN, "--lanes 8 --lane-capacity 262144"},
+      {DS_HOST_INGEST_BIN, std::string("--lanes ") + huge},
+      {DS_HOST_INGEST_BIN, std::string("--batch ") + huge},
+      {DS_HOST_INGEST_BIN, "--loss nan"},
+      {DS_HOST_INGEST_BIN, "--corrupt nan"},
+      {DS_HOST_INGEST_BIN, "--reorder -nan"},
+      {DS_HOST_INGEST_BIN, "--ack-loss inf"},
+      {DS_HOST_INGEST_BIN, "--loss 1e-400"},
+      {DS_HOST_INGEST_BIN, "--duration nan"},
+      {DS_HOST_INGEST_BIN, "--duration inf"},
+  };
+  for (const auto& [bin, args] : cases) {
+    EXPECT_EQ(run_cli(bin.c_str(), args).exit_code, 64) << bin << " " << args;
+  }
+  // In-range values still run.
+  EXPECT_EQ(run_cli(DS_FLEET_RUN_BIN, "--participants 4 --trials 1 --threads 1 --window 4096")
+                .exit_code,
+            0);
+  EXPECT_EQ(run_cli(DS_HOST_INGEST_BIN,
+                    "--devices 4 --duration 0.05 --lanes 2 --lane-capacity 4096 --loss 0 "
+                    "--corrupt 1e-3")
+                .exit_code,
+            0);
+}
+
 }  // namespace

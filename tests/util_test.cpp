@@ -13,6 +13,7 @@
 #include "util/csv.h"
 #include "util/fixed_point.h"
 #include "util/ring_buffer.h"
+#include "util/rounding.h"
 #include "util/stats.h"
 #include "util/units.h"
 
@@ -116,6 +117,34 @@ TEST(FixedPoint, NegativeValues) {
   const Q8_8 a = Q8_8::from_double(-3.5);
   EXPECT_DOUBLE_EQ(a.to_double(), -3.5);
   EXPECT_NEAR((a * Q8_8::from_int(2)).to_double(), -7.0, 1.0 / 128.0);
+}
+
+// --- exact rounding ----------------------------------------------------------
+
+/// round_nonneg must equal std::lround wherever the hot paths call it:
+/// finite values already clamped to [0, max].
+void expect_matches_lround(double x) {
+  EXPECT_EQ(round_nonneg(x), static_cast<std::size_t>(std::lround(x))) << std::hexfloat << x;
+}
+
+TEST(RoundNonneg, MatchesLroundAtEveryHalfAndItsNeighbours) {
+  for (int k = 0; k <= 2048; ++k) {
+    const double half = k + 0.5;
+    expect_matches_lround(half);
+    expect_matches_lround(std::nextafter(half, 0.0));
+    expect_matches_lround(std::nextafter(half, 1e300));
+  }
+  // The largest double below 0.5: a naive floor(x + 0.5) rounds it up.
+  expect_matches_lround(0.49999999999999994);
+  expect_matches_lround(0.0);
+  expect_matches_lround(1023.0);
+}
+
+TEST(RoundNonneg, MatchesLroundOnRandomDoubles) {
+  sim::Rng rng(31);
+  for (int i = 0; i < 1'000'000; ++i) {
+    expect_matches_lround(rng.uniform(0.0, 0x1p31));
+  }
 }
 
 // --- CRC ---------------------------------------------------------------------

@@ -17,14 +17,18 @@
 // participants (rounded up to a chunk) and exits — the manual way to
 // produce a resumable half-run.
 //
+// Numbers are strict (tools/cli_args.h): --trials is at most 2^20,
+// --menu at most 2^16, --threads at most 256 and --window at most 4096
+// chunks; anything else out of range is a usage error.
+//
 // Exit codes: 0 = ran (complete or stopped as asked) or --help, 1 = bad
 // resume file / unwritable checkpoint, 64 = malformed command line.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "cli_args.h"
 #include "study/fleet_study.h"
 #include "study/sweep_runner.h"
 
@@ -34,22 +38,21 @@ constexpr int kExitOk = 0;
 constexpr int kExitFail = 1;
 constexpr int kExitUsage = 64;
 
-/// Strict uint64 parse: whole argument, no sign, no suffix.
-bool parse_u64(const char* text, std::uint64_t& out) {
-  if (text == nullptr || *text == '\0' || *text == '-') return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  out = static_cast<std::uint64_t>(value);
-  return true;
-}
+// Documented upper bounds (usage errors above them): sizes that would
+// otherwise fail an allocation, or wrap in the 32-bit config fields.
+constexpr std::uint64_t kMaxTrials = 1u << 20;
+constexpr std::uint64_t kMaxMenu = 1u << 16;
+constexpr std::uint64_t kMaxWindowChunks = 4096;
 
 int usage(std::FILE* to = stderr) {
   std::fprintf(to,
                "usage: fleet_run [--participants N] [--trials N] [--menu N] [--seed S]\n"
                "                 [--threads N] [--chunk N] [--window N] [--scalar]\n"
                "                 [--checkpoint PATH] [--checkpoint-every N] [--resume]\n"
-               "                 [--stop-after N]\n");
+               "                 [--stop-after N]\n"
+               "limits: --trials 1..%" PRIu64 ", --menu 2..%" PRIu64 ", --threads 0..%" PRIu64
+               ", --window 1..%" PRIu64 "\n",
+               kMaxTrials, kMaxMenu, distscroll::tools::kMaxThreads, kMaxWindowChunks);
   return kExitUsage;
 }
 
@@ -63,8 +66,8 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    auto next_u64 = [&](std::uint64_t& out) {
-      return i + 1 < argc && parse_u64(argv[++i], out);
+    auto next_u64 = [&](std::uint64_t& out, std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX) {
+      return i + 1 < argc && distscroll::tools::parse_u64(argv[++i], out, lo, hi);
     };
     std::uint64_t value = 0;
     if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
@@ -73,21 +76,20 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--participants") == 0) {
       if (!next_u64(config.participants)) return usage();
     } else if (std::strcmp(arg, "--trials") == 0) {
-      if (!next_u64(value) || value == 0) return usage();
+      if (!next_u64(value, 1, kMaxTrials)) return usage();
       config.trials_per_participant = static_cast<std::uint32_t>(value);
     } else if (std::strcmp(arg, "--menu") == 0) {
-      if (!next_u64(value) || value < 2) return usage();
+      if (!next_u64(value, 2, kMaxMenu)) return usage();
       config.menu_size = static_cast<std::uint32_t>(value);
     } else if (std::strcmp(arg, "--seed") == 0) {
       if (!next_u64(config.base_seed)) return usage();
     } else if (std::strcmp(arg, "--threads") == 0) {
-      if (!next_u64(value)) return usage();
+      if (!next_u64(value, 0, distscroll::tools::kMaxThreads)) return usage();
       config.threads = static_cast<std::size_t>(value);
     } else if (std::strcmp(arg, "--chunk") == 0) {
-      if (!next_u64(value) || value == 0) return usage();
-      config.chunk = value;
+      if (!next_u64(config.chunk, 1)) return usage();
     } else if (std::strcmp(arg, "--window") == 0) {
-      if (!next_u64(value) || value == 0) return usage();
+      if (!next_u64(value, 1, kMaxWindowChunks)) return usage();
       config.window_chunks = static_cast<std::size_t>(value);
     } else if (std::strcmp(arg, "--scalar") == 0) {
       config.batched = false;

@@ -11,15 +11,20 @@
 // Prints an ingest summary to stdout; --out writes the DSTL container,
 // --jsonl the decoded accepted stream as JSON lines.
 //
+// Numbers are strict (tools/cli_args.h): probabilities are finite and in
+// [0, 1], --duration is finite and positive, --threads is at most 256,
+// and --lanes x --lane-capacity and --batch are at most 2^20 slots;
+// anything else out of range is a usage error.
+//
 // Exit codes: 0 = clean ingest (no content mismatches) or --help, 1 =
 // content mismatch detected or unwritable output, 64 = malformed
 // command line.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "cli_args.h"
 #include "host/host_pipeline.h"
 
 namespace {
@@ -28,32 +33,20 @@ constexpr int kExitOk = 0;
 constexpr int kExitFail = 1;
 constexpr int kExitUsage = 64;
 
-/// Strict uint64 parse: whole argument, no sign, no suffix.
-bool parse_u64(const char* text, std::uint64_t& out) {
-  if (text == nullptr || *text == '\0' || *text == '-') return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  out = static_cast<std::uint64_t>(value);
-  return true;
-}
-
-/// Strict probability parse: [0, 1].
-bool parse_prob(const char* text, double& out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || value < 0.0 || value > 1.0) return false;
-  out = value;
-  return true;
-}
+// Documented upper bound on the ingest queue (usage error above it):
+// --lanes x --lane-capacity slots of one RawRecord each, and --batch
+// drained records, stay within about 100 MiB.
+constexpr std::uint64_t kMaxQueueSlots = 1u << 20;
 
 int usage(std::FILE* to = stderr) {
   std::fprintf(to,
                "usage: host_ingest [--devices N] [--duration S] [--loss P] [--reorder P]\n"
                "                   [--corrupt P] [--ack-loss P] [--lanes N]\n"
                "                   [--lane-capacity N] [--batch N] [--threads N] [--seed S]\n"
-               "                   [--session N] [--out PATH.dstl] [--jsonl PATH.jsonl]\n");
+               "                   [--session N] [--out PATH.dstl] [--jsonl PATH.jsonl]\n"
+               "limits: --threads 0..%" PRIu64 ", --lanes x --lane-capacity and --batch 1..%" PRIu64
+               "\n",
+               distscroll::tools::kMaxThreads, kMaxQueueSlots);
   return kExitUsage;
 }
 
@@ -70,23 +63,25 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    auto next_u64 = [&](std::uint64_t& out) {
-      return i + 1 < argc && parse_u64(argv[++i], out);
+    auto next_u64 = [&](std::uint64_t& out, std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX) {
+      return i + 1 < argc && distscroll::tools::parse_u64(argv[++i], out, lo, hi);
     };
-    auto next_prob = [&](double& out) { return i + 1 < argc && parse_prob(argv[++i], out); };
+    auto next_prob = [&](double& out) {
+      return i + 1 < argc && distscroll::tools::parse_prob(argv[++i], out);
+    };
     std::uint64_t value = 0;
     if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       usage(stdout);
       return kExitOk;
     } else if (std::strcmp(arg, "--devices") == 0) {
-      if (!next_u64(value) || value == 0 || value > 65535) return usage();
+      if (!next_u64(value, 1, 65535)) return usage();
       config.devices = static_cast<std::size_t>(value);
     } else if (std::strcmp(arg, "--duration") == 0) {
       double seconds = 0.0;
-      if (i + 1 >= argc) return usage();
-      char* end = nullptr;
-      seconds = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || seconds <= 0.0) return usage();
+      if (i + 1 >= argc || !distscroll::tools::parse_finite(argv[++i], seconds) ||
+          seconds <= 0.0) {
+        return usage();
+      }
       config.duration_s = seconds;
     } else if (std::strcmp(arg, "--loss") == 0) {
       if (!next_prob(config.faults.frame_loss)) return usage();
@@ -97,21 +92,21 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--ack-loss") == 0) {
       if (!next_prob(config.faults.ack_loss)) return usage();
     } else if (std::strcmp(arg, "--lanes") == 0) {
-      if (!next_u64(value) || value == 0) return usage();
+      if (!next_u64(value, 1, kMaxQueueSlots)) return usage();
       config.lanes = static_cast<std::size_t>(value);
     } else if (std::strcmp(arg, "--lane-capacity") == 0) {
-      if (!next_u64(value) || value == 0) return usage();
+      if (!next_u64(value, 1, kMaxQueueSlots)) return usage();
       config.lane_capacity = static_cast<std::size_t>(value);
     } else if (std::strcmp(arg, "--batch") == 0) {
-      if (!next_u64(value) || value == 0) return usage();
+      if (!next_u64(value, 1, kMaxQueueSlots)) return usage();
       config.batch = static_cast<std::size_t>(value);
     } else if (std::strcmp(arg, "--threads") == 0) {
-      if (!next_u64(value)) return usage();
+      if (!next_u64(value, 0, distscroll::tools::kMaxThreads)) return usage();
       config.threads = static_cast<std::size_t>(value);
     } else if (std::strcmp(arg, "--seed") == 0) {
       if (!next_u64(config.base_seed)) return usage();
     } else if (std::strcmp(arg, "--session") == 0) {
-      if (!next_u64(value) || value > 65535) return usage();
+      if (!next_u64(value, 0, 65535)) return usage();
       config.session_id = static_cast<std::uint16_t>(value);
     } else if (std::strcmp(arg, "--out") == 0) {
       if (i + 1 >= argc) return usage();
@@ -123,6 +118,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
+  if (config.lanes * config.lane_capacity > kMaxQueueSlots) return usage();
 
   const auto result = distscroll::host::run_host_ingest(config);
   const auto& stats = result.stats;
