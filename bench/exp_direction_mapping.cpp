@@ -13,6 +13,7 @@
 // BENCH_exp_direction_mapping.json.
 #include <algorithm>
 #include <cstdio>
+#include <span>
 
 #include "baselines/distance_scroll.h"
 #include "study/report.h"
@@ -47,6 +48,11 @@ class ConflictedAim final : public baselines::ScrollTechnique {
   std::size_t level_size() const override { return inner_->level_size(); }
   void on_control(util::Seconds now, double u) override { inner_->on_control(now, u); }
   double next_control_s() const override { return inner_->next_control_s(); }
+  double control_period_s() const override { return inner_->control_period_s(); }
+  void on_control_block(std::span<const double> now_s, std::span<const double> u,
+                        std::span<std::size_t> cursors_out) override {
+    inner_->on_control_block(now_s, u, cursors_out);
+  }
   std::optional<double> target_u(std::size_t target) const override {
     if (const_cast<ConflictedAim*>(this)->rng_.bernoulli(confusion_)) {
       // Reaches the wrong way: aims at the mirrored entry.

@@ -100,7 +100,7 @@ int main() {
     return run_cell(grid.coord(index, 0), kDistances[grid.coord(index, 1)], rng);
   };
   // Batched group body: DistScroll cells (technique axis 0) become
-  // kernel lanes drawing the same task/trial streams; the other
+  // BatchTrialRunner lanes drawing the same task/trial streams; the other
   // techniques run the scalar body.
   const auto batched_group = [&](std::size_t first, std::size_t n,
                                  std::span<CellResult> out, study::SweepRunner& runner) {

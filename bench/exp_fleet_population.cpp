@@ -62,7 +62,6 @@ FleetStudyConfig base_config(std::uint64_t participants) {
   config.base_seed = 0xF1EE7D15C;
   config.chunk = 256;
   config.window_chunks = 32;
-  config.batched = true;
   return config;
 }
 

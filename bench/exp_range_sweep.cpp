@@ -58,7 +58,7 @@ int main() {
     return run_range(kRanges[index].near, kRanges[index].far, rng);
   };
   // Batched group body: every cell is a DistScroll session (one range
-  // per lane), aggregated from the kernel's trial records.
+  // per lane), aggregated from the runner's trial records.
   const auto batched_group = [&](std::size_t first, std::size_t n,
                                  std::span<study::Aggregate> out, study::SweepRunner& runner) {
     auto& batch = study::BatchTrialRunner::local();

@@ -131,7 +131,7 @@ int main() {
     return run_cell(condition, core::Smoothing::Raw,
                     participant_expertise(grid.coord(index, 3)), rng);
   };
-  // Batched group body: DistScroll cells become BatchSessionKernel
+  // Batched group body: DistScroll cells become BatchTrialRunner
   // lanes (same per-cell fork decomposition as run_cell, so the streams
   // are bit-identical); the other techniques run the scalar body.
   const auto batched_group = [&](std::size_t first, std::size_t n,

@@ -16,7 +16,8 @@
 #                UBSan's float-cast-overflow check
 #   tsan         threading + fleet + host + batch under ThreadSanitizer:
 #                every sim::ThreadPool user (sweep runner, fleet engine,
-#                host ingest's per-lane produce phase, batch kernel)
+#                host ingest's per-lane produce phase, thread-local
+#                BatchTrialRunner groups on a pool)
 #
 # Every flavour runs the same pre-step: build ds_lint alone and assert
 # `ds_lint --root .` exits 0 BEFORE the (much longer) test build. A

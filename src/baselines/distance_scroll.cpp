@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/stage_timer.h"
+#include "util/hot_path.h"
 #include "util/rounding.h"
 
 namespace distscroll::baselines {
@@ -43,20 +44,47 @@ void DistanceScroll::on_control(util::Seconds now, double u) {
   // The firmware samples at its own tick, regardless of how densely the
   // planner integrates the hand position.
   if (now.value < next_tick_s_) return;
-  next_tick_s_ = now.value + config_.firmware_tick.value;
+  std::size_t cursor = cursor_;
+  on_control_block({&now.value, 1}, {&u, 1}, {&cursor, 1});
+}
 
-  util::AdcCounts sampled{0};
+void DistanceScroll::on_control_block(std::span<const double> now_s, std::span<const double> u,
+                                      std::span<std::size_t> cursors_out) {
+  const std::size_t n = now_s.size();
+  if (block_counts_.size() < n) block_counts_.resize(n);
+  DS_HOT_BEGIN
   {
     DS_STAGE(AdcSample);
-    const util::Volts v = ranger_.output(util::Centimeters{u}, now);
-    double counts = v.value / config_.curve.params().vref * 1023.0;
-    counts += rng_.gaussian(0.0, config_.adc_noise_lsb);
-    counts = std::clamp(counts, 0.0, 1023.0);
-    sampled = util::AdcCounts{static_cast<std::uint16_t>(util::round_nonneg(counts))};
+    const double tick = config_.firmware_tick.value;
+    const double vref = config_.curve.params().vref;
+    double next_tick = next_tick_s_;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (now_s[k] < next_tick) {
+        block_counts_[k] = kNoTick;
+        continue;
+      }
+      next_tick = now_s[k] + tick;
+      const util::Volts v = ranger_.output(util::Centimeters{u[k]}, util::Seconds{now_s[k]});
+      double counts = v.value / vref * 1023.0;
+      counts += rng_.gaussian(0.0, config_.adc_noise_lsb);
+      counts = std::clamp(counts, 0.0, 1023.0);
+      block_counts_[k] = static_cast<std::uint16_t>(util::round_nonneg(counts));
+    }
+    next_tick_s_ = next_tick;
   }
-  DS_STAGE(Controller);
-  const auto update = controller_.on_sample(sampled);
-  if (update.menu_index) cursor_ = std::min(*update.menu_index, level_size_ - 1);
+  {
+    DS_STAGE(Controller);
+    std::size_t cursor = cursor_;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (block_counts_[k] != kNoTick) {
+        const auto update = controller_.on_sample(util::AdcCounts{block_counts_[k]});
+        if (update.menu_index) cursor = std::min(*update.menu_index, level_size_ - 1);
+      }
+      cursors_out[k] = cursor;
+    }
+    cursor_ = cursor;
+  }
+  DS_HOT_END
 }
 
 std::size_t DistanceScroll::island_of_menu_index(std::size_t menu_index) const {

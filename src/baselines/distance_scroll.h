@@ -4,7 +4,9 @@
 // baselines in the Q1 study.
 #pragma once
 
-#include <memory>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "baselines/scroll_technique.h"
 #include "core/island_mapper.h"
@@ -33,9 +35,19 @@ class DistanceScroll final : public ScrollTechnique {
   void reset(std::size_t level_size, std::size_t start_index) override;
   [[nodiscard]] std::size_t cursor() const override { return cursor_; }
   [[nodiscard]] std::size_t level_size() const override { return level_size_; }
+  /// A 1-sample block.
   void on_control(util::Seconds now, double u) override;
   /// The firmware's next tick: earlier samples are never read.
   [[nodiscard]] double next_control_s() const override { return next_tick_s_; }
+  /// One firmware tick: a counted sample at t sets the next tick to
+  /// exactly t + firmware_tick.
+  [[nodiscard]] double control_period_s() const override { return config_.firmware_tick.value; }
+  /// Two passes over the block: sensor + ADC for every tick, then the
+  /// controller FSM. The sensor and ADC draw from separate streams and
+  /// the FSM draws none, so the split keeps every draw in order.
+  /// Allocation-free once the scratch has held a block this long.
+  void on_control_block(std::span<const double> now_s, std::span<const double> u,
+                        std::span<std::size_t> cursors_out) override;
   [[nodiscard]] std::optional<double> target_u(std::size_t target) const override;
   [[nodiscard]] double target_width_u(std::size_t target) const override;
   /// Gross arm movement + one thumb button: nearly glove-insensitive.
@@ -58,6 +70,10 @@ class DistanceScroll final : public ScrollTechnique {
   std::size_t level_size_ = 1;
   std::size_t cursor_ = 0;
   double next_tick_s_ = 0.0;
+  // Block scratch: each sample's ADC counts, kNoTick off the firmware
+  // tick. Grows to the longest block and is reused.
+  static constexpr std::uint16_t kNoTick = 0xFFFF;
+  std::vector<std::uint16_t> block_counts_;
 };
 
 }  // namespace distscroll::baselines

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "util/rounding.h"
@@ -67,7 +68,7 @@ class ScrollTechnique {
   [[nodiscard]] virtual std::size_t level_size() const = 0;
 
   /// Continuous techniques: the channel's value at time `now`. Called
-  /// densely (every few ms) by the planner.
+  /// densely (every few ms) by the planner, or through on_control_block.
   virtual void on_control(util::Seconds now, double u) = 0;
 
   /// Control deadline: an on_control(now, u) with now < next_control_s()
@@ -79,6 +80,26 @@ class ScrollTechnique {
   /// dense feed.
   [[nodiscard]] virtual double next_control_s() const {
     return -std::numeric_limits<double>::infinity();
+  }
+
+  /// Control period: after a call at `t` that counts (t >=
+  /// next_control_s()), next_control_s() >= t + control_period_s(). A
+  /// feeder may then stage only samples at least a period apart without
+  /// asking for the deadline between them. 0, the default, claims
+  /// nothing: stage every step from the deadline on.
+  [[nodiscard]] virtual double control_period_s() const { return 0.0; }
+
+  /// A block of control samples, in time order: on_control(now_s[k],
+  /// u[k]) for each k, with cursors_out[k] the cursor after sample k.
+  /// All three spans have equal length. Overrides must match the
+  /// per-sample loop bit for bit; the default is that loop, so
+  /// forwarding wrappers keep working unchanged.
+  virtual void on_control_block(std::span<const double> now_s, std::span<const double> u,
+                                std::span<std::size_t> cursors_out) {
+    for (std::size_t k = 0; k < now_s.size(); ++k) {
+      on_control(util::Seconds{now_s[k]}, u[k]);
+      cursors_out[k] = cursor();
+    }
   }
 
   /// DiscreteSteps techniques: a key event. Default ignores.

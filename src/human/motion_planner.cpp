@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "baselines/button_scroll.h"
 #include "baselines/wheel_scroll.h"
@@ -78,6 +81,44 @@ class OvershootCounter {
   int count_ = 0;
 };
 
+/// The (t, u) samples one absolute-control phase (reach, settle, press)
+/// stages, fed to the technique as one block. Thread-local, not a
+/// planner member: a planner lives for one trial, the capacity for the
+/// thread.
+class ControlBlock {
+ public:
+  static ControlBlock& local() {
+    thread_local ControlBlock block;
+    return block;
+  }
+
+  void stage(double now, double u) {
+    now_s_.push_back(now);
+    u_.push_back(u);
+  }
+
+  /// Feed the staged samples to `t` as one block and empty the stage;
+  /// returns the cursor after each sample, valid until the next feed.
+  std::span<const std::size_t> feed(baselines::ScrollTechnique& t) {
+    cursors_.resize(now_s_.size());
+    if (!now_s_.empty()) {
+      t.on_control_block(now_s_, u_, cursors_);
+      // A technique that reports a period but keeps a stale deadline
+      // would have samples it reads skipped without a trace.
+      [[maybe_unused]] const double period = t.control_period_s();
+      assert(period <= 0.0 || t.next_control_s() >= now_s_.back() + period);
+    }
+    now_s_.clear();
+    u_.clear();
+    return cursors_;
+  }
+
+ private:
+  std::vector<double> now_s_;
+  std::vector<double> u_;
+  std::vector<std::size_t> cursors_;
+};
+
 }  // namespace
 
 double MotionPlanner::effective_fine_penalty(const baselines::ScrollTechnique& t,
@@ -127,20 +168,23 @@ bool MotionPlanner::commit_selection(baselines::ScrollTechnique& t, std::size_t 
     return false;
   }
   // Holding the channel steady during the press: tremor may push an
-  // absolute channel across an island boundary mid-press. Steps before
-  // the technique's control deadline are skipped; the tremor still
-  // advances through them.
+  // absolute channel across an island boundary mid-press. The press is
+  // one block, staged as run_absolute stages a phase; the tremor still
+  // advances through the skipped steps.
   if (feed_control) {
     Tremor tremor(p.tremor, rng_.fork(777));
+    ControlBlock& block = ControlBlock::local();
+    const double period = t.control_period_s();
     const double t0 = outcome.time_s;
     double next_control = t.next_control_s();
     for (double dt = 0.0; dt < press_time; dt += config_.dt_s) {
       const double now = t0 + dt;
       tremor.advance(now);
       if (now < next_control) continue;
-      t.on_control(util::Seconds{now}, hold_u + tremor.at(now));
-      next_control = t.next_control_s();
+      block.stage(now, hold_u + tremor.at(now));
+      next_control = now + period;
     }
+    (void)block.feed(t);
   }
   outcome.time_s += press_time;
   if (t.cursor() != target) {
@@ -165,13 +209,18 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
   double now = 0.0;
   bool first_move = true;
 
-  // One control step. Before the technique's control deadline the hand
-  // sample would be discarded, so it is not synthesised: no min-jerk, no
-  // sin, no technique call; the tremor still advances, keeping its draws
-  // those of the dense feed. The cursor cannot move on such a step, and
+  // One control step. Each phase (reach, settle) stages its steps and
+  // then runs as one block. A step before the control deadline would be
+  // discarded, so its hand sample is not synthesised: no min-jerk, no
+  // sin; the tremor still advances, keeping its draws those of the
+  // dense feed. A staged step moves the local deadline one control
+  // period on. The cursor cannot move on a skipped step, and
   // re-observing an observed cursor is a no-op, except right after the
   // cursor moved unobserved (trial start, a failed commit's press): the
-  // dense feed's next step observes it, so a skipped one does too.
+  // dense feed's next step observes it, so a skipped one does too. That
+  // step is a phase's first, so the block has not moved the cursor yet.
+  ControlBlock& block = ControlBlock::local();
+  const double period = t.control_period_s();
   double next_control = t.next_control_s();
   bool observe_pending = true;
   const auto step = [&](const auto& hand_u) {
@@ -179,12 +228,15 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
     if (now < next_control) {
       if (observe_pending) overshoots.observe(static_cast<long>(t.cursor()));
     } else {
-      t.on_control(util::Seconds{now}, hand_u() + tremor.at(now));
-      next_control = t.next_control_s();
-      overshoots.observe(static_cast<long>(t.cursor()));
+      block.stage(now, hand_u() + tremor.at(now));
+      next_control = now + period;
     }
     observe_pending = false;
     now += config_.dt_s;
+  };
+  const auto feed = [&] {
+    for (const std::size_t cursor : block.feed(t)) overshoots.observe(static_cast<long>(cursor));
+    next_control = t.next_control_s();
   };
 
   while (now < config_.timeout_s) {
@@ -205,6 +257,7 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
     while (now < t0 + reach_time.value) {
       step([&] { return min_jerk(u0, aim, now - t0, reach_time.value); });
     }
+    feed();
     u = aim;
 
     // Settle & perceive: hold, then check after the reaction time.
@@ -213,6 +266,7 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
     while (now < s0 + dwell) {
       step([&] { return u; });
     }
+    feed();
 
     if (t.cursor() == target) {
       // Verify the label, then commit.

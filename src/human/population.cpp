@@ -46,8 +46,7 @@ SampledParticipant sample_participant(const PopulationSpec& spec, sim::Rng rng) 
   out.profile.tremor.amplitude_cm *= severity;
   out.profile.tremor.frequency_hz = freq_hz;
 
-  // Snap reach to the nearest calibration preset (bounded island-table
-  // cache; see header).
+  // Snap reach to the nearest calibration preset (see header).
   double best = kReachPresetsCm.front();
   for (const double preset : kReachPresetsCm) {
     if (std::abs(preset - reach_cm) < std::abs(best - reach_cm)) best = preset;

@@ -13,12 +13,11 @@
 // by the fleet engine, so participant k's profile is a pure function of
 // (base_seed, k, spec) regardless of threads or scheduling.
 //
-// Arm reach is quantised onto kReachPresetsCm. The batched session
-// kernel caches island tables keyed on the full island config; a
-// continuous per-participant far-distance would grow that cache without
-// bound (and linear-scan it), so reach maps to a small set of
-// "calibration presets" — exactly how a real deployment would ship
-// device range presets rather than per-user continuous calibration.
+// Arm reach is quantised onto kReachPresetsCm, a small set of
+// "calibration presets": how a real deployment would ship device range
+// presets rather than per-user continuous calibration. The presets are
+// part of every fleet result (reach_counts, island tables), so changing
+// them changes the fleet bytes.
 #pragma once
 
 #include <array>

@@ -8,7 +8,6 @@
 #include "study/batch_trials.h"
 #include "study/fleet_engine.h"
 #include "study/task.h"
-#include "study/trial.h"
 #include "util/hot_path.h"
 
 namespace distscroll::study {
@@ -288,26 +287,11 @@ FleetRunResult run_fleet(const FleetStudyConfig& config, std::uint64_t stop_afte
   engine_config.window_chunks = cfg.window_chunks;
   FleetEngine<FleetAggregates> engine(engine_config);
 
-  const auto scalar_chunk = [&cfg](std::uint64_t first, std::uint64_t count, FleetAggregates& out,
-                                   const FleetEngine<FleetAggregates>& eng) {
-    for (std::uint64_t k = 0; k < count; ++k) {
-      const sim::Rng rng = eng.participant_rng(first + k);
-      const auto participant = human::sample_participant(cfg.population, rng.fork(0));
-      baselines::DistanceScroll technique(technique_config(participant), rng.fork(1));
-      sim::Rng task_rng = rng.fork(2);
-      const auto tasks = random_tasks(task_rng, cfg.menu_size, cfg.trials_per_participant);
-      const auto records = run_trials(technique, tasks, participant.profile, rng.fork(3));
-      out.fold_participant(participant);
-      for (const TrialRecord& record : records) out.fold_trial(record);
-    }
-  };
-
-  // Same per-participant streams and the same fold order as the scalar
-  // body — the chunk's participants become BatchTrialRunner lanes, and
-  // folding happens AFTER run() in lane (== participant) order.
-  const auto batched_chunk = [&cfg](std::uint64_t first, std::uint64_t count,
-                                    FleetAggregates& out,
-                                    const FleetEngine<FleetAggregates>& eng) {
+  // The chunk's participants become BatchTrialRunner lanes; folding
+  // happens AFTER run() in lane (== participant) order: participant,
+  // then its trials in task order.
+  const auto chunk_body = [&cfg](std::uint64_t first, std::uint64_t count, FleetAggregates& out,
+                                 const FleetEngine<FleetAggregates>& eng) {
     auto& batch = BatchTrialRunner::local();
     thread_local std::vector<human::SampledParticipant> lane_participants;
     lane_participants.assign(static_cast<std::size_t>(count), human::SampledParticipant{});
@@ -351,11 +335,7 @@ FleetRunResult run_fleet(const FleetStudyConfig& config, std::uint64_t stop_afte
   };
 
   const std::uint64_t stop = std::min(stop_after, cfg.participants);
-  if (cfg.batched) {
-    engine.run(result.aggregates, result.cursor, stop, batched_chunk, window_hook);
-  } else {
-    engine.run(result.aggregates, result.cursor, stop, scalar_chunk, window_hook);
-  }
+  engine.run(result.aggregates, result.cursor, stop, chunk_body, window_hook);
 
   result.complete = result.cursor >= cfg.participants;
   if (!cfg.checkpoint_path.empty()) (void)save(result.aggregates, result.cursor);

@@ -1,5 +1,5 @@
-// Fleet-scale DistScroll population study: streaming aggregates,
-// checkpointable runs, scalar and batched chunk bodies.
+// Fleet-scale DistScroll population study: streaming aggregates and
+// checkpointable runs over one chunk body (BatchTrialRunner lanes).
 //
 // run_fleet() drives the FleetEngine over a sampled population
 // (human::PopulationSpec): participant k's profile, task set and trial
@@ -8,8 +8,7 @@
 //   fork(0) population sampling, fork(1) technique, fork(2) tasks,
 //   fork(3) trials
 // — so results are a pure function of (config, base_seed) at any thread
-// count, with or without the batched kernel, and across any
-// checkpoint/resume split (DESIGN.md §12).
+// count and across any checkpoint/resume split (DESIGN.md §12).
 //
 // Memory is O(FleetAggregates) — a few KB of moments, counters, one
 // log₂ time histogram and one quantile sketch — regardless of whether
@@ -33,7 +32,7 @@ namespace distscroll::study {
 /// Everything a fleet run keeps: mergeable, clearable, byte-exactly
 /// serialisable. Fold order within a chunk is participant order, and
 /// for each participant fold_participant() then its trials in task
-/// order — both chunk bodies follow it, so batched == scalar bytes.
+/// order.
 class FleetAggregates {
  public:
   FleetAggregates();
@@ -109,9 +108,9 @@ struct FleetStudyConfig {
   std::uint64_t chunk = 256;
   /// Memory bound (chunk aggregates in flight); NOT part of identity.
   std::size_t window_chunks = 32;
-  /// Run participants through BatchTrialRunner lanes instead of the
-  /// scalar run_trials() body. Bit-identical either way (pinned by
-  /// tests/fleet_test.cpp), so not part of the checkpoint identity.
+  /// Ignored: run_fleet has one chunk body. Kept only so existing
+  /// callers that assign it still compile; not part of the checkpoint
+  /// identity.
   bool batched = true;
   /// Empty disables checkpointing entirely.
   std::string checkpoint_path{};

@@ -125,10 +125,9 @@ class SweepRunner {
   /// (first, n, out, runner) and must write cell first+k's result into
   /// out[k] using cell_rng(first+k) — same per-cell streams and slots
   /// as run(), so a group body that loops the scalar cell body is
-  /// exactly run(), and a body that advances the group's cells through
-  /// one BatchSessionKernel is the batched fast path. Under the same
-  /// contract the output stays bit-identical to run() at any thread
-  /// count and any width.
+  /// exactly run(), as is a body that runs the group's cells through
+  /// one BatchTrialRunner. Under the same contract the output stays
+  /// bit-identical to run() at any thread count and any width.
   template <typename Result, typename GroupBody>
   std::vector<Result> run_grouped(std::size_t count, std::size_t width, GroupBody&& group_body) {
     std::vector<Result> slots(count);
@@ -173,10 +172,9 @@ class SweepRunner {
 /// growing workload is how the fleet bench proves O(aggregates) memory.
 [[nodiscard]] std::size_t sweep_peak_rss_bytes();
 
-/// Default lane count for the batched pass: big enough to amortise the
-/// shared island-table cache and keep several sessions resident, small
-/// enough that a group's scratch stays cache-friendly on the 1-2 CPU
-/// CI hosts (see DESIGN.md §11 on batch-width selection).
+/// Default group width for the batched pass. Any width gives the same
+/// results; the width only sets the parallel work unit (see DESIGN.md
+/// §11 on group width).
 inline constexpr std::size_t kDefaultBatchWidth = 8;
 
 /// timed_sweep with an explicit batched group body: after the timed
@@ -264,7 +262,7 @@ std::vector<Result> timed_sweep_batched(const std::string& name, std::size_t cou
 /// Shared bench timing harness without a custom batched body: the
 /// batched pass runs the scalar cell body through the grouped machinery
 /// (same cells, same streams, same slots), so every bench records batch
-/// mode even before it grows a kernel-batched group body.
+/// mode, including the benches without a BatchTrialRunner group body.
 template <typename Result, typename Body>
 std::vector<Result> timed_sweep(const std::string& name, std::size_t count,
                                 std::uint64_t base_seed, Body&& body,

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "baselines/button_scroll.h"
@@ -13,6 +15,7 @@
 #include "baselines/radial_scroll.h"
 #include "baselines/tilt_scroll.h"
 #include "baselines/wheel_scroll.h"
+#include "util/alloc_guard.h"
 
 namespace distscroll::baselines {
 namespace {
@@ -81,6 +84,121 @@ TEST_F(DistanceFixture, DirectionMappingMatchesDevice) {
 
 TEST_F(DistanceFixture, NearlyGloveInsensitive) {
   EXPECT_LT(technique.glove_sensitivity(), 0.3);
+}
+
+// --- DistanceScroll control blocks ------------------------------------------------
+
+/// A planner-like feed on the 4 ms grid: reaches back and forth across
+/// the islands with a wobble, so most samples fall before the next
+/// firmware tick and the cursor crosses island boundaries.
+struct ControlFeed {
+  std::vector<double> now_s;
+  std::vector<double> u;
+};
+
+ControlFeed planner_feed(std::size_t steps, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  ControlFeed feed;
+  double t = 0.0;
+  for (std::size_t i = 0; i < steps; ++i, t += 0.004) {
+    feed.now_s.push_back(t);
+    feed.u.push_back(17.0 + 13.0 * std::sin(0.9 * t) + rng.gaussian(0.0, 0.4));
+  }
+  return feed;
+}
+
+/// Feeds `feed` to `block` in blocks of `lengths` (cycled) and to `loop`
+/// one on_control at a time, expecting equal cursors after every sample,
+/// then the same deadline and the same continuation: equal state.
+void expect_block_matches_loop(DistanceScroll& block, DistanceScroll& loop,
+                               const ControlFeed& feed, std::span<const std::size_t> lengths,
+                               const std::string& label) {
+  std::vector<std::size_t> cursors;
+  std::size_t k = 0;
+  for (std::size_t b = 0; k < feed.now_s.size(); ++b) {
+    const std::size_t n = std::min(lengths[b % lengths.size()], feed.now_s.size() - k);
+    cursors.assign(n, 999);
+    block.on_control_block(std::span(feed.now_s).subspan(k, n), std::span(feed.u).subspan(k, n),
+                           cursors);
+    for (std::size_t j = 0; j < n; ++j, ++k) {
+      loop.on_control(util::Seconds{feed.now_s[k]}, feed.u[k]);
+      ASSERT_EQ(cursors[j], loop.cursor()) << label << ": sample " << k;
+    }
+    ASSERT_EQ(block.cursor(), loop.cursor()) << label << ": block " << b;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(block.next_control_s()),
+            std::bit_cast<std::uint64_t>(loop.next_control_s()))
+      << label;
+  const ControlFeed more = planner_feed(2000, 99);
+  for (std::size_t i = 0; i < more.now_s.size(); ++i) {
+    const util::Seconds now{feed.now_s.back() + 0.004 + more.now_s[i]};
+    block.on_control(now, more.u[i]);
+    loop.on_control(now, more.u[i]);
+    ASSERT_EQ(block.cursor(), loop.cursor()) << label << ": continuation " << i;
+  }
+}
+
+TEST(DistanceScrollBlock, MatchesPerSampleLoopBitForBit) {
+  const ControlFeed feed = planner_feed(3000, 4);
+  const std::size_t lengths[] = {1, 3, 137, 5, 512, 2, 61};
+  int cases = 0;
+  for (const auto smoothing :
+       {core::Smoothing::Raw, core::Smoothing::Median3, core::Smoothing::Ema}) {
+    for (const int hysteresis : {0, 2}) {
+      for (const auto direction : {core::ScrollDirection::TowardUserScrollsDown,
+                                   core::ScrollDirection::TowardUserScrollsUp}) {
+        DistanceScroll::Config config;
+        config.scroll.smoothing = smoothing;
+        config.scroll.direction = direction;
+        config.islands.hysteresis_counts = hysteresis;
+        DistanceScroll block(config, sim::Rng(40 + cases));
+        DistanceScroll loop(config, sim::Rng(40 + cases));
+        block.reset(20, 3);
+        loop.reset(20, 3);
+        expect_block_matches_loop(block, loop, feed, lengths,
+                                  "case " + std::to_string(cases));
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 12);
+}
+
+TEST(DistanceScrollBlock, PeriodIsTheFirmwareTick) {
+  DistanceScroll technique({}, sim::Rng(2));
+  technique.reset(10, 0);
+  const double tick = DistanceScroll::Config{}.firmware_tick.value;
+  EXPECT_EQ(technique.control_period_s(), tick);
+  // Counted calls, each at or after the previous deadline.
+  for (const double t : {0.0, 0.02, 0.1234, 7.0}) {
+    technique.on_control(util::Seconds{t}, 12.0);
+    EXPECT_EQ(technique.next_control_s(), t + tick) << t;
+  }
+  // A block's deadline follows its last counted sample.
+  const double now_s[] = {7.001, 7.03, 7.04, 7.06};
+  const double u[] = {12.0, 12.0, 12.0, 12.0};
+  std::size_t cursors[4];
+  technique.on_control_block(now_s, u, cursors);
+  EXPECT_EQ(technique.next_control_s(), 7.06 + tick);
+  // The default claims no period.
+  EXPECT_EQ(ButtonScroll{}.control_period_s(), 0.0);
+  EXPECT_EQ(TiltScroll({}, sim::Rng(1)).control_period_s(), 0.0);
+}
+
+TEST(DistanceScrollBlock, AllocationFreeWhenWarm) {
+  if (!util::alloc_interposer_linked()) {
+    GTEST_SKIP() << "alloc interposer not linked (sanitizer build)";
+  }
+  const ControlFeed feed = planner_feed(600, 8);
+  std::vector<std::size_t> cursors(feed.now_s.size());
+  DistanceScroll technique({}, sim::Rng(1));
+  technique.reset(10, 0);
+  technique.on_control_block(feed.now_s, feed.u, cursors);  // warm the scratch
+  technique.reset(10, 0);
+  DS_ASSERT_NO_ALLOC {
+    technique.on_control_block(feed.now_s, feed.u, cursors);
+  }
+  SUCCEED();
 }
 
 // --- TiltScroll ------------------------------------------------------------------

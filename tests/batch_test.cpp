@@ -1,14 +1,13 @@
-// Batched == scalar bit-identity for the SoA session kernel.
+// Grouped == per-cell sweep results for BatchTrialRunner.
 //
 // The contract under test (DESIGN.md §11): for every DistScroll
-// configuration the benches sweep, a cell run through
-// BatchTrialRunner/BatchSessionKernel lanes produces the EXACT
-// TrialRecord bytes of the scalar reference
-// (DistanceScroll + run_trials), at any thread count and any batch
-// width — including the CSV bytes derived from them. Also pins the
-// satellite pieces: the scalar-fallback group body, the batched
-// debounce FSM, the no-allocation claim over the kernel's hot block,
-// and the glove-sensitivity constant the batched trial driver inlines.
+// configuration the benches sweep, a cell run through a
+// BatchTrialRunner group produces the EXACT TrialRecord bytes of the
+// scalar cell body (DistanceScroll + run_trials), at any thread count
+// and any group width, including the CSV bytes derived from them. The
+// 8-thread case runs the thread-local runners on a pool, which is what
+// the tsan flavour of scripts/check.sh covers. Also pins the
+// loop-the-scalar-body group fallback.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -21,16 +20,12 @@
 
 #include "baselines/distance_scroll.h"
 #include "human/user_profile.h"
-#include "hw/gpio.h"
-#include "input/debouncer.h"
 #include "sim/random.h"
-#include "study/batch_kernel.h"
 #include "study/batch_trials.h"
 #include "study/metrics.h"
 #include "study/sweep_runner.h"
 #include "study/task.h"
 #include "study/trial.h"
-#include "util/alloc_guard.h"
 #include "util/csv.h"
 
 namespace distscroll::study {
@@ -111,8 +106,7 @@ CellOut scalar_cell(const SweepCase& c, std::size_t index, sim::Rng rng) {
   return out;
 }
 
-/// The batched group body: same fork decomposition, lanes instead of a
-/// technique object.
+/// The grouped body: same fork decomposition, one runner lane per cell.
 void batched_group(const SweepCase& c, std::size_t first, std::size_t n,
                    std::span<CellOut> out, SweepRunner& runner) {
   auto& batch = BatchTrialRunner::local();
@@ -220,104 +214,6 @@ TEST(SweepRunner, GroupedScalarFallbackEqualsRun) {
           for (std::size_t k = 0; k < n; ++k) out[k] = body(first + k, r.cell_rng(first + k));
         });
     EXPECT_EQ(got, expected) << "threads " << threads;
-  }
-}
-
-/// The batched debounce FSM advances N channels exactly as N scalar
-/// Debouncer instances fed the same streams, edges included.
-TEST(BatchDebouncer, MatchesScalarDebouncers) {
-  constexpr std::size_t kChannels = 5;
-  const input::Debouncer::Config config{};
-  std::vector<input::Debouncer> scalar(kChannels, input::Debouncer(config));
-  BatchDebouncer batch(kChannels, config);
-  ASSERT_EQ(batch.channels(), kChannels);
-
-  sim::Rng rng(0xDEB);
-  std::vector<hw::PinLevel> raw(kChannels);
-  std::vector<std::int8_t> edges(kChannels);
-  std::vector<bool> was_pressed(kChannels, false);
-  int total_edges = 0;
-  for (int t = 0; t < 4000; ++t) {
-    for (std::size_t c = 0; c < kChannels; ++c) {
-      // Biased toward holding a level so debounced edges actually fire.
-      raw[c] = rng.bernoulli(0.15) ? (raw[c] == hw::PinLevel::Low ? hw::PinLevel::High
-                                                                  : hw::PinLevel::Low)
-                                   : raw[c];
-    }
-    batch.tick(raw, edges);
-    for (std::size_t c = 0; c < kChannels; ++c) {
-      scalar[c].tick(raw[c]);
-      ASSERT_EQ(batch.pressed(c), scalar[c].pressed()) << "tick " << t << " channel " << c;
-      const std::int8_t scalar_edge =
-          scalar[c].pressed() == was_pressed[c] ? 0 : (scalar[c].pressed() ? 1 : -1);
-      ASSERT_EQ(edges[c], scalar_edge) << "tick " << t << " channel " << c;
-      was_pressed[c] = scalar[c].pressed();
-      total_edges += edges[c] != 0;
-    }
-  }
-  EXPECT_GT(total_edges, 0) << "stimulus never produced a debounced edge";
-}
-
-/// The kernel's hot block is allocation-free once its scratch is warm —
-/// the dynamic half of the DS_HOT_BEGIN/END markers around it.
-TEST(BatchKernel, RunBlockAllocationFreeWhenWarm) {
-  if (!util::alloc_interposer_linked()) {
-    GTEST_SKIP() << "alloc interposer not linked (sanitizer build)";
-  }
-  BatchSessionKernel kernel;
-  kernel.begin_group(2);
-  kernel.init_lane(0, {}, sim::Rng(1));
-  kernel.init_lane(1, {}, sim::Rng(2));
-
-  std::vector<double> times(600), us(600);
-  std::vector<std::uint32_t> cursors(times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    times[i] = 0.004 * static_cast<double>(i);
-    us[i] = 8.0 + 0.02 * static_cast<double>(i);
-  }
-  for (std::size_t lane = 0; lane < 2; ++lane) {
-    kernel.reset_lane(lane, 10, 0);
-    kernel.run_block(lane, times, us, cursors);  // warm the scratch
-  }
-  for (std::size_t lane = 0; lane < 2; ++lane) {
-    kernel.reset_lane(lane, 10, 0);
-    DS_ASSERT_NO_ALLOC {
-      kernel.run_block(lane, times, us, cursors);
-    }
-  }
-  SUCCEED();
-}
-
-/// The batched trial driver inlines DistScroll's glove sensitivity (no
-/// technique object to ask); pin it to the virtual call's answer.
-TEST(BatchKernel, GloveSensitivityPinnedToDistanceScroll) {
-  const baselines::DistanceScroll technique({}, sim::Rng(0));
-  EXPECT_EQ(technique.glove_sensitivity(), BatchSessionKernel::kGloveSensitivity);
-}
-
-/// Interface mirrors: spec / target_u / target_width_u answer exactly
-/// as the scalar technique for every swept config.
-TEST(BatchKernel, InterfaceMirrorsMatchScalarTechnique) {
-  for (const auto& c : sweep_suite()) {
-    baselines::DistanceScroll technique(c.config, sim::Rng(5));
-    technique.reset(c.menu, 0);
-    BatchSessionKernel kernel;
-    kernel.begin_group(1);
-    kernel.init_lane(0, c.config, sim::Rng(5));
-    kernel.reset_lane(0, c.menu, 0);
-
-    const auto scalar_spec = technique.spec();
-    const auto batch_spec = kernel.spec(0);
-    EXPECT_EQ(batch_spec.style, scalar_spec.style);
-    EXPECT_EQ(batch_spec.u_min, scalar_spec.u_min);
-    EXPECT_EQ(batch_spec.u_max, scalar_spec.u_max);
-    EXPECT_EQ(batch_spec.u_neutral, scalar_spec.u_neutral);
-    EXPECT_EQ(kernel.level_size(0), technique.level_size());
-    EXPECT_EQ(kernel.cursor(0), technique.cursor());
-    for (std::size_t target = 0; target <= c.menu; ++target) {
-      EXPECT_EQ(kernel.target_u(0, target), technique.target_u(target)) << c.name;
-      EXPECT_EQ(kernel.target_width_u(0, target), technique.target_width_u(target)) << c.name;
-    }
   }
 }
 

@@ -12,10 +12,13 @@
 #include <set>
 #include <vector>
 
+#include "baselines/distance_scroll.h"
 #include "human/population.h"
 #include "sim/random.h"
 #include "study/fleet_engine.h"
 #include "study/fleet_study.h"
+#include "study/task.h"
+#include "study/trial.h"
 #include "util/alloc_guard.h"
 #include "util/checkpoint_io.h"
 #include "util/online_stats.h"
@@ -419,19 +422,39 @@ study::FleetStudyConfig small_fleet() {
   return config;
 }
 
-TEST(FleetStudy, BatchedMatchesScalarByteForByte) {
-  auto batched = small_fleet();
-  batched.batched = true;
-  auto scalar = small_fleet();
-  scalar.batched = false;
-  const auto a = study::run_fleet(batched);
-  const auto b = study::run_fleet(scalar);
-  ASSERT_TRUE(a.complete);
-  ASSERT_TRUE(b.complete);
-  EXPECT_EQ(a.aggregates, b.aggregates);
-  EXPECT_EQ(a.aggregates.to_bytes(), b.aggregates.to_bytes());
-  EXPECT_EQ(a.aggregates.participants(), 640u);
-  EXPECT_EQ(a.aggregates.trials(), 1280u);
+TEST(FleetStudy, MatchesPerParticipantReference) {
+  // The reference: a fresh DistanceScroll + run_trials per participant,
+  // with run_fleet's forks, folded in participant order and merged per
+  // chunk in ascending order.
+  const auto config = small_fleet();
+  study::FleetAggregates expected;
+  study::FleetAggregates chunk;
+  const sim::Rng root(config.base_seed);
+  for (std::uint64_t first = 0; first < config.participants; first += config.chunk) {
+    chunk.clear();
+    for (std::uint64_t k = first; k < first + config.chunk; ++k) {
+      const sim::Rng rng = root.fork(k);
+      const auto participant = human::sample_participant(config.population, rng.fork(0));
+      baselines::DistanceScroll::Config technique_config{};
+      technique_config.islands.far = util::Centimeters{participant.reach_far_cm};
+      baselines::DistanceScroll technique(technique_config, rng.fork(1));
+      sim::Rng task_rng = rng.fork(2);
+      const auto tasks =
+          study::random_tasks(task_rng, config.menu_size, config.trials_per_participant);
+      chunk.fold_participant(participant);
+      for (const auto& record :
+           study::run_trials(technique, tasks, participant.profile, rng.fork(3))) {
+        chunk.fold_trial(record);
+      }
+    }
+    expected.merge(chunk);
+  }
+  const auto got = study::run_fleet(config);
+  ASSERT_TRUE(got.complete);
+  EXPECT_EQ(got.aggregates, expected);
+  EXPECT_EQ(got.aggregates.to_bytes(), expected.to_bytes());
+  EXPECT_EQ(got.aggregates.participants(), 640u);
+  EXPECT_EQ(got.aggregates.trials(), 1280u);
 }
 
 TEST(FleetStudy, BitIdenticalAcrossThreadCounts) {

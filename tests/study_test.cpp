@@ -8,6 +8,7 @@
 #include "baselines/distance_scroll.h"
 #include "baselines/tilt_scroll.h"
 #include "menu/phone_menu.h"
+#include "study/batch_trials.h"
 #include "study/device_study.h"
 #include "study/metrics.h"
 #include "study/report.h"
@@ -102,9 +103,11 @@ TEST(Trial, RecordsScrollDistance) {
 // --- control deadline: the sparse feed equals the dense one ------------------------
 
 /// Forwards every call to an `Inner` technique and counts on_control
-/// calls. kForwardDeadline false leaves next_control_s() at the default,
-/// so the planner feeds it densely, as it fed every technique before the
-/// hook.
+/// calls; blocks reach on_control through the default on_control_block
+/// loop. kForwardDeadline false leaves next_control_s() and
+/// control_period_s() at the defaults, so the planner feeds it densely,
+/// as it fed every technique before the hooks. The two travel together:
+/// a deadline without its period still stages every step after it.
 template <typename Inner, bool kForwardDeadline>
 class CountingTechnique final : public baselines::ScrollTechnique {
  public:
@@ -123,6 +126,9 @@ class CountingTechnique final : public baselines::ScrollTechnique {
   }
   double next_control_s() const override {
     return kForwardDeadline ? inner_.next_control_s() : ScrollTechnique::next_control_s();
+  }
+  double control_period_s() const override {
+    return kForwardDeadline ? inner_.control_period_s() : ScrollTechnique::control_period_s();
   }
   std::optional<double> target_u(std::size_t target) const override {
     return inner_.target_u(target);
@@ -209,6 +215,36 @@ TEST(ControlDeadline, PlannerFeedsOnlyTiltSamples) {
   const double ratio = sparse_call_ratio<baselines::TiltScroll>();
   EXPECT_GT(ratio, 1.0 / 6.5);
   EXPECT_LT(ratio, 1.0 / 4.5);
+}
+
+/// Claims a control period but never moves its deadline, so a feeder
+/// trusting the period would skip samples the technique reads.
+class StaleDeadlineTechnique final : public baselines::ScrollTechnique {
+ public:
+  std::string name() const override { return "stale"; }
+  baselines::ControlSpec spec() const override { return {}; }  // absolute, u in [0, 1]
+  void reset(std::size_t, std::size_t) override {}
+  std::size_t cursor() const override { return 0; }
+  std::size_t level_size() const override { return 4; }
+  void on_control(util::Seconds, double) override {}
+  double control_period_s() const override { return 0.02; }
+  std::optional<double> target_u(std::size_t) const override { return 0.5; }
+};
+
+TEST(ControlDeadlineDeathTest, PeriodWithAStaleDeadlineAborts) {
+  StaleDeadlineTechnique technique;
+  const SelectionTask task{4, 0, 2};
+  EXPECT_DEATH((void)run_trial(technique, task, human::UserProfile::average(), sim::Rng(1)),
+               "next_control_s");
+}
+
+TEST(BatchTrialRunnerDeathTest, LaneOutsideTheGroupAborts) {
+  BatchTrialRunner runner;
+  runner.begin_group(2);
+  EXPECT_DEATH(runner.init_cell(2, {}, sim::Rng(1), {}, human::UserProfile::average(),
+                                sim::Rng(2)),
+               "lane");
+  EXPECT_DEATH((void)runner.records(2), "lane");
 }
 
 // --- sessions: the learning curve -----------------------------------------------------

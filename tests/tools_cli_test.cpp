@@ -380,6 +380,7 @@ TEST(ToolsCli, HelpExitsZeroAndUsageErrorsExit64) {
   const ToolCase cases[] = {
       {DS_FLEET_RUN_BIN, "--help", 0, true},
       {DS_FLEET_RUN_BIN, "--no-such-flag", 64, false},
+      {DS_FLEET_RUN_BIN, "--scalar", 64, false},
       {DS_HOST_INGEST_BIN, "--help", 0, true},
       {DS_HOST_INGEST_BIN, "--no-such-flag", 64, false},
       {DS_BENCH_COMPARE_BIN, "--help", 0, true},

@@ -4,7 +4,7 @@
 //
 // Usage:
 //   fleet_run [--participants N] [--trials N] [--menu N] [--seed S]
-//             [--threads N] [--chunk N] [--window N] [--scalar]
+//             [--threads N] [--chunk N] [--window N]
 //             [--checkpoint PATH] [--checkpoint-every N] [--resume]
 //             [--stop-after N]
 //
@@ -47,7 +47,7 @@ constexpr std::uint64_t kMaxWindowChunks = 4096;
 int usage(std::FILE* to = stderr) {
   std::fprintf(to,
                "usage: fleet_run [--participants N] [--trials N] [--menu N] [--seed S]\n"
-               "                 [--threads N] [--chunk N] [--window N] [--scalar]\n"
+               "                 [--threads N] [--chunk N] [--window N]\n"
                "                 [--checkpoint PATH] [--checkpoint-every N] [--resume]\n"
                "                 [--stop-after N]\n"
                "limits: --trials 1..%" PRIu64 ", --menu 2..%" PRIu64 ", --threads 0..%" PRIu64
@@ -91,8 +91,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--window") == 0) {
       if (!next_u64(value, 1, kMaxWindowChunks)) return usage();
       config.window_chunks = static_cast<std::size_t>(value);
-    } else if (std::strcmp(arg, "--scalar") == 0) {
-      config.batched = false;
     } else if (std::strcmp(arg, "--checkpoint") == 0) {
       if (i + 1 >= argc) return usage();
       config.checkpoint_path = argv[++i];
@@ -123,10 +121,9 @@ int main(int argc, char** argv) {
 
   const auto& agg = result.aggregates;
   const double folded = static_cast<double>(result.cursor - result.resumed_from);
-  std::printf("fleet_run: %" PRIu64 "/%" PRIu64 " participants folded%s (%s body, %zu threads, "
+  std::printf("fleet_run: %" PRIu64 "/%" PRIu64 " participants folded%s (%zu threads, "
               "%.2f s, %.0f participants/s)\n",
               result.cursor, config.participants, result.resumed ? " [resumed]" : "",
-              config.batched ? "batched" : "scalar",
               distscroll::study::resolve_sweep_threads(config.threads),
               wall_s, wall_s > 0.0 ? folded / wall_s : 0.0);
   if (agg.trials() > 0) {
