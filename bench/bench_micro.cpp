@@ -25,6 +25,8 @@
 #include "core/scroll_controller.h"
 #include "display/bt96040.h"
 #include "display/display_driver.h"
+#include "host/host_pipeline.h"
+#include "host/sim_link.h"
 #include "human/hand_model.h"
 #include "human/motion_planner.h"
 #include "hw/adc.h"
@@ -440,7 +442,8 @@ void BM_ArqSendAck(benchmark::State& state) {
     sender.send(wireless::FrameType::State, payload);
     sender.on_ack(seq++);
     // Dispatcher pass at the same instant: pops the cancelled timer's
-    // heap entry, as the link's run_until does once time reaches it.
+    // heap entry, as an event-driven owner's run_until does once time
+    // reaches it.
     queue.run_until(queue.now());
   }
   benchmark::DoNotOptimize(wire_bytes);
@@ -449,6 +452,49 @@ void BM_ArqSendAck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ArqSendAck);
+
+/// The host's "link sim" layer: one warm SimDeviceLink at the host
+/// ingest fault mix (1 % loss, 0.2 % bit flips, 0.5 % reorder, 0.5 %
+/// ack loss) and ARQ settings, stepped one 0.1 s window per iteration.
+/// Each window dispatches the telemetry ticks and retransmit deadlines,
+/// then a minimal consumer drains the lane, CRC-checks each frame and
+/// queues its ack. `s_per_frame` is the cost per offered report.
+void BM_SimDeviceLink_StepWindow(benchmark::State& state) {
+  host::IngestQueue lanes(/*lanes=*/1, /*lane_capacity=*/512);
+  host::LinkFaultConfig faults;
+  faults.frame_loss = 0.01;
+  faults.bit_flip = 0.002;
+  faults.reorder = 0.005;
+  faults.ack_loss = 0.005;
+  const host::HostIngestConfig defaults;
+  host::SimDeviceLink link(/*device_id=*/0, /*lane=*/0, lanes, defaults.arq, faults,
+                           1.0 / defaults.report_hz, /*duration_s=*/1e9, sim::Rng(11));
+  std::array<host::RawRecord, 64> drained;
+  double now_s = 0.0;
+  const auto run_window = [&] {
+    now_s += 0.1;
+    link.step_window(now_s);
+    for (std::size_t n = 0; (n = lanes.pop_batch(0, drained)) > 0;) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto view = wireless::parse_wire_frame({drained[i].wire.data(), drained[i].len});
+        if (view) link.queue_ack(view->seq);
+      }
+    }
+  };
+  for (int w = 0; w < 200; ++w) run_window();  // warm: queue and ack list at working depth
+  const std::uint64_t offered_before = link.reports_offered();
+  for (auto _ : state) {
+    run_window();
+    benchmark::DoNotOptimize(link.sender().transmissions());
+  }
+  const auto offered = static_cast<double>(link.reports_offered() - offered_before);
+  state.counters["s_per_frame"] =
+      benchmark::Counter(offered, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["retransmit_ratio"] =
+      static_cast<double>(link.sender().retransmissions()) /
+      static_cast<double>(link.sender().transmissions());
+}
+BENCHMARK(BM_SimDeviceLink_StepWindow);
 
 /// Cost of the AllocGuard interposer on the allocator itself: a
 /// new/delete pair with the counting operator new linked in (linking

@@ -6,9 +6,9 @@
 // (window_s); within each window:
 //
 //   1. produce phase — a parallel_for over LANES steps every device
-//      assigned to that lane (each device's own EventQueue: telemetry
-//      ticks, retransmit timers, fault rolls). One thread owns a lane
-//      for the whole phase, so lane rings need no synchronisation.
+//      assigned to that lane (each device's own clock and deadlines:
+//      telemetry ticks, retransmit timers, fault rolls). One thread owns
+//      a lane for the whole phase, so lane rings need no synchronisation.
 //   2. barrier (ThreadPool::parallel_for returns).
 //   3. drain phase — single-threaded, lanes drained in ASCENDING lane
 //      order, frames in arrival order within a lane: batch CRC

@@ -23,7 +23,7 @@ SimDeviceLink::SimDeviceLink(std::uint16_t device_id, std::size_t lane, IngestQu
       faults_(faults),
       report_period_s_(report_period_s),
       duration_s_(duration_s),
-      sender_(arq, events_),
+      sender_(arq, clock_),
       source_(device_rng.fork(kSourceStream)),
       channel_rng_(device_rng.fork(kChannelStream)),
       ack_rng_(device_rng.fork(kAckStream)) {
@@ -33,7 +33,7 @@ SimDeviceLink::SimDeviceLink(std::uint16_t device_id, std::size_t lane, IngestQu
   // both unrealistic and a worst-case burst into the lanes).
   sim::Rng phase = device_rng.fork(kPhaseStream);
   const double offset_s = phase.uniform01() * report_period_s_;
-  events_.schedule_after(util::Seconds{offset_s}, [this] { telemetry_tick(); });
+  tick_ = sim::Deadline{offset_s, clock_.arm()};
 }
 
 void SimDeviceLink::telemetry_tick() {
@@ -49,10 +49,8 @@ void SimDeviceLink::telemetry_tick() {
   } else {
     ++reports_shed_;  // ARQ queue full: device RAM budget says drop new
   }
-  const double next_s = events_.now().value + report_period_s_;
-  if (next_s <= duration_s_) {
-    events_.schedule_after(util::Seconds{report_period_s_}, [this] { telemetry_tick(); });
-  }
+  const double next_s = clock_.now().value + report_period_s_;
+  tick_ = next_s <= duration_s_ ? sim::Deadline{next_s, clock_.arm()} : sim::Deadline{};
 }
 
 bool SimDeviceLink::wire_sink(std::span<const std::uint8_t> wire) {
@@ -71,7 +69,7 @@ bool SimDeviceLink::wire_sink(std::span<const std::uint8_t> wire) {
     return true;  // the device believes it transmitted; timeout recovers
   }
   RawRecord record;
-  record.t_us = static_cast<std::uint64_t>(std::llround(events_.now().value * 1e6));
+  record.t_us = static_cast<std::uint64_t>(std::llround(clock_.now().value * 1e6));
   record.device_id = device_id_;
   record.len = static_cast<std::uint8_t>(wire.size());
   for (std::size_t i = 0; i < wire.size(); ++i) record.wire[i] = wire[i];
@@ -119,7 +117,20 @@ void SimDeviceLink::step_window(double end_s) {
   acked_seqs_.clear();
   // The lane was just drained: frames stalled on backpressure retry.
   sender_.notify_tx_space();
-  events_.run_until(util::Seconds{end_s});
+  for (;;) {
+    const sim::Deadline retransmit = sender_.next_deadline();
+    const bool tick_next = tick_ < retransmit;
+    const sim::Deadline next = tick_next ? tick_ : retransmit;
+    if (!(next.time_s <= end_s)) break;  // "never" is +inf
+    clock_.advance_to(util::Seconds{next.time_s});
+    if (tick_next) {
+      telemetry_tick();
+    } else {
+      sender_.expire(next.order);
+    }
+  }
+  // Even with nothing due, the device observed time end_s.
+  if (clock_.now().value < end_s) clock_.advance_to(util::Seconds{end_s});
 }
 
 }  // namespace distscroll::host

@@ -2,8 +2,8 @@
 // channel.
 //
 // Each link owns a full device-side stack — telemetry source, ARQ
-// sender with its own EventQueue (device-local time), and a fault
-// injector between the sender's wire sink and the host's ingest lane:
+// sender, and a fault injector between the sender's wire sink and the
+// host's ingest lane:
 //
 //   TelemetrySource ─▶ ArqSender ─▶ [loss / bit-flip / reorder] ─▶ lane
 //                         ▲                                         │
@@ -23,6 +23,13 @@
 // the consumer drains the lane. Under sustained overload the ARQ queue
 // itself fills and send() sheds new reports, counted per device.
 //
+// Device-local time is a sim::SimClock the link shares with its ARQ
+// sender, and the link keeps its own deadlines as plain data rather
+// than in a general-purpose calendar: only two kinds are ever pending —
+// the next telemetry tick, and at most `window` retransmit deadlines
+// held in the sender's queue entries. step_window() dispatches them by
+// the clock's (time, arm order) rule, so no per-frame callback is built.
+//
 // Every random draw comes from streams forked off the per-device RNG
 // and is consumed in device-local event order, so a link's behaviour is
 // a pure function of (seed, config) — independent of which thread steps
@@ -37,7 +44,7 @@
 
 #include "host/ingest_queue.h"
 #include "host/telemetry_source.h"
-#include "sim/event_queue.h"
+#include "sim/clock.h"
 #include "sim/random.h"
 #include "wireless/arq.h"
 #include "wireless/packet.h"
@@ -63,7 +70,8 @@ class SimDeviceLink {
   /// Advance this device's local simulation to absolute time `end_s`:
   /// consume acks queued by the consumer since the last window, give the
   /// transport-stalled frames another chance (the lane was just
-  /// drained), then run telemetry ticks and retransmit timers.
+  /// drained), then dispatch telemetry ticks and retransmit deadlines
+  /// due by `end_s` in (time, arm order), and leave the clock at `end_s`.
   void step_window(double end_s);
 
   /// Consumer side (serial drain phase): queue an ack for `seq`. Subject
@@ -110,7 +118,8 @@ class SimDeviceLink {
   double report_period_s_;
   double duration_s_;
 
-  sim::EventQueue events_;
+  sim::SimClock clock_;  // device-local time; arm numbers shared with sender_
+  sim::Deadline tick_;   // next telemetry tick; never once past duration_s
   wireless::ArqSender sender_;
   TelemetrySource source_;
   sim::Rng channel_rng_;

@@ -8,6 +8,7 @@
 // distance d(t) the GP2D120 sees.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/random.h"

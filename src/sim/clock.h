@@ -1,9 +1,22 @@
 // Simulated wall clock.
 //
-// All components (MCU, sensors, human model, wireless link) share one
-// SimClock owned by the EventQueue; time only advances when the event
-// queue dispatches. Everything is deterministic given the RNG seeds.
+// A SimClock is simulated time plus an arm counter. Every event or
+// deadline armed against the clock takes the next arm number, and
+// events due at the same time dispatch in ascending arm order — the
+// (time, arm order) rule that makes every run deterministic given the
+// RNG seeds.
+//
+// Two kinds of owner advance a clock:
+//   * an EventQueue owns one and moves it as it dispatches; the MCU,
+//     sensors, human model and byte-level wireless link share it;
+//   * a windowed owner with a fixed handful of deadlines
+//     (host::SimDeviceLink: one telemetry tick plus the ARQ sender's
+//     retransmit deadlines) owns one directly, dispatches its own
+//     deadlines by the same rule and advances it.
 #pragma once
+
+#include <cstdint>
+#include <limits>
 
 #include "util/units.h"
 
@@ -12,12 +25,24 @@ namespace distscroll::sim {
 class SimClock {
  public:
   [[nodiscard]] util::Seconds now() const { return now_; }
-
- private:
-  friend class EventQueue;
+  /// The arm number the next arming takes.
+  [[nodiscard]] std::uint64_t next_arm() const { return arms_; }
+  /// Take an arm number for an event or deadline being armed.
+  std::uint64_t arm() { return arms_++; }
   void advance_to(util::Seconds t) { now_ = t; }
 
+ private:
   util::Seconds now_{0.0};
+  std::uint64_t arms_ = 0;
+};
+
+/// When an armed event falls due. Deadlines order by (time, arm order);
+/// the default value is "never", later than every armed deadline.
+struct Deadline {
+  double time_s = std::numeric_limits<double>::infinity();
+  std::uint64_t order = std::numeric_limits<std::uint64_t>::max();
+
+  auto operator<=>(const Deadline&) const = default;
 };
 
 }  // namespace distscroll::sim

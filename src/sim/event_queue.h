@@ -1,16 +1,18 @@
 // Discrete-event scheduler.
 //
 // A binary-heap calendar: callbacks scheduled at absolute simulated
-// times, dispatched in (time, insertion-order) order so same-time events
-// are deterministic. Handles support cancellation (e.g. a button release
-// cancelling a pending auto-repeat).
+// times, dispatched by the SimClock (time, arm order) rule so same-time
+// events are deterministic. Handles support cancellation (e.g. a button
+// release cancelling a pending auto-repeat).
 //
-// Storage is two flat vectors — the (time, seq) min-heap and a recycled
-// slot table holding the callbacks — so steady-state scheduling does no
-// per-event node allocation (unlike the std::map calendar this replaced).
+// Storage is two flat vectors — the (time, arm order) min-heap and a
+// recycled slot table holding the callbacks — so steady-state scheduling
+// does no per-event node allocation (unlike the std::map calendar this
+// replaced).
 // cancel() is O(1): it bumps the slot's generation and the stale heap
-// entry is discarded lazily when it reaches the top (wireless/arq
-// cancels each retransmit timer this way when its frame is acked).
+// entry is discarded lazily when it reaches the top (an event-driven
+// wireless::ArqSender cancels each retransmit timer this way when its
+// frame is acked).
 #pragma once
 
 #include <algorithm>
@@ -45,7 +47,7 @@ class EventQueue {
     if (when < clock_.now()) when = clock_.now();
     const std::uint32_t slot = acquire_slot(std::move(cb));
     // ds-lint: allow(no-alloc-markers) amortised growth: no-op at recycled capacity
-    heap_.push_back(HeapEntry{when.value, seq_++, slot, slots_[slot].generation});
+    heap_.push_back(HeapEntry{when.value, clock_.arm(), slot, slots_[slot].generation});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++live_;
     return make_handle(slot, slots_[slot].generation);
@@ -114,16 +116,15 @@ class EventQueue {
   [[nodiscard]] bool truncated() const { return truncated_; }
 
   /// Reset to the just-constructed state — empty calendar, time zero,
-  /// seq counter zero — while KEEPING the heap/slot storage capacity.
+  /// arm counter zero — while KEEPING the heap/slot storage capacity.
   /// The session-reuse path: a pooled device's queue is cleared between
-  /// cells, so dispatch order (which ties on seq) is bit-identical to a
-  /// fresh queue without the fresh allocations.
+  /// cells, so dispatch order (which ties on arm order) is bit-identical
+  /// to a fresh queue without the fresh allocations.
   void clear() {
     heap_.clear();
     slots_.clear();
     free_slots_.clear();
     live_ = 0;
-    seq_ = 0;
     truncated_ = false;
     clock_ = SimClock{};
   }
@@ -131,15 +132,15 @@ class EventQueue {
  private:
   struct HeapEntry {
     double time;
-    std::uint64_t seq;  // insertion order; same-time tiebreaker
+    std::uint64_t order;  // arm order; same-time tiebreaker
     std::uint32_t slot;
     std::uint32_t generation;  // stale-entry guard (lazy cancellation)
   };
-  // Min-heap on (time, seq) via std:: max-heap algorithms.
+  // Min-heap on (time, order) via std:: max-heap algorithms.
   struct Later {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return a.order > b.order;
     }
   };
   struct Slot {
@@ -192,7 +193,6 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;
-  std::uint64_t seq_ = 0;
   bool truncated_ = false;
 };
 

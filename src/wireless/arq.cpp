@@ -17,7 +17,7 @@ bool ArqSender::send(FrameType type, std::span<const std::uint8_t> payload) {
   pending.seq = next_seq_++;
   pending.wire_len =
       static_cast<std::uint8_t>(encode_into(type, pending.seq, payload, pending.wire));
-  pending.enqueued_at_s = events_->now().value;
+  pending.enqueued_at_s = now_s();
   pending.timeout_s = config_.initial_timeout.value;
   ++frames_accepted_;
   pump();
@@ -47,18 +47,37 @@ void ArqSender::pump() {
 }
 
 void ArqSender::arm_timer(Pending& pending) {
-  // Epochs are unique per arming, so the epoch alone names the frame;
-  // [this, epoch] also fits std::function's small buffer (no heap).
-  const std::uint64_t epoch = next_epoch_++;
-  pending.epoch = epoch;
-  pending.timer = events_->schedule_after(util::Seconds{pending.timeout_s},
-                                          [this, epoch] { on_timeout(epoch); });
+  pending.deadline.time_s = now_s() + pending.timeout_s;
+  if (windowed_clock_ != nullptr) {
+    pending.deadline.order = windowed_clock_->arm();
+    return;
+  }
+  // The queue's schedule takes the clock's next arm number itself; the
+  // order also names the frame, and [this, order] fits std::function's
+  // small buffer (no heap).
+  const std::uint64_t order = clock_->next_arm();
+  pending.deadline.order = order;
+  pending.timer = events_->schedule_at(util::Seconds{pending.deadline.time_s},
+                                       [this, order] { expire(order); });
 }
 
-void ArqSender::on_timeout(std::uint64_t epoch) {
-  const auto it = std::find_if(queue_.begin(), queue_.end(),
-                               [&](const Pending& p) { return p.epoch == epoch; });
-  // An ack or a drop removes a frame only after cancelling its timer.
+sim::Deadline ArqSender::next_deadline() const {
+  // Only active-window frames are ever armed, and erasures ahead of an
+  // armed frame keep it inside the window.
+  sim::Deadline next;
+  const std::size_t active = std::min(config_.window, queue_.size());
+  for (std::size_t i = 0; i < active; ++i) {
+    const Pending& pending = queue_[i];
+    if (!pending.needs_tx && pending.deadline < next) next = pending.deadline;
+  }
+  return next;
+}
+
+void ArqSender::expire(std::uint64_t order) {
+  const auto it = std::find_if(queue_.begin(), queue_.end(), [&](const Pending& p) {
+    return !p.needs_tx && p.deadline.order == order;
+  });
+  // An ack or a drop removes a frame, and with it its deadline.
   assert(it != queue_.end());
   if (it->attempts >= config_.max_attempts) {
     ++drops_retry_exhausted_;
@@ -89,11 +108,12 @@ void ArqSender::on_ack(std::uint8_t seq) {
   }
   ++acks_received_;
   if (ack_callback_) {
-    ack_callback_(seq, events_->now().value - it->enqueued_at_s, it->attempts);
+    ack_callback_(seq, now_s() - it->enqueued_at_s, it->attempts);
   }
-  // No-op when the timer already fired (frame awaiting retransmit) or
-  // the frame was never transmitted.
-  events_->cancel(it->timer);
+  // The erase takes a windowed owner's deadline with it. An event-driven
+  // owner's cancel is a no-op when the timer already fired (frame
+  // awaiting retransmit) or the frame was never transmitted.
+  if (events_ != nullptr) events_->cancel(it->timer);
   queue_.erase(it);
   pump();  // the window slid: queued frames may now transmit
 }

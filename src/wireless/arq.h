@@ -12,7 +12,8 @@
 // * 8-bit sequence numbers, a sliding window of `window` unacked frames;
 // * per-frame retransmit timers with exponential backoff
 //   (initial_timeout · backoff_factor^attempt, capped at max_timeout);
-//   an ack cancels its frame's timer, so none outlives its frame;
+//   each armed timer is a deadline and an arm number in its frame's
+//   queue entry, so an ack removes it with its frame;
 // * a bounded device-side retransmit queue (`queue_capacity`) — the
 //   PIC's RAM budget is real, so overload sheds new frames, counted;
 // * frames that exhaust `max_attempts` transmissions are dropped and
@@ -23,6 +24,15 @@
 //
 // Acks ride the same framing (FrameType::Ack, seq = acked sequence, no
 // payload) over whatever reverse channel the caller wires up.
+//
+// Two kinds of owner wake the sender when a deadline falls due; both
+// call expire(), the one timeout/backoff/drop routine:
+//   * an event-driven owner (the byte-level UART/RfLink simulations)
+//     hands the sender its sim::EventQueue, and every arming schedules
+//     one event there;
+//   * a windowed owner (host::SimDeviceLink) hands it a sim::SimClock,
+//     reads next_deadline() and calls expire() itself, dispatching by
+//     the same (time, arm order) rule.
 #pragma once
 
 #include <array>
@@ -33,6 +43,7 @@
 #include <vector>
 
 #include "obs/tracer.h"
+#include "sim/clock.h"
 #include "sim/event_queue.h"
 #include "util/units.h"
 #include "wireless/packet.h"
@@ -61,8 +72,15 @@ class ArqSender {
   /// Invoked when a frame is abandoned after max_attempts.
   using DropCallback = std::function<void(std::uint8_t)>;
 
+  /// Event-driven owner: device time is the queue's clock, and each
+  /// arming schedules one event on `queue`.
   ArqSender(ArqConfig config, sim::EventQueue& queue)
-      : config_(config), events_(&queue) {}
+      : config_(config), clock_(&queue.clock()), events_(&queue) {}
+  /// Windowed owner: device time is `clock`, which the owner advances,
+  /// and armings take its arm numbers. The owner dispatches
+  /// next_deadline() through expire() when it falls due.
+  ArqSender(ArqConfig config, sim::SimClock& clock)
+      : config_(config), clock_(&clock), windowed_clock_(&clock) {}
 
   void set_wire_sink(WireSink sink) { wire_sink_ = std::move(sink); }
   void set_ack_callback(AckCallback cb) { ack_callback_ = std::move(cb); }
@@ -90,6 +108,15 @@ class ArqSender {
 
   /// UART backpressure hook: the TX FIFO freed a byte, try flushing.
   void notify_tx_space() { pump(); }
+
+  /// The earliest armed retransmit deadline by (time, arm order), or
+  /// "never" when no transmitted frame awaits its ack.
+  [[nodiscard]] sim::Deadline next_deadline() const;
+
+  /// The retransmit deadline armed with arm number `order` fell due (the
+  /// device clock reads its time): retransmit its frame with the
+  /// backed-off timeout, or drop it after max_attempts transmissions.
+  void expire(std::uint64_t order);
 
   /// First-enqueue time of a still-pending frame (for latency probes).
   [[nodiscard]] std::optional<double> enqueue_time_s(std::uint8_t seq) const;
@@ -121,18 +148,20 @@ class ArqSender {
     int attempts = 0;        // transmissions so far
     double enqueued_at_s = 0.0;
     double timeout_s = 0.0;  // current backoff value
-    std::uint64_t epoch = 0; // names the armed retransmit timer
-    sim::EventQueue::Handle timer = sim::EventQueue::kInvalidHandle;
+    sim::Deadline deadline;  // the armed retransmit timer, while !needs_tx
+    sim::EventQueue::Handle timer = sim::EventQueue::kInvalidHandle;  // event-driven owner
 
     [[nodiscard]] std::span<const std::uint8_t> bytes() const { return {wire.data(), wire_len}; }
   };
 
   void pump();
   void arm_timer(Pending& pending);
-  void on_timeout(std::uint64_t epoch);
+  [[nodiscard]] double now_s() const { return clock_->now().value; }
 
   ArqConfig config_;
-  sim::EventQueue* events_;
+  const sim::SimClock* clock_;               // device time
+  sim::EventQueue* events_ = nullptr;        // event-driven owner
+  sim::SimClock* windowed_clock_ = nullptr;  // windowed owner
   obs::Tracer* tracer_ = nullptr;
   WireSink wire_sink_;
   AckCallback ack_callback_;
@@ -142,7 +171,6 @@ class ArqSender {
   // link's peak depth, then erase/emplace reuse its capacity.
   std::vector<Pending> queue_;
   std::uint8_t next_seq_ = 0;
-  std::uint64_t next_epoch_ = 1;
   std::uint64_t frames_accepted_ = 0;
   std::uint64_t transmissions_ = 0;
   std::uint64_t retransmissions_ = 0;

@@ -171,7 +171,9 @@ TEST(AllocGuard, HostLinkSendDrainAckRetransmitIsAllocationFreeWhenWarm) {
   // Warm-up. Two seconds without acks fill the retransmit queue to its
   // capacity (shedding and retry exhaustion included), so it never
   // grows again; then twenty seconds of normal traffic take the
-  // calendar to its working depth.
+  // pending-ack list to its working depth. The link's deadlines are
+  // plain data (a tick and the queue entries' retransmit deadlines), so
+  // there is no calendar left to grow.
   for (int w = 0; w < 40; ++w) run_window(/*ack=*/false);
   ASSERT_EQ(link.pending(), wireless::ArqConfig{}.queue_capacity);
   for (int w = 0; w < 400; ++w) run_window(/*ack=*/true);

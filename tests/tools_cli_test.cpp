@@ -376,13 +376,16 @@ struct ToolCase {
 
 TEST(ToolsCli, HelpExitsZeroAndUsageErrorsExit64) {
   // --help prints usage to stdout and exits 0; a malformed command line
-  // exits 64 (EX_USAGE) with usage on stderr, on all five tools.
+  // exits 64 (EX_USAGE) with usage on stderr, on all five tools. An
+  // overloaded host_ingest (64 devices behind one 1-slot lane) runs out
+  // of drain grace and exits 1 rather than passing as a clean ingest.
   const ToolCase cases[] = {
       {DS_FLEET_RUN_BIN, "--help", 0, true},
       {DS_FLEET_RUN_BIN, "--no-such-flag", 64, false},
       {DS_FLEET_RUN_BIN, "--scalar", 64, false},
       {DS_HOST_INGEST_BIN, "--help", 0, true},
       {DS_HOST_INGEST_BIN, "--no-such-flag", 64, false},
+      {DS_HOST_INGEST_BIN, "--devices 64 --duration 0.05 --lanes 1 --lane-capacity 1", 1, false},
       {DS_BENCH_COMPARE_BIN, "--help", 0, true},
       {DS_BENCH_COMPARE_BIN, "", 64, false},
       {DS_TRACE_REPLAY_BIN, "--help", 0, true},
@@ -397,6 +400,20 @@ TEST(ToolsCli, HelpExitsZeroAndUsageErrorsExit64) {
     EXPECT_EQ(run.out.find("usage") != std::string::npos, c.usage_on_stdout)
         << c.bin << " " << c.args << ": " << run.out;
   }
+}
+
+TEST(ToolsCli, HostIngestIncompleteDrainStillWritesItsOutputs) {
+  const std::string out = testing::TempDir() + "/host_ingest_overload.dstl";
+  const std::string jsonl = testing::TempDir() + "/host_ingest_overload.jsonl";
+  std::filesystem::remove(out);
+  std::filesystem::remove(jsonl);
+  const CliRun run = run_cli(DS_HOST_INGEST_BIN,
+                             "--devices 64 --duration 0.05 --lanes 1 --lane-capacity 1 --out " +
+                                 out + " --jsonl " + jsonl);
+  EXPECT_EQ(run.exit_code, 1);
+  EXPECT_NE(run.out.find("grace exhausted"), std::string::npos) << run.out;
+  EXPECT_GT(std::filesystem::file_size(out), 0u);
+  EXPECT_GT(std::filesystem::file_size(jsonl), 0u);
 }
 
 TEST(ToolsCli, NumericFlagsAreStrict) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "hw/uart.h"
+#include "sim/clock.h"
 #include "sim/event_queue.h"
 #include "wireless/arq.h"
 #include "wireless/host_logger.h"
@@ -743,6 +744,18 @@ TEST_F(ArqFixture, AckAfterTimeoutLeavesTheRecycledTimerSlotAlone) {
   EXPECT_EQ(sender.transmissions(), 1u);
 }
 
+using WireLog = std::vector<std::pair<double, std::vector<std::uint8_t>>>;
+
+// Records every transmitted wire image with its device time; refuses
+// every `refuse_every`-th attempt (transport backpressure) when non-zero.
+auto logging_sink(WireLog& log, const sim::SimClock& clock, int refuse_every = 0) {
+  return [&log, &clock, refuse_every, n = 0](std::span<const std::uint8_t> bytes) mutable {
+    if (refuse_every != 0 && ++n % refuse_every == 0) return false;
+    log.emplace_back(clock.now().value, std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+    return true;
+  };
+}
+
 // The host ingest links deliver acks as seqs through on_ack(); the RF
 // path feeds encoded ack bytes through on_ack_byte(). Over an uncorrupted
 // reverse channel the two must leave the sender in the same state.
@@ -758,18 +771,10 @@ TEST(ArqSenderAck, OnAckMatchesFeedingEncodedAckBytes) {
   ArqSender by_bytes(config, queue_bytes);
   // Same scripted forward channel on both: every fifth transmission is
   // refused (backpressure) and the log records what got through, when.
-  using Log = std::vector<std::pair<double, std::vector<std::uint8_t>>>;
-  Log log_seq;
-  Log log_bytes;
-  const auto wire_into = [](Log& log, sim::EventQueue& q) {
-    return [&log, &q, n = 0](std::span<const std::uint8_t> bytes) mutable {
-      if (++n % 5 == 0) return false;
-      log.emplace_back(q.now().value, std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
-      return true;
-    };
-  };
-  by_seq.set_wire_sink(wire_into(log_seq, queue_seq));
-  by_bytes.set_wire_sink(wire_into(log_bytes, queue_bytes));
+  WireLog log_seq;
+  WireLog log_bytes;
+  by_seq.set_wire_sink(logging_sink(log_seq, queue_seq.clock(), 5));
+  by_bytes.set_wire_sink(logging_sink(log_bytes, queue_bytes.clock(), 5));
 
   const auto expect_same = [&](int step) {
     SCOPED_TRACE(step);
@@ -816,6 +821,139 @@ TEST(ArqSenderAck, OnAckMatchesFeedingEncodedAckBytes) {
   EXPECT_GT(by_seq.retransmissions(), 0u);
   EXPECT_GT(by_seq.drops_queue_full(), 0u);
   EXPECT_GT(by_seq.drops_retry_exhausted(), 0u);
+}
+
+// --- ARQ deadlines: event-driven and windowed owners -----------------------
+
+// A windowed owner's dispatch loop, as host::SimDeviceLink runs it:
+// expire each retransmit deadline due by `until` in (time, arm order),
+// then leave the device clock at `until`.
+void run_windowed(ArqSender& sender, sim::SimClock& clock, double until) {
+  for (sim::Deadline next = sender.next_deadline(); next.time_s <= until;
+       next = sender.next_deadline()) {
+    clock.advance_to(util::Seconds{next.time_s});
+    sender.expire(next.order);
+  }
+  clock.advance_to(util::Seconds{until});
+}
+
+// The two wake-up paths share one timeout/backoff/drop routine, so one
+// scripted loss/ack pattern must give the same wire images at the same
+// times and the same counters whichever owner drives the deadlines.
+TEST(ArqDeadlines, WindowedOwnerMatchesEventQueueOwner) {
+  ArqConfig config;
+  config.window = 4;
+  config.queue_capacity = 6;
+  config.max_attempts = 3;
+  config.initial_timeout = util::Seconds{0.010};
+  config.max_timeout = util::Seconds{0.030};
+  sim::EventQueue queue;
+  sim::SimClock clock;
+  ArqSender by_event(config, queue);
+  ArqSender by_window(config, clock);
+  WireLog log_event;
+  WireLog log_window;
+  by_event.set_wire_sink(logging_sink(log_event, queue.clock(), 5));
+  by_window.set_wire_sink(logging_sink(log_window, clock, 5));
+
+  for (int step = 0; step < 120; ++step) {
+    SCOPED_TRACE(step);
+    // Bursty offers, so same-instant deadlines occur; acks for some
+    // recent frames, a duplicate every fourth step, the rest lost.
+    for (int k = 0; k < (step % 3 == 0 ? 2 : 1); ++k) {
+      const std::uint8_t payload[] = {static_cast<std::uint8_t>(step), static_cast<std::uint8_t>(k)};
+      EXPECT_EQ(by_event.send(FrameType::State, payload),
+                by_window.send(FrameType::State, payload));
+    }
+    std::vector<std::uint8_t> acks;
+    if (step % 5 != 0) acks.push_back(static_cast<std::uint8_t>(step - 3));
+    if (step % 4 == 0) acks.push_back(static_cast<std::uint8_t>(step - 9));
+    for (const std::uint8_t seq : acks) {
+      by_event.on_ack(seq);
+      by_window.on_ack(seq);
+    }
+    by_event.notify_tx_space();
+    by_window.notify_tx_space();
+    const double until = 0.004 * (step + 1);
+    queue.run_until(util::Seconds{until});
+    run_windowed(by_window, clock, until);
+    EXPECT_EQ(by_event.queued(), by_window.queued());
+    EXPECT_EQ(by_event.unsent(), by_window.unsent());
+  }
+  EXPECT_EQ(log_event, log_window);
+  EXPECT_EQ(by_event.transmissions(), by_window.transmissions());
+  EXPECT_EQ(by_event.retransmissions(), by_window.retransmissions());
+  EXPECT_EQ(by_event.acks_received(), by_window.acks_received());
+  EXPECT_EQ(by_event.duplicate_acks(), by_window.duplicate_acks());
+  EXPECT_EQ(by_event.drops_queue_full(), by_window.drops_queue_full());
+  EXPECT_EQ(by_event.drops_retry_exhausted(), by_window.drops_retry_exhausted());
+  // The script exercised every path it means to compare.
+  EXPECT_GT(by_window.retransmissions(), 0u);
+  EXPECT_GT(by_window.duplicate_acks(), 0u);
+  EXPECT_GT(by_window.drops_queue_full(), 0u);
+  EXPECT_GT(by_window.drops_retry_exhausted(), 0u);
+}
+
+TEST(ArqDeadlines, SameInstantDeadlinesExpireInArmOrder) {
+  ArqConfig config;
+  config.max_attempts = 2;
+  sim::SimClock clock;
+  ArqSender sender(config, clock);
+  WireLog log;
+  sender.set_wire_sink(logging_sink(log, clock));
+  const std::uint8_t payload[] = {7};
+  ASSERT_TRUE(sender.send(FrameType::State, payload));
+  ASSERT_TRUE(sender.send(FrameType::State, payload));
+  const sim::Deadline first = sender.next_deadline();
+  sender.expire(first.order);  // seq 0 retransmits at once and re-arms
+  const sim::Deadline second = sender.next_deadline();
+  EXPECT_EQ(second.time_s, first.time_s);
+  EXPECT_LT(first.order, second.order);
+  sender.expire(second.order);
+  ASSERT_EQ(log.size(), 4u);
+  std::vector<std::uint8_t> seqs;
+  for (const auto& [t, wire] : log) seqs.push_back(parse_wire_frame(wire)->seq);
+  EXPECT_EQ(seqs, (std::vector<std::uint8_t>{0, 1, 0, 1}));
+}
+
+TEST(ArqDeadlines, AckRemovesItsFramesDeadline) {
+  ArqConfig config;
+  sim::SimClock clock;
+  ArqSender sender(config, clock);
+  sender.set_wire_sink([](std::span<const std::uint8_t>) { return true; });
+  EXPECT_EQ(sender.next_deadline(), sim::Deadline{});  // nothing armed: never
+  const std::uint8_t payload[] = {1};
+  ASSERT_TRUE(sender.send(FrameType::State, payload));
+  clock.advance_to(util::Seconds{0.005});
+  ASSERT_TRUE(sender.send(FrameType::State, payload));
+  EXPECT_DOUBLE_EQ(sender.next_deadline().time_s, config.initial_timeout.value);
+  sender.on_ack(0);
+  EXPECT_DOUBLE_EQ(sender.next_deadline().time_s, 0.005 + config.initial_timeout.value);
+  sender.on_ack(1);
+  EXPECT_EQ(sender.next_deadline(), sim::Deadline{});
+}
+
+TEST(ArqDeadlines, ReArmedDeadlineUsesBackedOffTimeout) {
+  ArqConfig config;
+  config.initial_timeout = util::Seconds{0.010};
+  config.backoff_factor = 2.0;
+  config.max_timeout = util::Seconds{0.030};
+  sim::SimClock clock;
+  ArqSender sender(config, clock);
+  sender.set_wire_sink([](std::span<const std::uint8_t>) { return true; });
+  const std::uint8_t payload[] = {1};
+  ASSERT_TRUE(sender.send(FrameType::State, payload));
+  // Each expiry retransmits at its own instant and re-arms with the
+  // timeout doubled, capped at max_timeout: 10, 20, 30, 30 ms.
+  double armed_at = 0.0;
+  for (const double timeout : {0.010, 0.020, 0.030, 0.030}) {
+    const sim::Deadline next = sender.next_deadline();
+    EXPECT_DOUBLE_EQ(next.time_s, armed_at + timeout);
+    armed_at = next.time_s;
+    clock.advance_to(util::Seconds{armed_at});
+    sender.expire(next.order);
+  }
+  EXPECT_EQ(sender.retransmissions(), 4u);
 }
 
 // Full stack: ARQ over the real UART + lossy RfLink in both directions.

@@ -16,9 +16,11 @@
 // and --lanes x --lane-capacity and --batch are at most 2^20 slots;
 // anything else out of range is a usage error.
 //
-// Exit codes: 0 = clean ingest (no content mismatches) or --help, 1 =
-// content mismatch detected or unwritable output, 64 = malformed
-// command line.
+// Exit codes: 0 = clean ingest (every device drained, no content
+// mismatches) or --help; 1 = content mismatch, unwritable output, or an
+// incomplete drain (the grace period ran out with frames still queued
+// on devices — --out/--jsonl are written first, the reason goes to
+// stderr); 64 = malformed command line.
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -45,7 +47,9 @@ int usage(std::FILE* to = stderr) {
                "                   [--lane-capacity N] [--batch N] [--threads N] [--seed S]\n"
                "                   [--session N] [--out PATH.dstl] [--jsonl PATH.jsonl]\n"
                "limits: --threads 0..%" PRIu64 ", --lanes x --lane-capacity and --batch 1..%" PRIu64
-               "\n",
+               "\n"
+               "exit: 0 drained cleanly, 1 content mismatch, unwritable output or\n"
+               "      grace exhausted (outputs still written), 64 usage error\n",
                distscroll::tools::kMaxThreads, kMaxQueueSlots);
   return kExitUsage;
 }
@@ -159,6 +163,12 @@ int main(int argc, char** argv) {
   if (!jsonl_path.empty() &&
       !distscroll::host::write_jsonl_file(jsonl_path, result.records)) {
     std::fprintf(stderr, "host_ingest: cannot write %s\n", jsonl_path.c_str());
+    return kExitFail;
+  }
+  if (!stats.complete) {
+    std::fprintf(stderr,
+                 "host_ingest: drain incomplete: grace exhausted with frames still queued "
+                 "on devices\n");
     return kExitFail;
   }
   return kExitOk;
