@@ -43,6 +43,7 @@ int flicker_count(double coverage, std::uint16_t hysteresis, double tremor_cm,
   for (double t = 0.0; t < 30.0; t += 0.02) {
     const double d = boundary_cm + tremor.displacement_cm(t);
     const double v = sensor.output(util::Centimeters{d}, util::Seconds{t}).value;
+    // Truncates, unlike util::adc10_counts (which rounds): switching would change the CSV.
     const auto counts = util::AdcCounts{static_cast<std::uint16_t>(
         std::min(1023.0, std::max(0.0, v / 5.0 * 1023.0 + rng.gaussian(0.0, 0.5))))};
     if (controller.on_sample(counts).changed) ++changes;

@@ -14,6 +14,7 @@
 #include "sensors/gp2d120.h"
 #include "util/ascii_plot.h"
 #include "util/csv.h"
+#include "util/rounding.h"
 
 using namespace distscroll;
 
@@ -28,10 +29,8 @@ int main() {
   auto read_counts = [&](util::Centimeters d) {
     fake_time += 0.1;
     const util::Volts v = ranger.output(d, util::Seconds{fake_time});
-    // Route through the ADC quantisation path.
-    hw::Adc10::Config cfg;
-    const double counts = v.value / cfg.vref * 1023.0;
-    return util::AdcCounts{static_cast<std::uint16_t>(counts + 0.5)};
+    // Route through the ADC quantisation path (noiseless).
+    return util::adc10_counts(v.value, hw::Adc10::Config{}.vref, 0.0);
   };
 
   const auto samples = core::sweep(util::Centimeters{4.0}, util::Centimeters{32.0}, 1.0,

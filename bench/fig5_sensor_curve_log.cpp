@@ -12,6 +12,7 @@
 #include "sensors/gp2d120.h"
 #include "util/ascii_plot.h"
 #include "util/csv.h"
+#include "util/rounding.h"
 #include "util/stats.h"
 
 using namespace distscroll;
@@ -24,7 +25,7 @@ int main() {
   auto read_counts = [&](util::Centimeters d) {
     fake_time += 0.1;
     const util::Volts v = ranger.output(d, util::Seconds{fake_time});
-    return util::AdcCounts{static_cast<std::uint16_t>(v.value / 5.0 * 1023.0 + 0.5)};
+    return util::adc10_counts(v.value, 5.0, 0.0);
   };
 
   const auto samples = core::sweep(util::Centimeters{4.0}, util::Centimeters{32.0}, 1.0,

@@ -65,10 +65,8 @@ void DistanceScroll::on_control_block(std::span<const double> now_s, std::span<c
       }
       next_tick = now_s[k] + tick;
       const util::Volts v = ranger_.output(util::Centimeters{u[k]}, util::Seconds{now_s[k]});
-      double counts = v.value / vref * 1023.0;
-      counts += rng_.gaussian(0.0, config_.adc_noise_lsb);
-      counts = std::clamp(counts, 0.0, 1023.0);
-      block_counts_[k] = static_cast<std::uint16_t>(util::round_nonneg(counts));
+      block_counts_[k] =
+          util::adc10_counts(v.value, vref, rng_.gaussian(0.0, config_.adc_noise_lsb)).value;
     }
     next_tick_s_ = next_tick;
   }

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 
+#include "util/rounding.h"
 #include "util/units.h"
 
 namespace distscroll::core {
@@ -38,9 +39,7 @@ class SensorCurve {
 
   /// Expected ADC counts at a distance.
   [[nodiscard]] util::AdcCounts counts_at(util::Centimeters d) const {
-    const double v = volts_at(d).value;
-    const double counts = std::clamp(v / params_.vref * 1023.0, 0.0, 1023.0);
-    return util::AdcCounts{static_cast<std::uint16_t>(counts + 0.5)};
+    return util::adc10_counts(volts_at(d).value, params_.vref, 0.0);
   }
 
   /// Inverse: distance for a voltage (on the monotone branch).

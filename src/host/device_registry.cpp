@@ -10,57 +10,41 @@ DeviceRegistry::Decision DeviceRegistry::admit(std::uint16_t device_id, std::uin
     return {Verdict::TooOld, 0};
   }
   DeviceStats& dev = devices_[device_id];
-  if (!dev.seen) {
-    dev.seen = true;
-    dev.highest_seq = seq;
-    dev.seen_mask = 1;
-    ++dev.accepted;
-    ++accepted_;
-    ++devices_seen_;
-    return {Verdict::Accept, 0};
-  }
-  const auto ahead = static_cast<std::uint8_t>(seq - dev.highest_seq);
-  if (ahead != 0 && ahead < 128) {
-    // Forward: the window slides by `ahead`; everything in between is a
-    // gap until (unless) a late frame fills it.
-    dev.seen_mask = (ahead >= 64) ? 0 : (dev.seen_mask << ahead);
-    dev.seen_mask |= 1;
-    dev.highest_seq = seq;
-    const auto gap_delta = static_cast<std::uint16_t>(ahead - 1);
-    dev.gaps += gap_delta;
-    gaps_ += gap_delta;
-    ++dev.accepted;
-    ++accepted_;
-    return {Verdict::Accept, gap_delta};
-  }
-  const auto behind = static_cast<std::uint8_t>(dev.highest_seq - seq);
-  if (behind < 64) {
-    const std::uint64_t bit = 1ull << behind;
-    if (dev.seen_mask & bit) {
+  if (!dev.window.started()) ++devices_seen_;
+  const Decision decision = dev.window.admit(seq);
+  switch (decision.verdict) {
+    case Verdict::Accept:
+      // Everything a forward jump skipped is a gap until (unless) a late
+      // frame fills it.
+      dev.gaps += decision.gap_delta;
+      gaps_ += decision.gap_delta;
+      break;
+    case Verdict::AcceptReordered:
+      // A late frame landing inside a gap: the hole is filled. Saturating
+      // decrement — a late frame that predates the device's FIRST
+      // delivered frame fills a hole that was never counted (no forward
+      // jump skipped it), and must not drive the counter negative. The
+      // totals still settle exactly once the stream drains: decrements
+      // are capped by counted gaps, and every remaining fill is a no-op.
+      if (dev.gaps > 0) {
+        --dev.gaps;
+        --gaps_;
+      }
+      ++dev.reordered;
+      ++reordered_;
+      break;
+    case Verdict::Duplicate:
       ++dev.duplicates;
       ++duplicates_;
-      return {Verdict::Duplicate, 0};
-    }
-    // A late frame landing inside a gap: the hole is filled. Saturating
-    // decrement — a late frame that predates the device's FIRST delivered
-    // frame fills a hole that was never counted (no forward jump skipped
-    // it), and must not drive the counter negative. The totals still
-    // settle exactly once the stream drains: decrements are capped by
-    // counted gaps, and every remaining fill is a no-op.
-    dev.seen_mask |= bit;
-    if (dev.gaps > 0) {
-      --dev.gaps;
-      --gaps_;
-    }
-    ++dev.reordered;
-    ++reordered_;
-    ++dev.accepted;
-    ++accepted_;
-    return {Verdict::AcceptReordered, 0};
+      return decision;
+    case Verdict::TooOld:
+      ++dev.too_old;
+      ++too_old_;
+      return decision;
   }
-  ++dev.too_old;
-  ++too_old_;
-  return {Verdict::TooOld, 0};
+  ++dev.accepted;
+  ++accepted_;
+  return decision;
 }
 
 void DeviceRegistry::clear() {

@@ -4,17 +4,12 @@
 // independent 8-bit ARQ sequence; the host sees all of those streams
 // interleaved (plus ARQ retransmissions, which arrive late, duplicated
 // or out of order). The registry is the single authority on what the
-// host ACCEPTS: it keeps, per device id, the highest sequence seen and a
-// 64-frame seen-bitmap (the same sliding-window dedupe ArqReceiver
-// uses), and classifies every arriving frame as
-//
-//   Accept           in-order or a forward jump (skipped frames are
-//                    counted as gaps — they may be filled later),
-//   AcceptReordered  a late frame landing in a previously-counted gap
-//                    (the gap count is decremented: the hole was filled),
-//   Duplicate        already delivered (retransmission raced its ack),
-//   TooOld           behind the 64-frame dedupe horizon — dropped, since
-//                    "duplicate" and "ancient" cannot be told apart.
+// host ACCEPTS: it keeps one util::SeqWindow per device id (the same
+// 64-frame window ArqReceiver dedupes with), so each arriving frame gets
+// the window's verdict (Accept, AcceptReordered, Duplicate, TooOld; see
+// util/seq_window.h), and the registry adds only the counters: accepted,
+// reordered, duplicates, too-old, and the gaps forward jumps opened and
+// late frames have not yet filled.
 //
 // The accepted stream per device is therefore exactly-once: a frame
 // sequence number is accepted at most once while it is inside the
@@ -26,22 +21,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/seq_window.h"
+
 namespace distscroll::host {
 
 class DeviceRegistry {
  public:
-  enum class Verdict : std::uint8_t {
-    Accept,
-    AcceptReordered,
-    Duplicate,
-    TooOld,
-  };
-
-  struct Decision {
-    Verdict verdict = Verdict::Accept;
-    /// Frames newly skipped by a forward jump (0 unless Accept).
-    std::uint16_t gap_delta = 0;
-  };
+  using Verdict = util::SeqWindow::Verdict;
+  using Decision = util::SeqWindow::Decision;
 
   /// `max_devices` bounds the id space; admit() of an id >= max_devices
   /// is classified TooOld (counted, never accepted) rather than growing
@@ -51,9 +38,7 @@ class DeviceRegistry {
   Decision admit(std::uint16_t device_id, std::uint8_t seq);
 
   struct DeviceStats {
-    bool seen = false;
-    std::uint8_t highest_seq = 0;
-    std::uint64_t seen_mask = 0;  // bit i = (highest_seq - i) delivered
+    util::SeqWindow window;
     std::uint64_t accepted = 0;
     std::uint64_t reordered = 0;  // subset of accepted
     std::uint64_t duplicates = 0;

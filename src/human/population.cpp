@@ -22,14 +22,10 @@ SampledParticipant sample_participant(const PopulationSpec& spec, sim::Rng rng) 
       std::clamp(rng.gaussian(spec.tremor_freq_mean_hz, spec.tremor_freq_sd_hz), 6.0, 12.0);
   const double reach_cm = rng.gaussian(spec.arm_reach_mean_cm, spec.arm_reach_sd_cm);
 
-  // Practice: the same saturating rule study::run_session applies
-  // between blocks, so "k practiced blocks" means exactly k session
-  // blocks' worth of learning.
-  double expertise = start_expertise;
-  for (int block = 0; block < out.practice_blocks; ++block) {
-    expertise += out.learning_rate * (1.0 - expertise);
-  }
-  out.effective_expertise = std::clamp(expertise, 0.0, 1.0);
+  // Practice: the rule the device study applies between blocks, so
+  // "k practiced blocks" means exactly k study blocks' worth of learning.
+  out.effective_expertise =
+      std::clamp(practice(start_expertise, out.learning_rate, out.practice_blocks), 0.0, 1.0);
 
   // Glove mix by normalised cumulative weights.
   const double none_w = std::max(0.0, spec.glove_none_w);

@@ -5,7 +5,7 @@
 // skill levels) need orders of magnitude more. A PopulationSpec
 // describes the distribution the fleet engine samples one participant
 // per index from: starting expertise and practice history (folded
-// through the same saturating learning rule study::Session uses),
+// through human::practice, the rule the Section 6 device study uses),
 // glove mix, tremor severity/frequency, and arm reach.
 //
 // Determinism: sample_participant() consumes its Rng in a FIXED draw
@@ -31,7 +31,7 @@ struct PopulationSpec {
   // --- skill & practice ----------------------------------------------------
   double expertise_mean = 0.35;
   double expertise_sd = 0.18;
-  double learning_rate_mean = 0.35;  // per-block saturating gain (session.h)
+  double learning_rate_mean = 0.35;  // per-block saturating gain (practice())
   double learning_rate_sd = 0.10;
   /// Practice blocks already completed before measurement, uniform in
   /// [0, max_practice_blocks].

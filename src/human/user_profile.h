@@ -60,4 +60,13 @@ struct UserProfile {
   static UserProfile expert() { return UserProfile{}.with_expertise(0.95); }
 };
 
+/// The practice rule: each completed block closes `rate` of the
+/// remaining distance to full expertise (a saturating exponential
+/// approach). Sampled populations fold their practice history through
+/// it, and the Section 6 device study applies it between blocks.
+[[nodiscard]] inline double practice(double expertise, double rate, int blocks = 1) {
+  for (int block = 0; block < blocks; ++block) expertise += rate * (1.0 - expertise);
+  return expertise;
+}
+
 }  // namespace distscroll::human

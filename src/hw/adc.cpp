@@ -1,7 +1,5 @@
 #include "hw/adc.h"
 
-#include <algorithm>
-
 #include "util/rounding.h"
 
 namespace distscroll::hw {
@@ -15,10 +13,7 @@ std::size_t Adc10::attach(AnalogSource source) {
 util::AdcCounts Adc10::sample(std::size_t channel, util::Seconds now) {
   assert(channel < channels_.size());
   const util::Volts v = channels_[channel](now);
-  double counts = v.value / config_.vref * 1023.0;
-  counts += rng_.gaussian(0.0, config_.noise_lsb_stddev);
-  counts = std::clamp(counts, 0.0, 1023.0);
-  return util::AdcCounts{static_cast<std::uint16_t>(util::round_nonneg(counts))};
+  return util::adc10_counts(v.value, config_.vref, rng_.gaussian(0.0, config_.noise_lsb_stddev));
 }
 
 }  // namespace distscroll::hw

@@ -265,8 +265,7 @@ DeviceParticipantResult run_device_participant(const menu::MenuNode& menu_root,
     if (!times.empty()) b.mean_time_s = util::summarize(times).mean;
     result.blocks.push_back(b);
 
-    profile = profile.with_expertise(profile.expertise +
-                                     config.learning_rate * (1.0 - profile.expertise));
+    profile = profile.with_expertise(human::practice(profile.expertise, config.learning_rate));
     participant.set_profile(profile);
   }
   dev.power_off();

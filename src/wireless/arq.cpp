@@ -159,7 +159,8 @@ void ArqReceiver::on_frame(const Frame& frame) {
   } else {
     ++acks_backpressured_;
   }
-  if (!accept_seq(frame.seq)) {
+  // TooOld counts as a duplicate: past the horizon the two are one.
+  if (!window_.admit(frame.seq).accepted()) {
     ++duplicates_discarded_;
     return;
   }
@@ -167,31 +168,6 @@ void ArqReceiver::on_frame(const Frame& frame) {
   DS_TRACE(tracer_, obs::EventKind::ArqRx, frame.seq,
            static_cast<std::uint32_t>(frame.payload.size()));
   if (frame_sink_) frame_sink_(frame);
-}
-
-bool ArqReceiver::accept_seq(std::uint8_t seq) {
-  if (!any_received_) {
-    any_received_ = true;
-    highest_seq_ = seq;
-    seen_mask_ = 1;
-    return true;
-  }
-  const auto ahead = static_cast<std::uint8_t>(seq - highest_seq_);
-  if (ahead != 0 && ahead < 128) {
-    // Window advances; shift history along.
-    seen_mask_ = (ahead >= 64) ? 0 : (seen_mask_ << ahead);
-    seen_mask_ |= 1;
-    highest_seq_ = seq;
-    return true;
-  }
-  const auto behind = static_cast<std::uint8_t>(highest_seq_ - seq);
-  if (behind < 64) {
-    const std::uint64_t bit = 1ull << behind;
-    if (seen_mask_ & bit) return false;
-    seen_mask_ |= bit;
-    return true;
-  }
-  return false;  // older than the dedupe horizon: assume duplicate
 }
 
 }  // namespace distscroll::wireless

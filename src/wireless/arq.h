@@ -20,7 +20,7 @@
 //   counted rather than wedging the window;
 // * the receiver acks every arriving data frame (re-acking duplicates,
 //   since the first ack may itself have been lost) and deduplicates via
-//   a 64-frame seen-bitmap before delivering upward.
+//   util::SeqWindow (a 64-frame seen-bitmap) before delivering upward.
 //
 // Acks ride the same framing (FrameType::Ack, seq = acked sequence, no
 // payload) over whatever reverse channel the caller wires up.
@@ -45,6 +45,7 @@
 #include "obs/tracer.h"
 #include "sim/clock.h"
 #include "sim/event_queue.h"
+#include "util/seq_window.h"
 #include "util/units.h"
 #include "wireless/packet.h"
 
@@ -202,15 +203,12 @@ class ArqReceiver {
 
  private:
   void on_frame(const Frame& frame);
-  bool accept_seq(std::uint8_t seq);  // sliding-bitmap dedupe
 
   FrameDecoder decoder_;
   FrameSink frame_sink_;
   WireSink ack_sink_;
   obs::Tracer* tracer_ = nullptr;
-  bool any_received_ = false;
-  std::uint8_t highest_seq_ = 0;
-  std::uint64_t seen_mask_ = 0;  // bit i set = (highest_seq_ - i) seen
+  util::SeqWindow window_;
   std::uint64_t frames_delivered_ = 0;
   std::uint64_t duplicates_discarded_ = 0;
   std::uint64_t acks_sent_ = 0;

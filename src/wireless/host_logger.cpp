@@ -5,45 +5,21 @@ namespace distscroll::wireless {
 void HostLogger::on_byte(std::uint8_t byte) {
   // A resync can complete several buffered frames on one byte: drain.
   for (auto frame = decoder_.feed(byte); frame; frame = decoder_.poll()) {
-    on_frame(0, *frame);
+    on_frame(*frame);
   }
 }
 
-void HostLogger::on_frame(std::uint16_t device_id, const Frame& frame) {
+void HostLogger::on_frame(const Frame& frame) {
   ++frames_logged_;
-  PerDevice& dev = devices_[device_id];
-  ++dev.frames;
-  if (dev.last_seq) {
-    const std::uint8_t expected = static_cast<std::uint8_t>(*dev.last_seq + 1);
-    if (frame.seq != expected) {
-      // 8-bit wraparound distance; counts frames missing in between.
-      const std::uint8_t gap = static_cast<std::uint8_t>(frame.seq - expected);
-      dev.sequence_gaps += gap;
-      sequence_gaps_ += gap;
-    }
+  const util::SeqWindow::Decision decision = window_.admit(frame.seq);
+  if (decision.verdict == util::SeqWindow::Verdict::Accept) {
+    sequence_gaps_ += decision.gap_delta;
+  } else if (decision.verdict == util::SeqWindow::Verdict::AcceptReordered &&
+             sequence_gaps_ > 0) {
+    --sequence_gaps_;  // saturating: a frame older than the first fills no counted gap
   }
-  dev.last_seq = frame.seq;
-  if (frame.type == FrameType::State) {
-    dev.last_state = StateReport::unpack(frame.payload);
-    last_state_ = dev.last_state;
-  }
-  events_.push_back({queue_->now().value, device_id, frame});
-}
-
-std::optional<StateReport> HostLogger::last_state(std::uint16_t device_id) const {
-  const auto it = devices_.find(device_id);
-  if (it == devices_.end()) return std::nullopt;
-  return it->second.last_state;
-}
-
-std::uint64_t HostLogger::frames_received(std::uint16_t device_id) const {
-  const auto it = devices_.find(device_id);
-  return it == devices_.end() ? 0 : it->second.frames;
-}
-
-std::uint64_t HostLogger::sequence_gaps(std::uint16_t device_id) const {
-  const auto it = devices_.find(device_id);
-  return it == devices_.end() ? 0 : it->second.sequence_gaps;
+  if (frame.type == FrameType::State) last_state_ = StateReport::unpack(frame.payload);
+  events_.push_back({queue_->now().value, frame});
 }
 
 }  // namespace distscroll::wireless

@@ -5,22 +5,17 @@
 // simulated timestamps, and link-quality counters. This is the "PC used
 // for logging" end of the paper's research setup.
 //
-// Sequence tracking is keyed by DEVICE ID: a multi-device deployment
-// (host ingest, src/host/) interleaves independent per-device sequence
-// streams, and folding them into one counter manufactures phantom gaps —
-// device A at seq 40 followed by device B at seq 7 is not a 222-frame
-// hole. Single-device callers are unaffected: the byte path and the
-// one-argument on_frame() log against device 0, and the no-argument
-// accessors report the device-0-compatible aggregate view (most recent
-// state across all devices, gap total summed over devices).
+// One logger follows ONE device's sequence stream (the paper's setup:
+// one prototype, one PC). Fleets of devices go through host ingest
+// (src/host/), which keeps a sequence window per device id.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "util/seq_window.h"
 #include "wireless/packet.h"
 
 namespace distscroll::wireless {
@@ -29,50 +24,35 @@ class HostLogger {
  public:
   explicit HostLogger(const sim::EventQueue& queue) : queue_(&queue) {}
 
-  /// Byte sink to hang on RfLink::set_host_sink (raw pipeline). Logs
-  /// against device 0 — a raw byte stream carries no device identity.
+  /// Byte sink to hang on RfLink::set_host_sink (raw pipeline).
   void on_byte(std::uint8_t byte);
 
   /// Frame sink to hang on ArqReceiver::set_frame_sink (reliable
-  /// pipeline — framing and dedupe already happened downstairs). Note
-  /// that retransmissions arrive out of order, so sequence_gaps() can
-  /// transiently over-count on this path; ARQ delivery accounting lives
-  /// in LinkStats. Logs against device 0.
-  void on_frame(const Frame& frame) { on_frame(0, frame); }
-
-  /// Multi-device frame sink: sequence tracking and last-state are kept
-  /// per `device_id`, so interleaved streams never corrupt each other's
-  /// gap accounting.
-  void on_frame(std::uint16_t device_id, const Frame& frame);
+  /// pipeline — framing and dedupe already happened downstairs).
+  /// Retransmissions arrive out of order there; a late frame fills the
+  /// gap it left, so sequence_gaps() settles to the frames never
+  /// delivered. ARQ delivery accounting lives in LinkStats.
+  void on_frame(const Frame& frame);
 
   struct LoggedEvent {
     double time_s;
-    std::uint16_t device_id;
     Frame frame;
   };
 
   [[nodiscard]] const std::vector<LoggedEvent>& events() const { return events_; }
 
-  /// Most recent state report logged, across all devices.
+  /// Most recent state report logged.
   [[nodiscard]] std::optional<StateReport> last_state() const { return last_state_; }
-  /// Most recent state report from one device.
-  [[nodiscard]] std::optional<StateReport> last_state(std::uint16_t device_id) const;
 
   /// Frames accepted by the logger (monotone, survives clear()). Equals
   /// decoder().frames_decoded() on the raw byte path; on the ARQ path
   /// the decoder is idle and this counts on_frame() deliveries.
   [[nodiscard]] std::uint64_t frames_received() const { return frames_logged_; }
-  [[nodiscard]] std::uint64_t frames_received(std::uint16_t device_id) const;
   [[nodiscard]] std::uint64_t crc_errors() const { return decoder_.crc_errors(); }
 
-  /// Sequence-gap total: frames the link dropped between received ones,
-  /// summed over devices (each device's gaps measured against its OWN
-  /// sequence stream).
+  /// Sequence slots skipped by forward jumps and not filled by a late
+  /// frame: the frames the link dropped between received ones.
   [[nodiscard]] std::uint64_t sequence_gaps() const { return sequence_gaps_; }
-  [[nodiscard]] std::uint64_t sequence_gaps(std::uint16_t device_id) const;
-
-  /// Distinct device ids that have logged at least one frame.
-  [[nodiscard]] std::size_t devices_seen() const { return devices_.size(); }
 
   [[nodiscard]] const FrameDecoder& decoder() const { return decoder_; }
 
@@ -83,23 +63,16 @@ class HostLogger {
   void clear() {
     events_.clear();
     last_state_.reset();
-    devices_.clear();
+    window_.clear();
     sequence_gaps_ = 0;
   }
 
  private:
-  struct PerDevice {
-    std::optional<StateReport> last_state;
-    std::optional<std::uint8_t> last_seq;
-    std::uint64_t sequence_gaps = 0;
-    std::uint64_t frames = 0;
-  };
-
   const sim::EventQueue* queue_;
   FrameDecoder decoder_;
   std::vector<LoggedEvent> events_;
   std::optional<StateReport> last_state_;
-  std::map<std::uint16_t, PerDevice> devices_;  // ordered: deterministic iteration
+  util::SeqWindow window_;
   std::uint64_t sequence_gaps_ = 0;
   std::uint64_t frames_logged_ = 0;
 };

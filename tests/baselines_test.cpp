@@ -2,6 +2,7 @@
 // study pits against DistScroll.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -15,6 +16,8 @@
 #include "baselines/radial_scroll.h"
 #include "baselines/tilt_scroll.h"
 #include "baselines/wheel_scroll.h"
+#include "core/distscroll_device.h"
+#include "menu/menu_builder.h"
 #include "util/alloc_guard.h"
 
 namespace distscroll::baselines {
@@ -199,6 +202,67 @@ TEST(DistanceScrollBlock, AllocationFreeWhenWarm) {
     technique.on_control_block(feed.now_s, feed.u, cursors);
   }
   SUCCEED();
+}
+
+// Section 6 runs core::DistScrollDevice, Section 7 runs DistanceScroll.
+// Both are the GP2D120 model -> 10-bit ADC -> island table -> scroll
+// controller on a 20 ms tick; with every noise source at zero, the same
+// hand trace must move both cursors identically.
+TEST(DistanceScrollCrossModel, MatchesTheDeviceOnANoiselessSweep) {
+  constexpr std::size_t kEntries = 8;
+  // Triangle sweep 3.5 -> 30.5 -> 3.5 cm, slow enough that the reading
+  // moves well under one count per tick: an off-by-a-fraction quantiser
+  // shifts island crossings by whole ticks.
+  const auto hand = [](util::Seconds now) {
+    const double phase = std::fmod(now.value, 20.0) / 10.0;  // 0..2
+    const double x = phase < 1.0 ? phase : 2.0 - phase;
+    return util::Centimeters{3.5 + 27.0 * x};
+  };
+  constexpr double kRunS = 40.0;
+
+  auto menu_root = menu::make_flat_menu(kEntries);
+  sim::EventQueue queue;
+  core::DistScrollDevice::Config device_config;
+  device_config.sensor.output_noise_volts = 0.0;
+  device_config.board.adc.noise_lsb_stddev = 0.0;
+  core::DistScrollDevice device(device_config, *menu_root, queue, sim::Rng(3));
+  // The firmware reads the hand once per tick, at the tick's time: log
+  // the times and the cursor the previous tick left.
+  std::vector<double> tick_s;
+  std::vector<std::size_t> device_cursors;
+  device.set_distance_provider([&](util::Seconds now) {
+    tick_s.push_back(now.value);
+    device_cursors.push_back(device.cursor().index());
+    return hand(now);
+  });
+  device.set_surface({});  // diffuse clothing: no specular glitches
+  device.power_on();
+  queue.run_until(util::Seconds{kRunS});
+  device_cursors.push_back(device.cursor().index());
+
+  DistanceScroll::Config technique_config;
+  technique_config.sensor.output_noise_volts = 0.0;
+  technique_config.adc_noise_lsb = 0.0;
+  DistanceScroll technique(technique_config, sim::Rng(4));
+  technique.reset(kEntries, 0);
+  std::vector<std::size_t> technique_cursors;
+  for (const double t : tick_s) {
+    technique_cursors.push_back(technique.cursor());
+    technique.on_control(util::Seconds{t}, hand(util::Seconds{t}).value);
+    ASSERT_EQ(technique.next_control_s(), t + technique_config.firmware_tick.value) << t;
+  }
+  technique_cursors.push_back(technique.cursor());
+
+  ASSERT_GT(tick_s.size(), 1900u);
+  // The sweep visits every entry of the level, so every island's
+  // boundaries are crossed both ways.
+  std::vector<bool> visited(kEntries, false);
+  for (const std::size_t c : device_cursors) visited.at(c) = true;
+  EXPECT_EQ(std::count(visited.begin(), visited.end(), true), static_cast<long>(kEntries));
+  for (std::size_t k = 0; k < device_cursors.size(); ++k) {
+    ASSERT_EQ(technique_cursors[k], device_cursors[k])
+        << "tick " << k << " at " << (k < tick_s.size() ? tick_s[k] : kRunS) << " s";
+  }
 }
 
 // --- TiltScroll ------------------------------------------------------------------

@@ -181,6 +181,18 @@ TEST(UserProfile, ExpertiseClamped) {
   EXPECT_DOUBLE_EQ(UserProfile{}.with_expertise(-2.0).expertise, 0.0);
 }
 
+TEST(Practice, SaturatesTowardFullExpertise) {
+  const double start = UserProfile::novice().expertise;
+  const double practiced = practice(start, 0.35, 8);
+  EXPECT_GT(practiced, 0.85);
+  EXPECT_LE(practiced, 1.0);
+  // k blocks at once equal k single blocks.
+  double stepwise = start;
+  for (int block = 0; block < 8; ++block) stepwise = practice(stepwise, 0.35);
+  EXPECT_EQ(practiced, stepwise);
+  EXPECT_EQ(practice(start, 0.35, 0), start);  // no blocks, no learning
+}
+
 // --- planner on a synthetic absolute technique -----------------------------------------
 
 /// A perfect absolute technique: u in [0, 10] maps linearly onto the

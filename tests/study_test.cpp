@@ -1,5 +1,5 @@
-// Tests for the study harness: task generators, metrics, sessions with
-// learning, the full-device user study, and the report tables.
+// Tests for the study harness: task generators, metrics, the full-device
+// user study and its learning curve, and the report tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "study/device_study.h"
 #include "study/metrics.h"
 #include "study/report.h"
-#include "study/session.h"
 #include "study/task.h"
 #include "study/trial.h"
 
@@ -247,37 +246,6 @@ TEST(BatchTrialRunnerDeathTest, LaneOutsideTheGroupAborts) {
   EXPECT_DEATH((void)runner.records(2), "lane");
 }
 
-// --- sessions: the learning curve -----------------------------------------------------
-
-TEST(Session, ErrorRateDropsWithPractice) {
-  // Reproduces the Section 6 claim in miniature: novices start rough,
-  // become nearly errorless within a few blocks.
-  baselines::DistanceScroll technique({}, sim::Rng(7));
-  SessionConfig config;
-  config.blocks = 4;
-  config.trials_per_block = 12;
-  config.level_size = 8;
-  const auto blocks =
-      run_session(technique, human::UserProfile::novice(), config, sim::Rng(8));
-  ASSERT_EQ(blocks.size(), 4u);
-  EXPECT_GT(blocks.back().expertise, blocks.front().expertise);
-  // Later blocks at least as fast as the first.
-  EXPECT_LE(blocks.back().aggregate.mean_time_s, blocks.front().aggregate.mean_time_s * 1.05);
-  // Final block: nearly errorless.
-  EXPECT_GT(blocks.back().aggregate.success_rate, 0.9);
-}
-
-TEST(Session, ExpertiseSaturates) {
-  baselines::ButtonScroll technique;
-  SessionConfig config;
-  config.blocks = 8;
-  config.trials_per_block = 4;
-  const auto blocks =
-      run_session(technique, human::UserProfile::novice(), config, sim::Rng(9));
-  EXPECT_LT(blocks.back().expertise, 1.0 + 1e-9);
-  EXPECT_GT(blocks.back().expertise, 0.85);
-}
-
 // --- device study ------------------------------------------------------------------------
 
 TEST(DeviceStudy, LeafTargetsCoverTree) {
@@ -307,6 +275,28 @@ TEST(DeviceStudy, ParticipantCompletesBlocks) {
   EXPECT_GT(result.discovery_time_s, 0.5);
   // An average participant succeeds at most trials even in block 0.
   EXPECT_GT(result.blocks[0].success_rate + result.blocks[1].success_rate, 1.0);
+}
+
+TEST(DeviceStudy, NovicePracticesToNearlyErrorless) {
+  // The Section 6 claim on the production study path: a novice starts
+  // rough and, with expertise raised by human::practice between blocks,
+  // is nearly errorless by the last block.
+  auto menu_root = menu::make_phone_menu();
+  DeviceStudyConfig config;
+  config.blocks = 4;
+  config.trials_per_block = 12;
+  const auto result = run_device_participant(*menu_root, human::UserProfile::novice(), config,
+                                             sim::Rng(8));
+  ASSERT_EQ(result.blocks.size(), 4u);
+  EXPECT_EQ(result.blocks[0].expertise, human::UserProfile::novice().expertise);
+  for (std::size_t b = 1; b < result.blocks.size(); ++b) {
+    EXPECT_EQ(result.blocks[b].expertise,
+              human::practice(result.blocks[b - 1].expertise, config.learning_rate))
+        << "block " << b;
+  }
+  // Later blocks at least as fast as the first; the last nearly errorless.
+  EXPECT_LE(result.blocks.back().mean_time_s, result.blocks.front().mean_time_s * 1.05);
+  EXPECT_GT(result.blocks.back().success_rate, 0.9);
 }
 
 // --- report ---------------------------------------------------------------------------------

@@ -11,9 +11,9 @@
 #include "util/ascii_plot.h"
 #include "util/crc.h"
 #include "util/csv.h"
-#include "util/fixed_point.h"
 #include "util/ring_buffer.h"
 #include "util/rounding.h"
+#include "util/seq_window.h"
 #include "util/stats.h"
 #include "util/units.h"
 
@@ -89,34 +89,54 @@ TEST(RingBuffer, ClearResets) {
   EXPECT_EQ(rb.front(), 9);
 }
 
-// --- fixed point -----------------------------------------------------------
+// --- sequence window -------------------------------------------------------
 
-TEST(FixedPoint, RoundTripIntegers) {
-  for (int i = -100; i <= 100; i += 7) {
-    EXPECT_EQ(Q8_8::from_int(i).to_int(), i);
+TEST(SeqWindow, VerdictTable) {
+  using V = SeqWindow::Verdict;
+  struct Step {
+    int seq;  // -1: clear() the window
+    V verdict;
+    std::uint16_t gap_delta;
+    const char* why;
+  };
+  const Step steps[] = {
+      {10, V::Accept, 0, "first frame"},
+      {11, V::Accept, 0, "in order"},
+      {12, V::Accept, 0, "in order"},
+      {15, V::Accept, 2, "forward jump skips 13, 14"},
+      {13, V::AcceptReordered, 0, "late fill"},
+      {13, V::Duplicate, 0, "duplicate"},
+      {14, V::AcceptReordered, 0, "late fill"},
+      {78, V::Accept, 62, "ahead 63: the mask shifts"},
+      {15, V::Duplicate, 0, "behind 63, seen before the shift"},
+      {16, V::AcceptReordered, 0, "behind 62, not seen"},
+      {14, V::TooOld, 0, "behind 64"},
+      {142, V::Accept, 63, "ahead 64: the mask clears"},
+      {79, V::AcceptReordered, 0, "behind 63 after the clear"},
+      {78, V::TooOld, 0, "behind 64"},
+      {13, V::Accept, 126, "ahead 127 (142 -> 13 wraps)"},
+      {141, V::TooOld, 0, "ahead 128 reads as 128 behind"},
+      {206, V::AcceptReordered, 0, "behind 63"},
+      {205, V::TooOld, 0, "behind 64"},
+      {-1, V::Accept, 0, "clear"},
+      {254, V::Accept, 0, "first frame after clear"},
+      {255, V::Accept, 0, "in order"},
+      {0, V::Accept, 0, "255 -> 0 wraps forward"},
+      {1, V::Accept, 0, "in order"},
+      {255, V::Duplicate, 0, "behind 2 across the wrap"},
+  };
+  SeqWindow window;
+  for (const Step& step : steps) {
+    if (step.seq < 0) {
+      window.clear();
+      EXPECT_FALSE(window.started());
+      continue;
+    }
+    const auto decision = window.admit(static_cast<std::uint8_t>(step.seq));
+    EXPECT_EQ(decision.verdict, step.verdict) << step.seq << ": " << step.why;
+    EXPECT_EQ(decision.gap_delta, step.gap_delta) << step.seq << ": " << step.why;
+    EXPECT_TRUE(window.started());
   }
-}
-
-TEST(FixedPoint, FromDoubleQuantizes) {
-  const Q8_8 q = Q8_8::from_double(1.5);
-  EXPECT_DOUBLE_EQ(q.to_double(), 1.5);
-  // 1/256 resolution.
-  EXPECT_NEAR(Q8_8::from_double(0.1).to_double(), 0.1, 1.0 / 256.0);
-}
-
-TEST(FixedPoint, Arithmetic) {
-  const Q8_8 a = Q8_8::from_double(2.5);
-  const Q8_8 b = Q8_8::from_double(1.25);
-  EXPECT_DOUBLE_EQ((a + b).to_double(), 3.75);
-  EXPECT_DOUBLE_EQ((a - b).to_double(), 1.25);
-  EXPECT_NEAR((a * b).to_double(), 3.125, 1.0 / 128.0);
-  EXPECT_NEAR((a / b).to_double(), 2.0, 1.0 / 128.0);
-}
-
-TEST(FixedPoint, NegativeValues) {
-  const Q8_8 a = Q8_8::from_double(-3.5);
-  EXPECT_DOUBLE_EQ(a.to_double(), -3.5);
-  EXPECT_NEAR((a * Q8_8::from_int(2)).to_double(), -7.0, 1.0 / 128.0);
 }
 
 // --- exact rounding ----------------------------------------------------------
@@ -145,6 +165,17 @@ TEST(RoundNonneg, MatchesLroundOnRandomDoubles) {
   for (int i = 0; i < 1'000'000; ++i) {
     expect_matches_lround(rng.uniform(0.0, 0x1p31));
   }
+}
+
+TEST(Adc10Counts, ScalesAddsNoiseClampsAndRounds) {
+  EXPECT_EQ(adc10_counts(0.0, 5.0, 0.0).value, 0);
+  EXPECT_EQ(adc10_counts(5.0, 5.0, 0.0).value, 1023);
+  EXPECT_EQ(adc10_counts(2.5, 5.0, 0.0).value, 512);   // 511.5 rounds half up
+  EXPECT_EQ(adc10_counts(2.5, 5.0, -0.2).value, 511);  // the noise is added before rounding
+  EXPECT_EQ(adc10_counts(1.0, 3.3, 0.0).value, 310);   // 310.0 against a 3.3 V reference
+  EXPECT_EQ(adc10_counts(-1.0, 5.0, 0.0).value, 0);    // clamped below
+  EXPECT_EQ(adc10_counts(6.0, 5.0, 0.0).value, 1023);  // clamped above
+  EXPECT_EQ(adc10_counts(5.0, 5.0, 3.0).value, 1023);  // noise cannot leave the range
 }
 
 // --- CRC ---------------------------------------------------------------------

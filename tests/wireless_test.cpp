@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <span>
 #include <utility>
 #include <vector>
@@ -384,51 +385,26 @@ TEST_F(LinkFixture, ClearResetsSequenceTrackingForNewSession) {
   EXPECT_EQ(logger.sequence_gaps(), 0u);
 }
 
-TEST_F(LinkFixture, InterleavedTwoDeviceStreamsKeepIndependentSequenceState) {
-  // Regression: HostLogger used to keep ONE last_seq_/last_state_ for
-  // the whole logger, so interleaving two devices' streams manufactured
-  // phantom gaps (device A at seq 3 followed by device B at seq 0 read
-  // as a 252-frame hole) and each device's state clobbered the other's.
-  HostLogger logger(queue);
-  for (std::uint8_t seq = 0; seq < 4; ++seq) {
-    for (std::uint16_t device = 0; device < 2; ++device) {
+TEST_F(LinkFixture, LateFrameFillsTheGapItLeft) {
+  // On the ARQ path a retransmitted frame arrives after its successors.
+  // The logger used to measure every frame against "last seq + 1", so
+  // 0, 1, 3, 2, 4 read as 1 + 254 + 1 = 256 missing frames.
+  const auto feed = [](HostLogger& logger, std::initializer_list<int> seqs) {
+    for (const int seq : seqs) {
       Frame frame;
-      frame.type = FrameType::State;
-      frame.seq = seq;
-      StateReport report;
-      report.adc_counts = static_cast<std::uint16_t>(100 * (device + 1) + seq);
-      frame.payload = report.pack();
-      logger.on_frame(device, frame);
+      frame.type = FrameType::Heartbeat;
+      frame.seq = static_cast<std::uint8_t>(seq);
+      logger.on_frame(frame);
     }
-  }
-  EXPECT_EQ(logger.frames_received(), 8u);
-  EXPECT_EQ(logger.devices_seen(), 2u);
-  // Per-device streams are each 0,1,2,3 — no gaps anywhere.
-  EXPECT_EQ(logger.sequence_gaps(), 0u);
-  EXPECT_EQ(logger.sequence_gaps(0), 0u);
-  EXPECT_EQ(logger.sequence_gaps(1), 0u);
-  // Each device keeps its own last state.
-  ASSERT_TRUE(logger.last_state(0).has_value());
-  ASSERT_TRUE(logger.last_state(1).has_value());
-  EXPECT_EQ(logger.last_state(0)->adc_counts, 103);
-  EXPECT_EQ(logger.last_state(1)->adc_counts, 203);
-  EXPECT_EQ(logger.frames_received(0), 4u);
-  EXPECT_EQ(logger.frames_received(1), 4u);
-  // The no-arg accessor reports the most recent state overall.
-  ASSERT_TRUE(logger.last_state().has_value());
-  EXPECT_EQ(logger.last_state()->adc_counts, 203);
-  // Events carry the device id.
-  ASSERT_EQ(logger.events().size(), 8u);
-  EXPECT_EQ(logger.events()[0].device_id, 0u);
-  EXPECT_EQ(logger.events()[1].device_id, 1u);
-  // A genuine gap within ONE device's stream is still detected.
-  Frame gap_frame;
-  gap_frame.type = FrameType::Heartbeat;
-  gap_frame.seq = 6;  // device 0 jumps 3 -> 6
-  logger.on_frame(0, gap_frame);
-  EXPECT_EQ(logger.sequence_gaps(0), 2u);
-  EXPECT_EQ(logger.sequence_gaps(1), 0u);
-  EXPECT_EQ(logger.sequence_gaps(), 2u);
+  };
+  HostLogger reordered(queue);
+  feed(reordered, {0, 1, 3, 2, 4});
+  EXPECT_EQ(reordered.frames_received(), 5u);
+  EXPECT_EQ(reordered.sequence_gaps(), 0u);
+  // A genuine hole stays counted.
+  HostLogger lossy(queue);
+  feed(lossy, {0, 1, 4});
+  EXPECT_EQ(lossy.sequence_gaps(), 2u);
 }
 
 TEST(ParseWireFrame, AcceptsExactlyWhatEncodeProduces) {
