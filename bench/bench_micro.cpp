@@ -188,6 +188,15 @@ void BM_Gp2d120Sample(benchmark::State& state) {
 }
 BENCHMARK(BM_Gp2d120Sample);
 
+/// One normal from sim::Rng::gaussian — the draw behind every sensor,
+/// ADC, tremor and aim noise sample. Time per iteration = ns per normal.
+void BM_RngGaussian(benchmark::State& state) {
+  sim::Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.gaussian(0.0, 1.0));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngGaussian);
+
 /// Tremor over the planner's 4 ms grid. Arg 0: displacement_cm() on
 /// every step (what each dense control step paid); arg 1: advance()
 /// only, what a step before DistScroll's next firmware tick now costs.

@@ -124,7 +124,10 @@ struct FleetStudyConfig {
 };
 
 inline constexpr std::uint32_t kFleetCheckpointMagic = 0x4C46'5344;  // "DSFL" little-endian
-inline constexpr std::uint32_t kFleetCheckpointVersion = 1;
+/// 2: normals come from the ziggurat sampler. A version-1 file was
+/// written under the Box–Muller stream, and resuming it would mix two
+/// streams, so read_checkpoint_file refuses it as BadVersion.
+inline constexpr std::uint32_t kFleetCheckpointVersion = 2;
 
 /// Sentinel: run to completion.
 inline constexpr std::uint64_t kFleetRunAll = ~static_cast<std::uint64_t>(0);

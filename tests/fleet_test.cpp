@@ -4,12 +4,14 @@
 // count, batched == scalar, and full run == checkpoint + resume down to
 // the serialised bytes (DESIGN.md §12).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "baselines/distance_scroll.h"
@@ -577,6 +579,44 @@ TEST(FleetStudy, CorruptOrForeignCheckpointIsRejected) {
   EXPECT_EQ(fresh.status, util::CheckpointStatus::Ok);
   EXPECT_FALSE(fresh.resumed);
   EXPECT_TRUE(fresh.complete);
+  std::remove(path.c_str());
+}
+
+TEST(FleetStudy, StaleVersionCheckpointIsRefused) {
+  // Version 1 files were written under the Box–Muller normal stream.
+  // Resumed under the ziggurat stream they would fold two streams into
+  // aggregates that match neither full run, so the version check must
+  // refuse them before the identity block is even read.
+  const std::string path = "fleet_test_stale_version.ckpt";
+  std::remove(path.c_str());
+  auto config = small_fleet();
+  config.checkpoint_path = path;
+  ASSERT_EQ(study::run_fleet(config, 200).status, util::CheckpointStatus::Ok);
+  // The same payload, re-framed as version 1: an intact file, CRC and all.
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(util::read_checkpoint_file(path, study::kFleetCheckpointMagic,
+                                       study::kFleetCheckpointVersion, payload),
+            util::CheckpointStatus::Ok);
+  ASSERT_EQ(util::write_checkpoint_file(path, study::kFleetCheckpointMagic, 1, payload),
+            util::CheckpointStatus::Ok);
+
+  config.resume = true;
+  const auto stale = study::run_fleet(config);
+  EXPECT_EQ(stale.status, util::CheckpointStatus::BadVersion);
+  EXPECT_EQ(stale.cursor, 0u);
+  EXPECT_FALSE(stale.resumed);
+
+  const std::string cmd = std::string(DS_FLEET_RUN_BIN) +
+                          " --participants 640 --trials 2 --menu 20 --chunk 64 --checkpoint " +
+                          path + " --resume >/dev/null 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1) << "fleet_run must exit kExitFail on a stale checkpoint";
+  // Neither run overwrote the refused file.
+  EXPECT_EQ(util::read_checkpoint_file(path, study::kFleetCheckpointMagic, 1, payload),
+            util::CheckpointStatus::Ok);
   std::remove(path.c_str());
 }
 

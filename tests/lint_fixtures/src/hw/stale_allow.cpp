@@ -10,7 +10,7 @@ namespace distscroll::hw {
 int counter_width = 3;
 
 // ds-lint: allow(no-alloc-marker) rule name is a typo for no-alloc-markers
-int spare_lanes = 4;
+int idle_lanes = 4;
 
 long sample_once() {
   const auto t0 = std::chrono::steady_clock::now();  // ds-lint: allow(no-wallclock)

@@ -1,8 +1,8 @@
-// Tests for the parallel experiment engine (PR: parallel sweep runner +
-// event-queue overhaul): ThreadPool correctness, SweepRunner's
-// determinism contract (bit-identical results at any thread count), the
-// binary-heap event calendar's dispatch order and lazy cancellation,
-// and the cached-spare gaussian.
+// Tests for the parallel experiment engine: ThreadPool correctness,
+// SweepRunner's determinism contract (bit-identical results at any
+// thread count; the cell bodies draw normals, and gaussian() keeps no
+// state between calls, so a cell's stream depends only on its fork), and
+// the binary-heap event calendar's dispatch order and lazy cancellation.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -1,7 +1,11 @@
 // Unit tests for the discrete-event kernel and RNG streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -178,8 +182,7 @@ TEST(Rng, ExponentialMeanApproximately) {
   EXPECT_NEAR(sum / n, 2.0, 0.1);
 }
 
-/// Raw engine steps taken to move a clone of `from` to `to` (draw
-/// counting for the batched-RNG contract tests below).
+/// Raw engine steps taken to move a clone of `from` to `to`.
 int raw_draws(Rng from, const Rng::EngineState& to) {
   int steps = 0;
   while (!(from.engine_state() == to)) {
@@ -191,89 +194,127 @@ int raw_draws(Rng from, const Rng::EngineState& to) {
   return steps;
 }
 
-// The regression the batch kernel satellite fixed: gaussian()'s cached
-// Box–Muller spare makes a single call consume 2 raw draws or 0
-// depending on call history. Pin that behaviour (it is load-bearing for
-// scalar streams) and pin gaussian_pair/fill_gaussian as the
-// history-INVARIANT counterparts.
-TEST(Rng, GaussianSpareCacheMakesDrawCountHistoryDependent) {
-  Rng r(42);
-  const auto s0 = r.engine_state();
-  r.gaussian(0.0, 1.0);  // fresh: one full Box–Muller round
-  EXPECT_EQ(raw_draws(Rng(42), r.engine_state()), 2);
-  EXPECT_TRUE(r.has_cached_spare());
-  const auto s1 = r.engine_state();
-  r.gaussian(0.0, 1.0);  // spare satisfied: zero raw draws
-  EXPECT_EQ(r.engine_state(), s1);
-  EXPECT_FALSE(r.has_cached_spare());
-  (void)s0;
+/// Distance in units in the last place between two positive doubles.
+std::uint64_t ulps(double a, double b) {
+  const auto ia = std::bit_cast<std::uint64_t>(a);
+  const auto ib = std::bit_cast<std::uint64_t>(b);
+  return ia > ib ? ia - ib : ib - ia;
 }
 
-TEST(Rng, GaussianPairAlwaysTwoDrawsAndIgnoresSpare) {
-  Rng r(7);
-  r.gaussian(0.0, 1.0);  // plant a spare
-  ASSERT_TRUE(r.has_cached_spare());
-  const auto before = r.engine_state();
-  double a = 0.0, b = 0.0;
-  r.gaussian_pair(0.0, 1.0, a, b);
-  EXPECT_EQ(raw_draws([&] { Rng clone(7); clone.gaussian(0.0, 1.0); return clone; }(),
-                      r.engine_state()),
-            2);
-  EXPECT_TRUE(r.has_cached_spare()) << "gaussian_pair must not touch the spare cache";
-  // The pair is the (cos, sin) of one round — the same two values two
-  // spare-free gaussian() calls would return.
-  Rng witness(7);
-  witness.gaussian(0.0, 1.0);
-  witness.gaussian(0.0, 1.0);  // consume the planted spare to align history
-  const double wa = witness.gaussian(0.0, 1.0);
-  const double wb = witness.gaussian(0.0, 1.0);
-  EXPECT_EQ(a, wa);
-  EXPECT_EQ(b, wb);
-  (void)before;
+double f(double x) { return std::exp(-0.5 * x * x); }
+
+TEST(Rng, ZigguratTablesHoldTheirInvariants) {
+  const double* x = kZigguratX;
+  const double* fx = kZigguratF;
+  EXPECT_EQ(x[1], kZigguratR);
+  EXPECT_EQ(x[256], 0.0);
+  EXPECT_EQ(fx[256], 1.0);
+  for (int i = 0; i < 256; ++i) EXPECT_GT(x[i], x[i + 1]) << "i " << i;
+
+  // Every layer has area V: the base is the rectangle under f(R) plus the
+  // tail integral, and also x[0] * f(R); layer i >= 1 is x[i] wide and
+  // f[i+1] - f[i] tall.
+  const double tail = std::sqrt(std::numbers::pi / 2.0) * std::erfc(kZigguratR / std::sqrt(2.0));
+  EXPECT_NEAR((kZigguratR * fx[1] + tail) / kZigguratV, 1.0, 1e-12);
+  EXPECT_NEAR(x[0] * fx[1] / kZigguratV, 1.0, 1e-12);
+  for (int i = 1; i < 256; ++i) {
+    EXPECT_NEAR(x[i] * (fx[i + 1] - fx[i]) / kZigguratV, 1.0, 1e-12) << "layer " << i;
+  }
+
+  // Each literal against one step of the defining recursion in libm.
+  EXPECT_LE(ulps(x[0], kZigguratV / f(kZigguratR)), 2u);
+  for (int i = 1; i < 255; ++i) {
+    EXPECT_LE(ulps(x[i + 1], std::sqrt(-2.0 * std::log(kZigguratV / x[i] + fx[i]))), 2u)
+        << "x[" << i + 1 << "]";
+  }
+  for (int i = 0; i < 257; ++i) EXPECT_LE(ulps(fx[i], f(x[i])), 2u) << "f[" << i << "]";
 }
 
-TEST(Rng, GaussianPairZeroStddevConsumesNothing) {
-  Rng r(3);
-  const auto before = r.engine_state();
-  double a = 1.0, b = 2.0;
-  r.gaussian_pair(5.0, 0.0, a, b);
-  EXPECT_EQ(r.engine_state(), before);
-  EXPECT_EQ(a, 5.0);
-  EXPECT_EQ(b, 5.0);
-}
+TEST(Rng, GaussianDrawsOneEngineStepOnTheFastPath) {
+  Rng r(31);
+  for (const double stddev : {0.0, -1.0}) {
+    const auto before = r.engine_state();
+    EXPECT_EQ(r.gaussian(2.5, stddev), 2.5);
+    EXPECT_EQ(r.engine_state(), before) << "stddev " << stddev;
+  }
 
-/// The fill_gaussian contract: values AND engine consumption equal N
-/// sequential gaussian() calls, for every length and both spare states.
-TEST(Rng, FillGaussianMatchesSequentialScalarCalls) {
-  for (const bool plant_spare : {false, true}) {
-    for (std::size_t n = 0; n <= 5; ++n) {
-      Rng scalar(99);
-      Rng batched(99);
-      if (plant_spare) {
-        ASSERT_EQ(scalar.gaussian(0.0, 1.0), batched.gaussian(0.0, 1.0));
-      }
-      std::vector<double> expected(n), got(n);
-      for (std::size_t i = 0; i < n; ++i) expected[i] = scalar.gaussian(1.5, 0.25);
-      batched.fill_gaussian(got, 1.5, 0.25);
-      EXPECT_EQ(got, expected) << "n=" << n << " spare=" << plant_spare;
-      EXPECT_EQ(batched.engine_state(), scalar.engine_state())
-          << "n=" << n << " spare=" << plant_spare;
-      EXPECT_EQ(batched.has_cached_spare(), scalar.has_cached_spare())
-          << "n=" << n << " spare=" << plant_spare;
-      // Interleaving check: the next scalar draw agrees too.
-      EXPECT_EQ(batched.gaussian(0.0, 1.0), scalar.gaussian(0.0, 1.0));
+  // The fast path accepts layer i with probability x[i+1] / x[i]; every
+  // other call draws again, so it takes at least two steps.
+  double fast = 0.0;
+  for (int i = 0; i < 256; ++i) fast += kZigguratX[i + 1] / kZigguratX[i] / 256.0;
+  constexpr int kCalls = 100000;
+  int one_step = 0;
+  for (int k = 0; k < kCalls; ++k) {
+    Rng clone = r;
+    r.gaussian(0.0, 1.0);
+    clone.next_u64();
+    if (clone.engine_state() == r.engine_state()) {
+      ++one_step;
+    } else {
+      EXPECT_GE(raw_draws(clone, r.engine_state()), 1);
     }
   }
+  const double share = static_cast<double>(one_step) / kCalls;
+  EXPECT_GE(share, 0.98);
+  EXPECT_NEAR(share, fast, 5.0 * std::sqrt(fast * (1.0 - fast) / kCalls));
 }
 
-TEST(Rng, FillU64MatchesSequentialNextU64) {
-  Rng scalar(123);
-  Rng batched(123);
-  std::vector<std::uint64_t> expected(7), got(7);
-  for (auto& v : expected) v = scalar.next_u64();
-  batched.fill_u64(got);
-  EXPECT_EQ(got, expected);
-  EXPECT_EQ(batched.engine_state(), scalar.engine_state());
+/// 10^6 standard normals at a fixed seed, shared by the distribution tests.
+const std::vector<double>& normals() {
+  static const std::vector<double> draws = [] {
+    Rng r(2005);
+    std::vector<double> out(1000000);
+    for (double& value : out) value = r.gaussian(0.0, 1.0);
+    return out;
+  }();
+  return draws;
+}
+
+double phi(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+TEST(Rng, GaussianChiSquareOver64EquiprobableBins) {
+  std::vector<double> counts(64, 0.0);
+  for (const double x : normals()) counts[std::min(63, static_cast<int>(64.0 * phi(x)))] += 1.0;
+  const double expected = static_cast<double>(normals().size()) / 64.0;
+  double chi2 = 0.0;
+  for (const double c : counts) chi2 += (c - expected) * (c - expected) / expected;
+  EXPECT_LT(chi2, 131.37);  // chi-square, 63 degrees of freedom, upper p = 1e-6
+}
+
+TEST(Rng, GaussianTailMassBeyondRMatchesTheNormal) {
+  // Only the base layer reaches past R, so each side of the tail checks
+  // that layer's sign as well as its rejection sampler.
+  const double n = static_cast<double>(normals().size());
+  const double p = 1.0 - phi(kZigguratR);
+  double above = 0.0, below = 0.0;
+  for (const double x : normals()) {
+    above += x > kZigguratR ? 1.0 : 0.0;
+    below += x < -kZigguratR ? 1.0 : 0.0;
+  }
+  const auto sigma = [n](double q) { return std::sqrt(n * q * (1.0 - q)); };
+  EXPECT_NEAR(above + below, 2.0 * p * n, 5.0 * sigma(2.0 * p));
+  EXPECT_NEAR(above, p * n, 5.0 * sigma(p));
+  EXPECT_NEAR(below, p * n, 5.0 * sigma(p));
+}
+
+TEST(Rng, GaussianPositiveAndNegativeHalvesAreAlike) {
+  std::vector<double> pos, neg;
+  for (const double x : normals()) (x >= 0.0 ? pos : neg).push_back(std::fabs(x));
+  std::sort(pos.begin(), pos.end());
+  std::sort(neg.begin(), neg.end());
+  // Two-sample Kolmogorov–Smirnov statistic D = sup |F_pos - F_neg|.
+  double d = 0.0;
+  std::size_t i = 0, j = 0;
+  while (i < pos.size() && j < neg.size()) {
+    const double at = std::min(pos[i], neg[j]);
+    while (i < pos.size() && pos[i] <= at) ++i;
+    while (j < neg.size() && neg[j] <= at) ++j;
+    d = std::max(d, std::fabs(static_cast<double>(i) / static_cast<double>(pos.size()) -
+                              static_cast<double>(j) / static_cast<double>(neg.size())));
+  }
+  const double np = static_cast<double>(pos.size()), nn = static_cast<double>(neg.size());
+  // Critical value at p = 1e-6: sqrt(-ln(p / 2) / 2) * sqrt((n + m) / (n m)).
+  EXPECT_LT(d, 2.6934 * std::sqrt((np + nn) / (np * nn)));
 }
 
 }  // namespace
