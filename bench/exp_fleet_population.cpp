@@ -21,14 +21,18 @@
 // stacks, pool state and IO buffers are already inside the baseline;
 // only participant-dependent memory can move the ratio.
 //
-// BENCH_exp_fleet_population.json records fleet_wall_s,
-// fleet_participants_per_s, both bit-identity verdicts and the RSS
-// growth ratio; tools/bench_compare gates all of them under
-// `ctest -L perf`. The process exit code enforces the contract even
-// without a baseline.
+// BENCH_exp_fleet_population.json records the reference pass's wall
+// clock as sequential_wall_s, the thread-count verdict as bit_identical,
+// fleet_participants_per_s, fleet_resume_bit_identical and the RSS
+// growth ratio; tools/bench_compare gates them under `ctest -L perf`.
+// The process exit code enforces the contract even without a baseline.
+//
+// Exit codes: 0 = every contract held, 1 = a pass diverged, did not
+// complete, grew RSS past the limit or could not write its json,
+// 64 = DISTSCROLL_FLEET_PARTICIPANTS set to anything but a whole
+// decimal >= 1000.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -40,19 +44,14 @@
 #include "study/fleet_study.h"
 #include "study/sweep_runner.h"
 #include "util/bench_report.h"
+#include "util/strict_parse.h"
 
 namespace {
 
 using distscroll::study::FleetStudyConfig;
 using distscroll::study::run_fleet;
 
-std::uint64_t participants_from_env() {
-  if (const char* env = std::getenv("DISTSCROLL_FLEET_PARTICIPANTS")) {
-    const unsigned long long parsed = std::strtoull(env, nullptr, 10);
-    if (parsed >= 1000) return static_cast<std::uint64_t>(parsed);
-  }
-  return 100000;
-}
+constexpr int kExitUsage = 64;
 
 FleetStudyConfig base_config(std::uint64_t participants) {
   FleetStudyConfig config;
@@ -79,7 +78,10 @@ int main() {
   mallopt(M_ARENA_MAX, 1);
 #endif
 
-  const std::uint64_t participants = participants_from_env();
+  const auto env_participants =
+      distscroll::util::env_u64("DISTSCROLL_FLEET_PARTICIPANTS", 100000, 1000);
+  if (!env_participants) return kExitUsage;
+  const std::uint64_t participants = *env_participants;
   const std::uint64_t small = participants / 10;
 
   // Pass 0: small runs through every shape the large passes use — 1, 2
@@ -122,7 +124,7 @@ int main() {
   reference_config.threads = 1;
   const double t0 = study::sweep_wall_clock_s();
   const auto reference = run_fleet(reference_config);
-  const double fleet_wall_s = study::sweep_wall_clock_s() - t0;
+  const double wall_s = study::sweep_wall_clock_s() - t0;
   if (!reference.complete) {
     std::fprintf(stderr, "exp_fleet_population: reference pass did not complete\n");
     return 1;
@@ -131,7 +133,7 @@ int main() {
 
   // Passes 2 and 3: same study on 2 and 8 threads — the merged
   // aggregates must be byte-identical to the reference.
-  bool fleet_bit_identical = true;
+  bool bit_identical = true;
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     auto config = base_config(participants);
     config.threads = threads;
@@ -140,7 +142,7 @@ int main() {
     if (!same) {
       std::fprintf(stderr, "exp_fleet_population: %zu-thread pass DIVERGED from reference\n",
                    threads);
-      fleet_bit_identical = false;
+      bit_identical = false;
     }
   }
 
@@ -180,8 +182,8 @@ int main() {
   const double trials = static_cast<double>(agg.trials());
   std::printf("[exp_fleet_population] %" PRIu64 " participants, %" PRIu64 " trials: %.2f s "
               "(%.0f participants/s, 1 thread)\n",
-              agg.participants(), agg.trials(), fleet_wall_s,
-              fleet_wall_s > 0.0 ? static_cast<double>(participants) / fleet_wall_s : 0.0);
+              agg.participants(), agg.trials(), wall_s,
+              wall_s > 0.0 ? static_cast<double>(participants) / wall_s : 0.0);
   std::printf("  success %.4f  wrong/trial %.4f  time mean %.3fs p50 %.3fs p90 %.3fs p99 %.3fs\n",
               static_cast<double>(agg.successes()) / trials,
               static_cast<double>(agg.wrong_selections()) / trials, agg.time_s().mean(),
@@ -189,7 +191,7 @@ int main() {
               agg.time_sketch().quantile(0.99));
   std::printf("  thread bit-identity %s, resume bit-identity %s, peak RSS %.1f MiB "
               "(%.3fx of %" PRIu64 "-participant baseline)\n",
-              fleet_bit_identical ? "OK" : "DIVERGED",
+              bit_identical ? "OK" : "DIVERGED",
               fleet_resume_bit_identical ? "OK" : "DIVERGED",
               static_cast<double>(rss_final) / (1024.0 * 1024.0), rss_growth, small);
 
@@ -198,21 +200,15 @@ int main() {
   report.cells = static_cast<std::size_t>(participants);
   report.threads = 1;  // the timed reference pass
   report.hardware_threads = study::resolve_sweep_threads(0);
-  // The fleet reference wall doubles as sequential_wall_s so the
-  // standard bench_compare wall gate applies unchanged.
-  report.sequential_wall_s = fleet_wall_s;
-  report.parallel_wall_s = fleet_wall_s;
+  report.sequential_wall_s = wall_s;
+  report.parallel_wall_s = wall_s;
   report.speedup = 1.0;
-  report.bit_identical = fleet_bit_identical;
+  report.bit_identical = bit_identical;
   report.tracing_compiled = distscroll::obs::Tracer::compiled_in();
-  report.batch_width = 0;  // no sweep-style batched pass in this bench
   report.peak_rss_bytes = rss_final;
   report.fleet_participants = static_cast<std::size_t>(participants);
-  report.fleet_wall_s = fleet_wall_s;
   report.fleet_participants_per_s =
-      fleet_wall_s > 0.0 ? static_cast<double>(participants) / fleet_wall_s : 0.0;
-  report.fleet_threads = study::resolve_sweep_threads(0);
-  report.fleet_bit_identical = fleet_bit_identical;
+      wall_s > 0.0 ? static_cast<double>(participants) / wall_s : 0.0;
   report.fleet_resume_bit_identical = fleet_resume_bit_identical;
   report.fleet_rss_growth = rss_growth;
   if (!distscroll::util::write_bench_report(report)) {
@@ -225,5 +221,5 @@ int main() {
     std::fprintf(stderr, "exp_fleet_population: peak RSS grew %.3fx (flatness limit 1.10x)\n",
                  rss_growth);
   }
-  return (fleet_bit_identical && fleet_resume_bit_identical && rss_flat) ? 0 : 1;
+  return (bit_identical && fleet_resume_bit_identical && rss_flat) ? 0 : 1;
 }

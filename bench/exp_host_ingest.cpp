@@ -19,14 +19,18 @@
 //            (accepted + shed == offered exactly) with zero accepted-
 //            frame corruption; the shed fraction is host_drop_rate
 //
-// BENCH_exp_host_ingest.json records host_frames_per_s (accepted
-// frames through the timed reference), host_drop_rate and the
-// bit-identity verdict; tools/bench_compare gates all three under
-// `ctest -L perf`. The process exit code enforces the invariants even
-// without a baseline.
+// BENCH_exp_host_ingest.json records the reference pass's wall clock as
+// sequential_wall_s, the thread-count verdict as bit_identical,
+// host_frames_per_s (accepted frames through the timed reference) and
+// host_drop_rate; tools/bench_compare gates them under `ctest -L perf`.
+// The process exit code enforces the invariants even without a baseline.
+//
+// Exit codes: 0 = every invariant held, 1 = a pass diverged, failed to
+// drain, broke the shedding ledger or could not write its json,
+// 64 = DISTSCROLL_HOST_DEVICES set to anything but a whole decimal in
+// 16..65535.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "host/host_pipeline.h"
@@ -34,19 +38,14 @@
 #include "obs/tracer.h"
 #include "study/sweep_runner.h"
 #include "util/bench_report.h"
+#include "util/strict_parse.h"
 
 namespace {
 
 using distscroll::host::HostIngestConfig;
 using distscroll::host::run_host_ingest;
 
-std::size_t devices_from_env() {
-  if (const char* env = std::getenv("DISTSCROLL_HOST_DEVICES")) {
-    const unsigned long long parsed = std::strtoull(env, nullptr, 10);
-    if (parsed >= 16) return static_cast<std::size_t>(parsed);
-  }
-  return 2000;
-}
+constexpr int kExitUsage = 64;
 
 HostIngestConfig base_config(std::size_t devices) {
   HostIngestConfig config;
@@ -70,7 +69,10 @@ int main() {
   namespace study = distscroll::study;
   namespace obs = distscroll::obs;
 
-  const std::size_t devices = devices_from_env();
+  // 65535 is host_ingest's --devices cap.
+  const auto env_devices = distscroll::util::env_u64("DISTSCROLL_HOST_DEVICES", 2000, 16, 65535);
+  if (!env_devices) return kExitUsage;
+  const auto devices = static_cast<std::size_t>(*env_devices);
 
   // Pass 1: the timed single-thread reference, content verification on
   // (the verify cost is part of the pipeline's contract, so it stays
@@ -78,7 +80,7 @@ int main() {
   obs::MetricsRegistry reference_metrics;
   const double t0 = study::sweep_wall_clock_s();
   const auto reference = run_host_ingest(base_config(devices), &reference_metrics);
-  const double host_wall_s = study::sweep_wall_clock_s() - t0;
+  const double wall_s = study::sweep_wall_clock_s() - t0;
   if (!reference.stats.complete) {
     std::fprintf(stderr, "exp_host_ingest: reference pass did not drain\n");
     return 1;
@@ -92,7 +94,7 @@ int main() {
 
   // Passes 2 and 3: the identical fleet on 2 and 8 threads — the DSTL
   // container and the metrics JSON must be byte-equal to the reference.
-  bool host_bit_identical = true;
+  bool bit_identical = true;
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     auto config = base_config(devices);
     config.threads = threads;
@@ -102,7 +104,7 @@ int main() {
                       metrics.to_json_fields() == reference_metrics_json;
     if (!same) {
       std::fprintf(stderr, "exp_host_ingest: %zu-thread pass DIVERGED from reference\n", threads);
-      host_bit_identical = false;
+      bit_identical = false;
     }
   }
 
@@ -138,17 +140,17 @@ int main() {
 
   const auto& rs = reference.stats;
   const double frames_per_s =
-      host_wall_s > 0.0 ? static_cast<double>(rs.frames_accepted) / host_wall_s : 0.0;
+      wall_s > 0.0 ? static_cast<double>(rs.frames_accepted) / wall_s : 0.0;
   std::printf("[exp_host_ingest] %zu devices, %" PRIu64 " frames accepted: %.2f s "
               "(%.0f frames/s, 1 thread)\n",
-              devices, rs.frames_accepted, host_wall_s, frames_per_s);
+              devices, rs.frames_accepted, wall_s, frames_per_s);
   std::printf("  lost %" PRIu64 "  corrupted %" PRIu64 "  reordered %" PRIu64
               "  crc-rejected %" PRIu64 "  residual gaps %" PRIu64 "  mismatches %" PRIu64 "\n",
               rs.link_frames_lost, rs.link_frames_corrupted, rs.link_frames_reordered,
               rs.frames_crc_rejected, rs.sequence_gaps, rs.content_mismatches);
   std::printf("  thread bit-identity %s, overload drop rate %.4f (%" PRIu64 " of %" PRIu64
               " offered shed at the device)\n",
-              host_bit_identical ? "OK" : "DIVERGED", host_drop_rate, os.reports_shed,
+              bit_identical ? "OK" : "DIVERGED", host_drop_rate, os.reports_shed,
               os.reports_offered);
 
   distscroll::util::BenchReport report;
@@ -156,25 +158,20 @@ int main() {
   report.cells = devices;
   report.threads = 1;  // the timed reference pass
   report.hardware_threads = study::resolve_sweep_threads(0);
-  // The host reference wall doubles as sequential_wall_s so the
-  // standard bench_compare wall gate applies unchanged.
-  report.sequential_wall_s = host_wall_s;
-  report.parallel_wall_s = host_wall_s;
+  report.sequential_wall_s = wall_s;
+  report.parallel_wall_s = wall_s;
   report.speedup = 1.0;
-  report.bit_identical = host_bit_identical;
+  report.bit_identical = bit_identical;
   report.tracing_compiled = distscroll::obs::Tracer::compiled_in();
-  report.batch_width = 0;  // no sweep-style batched pass in this bench
   report.peak_rss_bytes = study::sweep_peak_rss_bytes();
   report.host_devices = devices;
-  report.host_wall_s = host_wall_s;
   report.host_frames_per_s = frames_per_s;
   report.host_drop_rate = host_drop_rate;
-  report.host_bit_identical = host_bit_identical;
   report.metrics_json = reference_metrics.to_json_fields(4);
   if (!distscroll::util::write_bench_report(report)) {
     std::fprintf(stderr, "exp_host_ingest: could not write BENCH json\n");
     return 1;
   }
 
-  return host_bit_identical ? 0 : 1;
+  return bit_identical ? 0 : 1;
 }

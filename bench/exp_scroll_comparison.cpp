@@ -21,14 +21,12 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <span>
 
 #include "baselines/button_scroll.h"
 #include "baselines/distance_scroll.h"
 #include "baselines/radial_scroll.h"
 #include "baselines/tilt_scroll.h"
 #include "baselines/wheel_scroll.h"
-#include "study/batch_trials.h"
 #include "study/report.h"
 #include "study/sweep_runner.h"
 #include "study/task.h"
@@ -131,40 +129,8 @@ int main() {
     return run_cell(condition, core::Smoothing::Raw,
                     participant_expertise(grid.coord(index, 3)), rng);
   };
-  // Batched group body: DistScroll cells become BatchTrialRunner
-  // lanes (same per-cell fork decomposition as run_cell, so the streams
-  // are bit-identical); the other techniques run the scalar body.
-  const auto batched_group = [&](std::size_t first, std::size_t n,
-                                 std::span<CellResult> out, study::SweepRunner& runner) {
-    auto& batch = study::BatchTrialRunner::local();
-    batch.begin_group(n);
-    bool any_lane = false;
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t index = first + k;
-      if (grid.coord(index, 0) != 0) {  // not DistScroll
-        out[k] = scalar_cell(index, runner.cell_rng(index));
-        continue;
-      }
-      sim::Rng rng = runner.cell_rng(index);
-      baselines::DistanceScroll::Config config;
-      config.scroll.smoothing = core::Smoothing::Raw;
-      const auto profile = human::UserProfile::average()
-                               .with_expertise(participant_expertise(grid.coord(index, 3)))
-                               .with_glove(kGloves[grid.coord(index, 2)]);
-      sim::Rng task_rng = rng.fork(2);
-      const auto tasks = study::random_tasks(task_rng, kMenuSizes[grid.coord(index, 1)], kTrials);
-      batch.init_cell(k, config, rng.fork(1), tasks, profile, rng.fork(3));
-      any_lane = true;
-    }
-    if (any_lane) batch.run();
-    for (std::size_t k = 0; k < n; ++k) {
-      if (grid.coord(first + k, 0) != 0) continue;
-      const auto records = batch.records(k);
-      std::copy(records.begin(), records.end(), out[k].records.begin());
-    }
-  };
-  const auto cells = study::timed_sweep_batched<CellResult>(
-      "exp_scroll_comparison", grid.cells(), 0xC0FFEE, scalar_cell, batched_group);
+  const auto cells = study::timed_sweep<CellResult>("exp_scroll_comparison", grid.cells(),
+                                                    0xC0FFEE, scalar_cell);
   std::printf("\n");
 
   util::CsvWriter csv("exp_scroll_comparison.csv",

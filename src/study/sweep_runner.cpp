@@ -1,8 +1,10 @@
 #include "study/sweep_runner.h"
 
+#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
+
+#include "util/strict_parse.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -12,12 +14,8 @@ namespace distscroll::study {
 
 std::size_t resolve_sweep_threads(std::size_t requested) {
   if (requested != 0) return requested;
-  if (const char* env = std::getenv("DISTSCROLL_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1) return static_cast<std::size_t>(parsed);
-  }
-  const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware > 0 ? hardware : 1;
+  const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  return util::env_u64("DISTSCROLL_THREADS", hardware, 1, util::kMaxThreads).value_or(hardware);
 }
 
 double sweep_wall_clock_s() {

@@ -20,31 +20,20 @@ bool write_bench_report(const BenchReport& report) {
                 "  \"speedup\": %.3f,\n"
                 "  \"bit_identical\": %s,\n"
                 "  \"tracing_compiled\": %s,\n"
-                "  \"batch_width\": %zu,\n"
-                "  \"batched_wall_s\": %.6f,\n"
-                "  \"batch_speedup\": %.3f,\n"
-                "  \"batch_bit_identical\": %s,\n"
                 "  \"peak_rss_bytes\": %zu",
                 report.name.c_str(), report.cells, report.threads, report.hardware_threads,
                 report.sequential_wall_s, report.parallel_wall_s, report.speedup,
                 report.bit_identical ? "true" : "false",
-                report.tracing_compiled ? "true" : "false", report.batch_width,
-                report.batched_wall_s, report.batch_speedup,
-                report.batch_bit_identical ? "true" : "false", report.peak_rss_bytes);
+                report.tracing_compiled ? "true" : "false", report.peak_rss_bytes);
   out << buffer;
   if (report.fleet_participants > 0) {
     std::snprintf(buffer, sizeof(buffer),
                   ",\n"
                   "  \"fleet_participants\": %zu,\n"
-                  "  \"fleet_wall_s\": %.6f,\n"
                   "  \"fleet_participants_per_s\": %.1f,\n"
-                  "  \"fleet_threads\": %zu,\n"
-                  "  \"fleet_bit_identical\": %s,\n"
                   "  \"fleet_resume_bit_identical\": %s,\n"
                   "  \"fleet_rss_growth\": %.4f",
-                  report.fleet_participants, report.fleet_wall_s,
-                  report.fleet_participants_per_s, report.fleet_threads,
-                  report.fleet_bit_identical ? "true" : "false",
+                  report.fleet_participants, report.fleet_participants_per_s,
                   report.fleet_resume_bit_identical ? "true" : "false",
                   report.fleet_rss_growth);
     out << buffer;
@@ -53,12 +42,9 @@ bool write_bench_report(const BenchReport& report) {
     std::snprintf(buffer, sizeof(buffer),
                   ",\n"
                   "  \"host_devices\": %zu,\n"
-                  "  \"host_wall_s\": %.6f,\n"
                   "  \"host_frames_per_s\": %.1f,\n"
-                  "  \"host_drop_rate\": %.6f,\n"
-                  "  \"host_bit_identical\": %s",
-                  report.host_devices, report.host_wall_s, report.host_frames_per_s,
-                  report.host_drop_rate, report.host_bit_identical ? "true" : "false");
+                  "  \"host_drop_rate\": %.6f",
+                  report.host_devices, report.host_frames_per_s, report.host_drop_rate);
     out << buffer;
   }
   if (!report.metrics_json.empty()) {

@@ -5,11 +5,13 @@
 // BatchTrialRunner group produces the EXACT TrialRecord bytes of the
 // scalar cell body (DistanceScroll + run_trials), at any thread count
 // and any group width, including the CSV bytes derived from them. The
-// 8-thread case runs the thread-local runners on a pool, which is what
-// the tsan flavour of scripts/check.sh covers. Also pins the
-// loop-the-scalar-body group fallback.
+// groups run on a sim::ThreadPool over group indices with the streams of
+// SweepRunner::cell_rng; the 8-thread case runs the thread-local
+// runners on a pool, which is what the tsan flavour of scripts/check.sh
+// covers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
@@ -21,6 +23,7 @@
 #include "baselines/distance_scroll.h"
 #include "human/user_profile.h"
 #include "sim/random.h"
+#include "sim/thread_pool.h"
 #include "study/batch_trials.h"
 #include "study/metrics.h"
 #include "study/sweep_runner.h"
@@ -108,7 +111,7 @@ CellOut scalar_cell(const SweepCase& c, std::size_t index, sim::Rng rng) {
 
 /// The grouped body: same fork decomposition, one runner lane per cell.
 void batched_group(const SweepCase& c, std::size_t first, std::size_t n,
-                   std::span<CellOut> out, SweepRunner& runner) {
+                   std::span<CellOut> out, const SweepRunner& runner) {
   auto& batch = BatchTrialRunner::local();
   batch.begin_group(n);
   for (std::size_t k = 0; k < n; ++k) {
@@ -135,13 +138,18 @@ std::vector<CellOut> run_scalar(const SweepCase& c, std::size_t threads, std::ui
   });
 }
 
+/// Groups of kBatchWidth cells, one pool task per group; the per-cell
+/// streams and result slots are the ones SweepRunner::run uses.
 std::vector<CellOut> run_batched(const SweepCase& c, std::size_t threads, std::uint64_t seed) {
-  SweepRunner runner({threads, 1, seed});
-  return runner.run_grouped<CellOut>(
-      kCells, kBatchWidth,
-      [&](std::size_t first, std::size_t n, std::span<CellOut> out, SweepRunner& r) {
-        batched_group(c, first, n, out, r);
-      });
+  const SweepRunner streams({1, 1, seed});
+  std::vector<CellOut> out(kCells);
+  sim::ThreadPool pool(threads);
+  pool.parallel_for((kCells + kBatchWidth - 1) / kBatchWidth, [&](std::size_t group) {
+    const std::size_t first = group * kBatchWidth;
+    const std::size_t n = std::min(kBatchWidth, kCells - first);
+    batched_group(c, first, n, std::span<CellOut>(out.data() + first, n), streams);
+  });
+  return out;
 }
 
 TEST(BatchKernel, BitIdenticalToScalarAcrossSweepSuiteSingleThread) {
@@ -197,24 +205,6 @@ TEST(BatchKernel, CsvBytesUnchangedByBatchedMode) {
   const std::string scalar_bytes = slurp(scalar_path);
   ASSERT_FALSE(scalar_bytes.empty());
   EXPECT_EQ(slurp(batched_path), scalar_bytes);
-}
-
-/// run_grouped with a loop-the-scalar-body group is exactly run() — the
-/// fallback every bench without a kernel-batched body rides.
-TEST(SweepRunner, GroupedScalarFallbackEqualsRun) {
-  const auto body = [](std::size_t index, sim::Rng rng) {
-    return static_cast<double>(index) + rng.uniform01();
-  };
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    SweepRunner plain({1, 1, 77});
-    const auto expected = plain.run<double>(10, body);
-    SweepRunner grouped({threads, 1, 77});
-    const auto got = grouped.run_grouped<double>(
-        10, 4, [&](std::size_t first, std::size_t n, std::span<double> out, SweepRunner& r) {
-          for (std::size_t k = 0; k < n; ++k) out[k] = body(first + k, r.cell_rng(first + k));
-        });
-    EXPECT_EQ(got, expected) << "threads " << threads;
-  }
 }
 
 }  // namespace

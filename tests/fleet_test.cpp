@@ -1,8 +1,8 @@
 // Streaming fleet engine: online aggregates, the deterministic quantile
 // sketch, checkpoint framing, population sampling, and the end-to-end
 // determinism contract — merged results bit-identical at any thread
-// count, batched == scalar, and full run == checkpoint + resume down to
-// the serialised bytes (DESIGN.md §12).
+// count, equal to a per-participant reference loop, and full run ==
+// checkpoint + resume down to the serialised bytes (DESIGN.md §12).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 

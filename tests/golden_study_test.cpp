@@ -1,10 +1,9 @@
 // Golden study digests: pins the scalar run_trials() output of a small
 // Q1-style grid (five techniques x {no gloves, thick gloves}) and the
-// FleetAggregates bytes of a 64-participant run_fleet(), batched and
-// scalar, bit-exactly.
+// FleetAggregates bytes of a 64-participant run_fleet(), bit-exactly.
 //
-// The committed CSVs round their figures, and the batched == scalar
-// tests only compare two paths with each other, so a change that moves
+// The committed CSVs round their figures, and the bit-identity tests
+// only compare two paths with each other, so a change that moves
 // an overshoot count in a handful of trials can pass every other test.
 // These digests catch it. A change that moves study outputs on purpose
 // updates the constants here and says why; scripts/regen_golden.sh runs

@@ -1,16 +1,21 @@
 // Tests for the parallel experiment engine: ThreadPool correctness,
 // SweepRunner's determinism contract (bit-identical results at any
 // thread count; the cell bodies draw normals, and gaussian() keeps no
-// state between calls, so a cell's stream depends only on its fork), and
-// the binary-heap event calendar's dispatch order and lazy cancellation.
+// state between calls, so a cell's stream depends only on its fork), the
+// timed_sweep bench harness contract, and the binary-heap event
+// calendar's dispatch order and lazy cancellation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/distscroll_device.h"
@@ -165,6 +170,65 @@ TEST(SweepRunner, CsvBytesIdenticalAcrossThreadCounts) {
 TEST(SweepRunner, ThreadsResolveFromEnvironment) {
   // Explicit request wins over everything.
   EXPECT_EQ(study::resolve_sweep_threads(3), 3u);
+  // DISTSCROLL_THREADS must be a whole decimal in 1..256. Anything else
+  // falls back to the hardware count: "4x" used to read as 4, and
+  // 99999 asked sim::ThreadPool for 99998 workers past the tools' cap.
+  const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  const struct {
+    const char* value;
+    std::size_t threads;
+  } cases[] = {{"4", 4},         {"256", 256},      {"0", hardware},
+               {"4x", hardware}, {"abc", hardware}, {"257", hardware},
+               {"99999999999999999999", hardware}};
+  for (const auto& c : cases) {
+    ASSERT_EQ(setenv("DISTSCROLL_THREADS", c.value, 1), 0);
+    EXPECT_EQ(study::resolve_sweep_threads(0), c.threads) << "DISTSCROLL_THREADS=" << c.value;
+    EXPECT_EQ(study::resolve_sweep_threads(2), 2u) << "DISTSCROLL_THREADS=" << c.value;
+  }
+  ASSERT_EQ(unsetenv("DISTSCROLL_THREADS"), 0);
+  EXPECT_EQ(study::resolve_sweep_threads(0), hardware);
+}
+
+// ---------------------------------------------------------------------------
+// timed_sweep: the one bench harness path
+
+TEST(TimedSweep, TwoPassesEqualRunAndWriteTheDocumentedReport) {
+  // From a scratch working directory, since the harness writes
+  // BENCH_<name>.json into the current one.
+  const std::filesystem::path previous = std::filesystem::current_path();
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "timed_sweep_contract";
+  std::filesystem::create_directories(dir);
+  std::filesystem::current_path(dir);
+
+  constexpr std::size_t kCells = 19;
+  std::atomic<std::size_t> body_runs{0};
+  const auto results = study::timed_sweep<CellOut>(
+      "harness_contract", kCells, 42, [&](std::size_t index, sim::Rng rng) {
+        body_runs.fetch_add(1);
+        return sweep_body(index, std::move(rng));
+      });
+  const std::string json = slurp("BENCH_harness_contract.json");
+  std::filesystem::current_path(previous);
+
+  study::SweepConfig sequential;
+  sequential.threads = 1;
+  sequential.base_seed = 42;
+  EXPECT_TRUE(results == study::SweepRunner(sequential).run<CellOut>(kCells, sweep_body));
+  EXPECT_EQ(body_runs.load(), 2 * kCells) << "one sequential and one parallel pass";
+
+  // Top-level keys sit at two-space indent; the metrics object's at four.
+  std::vector<std::string> keys;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  \"", 0) == 0) keys.push_back(line.substr(3, line.find('"', 3) - 3));
+  }
+  const std::vector<std::string> expected_keys = {
+      "name", "cells", "threads", "hardware_threads", "sequential_wall_s", "parallel_wall_s",
+      "speedup", "bit_identical", "tracing_compiled", "peak_rss_bytes", "metrics"};
+  EXPECT_EQ(keys, expected_keys) << json;
+  EXPECT_NE(json.find("    \"cell_wall_count\": 19,"), std::string::npos) << json;
+  EXPECT_NE(json.find("  \"bit_identical\": true,"), std::string::npos) << json;
 }
 
 // ---------------------------------------------------------------------------
@@ -495,53 +559,6 @@ TEST(EventQueueRunAll, TruncatedFlagClearOnNormalDrain) {
   queue.schedule_at(util::Seconds{2.0}, [] {});
   EXPECT_EQ(queue.run_all(), 2u);
   EXPECT_FALSE(queue.truncated());
-}
-
-// ---------------------------------------------------------------------------
-// Rng: cached Box–Muller spare
-
-TEST(RngGaussian, SpareMakesPairsFromOneEngineRound) {
-  // Two consecutive gaussians consume the same engine state as one
-  // Box–Muller round: after draws 2k, the engine matches a fresh RNG
-  // that did k rounds.
-  sim::Rng a(5), b(5);
-  a.gaussian(0.0, 1.0);
-  a.gaussian(0.0, 1.0);  // second draw comes from the spare
-  b.gaussian(0.0, 1.0);
-  b.gaussian(0.0, 1.0);
-  // Both streams identical draw by draw.
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(a.gaussian(1.0, 2.0), b.gaussian(1.0, 2.0));
-}
-
-TEST(RngGaussian, ZeroStddevReturnsMeanWithoutConsumingDraws) {
-  sim::Rng a(17), b(17);
-  EXPECT_EQ(a.gaussian(3.5, 0.0), 3.5);
-  EXPECT_EQ(a.gaussian(-1.0, -2.0), -1.0);
-  // b consumed nothing either; streams still in lockstep.
-  EXPECT_EQ(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0));
-}
-
-TEST(RngGaussian, ForkedStreamsUnaffectedBySpare) {
-  sim::Rng parent(31);
-  parent.gaussian(0.0, 1.0);  // leaves a spare cached in the parent
-  sim::Rng fork_after = parent.fork(9);
-  sim::Rng fork_fresh = sim::Rng(31).fork(9);
-  EXPECT_EQ(fork_after.gaussian(0.0, 1.0), fork_fresh.gaussian(0.0, 1.0));
-}
-
-TEST(RngGaussian, MomentsSane) {
-  sim::Rng rng(2024);
-  double sum = 0.0, sq = 0.0;
-  constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i) {
-    const double x = rng.gaussian(2.0, 3.0);
-    sum += x;
-    sq += x * x;
-  }
-  const double mean = sum / kN;
-  const double var = sq / kN - mean * mean;
-  EXPECT_NEAR(mean, 2.0, 0.1);
-  EXPECT_NEAR(var, 9.0, 0.5);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// CLI contract of the bench_compare perf gate, the ds_lint analyzer and
-// the fleet_run / host_ingest / trace_replay drivers.
+// CLI contract of the bench_compare perf gate, the ds_lint analyzer,
+// the fleet_run / host_ingest / trace_replay drivers and the size
+// variables of the fleet and host benches.
 //
 // Pins the exit-code protocol the scripts and ctest wiring rely on:
 // 0 = gates passed, 1 = regression/finding, 64 = malformed command
@@ -29,24 +30,23 @@ int run_bench_compare(const std::string& args) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-/// Optional memory/fleet fields of a synthetic report. Zeroed fields
-/// are omitted, mimicking reports written before the fields existed.
+/// Verdict plus optional memory/fleet/host fields of a synthetic report.
+/// Zeroed optional fields are omitted, mimicking reports written before
+/// the fields existed.
 struct ExtraFields {
+  bool bit_identical = true;
   double peak_rss_bytes = 0.0;
   double fleet_participants = 0.0;
-  double fleet_wall_s = 0.0;
-  bool fleet_bit_identical = true;
   bool fleet_resume_bit_identical = true;
   double fleet_rss_growth = 0.0;
   double host_devices = 0.0;
   double host_frames_per_s = 0.0;
   double host_drop_rate = 0.0;
-  bool host_bit_identical = true;
 };
 
 /// Minimal BENCH report the tool's flat-key parser accepts.
-void write_report(const std::string& dir, double sequential_wall_s, bool batch_bit_identical,
-                  double batched_wall_s, const ExtraFields& extra = {}) {
+void write_report(const std::string& dir, double sequential_wall_s,
+                  const ExtraFields& extra = {}) {
   std::ofstream out(dir + "/BENCH_cli_case.json");
   out << "{\n"
       << "  \"name\": \"cli_case\",\n"
@@ -56,37 +56,27 @@ void write_report(const std::string& dir, double sequential_wall_s, bool batch_b
       << "  \"sequential_wall_s\": " << sequential_wall_s << ",\n"
       << "  \"parallel_wall_s\": " << sequential_wall_s << ",\n"
       << "  \"speedup\": 1.0,\n"
-      << "  \"bit_identical\": true,\n"
-      << "  \"tracing_compiled\": true,\n"
-      << "  \"batch_width\": 8,\n"
-      << "  \"batched_wall_s\": " << batched_wall_s << ",\n"
-      << "  \"batch_speedup\": 1.0,\n"
-      << "  \"batch_bit_identical\": " << (batch_bit_identical ? "true" : "false");
+      << "  \"bit_identical\": " << (extra.bit_identical ? "true" : "false") << ",\n"
+      << "  \"tracing_compiled\": true";
   if (extra.peak_rss_bytes > 0.0) {
     out << ",\n  \"peak_rss_bytes\": " << static_cast<long long>(extra.peak_rss_bytes);
   }
   if (extra.fleet_participants > 0.0) {
     out << ",\n  \"fleet_participants\": " << static_cast<long long>(extra.fleet_participants)
-        << ",\n  \"fleet_wall_s\": " << extra.fleet_wall_s
         << ",\n  \"fleet_participants_per_s\": 1000.0"
-        << ",\n  \"fleet_threads\": 1"
-        << ",\n  \"fleet_bit_identical\": " << (extra.fleet_bit_identical ? "true" : "false")
         << ",\n  \"fleet_resume_bit_identical\": "
         << (extra.fleet_resume_bit_identical ? "true" : "false")
         << ",\n  \"fleet_rss_growth\": " << extra.fleet_rss_growth;
   }
   if (extra.host_devices > 0.0) {
     out << ",\n  \"host_devices\": " << static_cast<long long>(extra.host_devices)
-        << ",\n  \"host_wall_s\": 1.0"
         << ",\n  \"host_frames_per_s\": " << extra.host_frames_per_s
-        << ",\n  \"host_drop_rate\": " << extra.host_drop_rate
-        << ",\n  \"host_bit_identical\": " << (extra.host_bit_identical ? "true" : "false");
+        << ",\n  \"host_drop_rate\": " << extra.host_drop_rate;
   }
   out << "\n}\n";
 }
 
 std::string make_case_dirs(const std::string& tag, double baseline_s, double fresh_s,
-                           bool fresh_batch_identical, double fresh_batched_s,
                            const ExtraFields& baseline_extra = {},
                            const ExtraFields& fresh_extra = {}) {
   const std::string root = testing::TempDir() + "/bench_compare_" + tag;
@@ -94,8 +84,8 @@ std::string make_case_dirs(const std::string& tag, double baseline_s, double fre
   const std::string fresh = root + "/fresh";
   std::filesystem::create_directories(baseline);
   std::filesystem::create_directories(fresh);
-  write_report(baseline, baseline_s, true, baseline_s, baseline_extra);
-  write_report(fresh, fresh_s, fresh_batch_identical, fresh_batched_s, fresh_extra);
+  write_report(baseline, baseline_s, baseline_extra);
+  write_report(fresh, fresh_s, fresh_extra);
   return root;
 }
 
@@ -103,7 +93,6 @@ ExtraFields healthy_fleet() {
   ExtraFields extra;
   extra.peak_rss_bytes = 100e6;
   extra.fleet_participants = 100000;
-  extra.fleet_wall_s = 10.0;
   extra.fleet_rss_growth = 1.02;
   return extra;
 }
@@ -132,34 +121,24 @@ TEST(BenchCompareCli, NonexistentBaselineDirIsUsageError) {
 
 TEST(BenchCompareCli, NonexistentFreshDirIsUsageError) {
   // With --allow-missing this used to skip every report (exit 77).
-  const std::string root = make_case_dirs("no_fresh", 1.0, 1.0, true, 1.0);
+  const std::string root = make_case_dirs("no_fresh", 1.0, 1.0);
   EXPECT_EQ(run_bench_compare(root + "/baseline /nonexistent/fresh --allow-missing"), 64);
 }
 
 TEST(BenchCompareCli, MatchingReportsPass) {
-  const std::string root = make_case_dirs("ok", 1.0, 1.0, true, 1.0);
+  const std::string root = make_case_dirs("ok", 1.0, 1.0);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 0);
 }
 
 TEST(BenchCompareCli, SequentialRegressionFails) {
-  const std::string root = make_case_dirs("seq_regress", 1.0, 2.0, true, 1.0);
-  EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
-}
-
-TEST(BenchCompareCli, BatchedDivergenceFails) {
-  const std::string root = make_case_dirs("batch_diverged", 1.0, 1.0, false, 1.0);
-  EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
-}
-
-TEST(BenchCompareCli, BatchedRegressionFails) {
-  const std::string root = make_case_dirs("batch_regress", 1.0, 1.0, true, 2.0);
+  const std::string root = make_case_dirs("seq_regress", 1.0, 2.0);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
 // --- memory + fleet gates -------------------------------------------------
 
 TEST(BenchCompareCli, HealthyFleetReportPasses) {
-  const std::string root = make_case_dirs("fleet_ok", 1.0, 1.0, true, 1.0, healthy_fleet(),
+  const std::string root = make_case_dirs("fleet_ok", 1.0, 1.0, healthy_fleet(),
                                           healthy_fleet());
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 0);
 }
@@ -167,15 +146,16 @@ TEST(BenchCompareCli, HealthyFleetReportPasses) {
 TEST(BenchCompareCli, ReportsWithoutNewFieldsStillPass) {
   // Pre-fleet baselines lack peak_rss_bytes / fleet_* entirely; the new
   // gates must skip, not fail, on the absent fields.
-  const std::string root = make_case_dirs("fleet_absent", 1.0, 1.0, true, 1.0);
+  const std::string root = make_case_dirs("fleet_absent", 1.0, 1.0);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 0);
 }
 
 TEST(BenchCompareCli, FleetThreadDivergenceFails) {
+  // The fleet's thread-count verdict lives in the one bit_identical field.
   auto fresh = healthy_fleet();
-  fresh.fleet_bit_identical = false;
+  fresh.bit_identical = false;
   const std::string root =
-      make_case_dirs("fleet_diverged", 1.0, 1.0, true, 1.0, healthy_fleet(), fresh);
+      make_case_dirs("fleet_diverged", 1.0, 1.0, healthy_fleet(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -183,15 +163,7 @@ TEST(BenchCompareCli, FleetResumeDivergenceFails) {
   auto fresh = healthy_fleet();
   fresh.fleet_resume_bit_identical = false;
   const std::string root =
-      make_case_dirs("fleet_resume", 1.0, 1.0, true, 1.0, healthy_fleet(), fresh);
-  EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
-}
-
-TEST(BenchCompareCli, FleetWallRegressionFails) {
-  auto fresh = healthy_fleet();
-  fresh.fleet_wall_s = 20.0;  // baseline 10.0 x 1.5 = 15.0 < 20.0
-  const std::string root =
-      make_case_dirs("fleet_wall", 1.0, 1.0, true, 1.0, healthy_fleet(), fresh);
+      make_case_dirs("fleet_resume", 1.0, 1.0, healthy_fleet(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -199,7 +171,7 @@ TEST(BenchCompareCli, FleetRssGrowthBeyondFlatnessFails) {
   auto fresh = healthy_fleet();
   fresh.fleet_rss_growth = 1.4;  // > the fixed 1.10 flatness limit
   const std::string root =
-      make_case_dirs("fleet_growth", 1.0, 1.0, true, 1.0, healthy_fleet(), fresh);
+      make_case_dirs("fleet_growth", 1.0, 1.0, healthy_fleet(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -207,7 +179,7 @@ TEST(BenchCompareCli, PeakRssRegressionFails) {
   auto fresh = healthy_fleet();
   fresh.peak_rss_bytes = 200e6;  // baseline 100e6 x 1.5 = 150e6 < 200e6
   const std::string root =
-      make_case_dirs("rss_regress", 1.0, 1.0, true, 1.0, healthy_fleet(), fresh);
+      make_case_dirs("rss_regress", 1.0, 1.0, healthy_fleet(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -223,15 +195,16 @@ ExtraFields healthy_host() {
 
 TEST(BenchCompareCli, HealthyHostReportPasses) {
   const std::string root =
-      make_case_dirs("host_ok", 1.0, 1.0, true, 1.0, healthy_host(), healthy_host());
+      make_case_dirs("host_ok", 1.0, 1.0, healthy_host(), healthy_host());
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 0);
 }
 
 TEST(BenchCompareCli, HostThreadDivergenceFails) {
+  // The host's thread-count verdict lives in the one bit_identical field.
   auto fresh = healthy_host();
-  fresh.host_bit_identical = false;
+  fresh.bit_identical = false;
   const std::string root =
-      make_case_dirs("host_diverged", 1.0, 1.0, true, 1.0, healthy_host(), fresh);
+      make_case_dirs("host_diverged", 1.0, 1.0, healthy_host(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -240,7 +213,7 @@ TEST(BenchCompareCli, HostThroughputRegressionFails) {
   auto fresh = healthy_host();
   fresh.host_frames_per_s = 300000.0;
   const std::string root =
-      make_case_dirs("host_slow", 1.0, 1.0, true, 1.0, healthy_host(), fresh);
+      make_case_dirs("host_slow", 1.0, 1.0, healthy_host(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -249,28 +222,27 @@ TEST(BenchCompareCli, HostDropRateRegressionFails) {
   auto fresh = healthy_host();
   fresh.host_drop_rate = 0.35;
   const std::string root =
-      make_case_dirs("host_drops", 1.0, 1.0, true, 1.0, healthy_host(), fresh);
+      make_case_dirs("host_drops", 1.0, 1.0, healthy_host(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
 TEST(BenchCompareCli, HostFieldsAbsentFromBaselineSkipTheGates) {
   // A fresh run that grew the host block vs a baseline that predates it:
-  // only the bit-identity hard gate applies; throughput/drop are skipped.
+  // throughput/drop are skipped.
   auto fresh = healthy_host();
   fresh.host_frames_per_s = 1.0;  // would fail the floor if gated
-  const std::string root = make_case_dirs("host_absent", 1.0, 1.0, true, 1.0, {}, fresh);
+  const std::string root = make_case_dirs("host_absent", 1.0, 1.0, {}, fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 0);
 }
 
 // --- ds_lint exit protocol and report formats -----------------------------
 
 struct CliRun {
-  std::string out;  // stdout only; stderr (the timing summary) is dropped
+  std::string out;  // what the command line sends to the pipe
   int exit_code = -1;
 };
 
-CliRun run_cli(const char* bin, const std::string& args) {
-  const std::string cmd = std::string(bin) + " " + args + " 2>/dev/null";
+CliRun run_shell(const std::string& cmd) {
   CliRun result;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -279,6 +251,10 @@ CliRun run_cli(const char* bin, const std::string& args) {
   const int status = pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+CliRun run_cli(const char* bin, const std::string& args) {
+  return run_shell(std::string(bin) + " " + args + " 2>/dev/null");
 }
 
 CliRun run_lint_cli(const std::string& args) { return run_cli(DS_LINT_BIN, args); }
@@ -458,6 +434,30 @@ TEST(ToolsCli, NumericFlagsAreStrict) {
                     "--corrupt 1e-3")
                 .exit_code,
             0);
+}
+
+TEST(ToolsCli, BenchSizeVariablesFailLoudly) {
+  // A malformed or out-of-range size variable used to be replaced by the
+  // default in silence, so a typo ran a different experiment than asked.
+  // Now both benches exit 64 before any work, naming the variable.
+  const char* huge = "99999999999999999999";
+  const std::string cases[][2] = {
+      {DS_EXP_FLEET_POPULATION_BIN, "DISTSCROLL_FLEET_PARTICIPANTS=999"},
+      {DS_EXP_FLEET_POPULATION_BIN, "DISTSCROLL_FLEET_PARTICIPANTS=abc"},
+      {DS_EXP_FLEET_POPULATION_BIN, "DISTSCROLL_FLEET_PARTICIPANTS=5000x"},
+      {DS_EXP_FLEET_POPULATION_BIN, std::string("DISTSCROLL_FLEET_PARTICIPANTS=") + huge},
+      {DS_EXP_HOST_INGEST_BIN, "DISTSCROLL_HOST_DEVICES=15"},
+      {DS_EXP_HOST_INGEST_BIN, "DISTSCROLL_HOST_DEVICES=65536"},
+      {DS_EXP_HOST_INGEST_BIN, "DISTSCROLL_HOST_DEVICES=4x"},
+      {DS_EXP_HOST_INGEST_BIN, "DISTSCROLL_HOST_DEVICES="},
+  };
+  for (const auto& [bin, assignment] : cases) {
+    // stderr goes to the pipe, stdout is dropped.
+    const CliRun run = run_shell("env '" + assignment + "' " + bin + " 2>&1 >/dev/null");
+    EXPECT_EQ(run.exit_code, 64) << assignment;
+    const std::string name = assignment.substr(0, assignment.find('='));
+    EXPECT_NE(run.out.find(name), std::string::npos) << assignment << ": " << run.out;
+  }
 }
 
 }  // namespace

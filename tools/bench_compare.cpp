@@ -6,28 +6,23 @@
 //
 // For every BENCH_<name>.json in <baseline_dir> the tool loads the
 // fresh report of the same name from <fresh_dir> (default ".") and
-// checks:
-//   * the fresh run kept the determinism contract (bit_identical);
-//   * the fresh sequential wall clock is no worse than
-//     baseline * tolerance (default 1.25 — wall clocks on shared CI
-//     machines are noisy; the gate is for real regressions, not jitter).
-//
-// When both reports carry a batched pass (batch_width > 0) the gate
-// additionally checks that the fresh batched run kept bit-identity with
-// the scalar reference and that its wall clock is no worse than
-// baseline * tolerance. Baselines written before the batched pass
-// existed simply lack the fields and gate the scalar numbers only.
-//
-// Reports carrying peak_rss_bytes additionally gate memory against
-// baseline * tolerance, and streaming-fleet reports
-// (fleet_participants > 0) gate fleet wall clock, thread-count
-// bit-identity, checkpoint/resume bit-identity and RSS flatness
-// (growth ratio <= 1.10). Host-ingest reports (host_devices > 0) gate
-// thread-count bit-identity, throughput (host_frames_per_s, LOWER is
-// worse: fresh must stay above baseline / tolerance) and the overload
-// drop rate (HIGHER is worse: fresh must stay below
-// baseline * tolerance). Older baselines lack the fields and skip
-// those gates.
+// gates each recorded fact once:
+//   * the fresh run kept the determinism contract (bit_identical: the
+//     sweep's parallel pass, the fleet's and the host's thread-count
+//     passes all record their verdict there);
+//   * the fresh sequential wall clock (the fleet and host reference
+//     passes included) is no worse than baseline * tolerance (default
+//     1.25 — wall clocks on shared CI machines are noisy; the gate is
+//     for real regressions, not jitter);
+//   * peak_rss_bytes is no worse than baseline * tolerance;
+//   * streaming-fleet reports (fleet_participants > 0) kept
+//     checkpoint/resume bit-identity and RSS flatness (growth ratio
+//     <= 1.10);
+//   * host-ingest reports (host_devices > 0) kept throughput
+//     (host_frames_per_s, LOWER is worse: fresh must stay above
+//     baseline / tolerance) and the overload drop rate (HIGHER is
+//     worse: fresh must stay below baseline * tolerance).
+// Older baselines lack the optional fields and skip those gates.
 //
 // Exit codes: 0 = all gates passed (or --help), 1 = regression or unreadable
 // report, 64 = malformed command line (e.g. an unparseable
@@ -70,22 +65,15 @@ struct Report {
   double hardware_threads = 0.0;
   bool bit_identical = false;
   bool tracing_compiled = false;
-  // Batched-pass fields; absent in pre-batch baselines.
-  double batch_width = 0.0;
-  double batched_wall_s = 0.0;
-  bool batch_bit_identical = true;
   // Memory + streaming-fleet fields; absent in older baselines.
   double peak_rss_bytes = 0.0;
   double fleet_participants = 0.0;
-  double fleet_wall_s = 0.0;
-  bool fleet_bit_identical = true;
   bool fleet_resume_bit_identical = true;
   double fleet_rss_growth = 0.0;
   // Host-ingest fields; absent in baselines predating the pipeline.
   double host_devices = 0.0;
   double host_frames_per_s = 0.0;
   double host_drop_rate = 0.0;
-  bool host_bit_identical = true;
 };
 
 /// First top-level `"key": <number|bool>` occurrence. The BENCH format
@@ -123,22 +111,16 @@ std::optional<Report> load_report(const std::filesystem::path& path) {
   report.hardware_threads = *hw;
   report.bit_identical = *bit != 0.0;
   report.tracing_compiled = *tracing != 0.0;
-  // Optional batched-pass fields. find_number matches the exact quoted
-  // key, so "batch_bit_identical" cannot collide with "bit_identical".
-  report.batch_width = find_number(json, "batch_width").value_or(0.0);
-  report.batched_wall_s = find_number(json, "batched_wall_s").value_or(0.0);
-  report.batch_bit_identical = find_number(json, "batch_bit_identical").value_or(1.0) != 0.0;
+  // Optional fields. find_number matches the exact quoted key, so
+  // "fleet_resume_bit_identical" cannot collide with "bit_identical".
   report.peak_rss_bytes = find_number(json, "peak_rss_bytes").value_or(0.0);
   report.fleet_participants = find_number(json, "fleet_participants").value_or(0.0);
-  report.fleet_wall_s = find_number(json, "fleet_wall_s").value_or(0.0);
-  report.fleet_bit_identical = find_number(json, "fleet_bit_identical").value_or(1.0) != 0.0;
   report.fleet_resume_bit_identical =
       find_number(json, "fleet_resume_bit_identical").value_or(1.0) != 0.0;
   report.fleet_rss_growth = find_number(json, "fleet_rss_growth").value_or(0.0);
   report.host_devices = find_number(json, "host_devices").value_or(0.0);
   report.host_frames_per_s = find_number(json, "host_frames_per_s").value_or(0.0);
   report.host_drop_rate = find_number(json, "host_drop_rate").value_or(0.0);
-  report.host_bit_identical = find_number(json, "host_bit_identical").value_or(1.0) != 0.0;
   return report;
 }
 
@@ -234,14 +216,7 @@ int main(int argc, char** argv) {
     }
     ++compared;
     if (!fresh->bit_identical) {
-      std::fprintf(stderr, "[fail] %s: parallel results diverged from sequential\n",
-                   file.c_str());
-      ++failed;
-      continue;
-    }
-    if (fresh->batch_width > 0.0 && !fresh->batch_bit_identical) {
-      std::fprintf(stderr, "[fail] %s: batched results diverged from sequential\n",
-                   file.c_str());
+      std::fprintf(stderr, "[fail] %s: results diverged across thread counts\n", file.c_str());
       ++failed;
       continue;
     }
@@ -253,43 +228,15 @@ int main(int argc, char** argv) {
       ++failed;
       continue;
     }
-    if (baseline->batch_width > 0.0 && fresh->batch_width > 0.0) {
-      const double batch_limit = baseline->batched_wall_s * tolerance;
-      if (fresh->batched_wall_s > batch_limit) {
-        std::fprintf(stderr,
-                     "[fail] %s: batched %.3fs exceeds baseline %.3fs x %.2f = %.3fs\n",
-                     file.c_str(), fresh->batched_wall_s, baseline->batched_wall_s, tolerance,
-                     batch_limit);
-        ++failed;
-        continue;
-      }
-    }
-    // Streaming-fleet gates: bit-identity across thread counts and
-    // across checkpoint/resume are hard failures; the fleet wall clock
-    // gates like the other wall clocks; the RSS growth ratio is the
-    // bench's O(aggregates)-memory contract (flat within 10%).
+    // Streaming-fleet gates: bit-identity across checkpoint/resume is a
+    // hard failure; the RSS growth ratio is the bench's
+    // O(aggregates)-memory contract (flat within 10%).
     if (fresh->fleet_participants > 0.0) {
-      if (!fresh->fleet_bit_identical) {
-        std::fprintf(stderr, "[fail] %s: fleet aggregates diverged across thread counts\n",
-                     file.c_str());
-        ++failed;
-        continue;
-      }
       if (!fresh->fleet_resume_bit_identical) {
         std::fprintf(stderr, "[fail] %s: fleet checkpoint/resume diverged from the full run\n",
                      file.c_str());
         ++failed;
         continue;
-      }
-      if (baseline->fleet_participants > 0.0) {
-        const double fleet_limit = baseline->fleet_wall_s * tolerance;
-        if (fresh->fleet_wall_s > fleet_limit) {
-          std::fprintf(stderr, "[fail] %s: fleet %.3fs exceeds baseline %.3fs x %.2f = %.3fs\n",
-                       file.c_str(), fresh->fleet_wall_s, baseline->fleet_wall_s, tolerance,
-                       fleet_limit);
-          ++failed;
-          continue;
-        }
       }
       if (fresh->fleet_rss_growth > kFleetRssFlatLimit) {
         std::fprintf(stderr,
@@ -300,36 +247,27 @@ int main(int argc, char** argv) {
         continue;
       }
     }
-    // Host-ingest gates: thread-count bit-identity (DSTL bytes +
-    // metrics JSON) is a hard failure; throughput gates LOWER-is-worse
-    // (frames/s dropping below baseline / tolerance); the overload drop
-    // rate gates HIGHER-is-worse, with an epsilon so a baseline of
-    // exactly 0 still tolerates float noise.
-    if (fresh->host_devices > 0.0) {
-      if (!fresh->host_bit_identical) {
-        std::fprintf(stderr, "[fail] %s: host ingest diverged across thread counts\n",
-                     file.c_str());
+    // Host-ingest gates: throughput gates LOWER-is-worse (frames/s
+    // dropping below baseline / tolerance); the overload drop rate gates
+    // HIGHER-is-worse, with an epsilon so a baseline of exactly 0 still
+    // tolerates float noise.
+    if (fresh->host_devices > 0.0 && baseline->host_devices > 0.0) {
+      const double floor = baseline->host_frames_per_s / tolerance;
+      if (fresh->host_frames_per_s < floor) {
+        std::fprintf(stderr,
+                     "[fail] %s: host %.0f frames/s below baseline %.0f / %.2f = %.0f\n",
+                     file.c_str(), fresh->host_frames_per_s, baseline->host_frames_per_s,
+                     tolerance, floor);
         ++failed;
         continue;
       }
-      if (baseline->host_devices > 0.0) {
-        const double floor = baseline->host_frames_per_s / tolerance;
-        if (fresh->host_frames_per_s < floor) {
-          std::fprintf(stderr,
-                       "[fail] %s: host %.0f frames/s below baseline %.0f / %.2f = %.0f\n",
-                       file.c_str(), fresh->host_frames_per_s, baseline->host_frames_per_s,
-                       tolerance, floor);
-          ++failed;
-          continue;
-        }
-        const double drop_limit = baseline->host_drop_rate * tolerance + 1e-9;
-        if (fresh->host_drop_rate > drop_limit) {
-          std::fprintf(stderr,
-                       "[fail] %s: host drop rate %.6f exceeds baseline %.6f x %.2f\n",
-                       file.c_str(), fresh->host_drop_rate, baseline->host_drop_rate, tolerance);
-          ++failed;
-          continue;
-        }
+      const double drop_limit = baseline->host_drop_rate * tolerance + 1e-9;
+      if (fresh->host_drop_rate > drop_limit) {
+        std::fprintf(stderr,
+                     "[fail] %s: host drop rate %.6f exceeds baseline %.6f x %.2f\n",
+                     file.c_str(), fresh->host_drop_rate, baseline->host_drop_rate, tolerance);
+        ++failed;
+        continue;
       }
     }
     // Peak-RSS trajectory: same tolerance philosophy as the wall
