@@ -39,7 +39,6 @@
 #include "sensors/gp2d120.h"
 #include "hw/scheduler.h"
 #include "sim/event_queue.h"
-#include "study/device_pool.h"
 #include "study/sweep_runner.h"
 #include "study/task.h"
 #include "util/alloc_guard.h"
@@ -83,29 +82,20 @@ void BM_IslandLookupLut(benchmark::State& state) {
 }
 BENCHMARK(BM_IslandLookupLut)->Arg(5)->Arg(10)->Arg(26)->Arg(64);
 
-/// Session kernel: constructing a full device per sweep cell (Arg 0)
-/// versus recycling one DeviceSession in place (Arg 1) — the pooling
-/// win BENCH jsons track as stage_trial_setup.
-void BM_DeviceConstructVsReset(benchmark::State& state) {
-  const bool pooled = state.range(0) != 0;
+/// Trial setup: one full device (board, buses, displays, buttons,
+/// calendar) built per participant, as study::run_device_participant
+/// does under its TrialSetup stage.
+void BM_DeviceConstruct(benchmark::State& state) {
   const auto menu_root = menu::make_phone_menu();
   core::DistScrollDevice::Config config;
   std::uint64_t seed = 0;
-  if (pooled) {
-    study::DeviceSession session;
-    for (auto _ : state) {
-      auto& device = session.acquire(config, *menu_root, sim::Rng(++seed));
-      benchmark::DoNotOptimize(device.cursor().index());
-    }
-  } else {
-    for (auto _ : state) {
-      sim::EventQueue queue;
-      core::DistScrollDevice device(config, *menu_root, queue, sim::Rng(++seed));
-      benchmark::DoNotOptimize(device.cursor().index());
-    }
+  for (auto _ : state) {
+    sim::EventQueue queue;
+    core::DistScrollDevice device(config, *menu_root, queue, sim::Rng(++seed));
+    benchmark::DoNotOptimize(device.cursor().index());
   }
 }
-BENCHMARK(BM_DeviceConstructVsReset)->Arg(0)->Arg(1);
+BENCHMARK(BM_DeviceConstruct);
 
 /// The delegate-based sampling chain: ADC conversion through a
 /// FunctionRef analog source into the GP2D120 model — the per-tick cost

@@ -18,6 +18,10 @@
 #                every sim::ThreadPool user (sweep runner, fleet engine,
 #                host ingest's per-lane produce phase, thread-local
 #                BatchTrialRunner groups on a pool)
+#   native       golden + threading + fleet at -O3 -march=native: the
+#                bytes may not depend on build flags (the root
+#                CMakeLists.txt pins -ffp-contract=off, so a target with
+#                FMA does not fuse a*b + c)
 #
 # Every flavour runs the same pre-step: build ds_lint alone and assert
 # `ds_lint --root .` exits 0 BEFORE the (much longer) test build. A
@@ -48,6 +52,7 @@ preset_bindir() {
     asan-ubsan)  echo build-asan ;;
     tsan)        echo build-tsan ;;
     tracing-off) echo build-notrace ;;
+    native)      echo build-native ;;
     *)           echo "unknown preset '$1'" >&2; exit 64 ;;
   esac
 }
@@ -90,6 +95,7 @@ run_flavour default     'lint|unit|property|golden|batch|fleet|host'
 run_flavour tracing-off 'lint|unit|property|golden|batch|fleet|host'
 run_flavour asan-ubsan  'lint|unit|fuzz|host|golden'
 run_flavour tsan        'threading|fleet|host|batch'
+run_flavour native      'golden|threading|fleet'
 run_perf_gate
 
 echo "==> all flavours green (perf gate: ${PERF_STATUS})"

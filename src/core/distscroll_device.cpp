@@ -34,18 +34,18 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
       top_driver_(board_.i2c(), kTopDisplayAddress),
       bottom_driver_(board_.i2c(), kBottomDisplayAddress),
       pot_({}, rng.fork(4)),
-      menu_root_(&menu_root),
       cursor_(menu_root),
       mapper_(config.curve, 1, config.islands),
-      controller_(mapper_, config.scroll) {
-  // --- one-time wiring (per board object, survives session resets) ------
+      controller_(mapper_, config.scroll),
+      distance_provider_(default_distance),
+      tilt_provider_(default_tilt) {
   board_.i2c().attach(kTopDisplayAddress, &top_panel_);
   board_.i2c().attach(kBottomDisplayAddress, &bottom_panel_);
 
   // All five ADC channels are wired unconditionally — the parts are on
-  // the board whether or not a session's config samples them, and an
-  // unsampled channel draws nothing from the noise stream. The sources
-  // are non-owning delegates: context is the device itself.
+  // the board whether or not the config samples them, and an unsampled
+  // channel draws nothing from the noise stream. The sources are
+  // non-owning delegates: context is the device itself.
   ranger_channel_ = board_.adc().attach(hw::AnalogSource(this, [](void* ctx, util::Seconds now) {
     auto* self = static_cast<DistScrollDevice*>(ctx);
     return self->ranger_.output(self->distance_provider_(now), now);
@@ -101,80 +101,14 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
   board_.mcu().reserve_ram("fifos+state", 192);
   board_.mcu().reserve_flash("firmware", 14 * 1024);
 
-  // Everything else is session state; the reset path IS the second half
-  // of construction, so fresh-construct and pooled-reset cannot drift.
-  reset(std::move(config), menu_root, rng);
-}
-
-void DistScrollDevice::reset(Config config, const menu::MenuNode& menu_root, sim::Rng rng) {
-  config_ = std::move(config);
-  board_.reset(config_.board, rng.fork(1));
-  eeprom_.reset();
-  ranger_.reset(config_.sensor, rng.fork(2));
-  secondary_ranger_.reset(config_.sensor, rng.fork(20));
-  accel_.reset(config_.accel, rng.fork(3));
-  top_panel_.reset();
-  bottom_panel_.reset();
-  top_driver_.reset();
-  bottom_driver_.reset();
-  pot_.reset({}, rng.fork(4));
-  for (std::size_t pin = 0; pin < buttons_.size(); ++pin) {
-    buttons_[pin]->reset(config_.button, rng.fork(10 + pin));
-  }
-  for (auto& debouncer : debouncers_) debouncer.reset({});
-
   if (config_.use_dual_sensor) {
     DualRangeResolver::Config resolver_config = config_.dual_sensor;
     resolver_config.peak_cm = config_.sensor.peak_cm;
     resolver_config.dead_zone_volts = config_.sensor.dead_zone_volts;
-    // ds-lint: allow(no-alloc-markers) optional in-place construct of value state; pinned heap-free by the pooled-reuse AllocGuard test
     dual_resolver_.emplace(config_.curve, config_.curve, resolver_config);
-    if (!has_dual_ram_) {
-      board_.mcu().reserve_ram("dual-sensor-state", 16);
-      has_dual_ram_ = true;
-    }
-  } else {
-    dual_resolver_.reset();
+    board_.mcu().reserve_ram("dual-sensor-state", 16);
   }
-  if (config_.enable_context_gate) {
-    // ds-lint: allow(no-alloc-markers) optional in-place construct of value state; no heap
-    context_gate_.emplace(config_.context_gate);
-  } else {
-    context_gate_.reset();
-  }
-
-  menu_root_ = &menu_root;
-  cursor_.rebind(menu_root);
-
-  distance_owner_ = nullptr;
-  tilt_owner_ = nullptr;
-  distance_provider_ = DistanceProvider(default_distance);
-  tilt_provider_ = TiltProvider(default_tilt);
-  counts_override_ = nullptr;
-  tracer_ = nullptr;
-  controller_.set_tracer(nullptr);
-
-  // Restore the draws the previous session may have duty-cycled down or
-  // re-trimmed (contrast pot path).
-  board_.battery().set_draw(sensor_draw_, kRangerDrawMa);
-  board_.battery().set_draw(display_draw_,
-                            top_panel_.current_draw_ma() + bottom_panel_.current_draw_ma());
-
-  powered_ = false;
-  browned_out_ = false;
-  calibrated_from_eeprom_ = false;
-  firmware_timer_ = 0;
-  button_timer_ = 0;
-  ticks_since_telemetry_ = 0;
-  sensor_idle_ = false;
-  ticks_since_sample_ = 0;
-  last_activity_s_ = 0.0;
-  select_pressed_at_s_ = -1.0;
-  telemetry_seq_ = 0;
-  last_counts_ = util::AdcCounts{0};
-  redraws_ = 0;
-  selections_.clear();
-  leaf_callback_ = nullptr;
+  if (config_.enable_context_gate) context_gate_.emplace(config_.context_gate);
 
   rebuild_mapping();
 }
@@ -271,7 +205,6 @@ void DistScrollDevice::rebuild_mapping() {
       break;
     case LongMenuStrategy::Chunked:
       if (level_size > config_.chunk_size) {
-        // ds-lint: allow(no-alloc-markers) optional in-place construct of value state; no heap
         chunker_.emplace(level_size, config_.chunk_size);
         chunker_->jump_to_chunk(chunker_->chunk_of(cursor_.index()));
         islands = chunker_->entries_in_chunk();
@@ -280,7 +213,6 @@ void DistScrollDevice::rebuild_mapping() {
     case LongMenuStrategy::SpeedZoom:
       if (level_size > config_.speed_zoom_islands) {
         islands = config_.speed_zoom_islands;
-        // ds-lint: allow(no-alloc-markers) optional in-place construct of value state; no heap
         zoom_.emplace(level_size, islands, config_.speed_zoom);
       }
       break;
@@ -295,7 +227,6 @@ void DistScrollDevice::rebuild_mapping() {
       fs.threshold_counts = static_cast<std::uint16_t>(
           std::min(1020, mapper_.islands().front().high + 12));
     }
-    // ds-lint: allow(no-alloc-markers) optional in-place construct of value state; no heap
     fast_scroll_.emplace(fs);
   } else {
     fast_scroll_.reset();

@@ -92,15 +92,6 @@ class DistScrollDevice {
   DistScrollDevice(Config config, const menu::MenuNode& menu_root, sim::EventQueue& queue,
                    sim::Rng rng);
 
-  /// Session reuse: restore the whole device to the state a freshly
-  /// constructed one would have for the same (config, menu, rng) — in
-  /// place, reusing every buffer and peripheral binding. The owner must
-  /// clear the shared event queue FIRST (study::DeviceSession does).
-  /// The determinism contract: reset(c, m, r) and a fresh
-  /// DistScrollDevice(c, m, q, r) produce bit-identical behaviour;
-  /// pinned by the pooled-vs-fresh property test.
-  void reset(Config config, const menu::MenuNode& menu_root, sim::Rng rng);
-
   // --- the physical situation ------------------------------------------
   /// Hot-path (per-sample) provider views. Non-owning: the caller keeps
   /// the callable alive while the device may sample.
@@ -238,7 +229,6 @@ class DistScrollDevice {
   };
   std::array<ButtonCtx, 3> button_ctx_{};
 
-  const menu::MenuNode* menu_root_;
   menu::MenuCursor cursor_;
 
   // Direct members, rebuilt in place by rebuild_mapping(): level changes
@@ -276,10 +266,6 @@ class DistScrollDevice {
   bool powered_ = false;
   bool browned_out_ = false;
   bool calibrated_from_eeprom_ = false;
-  /// Whether the 16 B dual-sensor RAM block has been registered with the
-  /// MCU. Reservations are per-board, not per-session: a pooled board
-  /// that once ran a dual-sensor session keeps the block.
-  bool has_dual_ram_ = false;
   std::size_t firmware_timer_ = 0;
   std::size_t button_timer_ = 0;
   int ticks_since_telemetry_ = 0;

@@ -53,8 +53,7 @@ class IslandMapper {
 
   /// Rebuild the table in place for a new entry count/config. Reuses the
   /// island/centre storage (no allocation once capacity has grown to the
-  /// largest menu level seen) — the session-reuse path for menu-level
-  /// changes and pooled devices.
+  /// largest menu level seen) — the path menu-level changes take.
   void rebuild(const SensorCurve& curve, std::size_t entries, Config config);
 
   [[nodiscard]] std::size_t entries() const { return islands_.size(); }

@@ -42,18 +42,6 @@ class Bt96040 final : public hw::I2cSlave {
  public:
   Bt96040() = default;
 
-  /// Session reuse: power-on state — blank panel, default contrast,
-  /// cursor home, frame counter zero.
-  void reset() {
-    framebuffer_.reset();
-    for (auto& row : text_shadow_) row.fill('\0');
-    inverted_.fill(false);
-    cursor_row_ = 0;
-    cursor_col_ = 0;
-    contrast_ = 32;
-    frames_written_ = 0;
-  }
-
   // --- I2cSlave ----------------------------------------------------------
   bool on_write(std::span<const std::uint8_t> data) override;
   std::vector<std::uint8_t> on_read(std::size_t length) override;  // status byte

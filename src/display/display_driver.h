@@ -22,16 +22,6 @@ class DisplayDriver {
  public:
   DisplayDriver(hw::I2cBus& bus, std::uint8_t address) : bus_(&bus), address_(address) {}
 
-  /// Session reuse: forget the shadow state so the next show() repaints
-  /// everything (matches a freshly constructed driver facing a freshly
-  /// cleared panel).
-  void reset() {
-    last_acked_ = true;
-    for (auto& line : shadow_) line.clear();
-    shadow_highlight_ = -1;
-    shadow_valid_ = false;
-  }
-
   /// Clear the panel. Returns bus time spent.
   util::Seconds clear();
 

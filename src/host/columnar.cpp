@@ -111,20 +111,6 @@ std::vector<std::uint8_t> ColumnarWriter::finish() const {
   return out;
 }
 
-void ColumnarWriter::clear() {
-  count_ = 0;
-  prev_t_us_ = 0;
-  prev_adc_ = 0;
-  device_ids_.clear();
-  times_.clear();
-  seqs_.clear();
-  adcs_.clear();
-  depths_.clear();
-  cursors_.clear();
-  levels_.clear();
-  buttons_.clear();
-}
-
 std::vector<std::uint8_t> encode_dstl(std::span<const CompactRecord> records,
                                       std::uint16_t session_id) {
   ColumnarWriter writer(session_id);

@@ -98,8 +98,6 @@ class ColumnarWriter {
   /// Serialise the container (the writer itself stays appendable, so
   /// tests can snapshot mid-stream; the pipeline calls it once).
   [[nodiscard]] std::vector<std::uint8_t> finish() const;
-  /// Forget everything, keep capacity (session reuse).
-  void clear();
 
  private:
   std::uint16_t session_id_;

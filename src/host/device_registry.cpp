@@ -47,14 +47,4 @@ DeviceRegistry::Decision DeviceRegistry::admit(std::uint16_t device_id, std::uin
   return decision;
 }
 
-void DeviceRegistry::clear() {
-  for (DeviceStats& dev : devices_) dev = DeviceStats{};
-  devices_seen_ = 0;
-  accepted_ = 0;
-  reordered_ = 0;
-  duplicates_ = 0;
-  too_old_ = 0;
-  gaps_ = 0;
-}
-
 }  // namespace distscroll::host

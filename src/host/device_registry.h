@@ -63,9 +63,6 @@ class DeviceRegistry {
   [[nodiscard]] std::uint64_t too_old() const { return too_old_; }
   [[nodiscard]] std::uint64_t gaps() const { return gaps_; }
 
-  /// Forget every stream (fresh session); capacity is kept.
-  void clear();
-
  private:
   std::vector<DeviceStats> devices_;
   std::size_t devices_seen_ = 0;

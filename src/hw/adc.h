@@ -36,13 +36,6 @@ class Adc10 {
 
   Adc10(Config config, sim::Rng rng) : config_(config), rng_(rng) {}
 
-  /// Session reuse: new config and noise stream; attached channels are
-  /// wiring and survive.
-  void reset(Config config, sim::Rng rng) {
-    config_ = config;
-    rng_ = rng;
-  }
-
   /// Attach an analog source to a channel; returns the channel number.
   std::size_t attach(AnalogSource source);
 

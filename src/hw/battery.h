@@ -7,7 +7,6 @@
 // paper mentions when arguing for sensors over mechanical parts.
 #pragma once
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -26,16 +25,6 @@ class Battery {
 
   Battery() : Battery(Config{}) {}
   explicit Battery(Config config) : config_(config) {}
-
-  /// Session reuse: a fresh cell of the (possibly new) configured
-  /// chemistry. Registered consumers survive — they are wiring — but the
-  /// owner must re-apply their draws via set_draw(), since the previous
-  /// session may have duty-cycled them down.
-  void reset(Config config) {
-    config_ = config;
-    consumed_mah_ = 0.0;
-    std::fill(consumer_mah_.begin(), consumer_mah_.end(), 0.0);
-  }
 
   /// Register a named consumer with a constant current draw in mA.
   /// Returns the consumer id.

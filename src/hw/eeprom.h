@@ -74,15 +74,6 @@ class Eeprom {
     cells_.fill(0xFF);
   }
 
-  /// Session reuse: a factory-fresh part — erased cells, zero wear.
-  /// erase() alone models an in-system bulk erase and keeps the wear
-  /// history; this does not.
-  void reset() {
-    cells_.fill(0xFF);
-    wear_.fill(0);
-    writes_ = 0;
-  }
-
  private:
   std::array<std::uint8_t, kSize> cells_{};
   std::array<std::uint32_t, kSize> wear_{};

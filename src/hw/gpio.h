@@ -23,13 +23,6 @@ class Gpio {
 
   explicit Gpio(std::size_t pin_count);
 
-  /// Session reuse: all pins float back to the pull-up default. Modes
-  /// and edge callbacks are wiring and survive (pin count is fixed at
-  /// construction).
-  void reset() {
-    for (Pin& pin : pins_) pin.level = PinLevel::High;
-  }
-
   [[nodiscard]] std::size_t pin_count() const { return pins_.size(); }
 
   void set_mode(std::size_t pin, PinMode mode);

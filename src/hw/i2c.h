@@ -38,14 +38,6 @@ class I2cBus {
   I2cBus() : I2cBus(Config{}) {}
   explicit I2cBus(Config config) : config_(config) {}
 
-  /// Session reuse: zero the traffic counters; attached slaves are
-  /// wiring and survive.
-  void reset(Config config) {
-    config_ = config;
-    transactions_ = 0;
-    bytes_ = 0;
-  }
-
   /// Attach a slave at a 7-bit address. Replaces any previous slave at
   /// that address.
   void attach(std::uint8_t address, I2cSlave* slave);

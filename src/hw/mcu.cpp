@@ -5,7 +5,6 @@ namespace distscroll::hw {
 void Mcu::reserve_ram(std::string what, std::size_t bytes) {
   assert(ram_used_ + bytes <= config_.ram_bytes && "PIC 18F452 RAM budget (1536 B) exceeded");
   ram_used_ += bytes;
-  // ds-lint: allow(no-alloc-markers) budget ledger; call sites on warm paths are latched to fire once per part
   ram_allocations_.push_back({std::move(what), bytes});
 }
 

@@ -30,17 +30,6 @@ class Mcu {
 
   Mcu(Config config, sim::EventQueue& queue) : config_(config), queue_(&queue) {}
 
-  /// Session reuse: zero the cycle counter and drop all timers. The
-  /// owner must clear the event queue first — pending timer events hold
-  /// indices into timers_. Memory reservations are PRESERVED: the
-  /// firmware image and its static tables are wired once per object
-  /// (per board), not once per session.
-  void reset(Config config) {
-    config_ = config;
-    cycles_ = 0;
-    timers_.clear();
-  }
-
   // --- cycle accounting -------------------------------------------------
   /// Firmware charges instruction cycles for work it performs; used by
   /// the "no heavy processing" micro-benchmark.

@@ -44,22 +44,7 @@ class SmartIts {
         uart_(config.uart),
         gpio_(config.gpio_pins) {
     // Baseline draws of the board itself (regulator + MCU active).
-    mcu_draw_ = battery_.add_consumer("base-board+mcu", kBoardDrawMa);
-  }
-
-  /// Session reuse: restore the freshly-constructed board state in
-  /// place. Rng fork tags match the constructor, so a reset board draws
-  /// the exact streams a fresh one would. The owner must have cleared
-  /// the shared event queue first (Mcu::reset drops its timers). The
-  /// GPIO pin count is fixed at construction.
-  void reset(Config config, sim::Rng rng) {
-    battery_.reset(config.battery);
-    mcu_.reset(config.mcu);
-    adc_.reset(config.adc, rng.fork(0xADC));
-    i2c_.reset(config.i2c);
-    uart_.reset(config.uart);
-    gpio_.reset();
-    battery_.set_draw(mcu_draw_, kBoardDrawMa);
+    battery_.add_consumer("base-board+mcu", kBoardDrawMa);
   }
 
   [[nodiscard]] Battery& battery() { return battery_; }
@@ -72,8 +57,6 @@ class SmartIts {
   [[nodiscard]] const Battery& battery() const { return battery_; }
   [[nodiscard]] const Mcu& mcu() const { return mcu_; }
 
-  [[nodiscard]] std::size_t mcu_draw_consumer() const { return mcu_draw_; }
-
  private:
   Battery battery_;
   Mcu mcu_;
@@ -81,7 +64,6 @@ class SmartIts {
   I2cBus i2c_;
   Uart uart_;
   Gpio gpio_;
-  std::size_t mcu_draw_;
 };
 
 }  // namespace distscroll::hw

@@ -35,15 +35,6 @@ class Uart {
   Uart() : Uart(Config{}) {}
   explicit Uart(Config config) : config_(config) {}
 
-  /// Session reuse: drain both FIFOs and zero the overflow counter. The
-  /// TX-space callback is wiring and survives.
-  void reset(Config config) {
-    config_ = config;
-    tx_fifo_.clear();
-    rx_fifo_.clear();
-    rx_overflows_ = 0;
-  }
-
   [[nodiscard]] util::Seconds byte_time() const {
     return util::Seconds{Config::bits_per_byte / config_.baud};
   }

@@ -35,16 +35,6 @@ class Button {
   [[nodiscard]] std::size_t pin() const { return pin_; }
   [[nodiscard]] bool physically_pressed() const { return pressed_; }
 
-  /// Session reuse: released, new bounce stream; bumping the generation
-  /// invalidates any in-flight bounce edges (the owner normally clears
-  /// the event queue anyway).
-  void reset(Config config, sim::Rng rng) {
-    config_ = config;
-    rng_ = rng;
-    pressed_ = false;
-    ++generation_;
-  }
-
   /// The (simulated) user presses the button now. Emits bounce edges
   /// then settles Low (active-low wiring). Returns false if the press
   /// missed (glove slip) and nothing was driven.

@@ -29,14 +29,6 @@ class Debouncer {
   void on_press(Callback cb) { on_press_ = std::move(cb); }
   void on_release(Callback cb) { on_release_ = std::move(cb); }
 
-  /// Session reuse: back to the released steady state. The press and
-  /// release callbacks are wiring and survive.
-  void reset(Config config) {
-    config_ = config;
-    stable_level_ = hw::PinLevel::High;
-    counter_ = 0;
-  }
-
   /// Debounced state (active-low wiring: Low = pressed).
   [[nodiscard]] bool pressed() const { return stable_level_ == hw::PinLevel::Low; }
 

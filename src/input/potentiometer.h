@@ -21,14 +21,6 @@ class Potentiometer {
 
   Potentiometer(Config config, sim::Rng rng) : config_(config), rng_(rng) {}
 
-  /// Session reuse: equivalent to replacing the object — wiper back to
-  /// the mid-travel default.
-  void reset(Config config, sim::Rng rng) {
-    config_ = config;
-    rng_ = rng;
-    position_ = 0.5;
-  }
-
   void set_position(double position) { position_ = std::clamp(position, 0.0, 1.0); }
   [[nodiscard]] double position() const { return position_; }
 

@@ -117,16 +117,6 @@ class MenuCursor {
     index_ = 0;
   }
 
-  /// Point the cursor at a (possibly different) tree and reset the
-  /// navigation state. Lets a pooled device session adopt the next
-  /// cell's menu without reconstructing the cursor.
-  void rebind(const MenuNode& root) {
-    assert(!root.is_leaf() && "menu root must have entries");
-    root_ = &root;
-    path_.clear();
-    index_ = 0;
-  }
-
  private:
   const MenuNode* root_;
   std::vector<const MenuNode*> path_;

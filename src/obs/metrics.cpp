@@ -132,10 +132,4 @@ std::string MetricsRegistry::to_json_fields(int indent) const {
   return out;
 }
 
-void MetricsRegistry::reset() {
-  for (auto& entry : counters_) entry.instrument.set(0);
-  for (auto& entry : gauges_) entry.instrument.set(0.0);
-  for (auto& entry : histograms_) entry.instrument.clear();
-}
-
 }  // namespace distscroll::obs

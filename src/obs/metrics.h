@@ -131,10 +131,6 @@ class MetricsRegistry {
   /// bench artefacts carry real distributions, not just totals.
   [[nodiscard]] std::string to_json_fields(int indent = 2) const;
 
-  /// Zero every counter/gauge and clear every histogram (instruments
-  /// stay registered, addresses stay valid).
-  void reset();
-
  private:
   template <typename T>
   struct Named {

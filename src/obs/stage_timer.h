@@ -34,7 +34,7 @@ enum class Stage : std::uint8_t {
   Sensor,         // context gate + dual-sensor fold resolution
   Controller,     // counts -> island -> menu entry (incl. apply)
   Flush,          // redraw: window building + both display drivers
-  TrialSetup,     // device acquire/construct + participant wiring
+  TrialSetup,     // device construction or technique reset + wiring
   kCount,
 };
 

@@ -117,12 +117,6 @@ class Tracer {
     return out;
   }
 
-  void clear() {
-    head_ = 0;
-    size_ = 0;
-    dropped_ = 0;
-  }
-
  private:
   std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;

@@ -26,13 +26,6 @@ class Adxl311Model {
 
   Adxl311Model(Config config, sim::Rng rng) : config_(config), rng_(rng) {}
 
-  /// Session reuse: equivalent to replacing the object (the model is
-  /// stateless beyond its noise stream).
-  void reset(Config config, sim::Rng rng) {
-    config_ = config;
-    rng_ = rng;
-  }
-
   [[nodiscard]] const Config& config() const { return config_; }
 
   /// Analog X output for a static pitch angle plus dynamic acceleration

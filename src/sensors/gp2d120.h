@@ -81,17 +81,6 @@ class Gp2d120Model {
     held_volts_ = 0.0;
   }
 
-  /// Session reuse: equivalent to replacing the object — new config and
-  /// noise stream, default surface, tracer detached (a fresh sensor has
-  /// none attached).
-  void reset(Config config, sim::Rng rng) {
-    config_ = config;
-    rng_ = rng;
-    surface_ = SurfaceProfile{};
-    tracer_ = nullptr;
-    reset();
-  }
-
  private:
   /// Returns whether this measurement was a specular glitch.
   bool remeasure(util::Centimeters distance);

@@ -39,9 +39,9 @@ class EventQueue {
   /// Schedule `cb` at absolute simulated time `when`. Scheduling in the
   /// past clamps to now (the event fires next).
   // Steady-state allocation-free: the heap and slot table grow only
-  // while the calendar is deeper than it has ever been; a session at
-  // its working depth recycles capacity (clear() keeps it). Pinned by
-  // the AllocGuard schedule/dispatch test.
+  // while the calendar is deeper than it has ever been; a queue at its
+  // working depth recycles capacity. Pinned by the AllocGuard
+  // schedule/dispatch test.
   DS_HOT_BEGIN
   Handle schedule_at(util::Seconds when, Callback cb) {
     if (when < clock_.now()) when = clock_.now();
@@ -114,20 +114,6 @@ class EventQueue {
   /// True when the last run_all() stopped at its event cap with events
   /// still pending (i.e. the simulation did not actually finish).
   [[nodiscard]] bool truncated() const { return truncated_; }
-
-  /// Reset to the just-constructed state — empty calendar, time zero,
-  /// arm counter zero — while KEEPING the heap/slot storage capacity.
-  /// The session-reuse path: a pooled device's queue is cleared between
-  /// cells, so dispatch order (which ties on arm order) is bit-identical
-  /// to a fresh queue without the fresh allocations.
-  void clear() {
-    heap_.clear();
-    slots_.clear();
-    free_slots_.clear();
-    live_ = 0;
-    truncated_ = false;
-    clock_ = SimClock{};
-  }
 
  private:
   struct HeapEntry {

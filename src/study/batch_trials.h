@@ -32,9 +32,8 @@ namespace distscroll::study {
 
 class BatchTrialRunner {
  public:
-  /// One runner per worker thread, like DevicePool::local_session:
-  /// grouped sweeps on a pool stay inside the determinism contract
-  /// because cell state never crosses threads.
+  /// One runner per worker thread: grouped sweeps on a pool stay inside
+  /// the determinism contract because cell state never crosses threads.
   static BatchTrialRunner& local();
 
   /// Start a group of up to `lanes` cells. Clears previous cells and

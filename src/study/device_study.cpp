@@ -8,7 +8,6 @@
 #include "human/fitts.h"
 #include "human/hand_model.h"
 #include "obs/stage_timer.h"
-#include "study/device_pool.h"
 #include "util/stats.h"
 
 namespace distscroll::study {
@@ -209,32 +208,17 @@ std::vector<MenuTarget> all_leaf_targets(const menu::MenuNode& root) {
 
 DeviceParticipantResult run_device_participant(const menu::MenuNode& menu_root,
                                                human::UserProfile profile,
-                                               const DeviceStudyConfig& config, sim::Rng rng,
-                                               bool use_pool) {
-  // Pooled path: recycle this thread's session (the steady state does
-  // no allocation). Fresh path: construct everything locally — the
-  // reference the bit-identity property test compares against.
-  std::optional<sim::EventQueue> fresh_queue;
-  std::optional<core::DistScrollDevice> fresh_device;
-  sim::EventQueue* queue = nullptr;
-  core::DistScrollDevice* device = nullptr;
+                                               const DeviceStudyConfig& config, sim::Rng rng) {
+  sim::EventQueue queue;
+  std::optional<core::DistScrollDevice> device;
   {
-    DS_STAGE(TrialSetup);  // the cost device pooling exists to shrink
-    if (use_pool) {
-      DeviceSession& session = DevicePool::local();
-      device = &session.acquire(config.device, menu_root, rng.fork(1));
-      queue = &session.queue();
-    } else {
-      fresh_queue.emplace();
-      fresh_device.emplace(config.device, menu_root, *fresh_queue, rng.fork(1));
-      queue = &*fresh_queue;
-      device = &*fresh_device;
-    }
+    DS_STAGE(TrialSetup);
+    device.emplace(config.device, menu_root, queue, rng.fork(1));
   }
   core::DistScrollDevice& dev = *device;
   dev.power_on();
 
-  DeviceParticipant participant(dev, *queue, profile, config, rng.fork(2));
+  DeviceParticipant participant(dev, queue, profile, config, rng.fork(2));
   participant.set_menu_root(&menu_root);
 
   DeviceParticipantResult result;

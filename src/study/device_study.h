@@ -61,15 +61,11 @@ struct MenuTarget {
 /// Collect all leaf targets of a menu.
 [[nodiscard]] std::vector<MenuTarget> all_leaf_targets(const menu::MenuNode& root);
 
-/// Run one participant through discovery + blocks. By default the
-/// participant operates this thread's pooled device session
-/// (study::DevicePool) — reset in place, allocation-free in steady
-/// state. Pass use_pool = false to construct a fresh device instead;
-/// both paths are bit-identical for the same (menu, profile, config,
-/// rng), pinned by the pooled-vs-fresh property test.
+/// Run one participant through discovery + blocks on a freshly
+/// constructed device.
 [[nodiscard]] DeviceParticipantResult run_device_participant(const menu::MenuNode& menu_root,
                                                              human::UserProfile profile,
                                                              const DeviceStudyConfig& config,
-                                                             sim::Rng rng, bool use_pool = true);
+                                                             sim::Rng rng);
 
 }  // namespace distscroll::study

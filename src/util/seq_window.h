@@ -66,11 +66,8 @@ class SeqWindow {
     return {Verdict::AcceptReordered, 0};
   }
 
-  /// True once a frame has been admitted (since construction or clear()).
+  /// True once a frame has been admitted.
   [[nodiscard]] bool started() const { return started_; }
-
-  /// Forget the stream: the next frame is a fresh first frame.
-  void clear() { *this = SeqWindow{}; }
 
  private:
   bool started_ = false;

@@ -44,9 +44,9 @@ class HostLogger {
   /// Most recent state report logged.
   [[nodiscard]] std::optional<StateReport> last_state() const { return last_state_; }
 
-  /// Frames accepted by the logger (monotone, survives clear()). Equals
-  /// decoder().frames_decoded() on the raw byte path; on the ARQ path
-  /// the decoder is idle and this counts on_frame() deliveries.
+  /// Frames accepted by the logger. Equals decoder().frames_decoded()
+  /// on the raw byte path; on the ARQ path the decoder is idle and this
+  /// counts on_frame() deliveries.
   [[nodiscard]] std::uint64_t frames_received() const { return frames_logged_; }
   [[nodiscard]] std::uint64_t crc_errors() const { return decoder_.crc_errors(); }
 
@@ -55,17 +55,6 @@ class HostLogger {
   [[nodiscard]] std::uint64_t sequence_gaps() const { return sequence_gaps_; }
 
   [[nodiscard]] const FrameDecoder& decoder() const { return decoder_; }
-
-  /// Start a new logging session: forgets events, state AND the
-  /// sequence tracking, so the first frame after clear() establishes a
-  /// fresh baseline instead of being counted as a gap against the
-  /// previous session's last sequence number.
-  void clear() {
-    events_.clear();
-    last_state_.reset();
-    window_.clear();
-    sequence_gaps_ = 0;
-  }
 
  private:
   const sim::EventQueue* queue_;

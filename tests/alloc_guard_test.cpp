@@ -3,9 +3,8 @@
 // process (file:line) if the wrapped scope allocates. These tests pin
 // the allocation-free claims the session kernel makes on its hot paths:
 // Tracer::record past ring capacity, EventQueue schedule/dispatch at
-// recycled depth, the device firmware sample loop, warm pooled session
-// reuse, and a host ingest device link's send/drain/ack/retransmit
-// cycle.
+// recycled depth, the device firmware sample loop, and a host ingest
+// device link's send/drain/ack/retransmit cycle.
 //
 // The interposer is compiled out under sanitizer builds (they own the
 // allocator), so every assertion skips when it is not linked in.
@@ -21,7 +20,6 @@
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
-#include "study/device_pool.h"
 #include "util/alloc_guard.h"
 #include "wireless/packet.h"
 
@@ -110,34 +108,6 @@ TEST(AllocGuard, DeviceSampleLoopIsAllocationFreeWhenWarm) {
     queue.run_until(util::Seconds{4.0});
   }
   EXPECT_EQ(device.cursor().index(), cursor_before);
-}
-
-TEST(AllocGuard, PooledSessionReuseIsAllocationFreeWhenWarm) {
-  SKIP_WITHOUT_INTERPOSER();
-  auto menu_root = menu::make_flat_menu(5);
-  study::DeviceSession session;
-  core::DistScrollDevice::Config config;
-
-  // First acquire constructs the whole prototype (cold, allocates) and
-  // a short powered run gives the calendar its working depth.
-  auto run_once = [&](core::DistScrollDevice& device) {
-    device.set_distance_provider([](util::Seconds) { return util::Centimeters{17.0}; });
-    device.power_on();
-    session.queue().run_until(util::Seconds{1.0});
-    device.power_off();
-  };
-  run_once(session.acquire(config, *menu_root, sim::Rng(7)));
-  ASSERT_TRUE(session.warm());
-
-  // Warm reuse — the reason DeviceSession exists: clearing the calendar
-  // and resetting the device in place must not allocate.
-  core::DistScrollDevice* recycled = nullptr;
-  DS_ASSERT_NO_ALLOC {
-    recycled = &session.acquire(config, *menu_root, sim::Rng(7));
-  }
-  ASSERT_NE(recycled, nullptr);
-  run_once(*recycled);  // and the recycled device still works
-  EXPECT_LT(recycled->cursor().index(), 5u);
 }
 
 TEST(AllocGuard, HostLinkSendDrainAckRetransmitIsAllocationFreeWhenWarm) {

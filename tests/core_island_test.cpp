@@ -305,8 +305,8 @@ TEST(IslandMapper, LutMatchesReferenceSearchExhaustively) {
 }
 
 TEST(IslandMapper, RebuildInPlaceMatchesFreshConstruction) {
-  // Session-reuse contract: rebuilding a mapper in place (the pooled
-  // path) yields byte-for-byte the same table as constructing fresh.
+  // Rebuilding a mapper in place (the menu-level-change path) yields
+  // byte-for-byte the same table as constructing fresh.
   SensorCurve curve;
   IslandMapper reused(curve, 26, {});
   const std::size_t levels[] = {3, 26, 7, 64, 2, 26};

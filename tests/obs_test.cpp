@@ -82,18 +82,6 @@ TEST(Tracer, BoundClockStampsFromSimTime) {
   EXPECT_DOUBLE_EQ(events[0].time_s, 1.25);
 }
 
-TEST(Tracer, ClearResetsRingButKeepsConfig) {
-  obs::Tracer tracer(2, obs::kCatScroll);
-  tracer.record_at(0.0, obs::EventKind::IslandEnter, 1, 0);
-  tracer.record_at(0.0, obs::EventKind::IslandLeave, 1, 0);
-  tracer.record_at(0.0, obs::EventKind::DeadZoneCross, 1, 0);
-  EXPECT_EQ(tracer.dropped(), 1u);
-  tracer.clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-  EXPECT_EQ(tracer.category_mask(), obs::kCatScroll);
-}
-
 // --- MetricsRegistry --------------------------------------------------------
 
 TEST(MetricsRegistry, FindOrCreateReturnsStableReferences) {
@@ -130,18 +118,6 @@ TEST(MetricsRegistry, JsonFieldsRenderEveryInstrument) {
   EXPECT_NE(json.find("\"cells\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"load\":"), std::string::npos);
   EXPECT_NE(json.find("\"lat_count\": 1"), std::string::npos);
-}
-
-TEST(MetricsRegistry, ResetZeroesButKeepsInstruments) {
-  obs::MetricsRegistry registry;
-  obs::Counter& c = registry.counter("n");
-  obs::Histogram& h = registry.histogram("lat");
-  c.increment(5);
-  h.record(2e-3);
-  registry.reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(&c, &registry.counter("n"));  // address stability survives reset
 }
 
 TEST(Histogram, Log2BucketingMatchesDocumentedRanges) {

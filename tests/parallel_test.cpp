@@ -25,7 +25,6 @@
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "sim/thread_pool.h"
-#include "study/device_pool.h"
 #include "study/device_study.h"
 #include "study/sweep_runner.h"
 #include "util/csv.h"
@@ -331,20 +330,18 @@ TEST(TracingProperty, CsvBytesIdenticalTracedOrNot) {
 }
 
 // ---------------------------------------------------------------------------
-// DevicePool: a recycled session must be bit-identical to a fresh device
+// Device study: bit-identical on the real device at any thread count
 
 // One device-study cell: a participant runs discovery plus two short
-// blocks on the real device. `use_pool` selects recycled vs freshly
-// constructed device; the outputs may not depend on the choice.
-study::DeviceParticipantResult participant_cell(std::size_t index, sim::Rng rng,
-                                                bool use_pool) {
+// blocks on a freshly constructed device.
+study::DeviceParticipantResult participant_cell(std::size_t index, sim::Rng rng) {
   const auto menu_root = menu::make_phone_menu();
   study::DeviceStudyConfig config;
   config.blocks = 2;
   config.trials_per_block = 2;
   human::UserProfile profile = human::UserProfile{}.with_expertise(
       0.2 + 0.15 * static_cast<double>(index % 5));
-  return study::run_device_participant(*menu_root, profile, config, std::move(rng), use_pool);
+  return study::run_device_participant(*menu_root, profile, config, std::move(rng));
 }
 
 bool same_result(const study::DeviceParticipantResult& a,
@@ -352,57 +349,26 @@ bool same_result(const study::DeviceParticipantResult& a,
   return a.name == b.name && a.discovery_time_s == b.discovery_time_s && a.blocks == b.blocks;
 }
 
-TEST(DevicePoolProperty, WarmResetBitIdenticalToFreshConstruction) {
-  study::DevicePool::local().discard();  // force the next acquire to construct
-  const sim::Rng base(0xB00F);
-
-  const auto fresh = participant_cell(3, sim::Rng(base).fork(3), false);
-  ASSERT_FALSE(fresh.blocks.empty());
-
-  // Cold pool: first pooled run constructs the session.
-  const auto cold = participant_cell(3, sim::Rng(base).fork(3), true);
-  EXPECT_TRUE(same_result(cold, fresh)) << "cold pooled session diverged from fresh";
-  ASSERT_TRUE(study::DevicePool::local().warm());
-
-  // Warm pool: this run exercises the in-place reset path.
-  const auto warm = participant_cell(3, sim::Rng(base).fork(3), true);
-  EXPECT_TRUE(same_result(warm, fresh)) << "warm pooled session diverged from fresh";
-
-  // A different cell on the same warm session matches its own fresh
-  // reference: reset() leaks no state from the previous participant.
-  const auto warm_other = participant_cell(7, sim::Rng(base).fork(7), true);
-  const auto fresh_other = participant_cell(7, sim::Rng(base).fork(7), false);
-  EXPECT_TRUE(same_result(warm_other, fresh_other))
-      << "state leaked across pooled sessions";
-}
-
-TEST(DevicePoolProperty, SweepBitIdenticalPooledOrFreshAtAnyThreadCount) {
-  // The full determinism contract: cell result = f(index, fork(index)),
-  // regardless of pooling and of which worker (with whatever session
-  // history) runs the cell. 8 threads × pooled is the stressful cell:
-  // thread_local sessions get recycled across an unpredictable subset
-  // of cells.
+TEST(DeviceStudy, SweepBitIdenticalAtAnyThreadCount) {
+  // The determinism contract on the full Smart-Its model: cell result =
+  // f(index, fork(index)), whichever worker runs the cell.
   constexpr std::size_t kCells = 6;
-  constexpr std::uint64_t kSeed = 0xB001;
+  study::SweepConfig config;
+  config.base_seed = 0xB001;
+  config.threads = 1;
+  const study::SweepRunner sequential(config);
   std::vector<study::DeviceParticipantResult> reference;
-  for (const bool pooled : {false, true}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-      study::SweepConfig config;
-      config.threads = threads;
-      config.base_seed = kSeed;
-      auto got = study::SweepRunner(config).run<study::DeviceParticipantResult>(
-          kCells, [pooled](std::size_t index, sim::Rng rng) {
-            return participant_cell(index, std::move(rng), pooled);
-          });
-      ASSERT_EQ(got.size(), kCells);
-      if (reference.empty()) {
-        reference = std::move(got);
-        continue;
-      }
-      for (std::size_t i = 0; i < kCells; ++i) {
-        EXPECT_TRUE(same_result(got[i], reference[i]))
-            << "cell " << i << " pooled=" << pooled << " threads=" << threads;
-      }
+  for (std::size_t i = 0; i < kCells; ++i) {
+    reference.push_back(participant_cell(i, sequential.cell_rng(i)));
+    ASSERT_FALSE(reference.back().blocks.empty());
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    config.threads = threads;
+    const auto got = study::SweepRunner(config).run<study::DeviceParticipantResult>(
+        kCells, participant_cell);
+    ASSERT_EQ(got.size(), kCells);
+    for (std::size_t i = 0; i < kCells; ++i) {
+      EXPECT_TRUE(same_result(got[i], reference[i])) << "cell " << i << " threads=" << threads;
     }
   }
 }

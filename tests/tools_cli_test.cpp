@@ -352,8 +352,10 @@ struct ToolCase {
 
 TEST(ToolsCli, HelpExitsZeroAndUsageErrorsExit64) {
   // --help prints usage to stdout and exits 0; a malformed command line
-  // exits 64 (EX_USAGE) with usage on stderr, on all five tools. An
-  // overloaded host_ingest (64 devices behind one 1-slot lane) runs out
+  // exits 64 (EX_USAGE) with usage on stderr, on all five tools. For
+  // trace_replay that includes an argument past the mode's arity (dump
+  // used to ignore `--format=chrome` and print JSONL). An overloaded
+  // host_ingest (64 devices behind one 1-slot lane) runs out
   // of drain grace and exits 1 rather than passing as a clean ingest.
   const ToolCase cases[] = {
       {DS_FLEET_RUN_BIN, "--help", 0, true},
@@ -367,6 +369,12 @@ TEST(ToolsCli, HelpExitsZeroAndUsageErrorsExit64) {
       {DS_TRACE_REPLAY_BIN, "--help", 0, true},
       {DS_TRACE_REPLAY_BIN, "", 64, false},
       {DS_TRACE_REPLAY_BIN, "no-such-mode /nonexistent.trace", 64, false},
+      {DS_TRACE_REPLAY_BIN,
+       "dump " DISTSCROLL_GOLDEN_DIR "/canonical_phone_menu.trace --format=chrome", 64, false},
+      {DS_TRACE_REPLAY_BIN, "verify " DISTSCROLL_GOLDEN_DIR "/canonical_phone_menu.trace extra",
+       64, false},
+      {DS_TRACE_REPLAY_BIN, "record /nonexistent/out.trace /nonexistent/out.jsonl extra", 64,
+       false},
       {DS_LINT_BIN, "--help", 0, true},
       {DS_LINT_BIN, "--no-such-flag", 64, false},
   };

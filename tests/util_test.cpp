@@ -94,7 +94,7 @@ TEST(RingBuffer, ClearResets) {
 TEST(SeqWindow, VerdictTable) {
   using V = SeqWindow::Verdict;
   struct Step {
-    int seq;  // -1: clear() the window
+    int seq;  // -1: start over on a fresh window
     V verdict;
     std::uint16_t gap_delta;
     const char* why;
@@ -118,8 +118,8 @@ TEST(SeqWindow, VerdictTable) {
       {141, V::TooOld, 0, "ahead 128 reads as 128 behind"},
       {206, V::AcceptReordered, 0, "behind 63"},
       {205, V::TooOld, 0, "behind 64"},
-      {-1, V::Accept, 0, "clear"},
-      {254, V::Accept, 0, "first frame after clear"},
+      {-1, V::Accept, 0, "fresh window"},
+      {254, V::Accept, 0, "first frame of the fresh window"},
       {255, V::Accept, 0, "in order"},
       {0, V::Accept, 0, "255 -> 0 wraps forward"},
       {1, V::Accept, 0, "in order"},
@@ -128,7 +128,7 @@ TEST(SeqWindow, VerdictTable) {
   SeqWindow window;
   for (const Step& step : steps) {
     if (step.seq < 0) {
-      window.clear();
+      window = SeqWindow{};
       EXPECT_FALSE(window.started());
       continue;
     }

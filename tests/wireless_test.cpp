@@ -363,28 +363,6 @@ TEST_F(LinkFixture, LinkCountersConsistent) {
   EXPECT_LT(link.bytes_lost(), link.bytes_sent());
 }
 
-TEST_F(LinkFixture, ClearResetsSequenceTrackingForNewSession) {
-  RfLink::Config config;
-  config.byte_loss_probability = 0.0;
-  config.bit_flip_probability = 0.0;
-  RfLink link(config, uart, queue, sim::Rng(6));
-  HostLogger logger(queue);
-  send_frames(link, logger, 5);  // session 1 ends at seq 4
-  EXPECT_EQ(logger.sequence_gaps(), 0u);
-  logger.clear();
-  EXPECT_TRUE(logger.events().empty());
-  EXPECT_FALSE(logger.last_state().has_value());
-  // Session 2 restarts its sequence numbering at 0. Before the fix the
-  // stale last_seq_ (4) made this first frame count 251 phantom gaps.
-  Frame frame;
-  frame.type = FrameType::Heartbeat;
-  frame.seq = 0;
-  for (std::uint8_t byte : encode(frame)) uart.transmit(byte);
-  queue.run_until(util::Seconds{queue.now().value + 0.5});
-  ASSERT_EQ(logger.events().size(), 1u);
-  EXPECT_EQ(logger.sequence_gaps(), 0u);
-}
-
 TEST_F(LinkFixture, LateFrameFillsTheGapItLeft) {
   // On the ARQ path a retransmitted frame arrives after its successors.
   // The logger used to measure every frame against "last seq + 1", so

@@ -46,6 +46,9 @@ int main(int argc, char** argv) {
   const std::string mode = argv[1];
   const std::string path = argv[2];
   if (mode != "record" && mode != "verify" && mode != "dump") return usage();
+  // A trailing argument no mode takes (a flag from a newer version, a
+  // typo) is a usage error, not something to ignore.
+  if (argc > (mode == "record" ? 4 : 3)) return usage();
 
   if (mode == "record") {
     const obs::Trace trace = obs::record_canonical_session();
