@@ -189,7 +189,9 @@ BENCHMARK(BM_RngGaussian);
 
 /// Tremor over the planner's 4 ms grid. Arg 0: displacement_cm() on
 /// every step (what each dense control step paid); arg 1: advance()
-/// only, what a step before DistScroll's next firmware tick now costs.
+/// only, what a DistScroll step costs when the sensor does not read its
+/// hand sample: a step before the next firmware tick, or a tick between
+/// two GP2D120 remeasures.
 void BM_TremorDisplacement(benchmark::State& state) {
   const bool advance_only = state.range(0) != 0;
   human::Tremor tremor({}, sim::Rng(1));

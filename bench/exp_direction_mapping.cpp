@@ -49,9 +49,9 @@ class ConflictedAim final : public baselines::ScrollTechnique {
   void on_control(util::Seconds now, double u) override { inner_->on_control(now, u); }
   double next_control_s() const override { return inner_->next_control_s(); }
   double control_period_s() const override { return inner_->control_period_s(); }
-  void on_control_block(std::span<const double> now_s, std::span<const double> u,
+  void on_control_block(std::span<const double> now_s, HandSignal hand,
                         std::span<std::size_t> cursors_out) override {
-    inner_->on_control_block(now_s, u, cursors_out);
+    inner_->on_control_block(now_s, hand, cursors_out);
   }
   std::optional<double> target_u(std::size_t target) const override {
     if (const_cast<ConflictedAim*>(this)->rng_.bernoulli(confusion_)) {

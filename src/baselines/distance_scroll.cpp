@@ -1,12 +1,18 @@
 #include "baselines/distance_scroll.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/stage_timer.h"
 #include "util/hot_path.h"
 #include "util/rounding.h"
 
 namespace distscroll::baselines {
+
+namespace {
+// The distance handed to a sensor that holds its output: never read.
+constexpr double kUnread = std::numeric_limits<double>::quiet_NaN();
+}  // namespace
 
 DistanceScroll::DistanceScroll(Config config, sim::Rng rng)
     : config_(config),
@@ -45,10 +51,11 @@ void DistanceScroll::on_control(util::Seconds now, double u) {
   // planner integrates the hand position.
   if (now.value < next_tick_s_) return;
   std::size_t cursor = cursor_;
-  on_control_block({&now.value, 1}, {&u, 1}, {&cursor, 1});
+  const auto hand = [u](std::size_t) { return u; };
+  on_control_block({&now.value, 1}, hand, {&cursor, 1});
 }
 
-void DistanceScroll::on_control_block(std::span<const double> now_s, std::span<const double> u,
+void DistanceScroll::on_control_block(std::span<const double> now_s, HandSignal hand,
                                       std::span<std::size_t> cursors_out) {
   const std::size_t n = now_s.size();
   if (block_counts_.size() < n) block_counts_.resize(n);
@@ -64,7 +71,11 @@ void DistanceScroll::on_control_block(std::span<const double> now_s, std::span<c
         continue;
       }
       next_tick = now_s[k] + tick;
-      const util::Volts v = ranger_.output(util::Centimeters{u[k]}, util::Seconds{now_s[k]});
+      // Between remeasures the sensor holds its output and ignores the
+      // distance, so only a remeasure asks for the hand sample.
+      const util::Seconds now{now_s[k]};
+      const double u = ranger_.reads_at(now) ? hand(k) : kUnread;
+      const util::Volts v = ranger_.output(util::Centimeters{u}, now);
       block_counts_[k] =
           util::adc10_counts(v.value, vref, rng_.gaussian(0.0, config_.adc_noise_lsb)).value;
     }

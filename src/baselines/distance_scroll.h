@@ -44,9 +44,11 @@ class DistanceScroll final : public ScrollTechnique {
   [[nodiscard]] double control_period_s() const override { return config_.firmware_tick.value; }
   /// Two passes over the block: sensor + ADC for every tick, then the
   /// controller FSM. The sensor and ADC draw from separate streams and
-  /// the FSM draws none, so the split keeps every draw in order.
-  /// Allocation-free once the scratch has held a block this long.
-  void on_control_block(std::span<const double> now_s, std::span<const double> u,
+  /// the FSM draws none, so the split keeps every draw in order. The
+  /// hand is read only on the ticks where the GP2D120 re-measures; the
+  /// others see its held output. Allocation-free once the scratch has
+  /// held a block this long.
+  void on_control_block(std::span<const double> now_s, HandSignal hand,
                         std::span<std::size_t> cursors_out) override;
   [[nodiscard]] std::optional<double> target_u(std::size_t target) const override;
   [[nodiscard]] double target_width_u(std::size_t target) const override;

@@ -17,6 +17,7 @@
 #include <span>
 #include <string>
 
+#include "util/function_ref.h"
 #include "util/rounding.h"
 #include "util/units.h"
 
@@ -89,15 +90,21 @@ class ScrollTechnique {
   /// nothing: stage every step from the deadline on.
   [[nodiscard]] virtual double control_period_s() const { return 0.0; }
 
+  /// The hand signal of a control block: hand(k) is the channel's value
+  /// at sample k, synthesised on demand.
+  using HandSignal = util::FunctionRef<double(std::size_t)>;
+
   /// A block of control samples, in time order: on_control(now_s[k],
-  /// u[k]) for each k, with cursors_out[k] the cursor after sample k.
-  /// All three spans have equal length. Overrides must match the
-  /// per-sample loop bit for bit; the default is that loop, so
-  /// forwarding wrappers keep working unchanged.
-  virtual void on_control_block(std::span<const double> now_s, std::span<const double> u,
+  /// hand(k)) for each k, with cursors_out[k] the cursor after sample k.
+  /// now_s and cursors_out have equal length. The hand is pulled, not
+  /// pushed: an override calls hand(k) at most once per k, in increasing
+  /// k, and only for the samples whose value it reads. Overrides must
+  /// match the per-sample loop bit for bit; the default is that loop, so
+  /// forwarding wrappers keep working unchanged and see every sample.
+  virtual void on_control_block(std::span<const double> now_s, HandSignal hand,
                                 std::span<std::size_t> cursors_out) {
     for (std::size_t k = 0; k < now_s.size(); ++k) {
-      on_control(util::Seconds{now_s[k]}, u[k]);
+      on_control(util::Seconds{now_s[k]}, hand(k));
       cursors_out[k] = cursor();
     }
   }

@@ -109,22 +109,6 @@ std::optional<std::size_t> IslandMapper::lookup(util::AdcCounts counts) const {
   return std::nullopt;
 }
 
-IslandMapper::Probe IslandMapper::probe(util::AdcCounts counts,
-                                        std::optional<std::size_t> current) const {
-  if (current && *current < islands_.size() && config_.hysteresis_counts > 0) {
-    const Island& island = islands_[*current];
-    const int x = counts.value;
-    const int lo = static_cast<int>(island.low) - config_.hysteresis_counts;
-    const int hi = static_cast<int>(island.high) + config_.hysteresis_counts;
-    if (x >= lo && x <= hi) return {current, false, false};
-  }
-  auto hit = lookup_lut(counts);
-  if (hit) return {hit, false, true};
-  // Selection-free gap: "No selection or change happens if the device is
-  // held in a distance between two of those islands."
-  return {current, true, true};
-}
-
 std::optional<std::size_t> IslandMapper::select(util::AdcCounts counts,
                                                 std::optional<std::size_t> current) const {
   return probe(counts, current).selection;
@@ -145,14 +129,6 @@ double IslandMapper::coverage_fraction() const {
 util::Centimeters IslandMapper::centre_distance(std::size_t entry) const {
   assert(entry < centres_.size());
   return centres_[entry];
-}
-
-std::uint64_t IslandMapper::lookup_cost_cycles() const {
-  // Flash LUT fetch: load the 16-bit counts into TBLPTR (~6 cycles of
-  // pointer math on the 8-bit core), one TBLRD* (2 cycles), plus the
-  // gap-sentinel compare and branch — constant regardless of how many
-  // entries the menu level has.
-  return 10;
 }
 
 std::uint64_t IslandMapper::search_cost_cycles() const {

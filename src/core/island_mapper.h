@@ -95,7 +95,20 @@ class IslandMapper {
     /// current island without touching the table — cheaper in cycles).
     bool table_probed = true;
   };
-  [[nodiscard]] Probe probe(util::AdcCounts counts, std::optional<std::size_t> current) const;
+  [[nodiscard]] Probe probe(util::AdcCounts counts, std::optional<std::size_t> current) const {
+    if (current && *current < islands_.size() && config_.hysteresis_counts > 0) {
+      const Island& island = islands_[*current];
+      const int x = counts.value;
+      const int lo = static_cast<int>(island.low) - config_.hysteresis_counts;
+      const int hi = static_cast<int>(island.high) + config_.hysteresis_counts;
+      if (x >= lo && x <= hi) return {current, false, false};
+    }
+    auto hit = lookup_lut(counts);
+    if (hit) return {hit, false, true};
+    // Selection-free gap: "No selection or change happens if the device
+    // is held in a distance between two of those islands."
+    return {current, true, true};
+  }
 
   /// The stateful firmware query: applies hysteresis relative to the
   /// currently selected entry. Returns the new selection (which may be
@@ -119,7 +132,12 @@ class IslandMapper {
   /// Approximate firmware cost of one lookup in PIC instruction cycles:
   /// one flash table fetch (TBLPTR setup + TBLRD*), independent of the
   /// entry count now that the mapping is a burned-in LUT.
-  [[nodiscard]] std::uint64_t lookup_cost_cycles() const;
+  [[nodiscard]] static constexpr std::uint64_t lookup_cost_cycles() {
+    // Flash LUT fetch: load the 16-bit counts into TBLPTR (~6 cycles of
+    // pointer math on the 8-bit core), one TBLRD* (2 cycles), plus the
+    // gap-sentinel compare and branch.
+    return 10;
+  }
 
   /// The binary-search cost the LUT replaced (reference implementation;
   /// kept so the microbench can report the saving).

@@ -38,10 +38,11 @@ class Tremor {
     phase_ = rng_.uniform(0.0, 2.0 * 3.14159265358979);
   }
 
-  /// Tremor displacement at simulated time t: advance(t), then at(t).
+  /// Tremor displacement at simulated time t: advance(t), then at(t)
+  /// with the amplitude that leaves.
   [[nodiscard]] double displacement_cm(double t_seconds) {
     advance(t_seconds);
-    return at(t_seconds);
+    return at(t_seconds, amplitude());
   }
 
   /// Move the tremor clock to t: draws the cycle's amplitude when t
@@ -53,16 +54,21 @@ class Tremor {
     // surrogate; the modulation draw is keyed to the cycle count so
     // repeated queries at the same time agree.
     const auto cycle = static_cast<long>(t_seconds * config_.frequency_hz);
-    if (cycle != last_cycle_) {
+    if (cycle != last_cycle_) [[unlikely]] {  // a new cycle every 1/frequency_hz
       last_cycle_ = cycle;
       amp_scale_ = 1.0 + rng_.gaussian(0.0, config_.amplitude_jitter);
     }
   }
 
-  /// Displacement at t, which must be the time of the last advance().
-  [[nodiscard]] double at(double t_seconds) const {
+  /// The cycle's amplitude after the last advance(), in cm.
+  [[nodiscard]] double amplitude() const { return config_.amplitude_cm * amp_scale_; }
+
+  /// Displacement at t, given amplitude() as it was after advance(t).
+  /// The amplitude is passed in so a caller can stage it and evaluate
+  /// the sin later, or never.
+  [[nodiscard]] double at(double t_seconds, double amplitude) const {
     const double omega = 2.0 * 3.14159265358979 * config_.frequency_hz;
-    return config_.amplitude_cm * amp_scale_ * std::sin(omega * t_seconds + phase_);
+    return amplitude * std::sin(omega * t_seconds + phase_);
   }
 
   /// The amplitude stream: its position depends only on the times

@@ -81,8 +81,10 @@ class OvershootCounter {
   int count_ = 0;
 };
 
-/// The (t, u) samples one absolute-control phase (reach, settle, press)
-/// stages, fed to the technique as one block. Thread-local, not a
+/// The steps one absolute-control phase (reach, settle, press) stages,
+/// fed to the technique as one block: each step's time and its tremor
+/// amplitude, the hand sample's two per-step inputs. The sample itself
+/// is synthesised only when the technique reads it. Thread-local, not a
 /// planner member: a planner lives for one trial, the capacity for the
 /// thread.
 class ControlBlock {
@@ -92,30 +94,59 @@ class ControlBlock {
     return block;
   }
 
-  void stage(double now, double u) {
+  void stage(double now, double tremor_amplitude) {
     now_s_.push_back(now);
-    u_.push_back(u);
+    amplitude_.push_back(tremor_amplitude);
+  }
+
+  /// One phase's step loop: walks the dense grid from `clock` in steps
+  /// of `dt` while clock < end, advances `tremor` on every step and
+  /// stages the steps at or after `deadline`, which moves one `period`
+  /// on after each. Returns the clock after the phase. Out of line on
+  /// purpose: inlined into the planner's large frame, the clock and the
+  /// deadline were kept in memory, a store and reload on every step.
+  [[gnu::noinline]] double walk(Tremor& tremor, double clock, double end, double dt,
+                                double deadline, double period) {
+    while (clock < end) {
+      tremor.advance(clock);
+      if (clock >= deadline) {
+        stage(clock, tremor.amplitude());
+        deadline = clock + period;
+      }
+      clock += dt;
+    }
+    return clock;
   }
 
   /// Feed the staged samples to `t` as one block and empty the stage;
-  /// returns the cursor after each sample, valid until the next feed.
-  std::span<const std::size_t> feed(baselines::ScrollTechnique& t) {
+  /// `hand_at(now, amplitude)` is the phase's hand sample. Returns the
+  /// cursor after each sample, valid until the next feed.
+  template <typename HandAt>
+  std::span<const std::size_t> feed(baselines::ScrollTechnique& t, const HandAt& hand_at) {
     cursors_.resize(now_s_.size());
     if (!now_s_.empty()) {
-      t.on_control_block(now_s_, u_, cursors_);
+      std::size_t next_k = 0;
+      const auto hand = [&](std::size_t k) {
+        // The block contract: each sample is read at most once, in
+        // increasing k.
+        assert(k >= next_k && "hand(k) read out of order");
+        next_k = k + 1;
+        return hand_at(now_s_[k], amplitude_[k]);
+      };
+      t.on_control_block(now_s_, hand, cursors_);
       // A technique that reports a period but keeps a stale deadline
       // would have samples it reads skipped without a trace.
       [[maybe_unused]] const double period = t.control_period_s();
       assert(period <= 0.0 || t.next_control_s() >= now_s_.back() + period);
     }
     now_s_.clear();
-    u_.clear();
+    amplitude_.clear();
     return cursors_;
   }
 
  private:
   std::vector<double> now_s_;
-  std::vector<double> u_;
+  std::vector<double> amplitude_;
   std::vector<std::size_t> cursors_;
 };
 
@@ -181,10 +212,12 @@ bool MotionPlanner::commit_selection(baselines::ScrollTechnique& t, std::size_t 
       const double now = t0 + dt;
       tremor.advance(now);
       if (now < next_control) continue;
-      block.stage(now, hold_u + tremor.at(now));
+      block.stage(now, tremor.amplitude());
       next_control = now + period;
     }
-    (void)block.feed(t);
+    (void)block.feed(t, [&](double now, double amplitude) {
+      return hold_u + tremor.at(now, amplitude);
+    });
   }
   outcome.time_s += press_time;
   if (t.cursor() != target) {
@@ -209,33 +242,35 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
   double now = 0.0;
   bool first_move = true;
 
-  // One control step. Each phase (reach, settle) stages its steps and
-  // then runs as one block. A step before the control deadline would be
-  // discarded, so its hand sample is not synthesised: no min-jerk, no
-  // sin; the tremor still advances, keeping its draws those of the
-  // dense feed. A staged step moves the local deadline one control
-  // period on. The cursor cannot move on a skipped step, and
-  // re-observing an observed cursor is a no-op, except right after the
-  // cursor moved unobserved (trial start, a failed commit's press): the
-  // dense feed's next step observes it, so a skipped one does too. That
-  // step is a phase's first, so the block has not moved the cursor yet.
+  // One phase (reach, settle) walks the dense time grid to `end`,
+  // staging only the steps at or after the control deadline, then runs
+  // as one block. A skipped step would be discarded, so it synthesises
+  // no hand sample; the tremor still advances on every step, keeping its
+  // draws those of the dense feed. A staged step keeps its tremor
+  // amplitude and moves the local deadline one control period on; its
+  // hand sample (the phase's `hand` plus tremor) is synthesised only if
+  // the technique reads it. The cursor cannot move on a skipped step,
+  // and re-observing an observed cursor is a no-op, except right after
+  // the cursor moved unobserved (trial start, a failed commit's press):
+  // the dense feed's next step observes it, so a skipped one does too.
+  // That step is a phase's first, so the block has not moved the cursor
+  // yet, and the step loop itself (ControlBlock::walk) observes nothing.
   ControlBlock& block = ControlBlock::local();
   const double period = t.control_period_s();
   double next_control = t.next_control_s();
   bool observe_pending = true;
-  const auto step = [&](const auto& hand_u) {
-    tremor.advance(now);
-    if (now < next_control) {
-      if (observe_pending) overshoots.observe(static_cast<long>(t.cursor()));
-    } else {
-      block.stage(now, hand_u() + tremor.at(now));
-      next_control = now + period;
+  const auto phase = [&](double end, const auto& hand) {
+    if (observe_pending && now < end) {
+      if (now < next_control) overshoots.observe(static_cast<long>(t.cursor()));
+      observe_pending = false;
     }
-    observe_pending = false;
-    now += config_.dt_s;
-  };
-  const auto feed = [&] {
-    for (const std::size_t cursor : block.feed(t)) overshoots.observe(static_cast<long>(cursor));
+    now = block.walk(tremor, now, end, config_.dt_s, next_control, period);
+    const auto hand_at = [&](double at, double amplitude) {
+      return hand(at) + tremor.at(at, amplitude);
+    };
+    for (const std::size_t cursor : block.feed(t, hand_at)) {
+      overshoots.observe(static_cast<long>(cursor));
+    }
     next_control = t.next_control_s();
   };
 
@@ -254,19 +289,13 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
     // Execute the reach along the min-jerk profile.
     const double t0 = now;
     const double u0 = u;
-    while (now < t0 + reach_time.value) {
-      step([&] { return min_jerk(u0, aim, now - t0, reach_time.value); });
-    }
-    feed();
+    phase(t0 + reach_time.value,
+          [&](double at) { return min_jerk(u0, aim, at - t0, reach_time.value); });
     u = aim;
 
     // Settle & perceive: hold, then check after the reaction time.
     const double dwell = p.reaction_time_s + config_.settle_dwell_s;
-    const double s0 = now;
-    while (now < s0 + dwell) {
-      step([&] { return u; });
-    }
-    feed();
+    phase(now + dwell, [&](double) { return u; });
 
     if (t.cursor() == target) {
       // Verify the label, then commit.

@@ -1,61 +1,6 @@
 #include "sensors/gp2d120.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace distscroll::sensors {
-
-util::Volts Gp2d120Model::ideal_output(util::Centimeters distance) const {
-  const double d = distance.value;
-  if (d >= config_.max_range_cm) {
-    return util::Volts{config_.min_output_volts};
-  }
-  const double peak_volts = config_.curve_a / (config_.peak_cm + config_.curve_k) + config_.curve_c;
-  if (d < config_.peak_cm) {
-    // Rising branch below the response peak: triangulation geometry
-    // folds back. Steeper than the far branch (the paper's fast-scroll
-    // observation); modelled as linear from the touching-distance output
-    // up to the peak.
-    if (d <= 0.0) return util::Volts{config_.dead_zone_volts};
-    const double t = d / config_.peak_cm;
-    return util::Volts{config_.dead_zone_volts + t * (peak_volts - config_.dead_zone_volts)};
-  }
-  const double v = config_.curve_a / (d + config_.curve_k) + config_.curve_c;
-  return util::Volts{std::max(config_.min_output_volts, v)};
-}
-
-bool Gp2d120Model::remeasure(util::Centimeters distance) {
-  if (rng_.bernoulli(surface_.specular_glitch_probability)) {
-    // Beam deflected by a specular boundary: no valid measurement, the
-    // output drops to the out-of-range floor for this cycle.
-    held_volts_ = config_.min_output_volts;
-    return true;
-  }
-  // Reflectivity shifts the triangulation spot slightly; the datasheet
-  // shows only a few percent difference between white and gray targets.
-  const double refl_shift = (surface_.reflectivity - 1.0) * config_.reflectivity_sensitivity;
-  double v = ideal_output(distance).value * (1.0 + refl_shift);
-  v += rng_.gaussian(0.0, config_.output_noise_volts);
-  held_volts_ = std::clamp(v, 0.0, 3.3);
-  return false;
-}
-
-util::Volts Gp2d120Model::output(util::Centimeters true_distance, util::Seconds now) {
-  if (!ever_measured_ || now.value >= next_measurement_s_) {
-    [[maybe_unused]] const bool glitch = remeasure(true_distance);
-    DS_TRACE_AT(tracer_, now.value, obs::EventKind::SensorMeasure,
-                static_cast<std::uint32_t>(held_volts_ * 1e6), glitch ? 1u : 0u);
-    ever_measured_ = true;
-    // Align the next measurement to the sensor's own internal grid.
-    const double period = config_.measurement_period.value;
-    if (now.value >= next_measurement_s_ + period) {
-      next_measurement_s_ = now.value + period;  // resync after a long gap
-    } else {
-      next_measurement_s_ += period;
-    }
-  }
-  return util::Volts{held_volts_};
-}
 
 std::function<util::Volts(util::Seconds)> Gp2d120Model::as_analog_source(
     std::function<util::Centimeters(util::Seconds)> distance_provider) {

@@ -9,7 +9,8 @@
 // so a grouped sweep gives the scalar records by construction. The
 // speed lives where there is only one copy of it: the planner stages
 // each control phase (reach, settle, press) and DistanceScroll consumes
-// it as one block (ScrollTechnique::on_control_block, DESIGN.md §11).
+// it as one block, pulling a hand sample only when its sensor
+// re-measures (ScrollTechnique::on_control_block, DESIGN.md §11).
 // The runner only keeps the group's inputs and records in warmed,
 // thread-local storage.
 //

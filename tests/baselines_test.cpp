@@ -18,6 +18,7 @@
 #include "baselines/wheel_scroll.h"
 #include "core/distscroll_device.h"
 #include "menu/menu_builder.h"
+#include "sensors/gp2d120.h"
 #include "util/alloc_guard.h"
 
 namespace distscroll::baselines {
@@ -110,19 +111,20 @@ ControlFeed planner_feed(std::size_t steps, std::uint64_t seed) {
   return feed;
 }
 
-/// Feeds `feed` to `block` in blocks of `lengths` (cycled) and to `loop`
-/// one on_control at a time, expecting equal cursors after every sample,
-/// then the same deadline and the same continuation: equal state.
+/// Feeds `feed` to `block` in blocks of `lengths` (cycled), its hand
+/// reading `block_u`, and to `loop` one on_control at a time, expecting
+/// equal cursors after every sample, then the same deadline and the same
+/// continuation: equal state.
 void expect_block_matches_loop(DistanceScroll& block, DistanceScroll& loop,
-                               const ControlFeed& feed, std::span<const std::size_t> lengths,
-                               const std::string& label) {
+                               const ControlFeed& feed, std::span<const double> block_u,
+                               std::span<const std::size_t> lengths, const std::string& label) {
   std::vector<std::size_t> cursors;
   std::size_t k = 0;
   for (std::size_t b = 0; k < feed.now_s.size(); ++b) {
     const std::size_t n = std::min(lengths[b % lengths.size()], feed.now_s.size() - k);
     cursors.assign(n, 999);
-    block.on_control_block(std::span(feed.now_s).subspan(k, n), std::span(feed.u).subspan(k, n),
-                           cursors);
+    const auto hand = [&, k0 = k](std::size_t j) { return block_u[k0 + j]; };
+    block.on_control_block(std::span(feed.now_s).subspan(k, n), hand, cursors);
     for (std::size_t j = 0; j < n; ++j, ++k) {
       loop.on_control(util::Seconds{feed.now_s[k]}, feed.u[k]);
       ASSERT_EQ(cursors[j], loop.cursor()) << label << ": sample " << k;
@@ -158,13 +160,87 @@ TEST(DistanceScrollBlock, MatchesPerSampleLoopBitForBit) {
         DistanceScroll loop(config, sim::Rng(40 + cases));
         block.reset(20, 3);
         loop.reset(20, 3);
-        expect_block_matches_loop(block, loop, feed, lengths,
+        expect_block_matches_loop(block, loop, feed, feed.u, lengths,
                                   "case " + std::to_string(cases));
         ++cases;
       }
     }
   }
   EXPECT_EQ(cases, 12);
+}
+
+/// The samples on which DistanceScroll's sensor re-measures, replayed on
+/// a separate Gp2d120Model: the firmware ticks (a sample at or after the
+/// previous tick + firmware_tick), then the sensor's own reads_at().
+std::vector<bool> remeasure_samples(std::span<const double> now_s) {
+  const DistanceScroll::Config config;
+  sensors::Gp2d120Model sensor(config.sensor, sim::Rng(1));
+  std::vector<bool> reads(now_s.size(), false);
+  double next_tick = 0.0;
+  for (std::size_t k = 0; k < now_s.size(); ++k) {
+    if (now_s[k] < next_tick) continue;
+    next_tick = now_s[k] + config.firmware_tick.value;
+    const util::Seconds now{now_s[k]};
+    reads[k] = sensor.reads_at(now);
+    (void)sensor.output(util::Centimeters{15.0}, now);
+  }
+  return reads;
+}
+
+TEST(DistanceScrollBlock, HandIsReadOnlyOnRemeasureTicks) {
+  // A planner-like feed with a 0.7 s hole in it: the first sample after
+  // the hole lies more than a sensor period past the next remeasure, so
+  // the sensor resyncs its grid there.
+  ControlFeed feed = planner_feed(3000, 5);
+  for (std::size_t k = 1500; k < feed.now_s.size(); ++k) feed.now_s[k] += 0.7;
+  const std::vector<bool> reads = remeasure_samples(feed.now_s);
+  const double period = sensors::Gp2d120Model::Config{}.measurement_period.value;
+  std::vector<std::size_t> expected;
+  bool resynced = false;
+  for (std::size_t k = 0; k < reads.size(); ++k) {
+    if (!reads[k]) continue;
+    resynced |= !expected.empty() && feed.now_s[k] - feed.now_s[expected.back()] >= 2 * period;
+    expected.push_back(k);
+  }
+  ASSERT_TRUE(resynced);
+  // The first tick of a trial always measures; about every other tick
+  // re-measures after it.
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(expected.front(), 0u);
+  EXPECT_LT(expected.size(), feed.now_s.size() / 8);
+
+  const std::size_t lengths[] = {1, 3, 137, 5, 512, 2, 61};
+  DistanceScroll technique({}, sim::Rng(11));
+  for (int trial = 0; trial < 2; ++trial) {
+    technique.reset(20, 3);
+    std::vector<std::size_t> read;
+    std::vector<std::size_t> cursors;
+    std::size_t k = 0;
+    for (std::size_t b = 0; k < feed.now_s.size(); ++b) {
+      const std::size_t n = std::min(lengths[b % std::size(lengths)], feed.now_s.size() - k);
+      cursors.resize(n);
+      const auto hand = [&, k0 = k](std::size_t j) {
+        read.push_back(k0 + j);
+        return feed.u[k0 + j];
+      };
+      technique.on_control_block(std::span(feed.now_s).subspan(k, n), hand, cursors);
+      k += n;
+    }
+    // Exactly the remeasures, once each, in increasing k.
+    EXPECT_EQ(read, expected) << "trial " << trial;
+  }
+
+  // A hand that is NaN on every sample the sensor does not re-measure
+  // leaves cursors, deadline and continuation bit-identical.
+  std::vector<double> masked = feed.u;
+  for (std::size_t k = 0; k < masked.size(); ++k) {
+    if (!reads[k]) masked[k] = std::numeric_limits<double>::quiet_NaN();
+  }
+  DistanceScroll block({}, sim::Rng(12));
+  DistanceScroll loop({}, sim::Rng(12));
+  block.reset(20, 3);
+  loop.reset(20, 3);
+  expect_block_matches_loop(block, loop, feed, masked, lengths, "NaN off the remeasures");
 }
 
 TEST(DistanceScrollBlock, PeriodIsTheFirmwareTick) {
@@ -179,9 +255,9 @@ TEST(DistanceScrollBlock, PeriodIsTheFirmwareTick) {
   }
   // A block's deadline follows its last counted sample.
   const double now_s[] = {7.001, 7.03, 7.04, 7.06};
-  const double u[] = {12.0, 12.0, 12.0, 12.0};
+  const auto hand = [](std::size_t) { return 12.0; };
   std::size_t cursors[4];
-  technique.on_control_block(now_s, u, cursors);
+  technique.on_control_block(now_s, hand, cursors);
   EXPECT_EQ(technique.next_control_s(), 7.06 + tick);
   // The default claims no period.
   EXPECT_EQ(ButtonScroll{}.control_period_s(), 0.0);
@@ -194,12 +270,13 @@ TEST(DistanceScrollBlock, AllocationFreeWhenWarm) {
   }
   const ControlFeed feed = planner_feed(600, 8);
   std::vector<std::size_t> cursors(feed.now_s.size());
+  const auto hand = [&](std::size_t k) { return feed.u[k]; };
   DistanceScroll technique({}, sim::Rng(1));
   technique.reset(10, 0);
-  technique.on_control_block(feed.now_s, feed.u, cursors);  // warm the scratch
+  technique.on_control_block(feed.now_s, hand, cursors);  // warm the scratch
   technique.reset(10, 0);
   DS_ASSERT_NO_ALLOC {
-    technique.on_control_block(feed.now_s, feed.u, cursors);
+    technique.on_control_block(feed.now_s, hand, cursors);
   }
   SUCCEED();
 }

@@ -83,7 +83,7 @@ TEST(Tremor, SparseEvaluationMatchesDenseBitForBit) {
       if (t < next) continue;
       next = t + 0.02;
       ++evaluated;
-      EXPECT_EQ(sparse.at(t), expected) << "seed " << seed << " t " << t;
+      EXPECT_EQ(sparse.at(t, sparse.amplitude()), expected) << "seed " << seed << " t " << t;
     }
     EXPECT_LT(evaluated * 4, steps);
     EXPECT_EQ(sparse.rng().engine_state(), dense.rng().engine_state()) << "seed " << seed;

@@ -8,6 +8,7 @@
 #include "baselines/distance_scroll.h"
 #include "baselines/tilt_scroll.h"
 #include "menu/phone_menu.h"
+#include "sensors/gp2d120.h"
 #include "study/batch_trials.h"
 #include "study/device_study.h"
 #include "study/metrics.h"
@@ -216,6 +217,84 @@ TEST(ControlDeadline, PlannerFeedsOnlyTiltSamples) {
   EXPECT_LT(ratio, 1.0 / 4.5);
 }
 
+/// Forwards all four control hooks to a DistanceScroll and, per trial,
+/// counts the firmware ticks, the hand samples the block reads and the
+/// remeasures a separate GP2D120 replay of the same ticks makes.
+class HandCountingTechnique final : public baselines::ScrollTechnique {
+ public:
+  struct Counts {
+    std::size_t ticks = 0;
+    std::size_t hand_samples = 0;
+    std::size_t remeasures = 0;
+  };
+
+  explicit HandCountingTechnique(sim::Rng rng) : inner_({}, rng), replay_({}, sim::Rng(1)) {}
+
+  std::string name() const override { return inner_.name(); }
+  baselines::ControlSpec spec() const override { return inner_.spec(); }
+  void reset(std::size_t level_size, std::size_t start) override {
+    inner_.reset(level_size, start);
+    replay_.reset();
+    next_tick_s_ = 0.0;
+    trials.emplace_back();
+  }
+  std::size_t cursor() const override { return inner_.cursor(); }
+  std::size_t level_size() const override { return inner_.level_size(); }
+  void on_control(util::Seconds now, double u) override { inner_.on_control(now, u); }
+  double next_control_s() const override { return inner_.next_control_s(); }
+  double control_period_s() const override { return inner_.control_period_s(); }
+  void on_control_block(std::span<const double> now_s, HandSignal hand,
+                        std::span<std::size_t> cursors_out) override {
+    Counts& counts = trials.back();
+    for (const double t : now_s) {
+      if (t < next_tick_s_) continue;
+      next_tick_s_ = t + inner_.control_period_s();
+      ++counts.ticks;
+      if (replay_.reads_at(util::Seconds{t})) ++counts.remeasures;
+      (void)replay_.output(util::Centimeters{15.0}, util::Seconds{t});
+    }
+    const auto counted = [&](std::size_t k) {
+      ++counts.hand_samples;
+      return hand(k);
+    };
+    inner_.on_control_block(now_s, counted, cursors_out);
+  }
+  std::optional<double> target_u(std::size_t target) const override {
+    return inner_.target_u(target);
+  }
+  double target_width_u(std::size_t target) const override {
+    return inner_.target_width_u(target);
+  }
+  double glove_sensitivity() const override { return inner_.glove_sensitivity(); }
+
+  std::vector<Counts> trials;
+
+ private:
+  baselines::DistanceScroll inner_;
+  sensors::Gp2d120Model replay_;
+  double next_tick_s_ = 0.0;
+};
+
+TEST(ControlDeadline, PlannerSynthesisesOnlyTheHandSamplesTheSensorReads) {
+  baselines::DistanceScroll bare({}, sim::Rng(21));
+  HandCountingTechnique counting(sim::Rng(21));
+  const auto bare_records = deadline_records(bare, human::Glove::Thick, 5);
+  const auto counted_records = deadline_records(counting, human::Glove::Thick, 5);
+  EXPECT_TRUE(bare_records == counted_records);
+  ASSERT_EQ(counting.trials.size(), counted_records.size());
+  std::size_t ticks = 0, samples = 0;
+  for (std::size_t i = 0; i < counting.trials.size(); ++i) {
+    const HandCountingTechnique::Counts& trial = counting.trials[i];
+    EXPECT_EQ(trial.hand_samples, trial.remeasures) << "trial " << i;
+    EXPECT_LT(trial.hand_samples, trial.ticks) << "trial " << i;
+    ticks += trial.ticks;
+    samples += trial.hand_samples;
+  }
+  // The GP2D120's 38.3 ms grid over a 20 ms tick: about every other tick.
+  EXPECT_GT(static_cast<double>(samples) / static_cast<double>(ticks), 0.4);
+  EXPECT_LT(static_cast<double>(samples) / static_cast<double>(ticks), 0.65);
+}
+
 /// Claims a control period but never moves its deadline, so a feeder
 /// trusting the period would skip samples the technique reads.
 class StaleDeadlineTechnique final : public baselines::ScrollTechnique {
@@ -235,6 +314,34 @@ TEST(ControlDeadlineDeathTest, PeriodWithAStaleDeadlineAborts) {
   const SelectionTask task{4, 0, 2};
   EXPECT_DEATH((void)run_trial(technique, task, human::UserProfile::average(), sim::Rng(1)),
                "next_control_s");
+}
+
+/// Reads the hand's sample 1 before sample 0, breaking the block
+/// contract's increasing-k order.
+class OutOfOrderReadTechnique final : public baselines::ScrollTechnique {
+ public:
+  std::string name() const override { return "out-of-order"; }
+  baselines::ControlSpec spec() const override { return {}; }  // absolute, u in [0, 1]
+  void reset(std::size_t, std::size_t) override {}
+  std::size_t cursor() const override { return 0; }
+  std::size_t level_size() const override { return 4; }
+  void on_control(util::Seconds, double) override {}
+  void on_control_block(std::span<const double> now_s, HandSignal hand,
+                        std::span<std::size_t> cursors_out) override {
+    if (now_s.size() >= 2) {
+      (void)hand(1);
+      (void)hand(0);
+    }
+    std::fill(cursors_out.begin(), cursors_out.end(), 0);
+  }
+  std::optional<double> target_u(std::size_t) const override { return 0.5; }
+};
+
+TEST(ControlDeadlineDeathTest, HandReadOutOfOrderAborts) {
+  OutOfOrderReadTechnique technique;
+  const SelectionTask task{4, 0, 2};
+  EXPECT_DEATH((void)run_trial(technique, task, human::UserProfile::average(), sim::Rng(1)),
+               "out of order");
 }
 
 TEST(BatchTrialRunnerDeathTest, LaneOutsideTheGroupAborts) {

@@ -357,10 +357,17 @@ TEST(ToolsCli, HelpExitsZeroAndUsageErrorsExit64) {
   // used to ignore `--format=chrome` and print JSONL). An overloaded
   // host_ingest (64 devices behind one 1-slot lane) runs out
   // of drain grace and exits 1 rather than passing as a clean ingest.
+  // fleet_run --stop-after without --checkpoint used to exit 0 and drop
+  // the folded participants; with one it writes a resumable half-run.
+  const std::string stop_with_checkpoint =
+      "--participants 8 --trials 1 --chunk 4 --threads 1 --stop-after 4 --checkpoint " +
+      testing::TempDir() + "/fleet_run_stop_after.ckpt";
   const ToolCase cases[] = {
       {DS_FLEET_RUN_BIN, "--help", 0, true},
       {DS_FLEET_RUN_BIN, "--no-such-flag", 64, false},
       {DS_FLEET_RUN_BIN, "--scalar", 64, false},
+      {DS_FLEET_RUN_BIN, "--participants 8 --trials 1 --stop-after 4", 64, false},
+      {DS_FLEET_RUN_BIN, stop_with_checkpoint.c_str(), 0, false},
       {DS_HOST_INGEST_BIN, "--help", 0, true},
       {DS_HOST_INGEST_BIN, "--no-such-flag", 64, false},
       {DS_HOST_INGEST_BIN, "--devices 64 --duration 0.05 --lanes 1 --lane-capacity 1", 1, false},

@@ -14,8 +14,9 @@
 // PATH and continues from its cursor; the finished aggregates are
 // byte-identical to an uninterrupted run (the fleet determinism
 // contract, see DESIGN.md §12). --stop-after N folds only the first N
-// participants (rounded up to a chunk) and exits — the manual way to
-// produce a resumable half-run.
+// participants (rounded up to a chunk), checkpoints them and exits — the
+// manual way to produce a resumable half-run. It needs --checkpoint:
+// without one nothing would be resumable.
 //
 // Numbers are strict (tools/cli_args.h): --trials is at most 2^20,
 // --menu at most 2^16, --threads at most 256 and --window at most 4096
@@ -50,6 +51,7 @@ int usage(std::FILE* to = stderr) {
                "                 [--threads N] [--chunk N] [--window N]\n"
                "                 [--checkpoint PATH] [--checkpoint-every N] [--resume]\n"
                "                 [--stop-after N]\n"
+               "--resume and --stop-after need --checkpoint PATH\n"
                "limits: --trials 1..%" PRIu64 ", --menu 2..%" PRIu64 ", --threads 0..%" PRIu64
                ", --window 1..%" PRIu64 "\n",
                kMaxTrials, kMaxMenu, distscroll::tools::kMaxThreads, kMaxWindowChunks);
@@ -109,6 +111,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "fleet_run: --resume needs --checkpoint PATH\n");
     return usage();
   }
+  if (stop_after != distscroll::study::kFleetRunAll && config.checkpoint_path.empty()) {
+    std::fprintf(stderr, "fleet_run: --stop-after needs --checkpoint PATH\n");
+    return usage();
+  }
 
   const double t0 = distscroll::study::sweep_wall_clock_s();
   const auto result = distscroll::study::run_fleet(config, stop_after);
@@ -143,7 +149,7 @@ int main(int argc, char** argv) {
   }
   if (!result.complete) {
     std::printf("  stopped at a chunk boundary; resume with --resume --checkpoint %s\n",
-                config.checkpoint_path.empty() ? "<path>" : config.checkpoint_path.c_str());
+                config.checkpoint_path.c_str());
   }
   return kExitOk;
 }
