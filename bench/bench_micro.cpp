@@ -424,13 +424,14 @@ void BM_ParseWireFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseWireFrame);
 
-/// One reliable-delivery round trip on the device side: send (encode
-/// into the retransmit queue), transmit through the wire sink (arming
-/// the retransmit timer), then the ack (cancel the timer, slide the
-/// window) — what every report costs a host ingest link.
+/// One reliable-delivery round trip on the device side, as a host
+/// ingest link makes it for every report: send (encode into the
+/// retransmit queue), transmit through the wire sink (arming the
+/// retransmit deadline on the device clock), then the ack by seq (drop
+/// the frame with its deadline, slide the window).
 void BM_ArqSendAck(benchmark::State& state) {
-  sim::EventQueue queue;
-  wireless::ArqSender sender(wireless::ArqConfig{}, queue);
+  sim::SimClock clock;
+  wireless::ArqSender sender(wireless::ArqConfig{}, clock);
   std::size_t wire_bytes = 0;
   sender.set_wire_sink([&wire_bytes](std::span<const std::uint8_t> wire) {
     wire_bytes += wire.size();
@@ -442,10 +443,6 @@ void BM_ArqSendAck(benchmark::State& state) {
   for (auto _ : state) {
     sender.send(wireless::FrameType::State, payload);
     sender.on_ack(seq++);
-    // Dispatcher pass at the same instant: pops the cancelled timer's
-    // heap entry, as an event-driven owner's run_until does once time
-    // reaches it.
-    queue.run_until(queue.now());
   }
   benchmark::DoNotOptimize(wire_bytes);
   if (sender.acks_received() != static_cast<std::uint64_t>(state.iterations())) {

@@ -7,7 +7,7 @@
 //
 //   raw : device firmware → UART → RfLink → FrameDecoder/HostLogger
 //         (CRC rejects corruption, sequence numbers surface the loss)
-//   arq : state source → ArqSender → UART → RfLink → ArqReceiver
+//   arq : state source → EventArqSender → UART → RfLink → ArqReceiver
 //         with a lossy reverse ack channel — the reliable transport
 //
 // and reports delivered-frame ratio, CRC rejections, sequence gaps,
@@ -88,32 +88,32 @@ ArqResult run_arq_link(double byte_loss, double bit_flip, std::uint64_t seed) {
   wireless::RfLink forward(link_config, device_uart, queue, sim::Rng(seed));
   wireless::RfLink reverse(link_config, host_uart, queue, sim::Rng(seed + 1));
 
-  wireless::ArqSender sender(wireless::ArqConfig{}, queue);
+  wireless::EventArqSender arq(wireless::ArqConfig{}, queue);
   wireless::ArqReceiver receiver;
   wireless::HostLogger logger(queue);
   wireless::LinkStats stats;
 
-  sender.set_wire_sink([&](std::span<const std::uint8_t> wire) {
+  arq.set_wire_sink([&](std::span<const std::uint8_t> wire) {
     if (device_uart.tx_free() < wire.size()) return false;
     for (std::uint8_t b : wire) device_uart.transmit(b);
     return true;
   });
-  device_uart.set_tx_space_callback([&] { sender.notify_tx_space(); });
+  device_uart.set_tx_space_callback([&] { arq.notify_tx_space(); });
   forward.set_host_sink([&](std::uint8_t b) { receiver.on_byte(b); });
   receiver.set_ack_sink([&](std::span<const std::uint8_t> wire) {
     if (host_uart.tx_free() < wire.size()) return false;
     for (std::uint8_t b : wire) host_uart.transmit(b);
     return true;
   });
-  reverse.set_host_sink([&](std::uint8_t b) { sender.on_ack_byte(b); });
+  reverse.set_host_sink([&](std::uint8_t b) { arq.on_ack_byte(b); });
   receiver.set_frame_sink([&](const wireless::Frame& frame) {
     // Delivery latency: first enqueue at the device to arrival here.
-    if (const auto t0 = sender.enqueue_time_s(frame.seq)) {
+    if (const auto t0 = arq.sender().enqueue_time_s(frame.seq)) {
       stats.record_delivery_latency(queue.now().value - *t0);
     }
     logger.on_frame(frame);
   });
-  sender.set_ack_callback(
+  arq.set_ack_callback(
       [&](std::uint8_t, double, int attempts) { stats.record_attempts(attempts); });
   forward.start();
   reverse.start();
@@ -127,7 +127,7 @@ ArqResult run_arq_link(double byte_loss, double bit_flip, std::uint64_t seed) {
     report.adc_counts = static_cast<std::uint16_t>(512.0 + 400.0 * std::sin(now * 0.7));
     report.cursor_index = static_cast<std::uint8_t>(offered % 8);
     report.level_size = 8;
-    sender.send(wireless::FrameType::State, report.pack());
+    arq.send(wireless::FrameType::State, report.pack());
     ++offered;
     queue.schedule_after(util::Seconds{kFramePeriod}, tick);
   };
@@ -135,7 +135,7 @@ ArqResult run_arq_link(double byte_loss, double bit_flip, std::uint64_t seed) {
   // Run past the last send so in-flight retransmits drain.
   queue.run_until(util::Seconds{kRunSeconds + 5.0});
 
-  stats.sample(&forward, &receiver.decoder(), &sender, &receiver, &logger);
+  stats.sample(&forward, &receiver.decoder(), &arq.sender(), &receiver, &logger);
   const auto& c = stats.counters();
   return {offered,
           offered ? static_cast<double>(receiver.frames_delivered()) / static_cast<double>(offered)

@@ -18,10 +18,12 @@
 #                every sim::ThreadPool user (sweep runner, fleet engine,
 #                host ingest's per-lane produce phase, thread-local
 #                BatchTrialRunner groups on a pool)
-#   native       golden + threading + fleet at -O3 -march=native: the
-#                bytes may not depend on build flags (the root
-#                CMakeLists.txt pins -ffp-contract=off, so a target with
-#                FMA does not fuse a*b + c)
+#   native       golden + threading + fleet + host at -O3
+#                -march=native: the bytes may not depend on build flags
+#                (the root CMakeLists.txt pins -ffp-contract=off, so a
+#                target with FMA does not fuse a*b + c); host brings in
+#                the DSTL golden (GoldenHostIngest.*), which is labelled
+#                host, not golden
 #
 # Every flavour runs the same pre-step: build ds_lint alone and assert
 # `ds_lint --root .` exits 0 BEFORE the (much longer) test build. A
@@ -95,7 +97,7 @@ run_flavour default     'lint|unit|property|golden|batch|fleet|host'
 run_flavour tracing-off 'lint|unit|property|golden|batch|fleet|host'
 run_flavour asan-ubsan  'lint|unit|fuzz|host|golden'
 run_flavour tsan        'threading|fleet|host|batch'
-run_flavour native      'golden|threading|fleet'
+run_flavour native      'golden|threading|fleet|host'
 run_perf_gate
 
 echo "==> all flavours green (perf gate: ${PERF_STATUS})"

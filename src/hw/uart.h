@@ -28,8 +28,8 @@ class Uart {
   using TxCallback = std::function<void(std::uint8_t)>;
   /// Backpressure hook: fires after each byte leaves the TX FIFO, i.e.
   /// whenever transmit() space just opened up. Senders with their own
-  /// queues (wireless::ArqSender) use it instead of polling tx_free().
-  // ds-lint: allow(no-std-function-hot-path) wired once by the ARQ sender at link setup
+  /// queues (wireless::EventArqSender) use it instead of polling tx_free().
+  // ds-lint: allow(no-std-function-hot-path) wired once to the ARQ driver at link setup
   using TxSpaceCallback = std::function<void()>;
 
   Uart() : Uart(Config{}) {}

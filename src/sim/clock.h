@@ -9,10 +9,12 @@
 // Two kinds of owner advance a clock:
 //   * an EventQueue owns one and moves it as it dispatches; the MCU,
 //     sensors, human model and byte-level wireless link share it;
-//   * a windowed owner with a fixed handful of deadlines
-//     (host::SimDeviceLink: one telemetry tick plus the ARQ sender's
-//     retransmit deadlines) owns one directly, dispatches its own
-//     deadlines by the same rule and advances it.
+//   * an owner with a fixed handful of deadlines owns one directly,
+//     dispatches its own deadlines by the same rule and advances it:
+//     host::SimDeviceLink (one telemetry tick plus its ARQ sender's
+//     retransmit deadlines) and wireless::EventArqSender (its ARQ
+//     sender's deadlines, woken by one event on an EventQueue whose
+//     time its clock follows).
 #pragma once
 
 #include <cstdint>
@@ -25,8 +27,6 @@ namespace distscroll::sim {
 class SimClock {
  public:
   [[nodiscard]] util::Seconds now() const { return now_; }
-  /// The arm number the next arming takes.
-  [[nodiscard]] std::uint64_t next_arm() const { return arms_; }
   /// Take an arm number for an event or deadline being armed.
   std::uint64_t arm() { return arms_++; }
   void advance_to(util::Seconds t) { now_ = t; }

@@ -10,9 +10,9 @@
 // does no per-event node allocation (unlike the std::map calendar this
 // replaced).
 // cancel() is O(1): it bumps the slot's generation and the stale heap
-// entry is discarded lazily when it reaches the top (an event-driven
-// wireless::ArqSender cancels each retransmit timer this way when its
-// frame is acked).
+// entry is discarded lazily when it reaches the top (wireless::
+// EventArqSender cancels its one wake event this way whenever its ARQ
+// sender's earliest retransmit deadline moves).
 #pragma once
 
 #include <algorithm>
@@ -33,7 +33,6 @@ class EventQueue {
   using Handle = std::uint64_t;
   static constexpr Handle kInvalidHandle = 0;
 
-  [[nodiscard]] const SimClock& clock() const { return clock_; }
   [[nodiscard]] util::Seconds now() const { return clock_.now(); }
 
   /// Schedule `cb` at absolute simulated time `when`. Scheduling in the

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/event_queue.h"
+
 namespace distscroll::wireless {
 
 // --- sender -----------------------------------------------------------------
@@ -30,7 +32,7 @@ void ArqSender::pump() {
   for (std::size_t i = 0; i < active; ++i) {
     Pending& pending = queue_[i];
     if (!pending.needs_tx) continue;
-    if (!wire_sink_(pending.bytes())) return;  // transport full; wait for tx space
+    if (!wire_sink_({pending.wire.data(), pending.wire_len})) return;  // full: wait for tx space
     pending.needs_tx = false;
     ++pending.attempts;
     ++transmissions_;
@@ -42,23 +44,8 @@ void ArqSender::pump() {
       DS_TRACE(tracer_, obs::EventKind::ArqTx, pending.seq,
                static_cast<std::uint32_t>(pending.wire_len));
     }
-    arm_timer(pending);
+    pending.deadline = {now_s() + pending.timeout_s, clock_->arm()};  // arm the retransmit timer
   }
-}
-
-void ArqSender::arm_timer(Pending& pending) {
-  pending.deadline.time_s = now_s() + pending.timeout_s;
-  if (windowed_clock_ != nullptr) {
-    pending.deadline.order = windowed_clock_->arm();
-    return;
-  }
-  // The queue's schedule takes the clock's next arm number itself; the
-  // order also names the frame, and [this, order] fits std::function's
-  // small buffer (no heap).
-  const std::uint64_t order = clock_->next_arm();
-  pending.deadline.order = order;
-  pending.timer = events_->schedule_at(util::Seconds{pending.deadline.time_s},
-                                       [this, order] { expire(order); });
 }
 
 sim::Deadline ArqSender::next_deadline() const {
@@ -83,9 +70,7 @@ void ArqSender::expire(std::uint64_t order) {
     ++drops_retry_exhausted_;
     DS_TRACE(tracer_, obs::EventKind::ArqDrop, it->seq,
              static_cast<std::uint32_t>(it->attempts));
-    const std::uint8_t seq = it->seq;
     queue_.erase(it);
-    if (drop_callback_) drop_callback_(seq);
   } else {
     it->needs_tx = true;
     it->timeout_s = std::min(it->timeout_s * config_.backoff_factor, config_.max_timeout.value);
@@ -93,28 +78,15 @@ void ArqSender::expire(std::uint64_t order) {
   pump();
 }
 
-void ArqSender::on_ack_byte(std::uint8_t byte) {
-  for (auto frame = ack_decoder_.feed(byte); frame; frame = ack_decoder_.poll()) {
-    if (frame->type == FrameType::Ack) on_ack(frame->seq);
-  }
-}
-
 void ArqSender::on_ack(std::uint8_t seq) {
   const auto it = std::find_if(queue_.begin(), queue_.end(),
                                [&](const Pending& p) { return p.seq == seq; });
-  if (it == queue_.end()) {
-    ++duplicate_acks_;
-    return;
-  }
+  if (it == queue_.end()) return;
   ++acks_received_;
   if (ack_callback_) {
     ack_callback_(seq, now_s() - it->enqueued_at_s, it->attempts);
   }
-  // The erase takes a windowed owner's deadline with it. An event-driven
-  // owner's cancel is a no-op when the timer already fired (frame
-  // awaiting retransmit) or the frame was never transmitted.
-  if (events_ != nullptr) events_->cancel(it->timer);
-  queue_.erase(it);
+  queue_.erase(it);  // and with it the frame's deadline
   pump();  // the window slid: queued frames may now transmit
 }
 
@@ -125,18 +97,43 @@ std::optional<double> ArqSender::enqueue_time_s(std::uint8_t seq) const {
   return it->enqueued_at_s;
 }
 
-std::size_t ArqSender::in_flight() const {
-  return static_cast<std::size_t>(std::count_if(
-      queue_.begin(), queue_.end(), [](const Pending& p) { return p.attempts > 0; }));
+// --- event-queue owner ------------------------------------------------------
+
+bool EventArqSender::send(FrameType type, std::span<const std::uint8_t> payload) {
+  clock_.advance_to(queue_->now());
+  const bool accepted = sender_.send(type, payload);
+  rewake();
+  return accepted;
 }
 
-std::size_t ArqSender::unsent() const {
-  const std::size_t active = std::min(config_.window, queue_.size());
-  std::size_t waiting = 0;
-  for (std::size_t i = 0; i < active; ++i) {
-    if (queue_[i].needs_tx) ++waiting;
+void EventArqSender::on_ack_byte(std::uint8_t byte) {
+  clock_.advance_to(queue_->now());
+  for (auto frame = ack_decoder_.feed(byte); frame; frame = ack_decoder_.poll()) {
+    if (frame->type == FrameType::Ack) sender_.on_ack(frame->seq);
   }
-  return waiting;
+  rewake();
+}
+
+void EventArqSender::notify_tx_space() {
+  clock_.advance_to(queue_->now());
+  sender_.notify_tx_space();
+  rewake();
+}
+
+void EventArqSender::rewake() {
+  const sim::Deadline next = sender_.next_deadline();
+  if (next == wake_at_) return;
+  queue_->cancel(wake_);  // a spent handle cancels nothing
+  wake_at_ = next;
+  if (next == sim::Deadline{}) return;
+  // [this] fits std::function's small buffer (no heap).
+  wake_ = queue_->schedule_at(util::Seconds{next.time_s}, [this] {
+    const std::uint64_t order = wake_at_.order;
+    wake_at_ = sim::Deadline{};  // this event is spent
+    clock_.advance_to(queue_->now());
+    sender_.expire(order);
+    rewake();
+  });
 }
 
 // --- receiver ---------------------------------------------------------------
@@ -154,11 +151,7 @@ void ArqReceiver::on_frame(const Frame& frame) {
   Frame ack;
   ack.type = FrameType::Ack;
   ack.seq = frame.seq;
-  if (ack_sink_ && ack_sink_(encode(ack))) {
-    ++acks_sent_;
-  } else {
-    ++acks_backpressured_;
-  }
+  if (ack_sink_ && ack_sink_(encode(ack))) ++acks_sent_;
   // TooOld counts as a duplicate: past the horizon the two are one.
   if (!window_.admit(frame.seq).accepted()) {
     ++duplicates_discarded_;

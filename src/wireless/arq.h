@@ -23,16 +23,14 @@
 //   util::SeqWindow (a 64-frame seen-bitmap) before delivering upward.
 //
 // Acks ride the same framing (FrameType::Ack, seq = acked sequence, no
-// payload) over whatever reverse channel the caller wires up.
+// payload) over whatever reverse channel the caller wires up; the sender
+// takes them already decoded, as on_ack(seq).
 //
-// Two kinds of owner wake the sender when a deadline falls due; both
-// call expire(), the one timeout/backoff/drop routine:
-//   * an event-driven owner (the byte-level UART/RfLink simulations)
-//     hands the sender its sim::EventQueue, and every arming schedules
-//     one event there;
-//   * a windowed owner (host::SimDeviceLink) hands it a sim::SimClock,
-//     reads next_deadline() and calls expire() itself, dispatching by
-//     the same (time, arm order) rule.
+// Device time is a sim::SimClock the owner advances, and the sender never
+// wakes itself: the owner reads next_deadline() and calls expire() when
+// it falls due, by the clock's (time, arm order) rule — host::SimDeviceLink
+// inside its step windows, EventArqSender on a sim::EventQueue for the
+// byte-level UART/RfLink simulations.
 #pragma once
 
 #include <array>
@@ -44,12 +42,20 @@
 
 #include "obs/tracer.h"
 #include "sim/clock.h"
-#include "sim/event_queue.h"
 #include "util/seq_window.h"
 #include "util/units.h"
 #include "wireless/packet.h"
 
+namespace distscroll::sim {
+class EventQueue;
+}
+
 namespace distscroll::wireless {
+
+/// Pushes one encoded wire frame at the transport; must be all-or-nothing
+/// and return false when the transport has no room (UART TX FIFO full).
+/// A sender then waits for notify_tx_space().
+using WireSink = std::function<bool(std::span<const std::uint8_t>)>;
 
 struct ArqConfig {
   std::size_t window = 8;           // max unacked frames in flight
@@ -63,29 +69,15 @@ struct ArqConfig {
 /// Device-side endpoint: owns the retransmit queue and timers.
 class ArqSender {
  public:
-  /// Pushes one encoded wire frame at the transport; must be
-  /// all-or-nothing and return false when the transport has no room
-  /// (UART TX FIFO full). The sender then waits for notify_tx_space().
-  using WireSink = std::function<bool(std::span<const std::uint8_t>)>;
   /// Invoked when a frame is acked: (seq, delivery latency from first
   /// enqueue to ack, transmissions used).
   using AckCallback = std::function<void(std::uint8_t, double, int)>;
-  /// Invoked when a frame is abandoned after max_attempts.
-  using DropCallback = std::function<void(std::uint8_t)>;
 
-  /// Event-driven owner: device time is the queue's clock, and each
-  /// arming schedules one event on `queue`.
-  ArqSender(ArqConfig config, sim::EventQueue& queue)
-      : config_(config), clock_(&queue.clock()), events_(&queue) {}
-  /// Windowed owner: device time is `clock`, which the owner advances,
-  /// and armings take its arm numbers. The owner dispatches
-  /// next_deadline() through expire() when it falls due.
-  ArqSender(ArqConfig config, sim::SimClock& clock)
-      : config_(config), clock_(&clock), windowed_clock_(&clock) {}
+  /// Device time is `clock`; armings take its arm numbers.
+  ArqSender(ArqConfig config, sim::SimClock& clock) : config_(config), clock_(&clock) {}
 
   void set_wire_sink(WireSink sink) { wire_sink_ = std::move(sink); }
   void set_ack_callback(AckCallback cb) { ack_callback_ = std::move(cb); }
-  void set_drop_callback(DropCallback cb) { drop_callback_ = std::move(cb); }
   /// Structured tracing of the retransmit machinery (ArqTx / ArqRetry /
   /// ArqDrop). Null detaches; tracing must never change behaviour.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
@@ -96,15 +88,9 @@ class ArqSender {
   /// full; returns false without queueing a payload over kMaxPayload.
   bool send(FrameType type, std::span<const std::uint8_t> payload);
 
-  /// Feed reverse-channel bytes (the host's ack stream). For channels
-  /// that can corrupt ack bytes (RfLink): the decoder resyncs and drops
-  /// damaged acks, and the retransmit timer recovers.
-  void on_ack_byte(std::uint8_t byte);
-
-  /// Ack for `seq`, already decoded — for reverse channels that drop
-  /// whole acks but never corrupt their bytes (the host ingest links),
-  /// where encoding and re-decoding the ack could not fail. The same
-  /// effect as feeding encode(Ack seq) through on_ack_byte().
+  /// The host acked `seq`: report it, drop the frame and its deadline,
+  /// and let the window slide. An ack for a seq no longer queued (a
+  /// re-ack of a retransmitted frame) is ignored.
   void on_ack(std::uint8_t seq);
 
   /// UART backpressure hook: the TX FIFO freed a byte, try flushing.
@@ -123,20 +109,12 @@ class ArqSender {
   [[nodiscard]] std::optional<double> enqueue_time_s(std::uint8_t seq) const;
 
   [[nodiscard]] std::size_t queued() const { return queue_.size(); }
-  [[nodiscard]] std::size_t in_flight() const;
-  /// Active-window frames still waiting for transport room (needs_tx):
-  /// non-zero means the transport backpressured and a notify_tx_space()
-  /// is owed — the host ingest drain loop uses this to know a device
-  /// still has frames to flush.
-  [[nodiscard]] std::size_t unsent() const;
-  [[nodiscard]] const FrameDecoder& ack_decoder() const { return ack_decoder_; }
 
   // Counters for LinkStats.
   [[nodiscard]] std::uint64_t frames_accepted() const { return frames_accepted_; }
   [[nodiscard]] std::uint64_t transmissions() const { return transmissions_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
   [[nodiscard]] std::uint64_t acks_received() const { return acks_received_; }
-  [[nodiscard]] std::uint64_t duplicate_acks() const { return duplicate_acks_; }
   [[nodiscard]] std::uint64_t drops_queue_full() const { return drops_queue_full_; }
   [[nodiscard]] std::uint64_t drops_retry_exhausted() const { return drops_retry_exhausted_; }
 
@@ -150,24 +128,16 @@ class ArqSender {
     double enqueued_at_s = 0.0;
     double timeout_s = 0.0;  // current backoff value
     sim::Deadline deadline;  // the armed retransmit timer, while !needs_tx
-    sim::EventQueue::Handle timer = sim::EventQueue::kInvalidHandle;  // event-driven owner
-
-    [[nodiscard]] std::span<const std::uint8_t> bytes() const { return {wire.data(), wire_len}; }
   };
 
   void pump();
-  void arm_timer(Pending& pending);
   [[nodiscard]] double now_s() const { return clock_->now().value; }
 
   ArqConfig config_;
-  const sim::SimClock* clock_;               // device time
-  sim::EventQueue* events_ = nullptr;        // event-driven owner
-  sim::SimClock* windowed_clock_ = nullptr;  // windowed owner
+  sim::SimClock* clock_;  // device time
   obs::Tracer* tracer_ = nullptr;
   WireSink wire_sink_;
   AckCallback ack_callback_;
-  DropCallback drop_callback_;
-  FrameDecoder ack_decoder_;
   // Seq order; the first `window` entries are active. Grows to the
   // link's peak depth, then erase/emplace reuse its capacity.
   std::vector<Pending> queue_;
@@ -176,16 +146,52 @@ class ArqSender {
   std::uint64_t transmissions_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t acks_received_ = 0;
-  std::uint64_t duplicate_acks_ = 0;
   std::uint64_t drops_queue_full_ = 0;
   std::uint64_t drops_retry_exhausted_ = 0;
+};
+
+/// An ArqSender driven by a sim::EventQueue, for the byte-level UART/RfLink
+/// simulations: it runs the sender at the queue's time, decodes the ack
+/// bytes, and keeps one queue event at next_deadline() to expire it.
+class EventArqSender {
+ public:
+  EventArqSender(ArqConfig config, sim::EventQueue& queue)
+      : queue_(&queue), sender_(config, clock_) {}
+
+  EventArqSender(const EventArqSender&) = delete;  // the wake event holds `this`
+  EventArqSender& operator=(const EventArqSender&) = delete;
+
+  void set_wire_sink(WireSink sink) { sender_.set_wire_sink(std::move(sink)); }
+  void set_ack_callback(ArqSender::AckCallback cb) { sender_.set_ack_callback(std::move(cb)); }
+
+  /// ArqSender::send at the queue's time.
+  bool send(FrameType type, std::span<const std::uint8_t> payload);
+  /// Feed reverse-channel bytes (the host's ack stream). The channel can
+  /// corrupt them (RfLink): the decoder resyncs and drops damaged acks,
+  /// and the retransmit deadline recovers.
+  void on_ack_byte(std::uint8_t byte);
+  /// UART backpressure hook: the TX FIFO freed a byte, try flushing.
+  void notify_tx_space();
+
+  [[nodiscard]] const ArqSender& sender() const { return sender_; }
+
+ private:
+  /// Move the wake event to the sender's next deadline if it changed;
+  /// when it fires, it expires that deadline.
+  void rewake();
+
+  sim::EventQueue* queue_;
+  sim::SimClock clock_;  // device time: the queue's, as of the last call
+  ArqSender sender_;
+  FrameDecoder ack_decoder_;
+  sim::Deadline wake_at_;  // the deadline the wake event is scheduled for
+  std::uint64_t wake_ = 0;  // its sim::EventQueue::Handle (0: none yet)
 };
 
 /// Host-side endpoint: decodes, deduplicates, acks, delivers.
 class ArqReceiver {
  public:
   using FrameSink = std::function<void(const Frame&)>;
-  using WireSink = std::function<bool(std::span<const std::uint8_t>)>;
 
   void set_frame_sink(FrameSink sink) { frame_sink_ = std::move(sink); }
   void set_ack_sink(WireSink sink) { ack_sink_ = std::move(sink); }
@@ -199,7 +205,6 @@ class ArqReceiver {
   [[nodiscard]] std::uint64_t frames_delivered() const { return frames_delivered_; }
   [[nodiscard]] std::uint64_t duplicates_discarded() const { return duplicates_discarded_; }
   [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
-  [[nodiscard]] std::uint64_t acks_backpressured() const { return acks_backpressured_; }
 
  private:
   void on_frame(const Frame& frame);
@@ -212,7 +217,6 @@ class ArqReceiver {
   std::uint64_t frames_delivered_ = 0;
   std::uint64_t duplicates_discarded_ = 0;
   std::uint64_t acks_sent_ = 0;
-  std::uint64_t acks_backpressured_ = 0;
 };
 
 }  // namespace distscroll::wireless

@@ -4,7 +4,7 @@
 // the allocation-free claims the session kernel makes on its hot paths:
 // Tracer::record past ring capacity, EventQueue schedule/dispatch at
 // recycled depth, the device firmware sample loop, and a host ingest
-// device link's send/drain/ack/retransmit cycle.
+// device link's construction and its send/drain/ack/retransmit cycle.
 //
 // The interposer is compiled out under sanitizer builds (they own the
 // allocator), so every assertion skips when it is not linked in.
@@ -12,6 +12,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 
 #include "core/distscroll_device.h"
 #include "host/ingest_queue.h"
@@ -118,8 +119,14 @@ TEST(AllocGuard, HostLinkSendDrainAckRetransmitIsAllocationFreeWhenWarm) {
   faults.bit_flip = 0.02;
   faults.reorder = 0.02;
   faults.ack_loss = 0.05;
-  host::SimDeviceLink link(/*device_id=*/0, /*lane=*/0, lanes, wireless::ArqConfig{}, faults,
-                           /*report_period_s=*/1.0 / 38.0, /*duration_s=*/1000.0, sim::Rng(5));
+  // Building a link allocates nothing: a host ingest run builds one per
+  // device.
+  std::optional<host::SimDeviceLink> built;
+  util::AllocGuard construct{__FILE__, __LINE__};
+  built.emplace(/*device_id=*/0, /*lane=*/0, lanes, wireless::ArqConfig{}, faults,
+                /*report_period_s=*/1.0 / 38.0, /*duration_s=*/1000.0, sim::Rng(5));
+  EXPECT_EQ(construct.allocations(), 0u);
+  host::SimDeviceLink& link = *built;
   // One pipeline window: the device produces, the consumer drains the
   // lane, CRC-checks each frame and queues an ack for every valid one.
   std::array<host::RawRecord, 16> drained;

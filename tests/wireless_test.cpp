@@ -467,8 +467,8 @@ struct ArqFixture : ::testing::Test {
   int ack_count = 0;
   std::vector<double> forward_times;
 
-  void wire(ArqSender& sender, ArqReceiver& receiver, double latency = 1e-3) {
-    sender.set_wire_sink([&, latency](std::span<const std::uint8_t> wire_bytes) {
+  void wire(EventArqSender& arq, ArqReceiver& receiver, double latency = 1e-3) {
+    arq.set_wire_sink([&, latency](std::span<const std::uint8_t> wire_bytes) {
       forward_times.push_back(queue.now().value);
       const int n = forward_count++;
       if (!forward_ok(n)) return true;  // lost on the air, but transmitted
@@ -482,8 +482,8 @@ struct ArqFixture : ::testing::Test {
       const int n = ack_count++;
       if (!ack_ok(n)) return true;
       std::vector<std::uint8_t> copy(wire_bytes.begin(), wire_bytes.end());
-      queue.schedule_after(util::Seconds{latency}, [&sender, copy] {
-        for (std::uint8_t b : copy) sender.on_ack_byte(b);
+      queue.schedule_after(util::Seconds{latency}, [&arq, copy] {
+        for (std::uint8_t b : copy) arq.on_ack_byte(b);
       });
       return true;
     });
@@ -491,74 +491,73 @@ struct ArqFixture : ::testing::Test {
 };
 
 TEST_F(ArqFixture, CleanChannelDeliversEverythingOnceWithoutRetransmits) {
-  ArqSender sender(config, queue);
+  EventArqSender arq(config, queue);
   ArqReceiver receiver;
   std::vector<std::uint8_t> delivered;
   receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
-  wire(sender, receiver);
+  wire(arq, receiver);
   for (int i = 0; i < 20; ++i) {
     const std::uint8_t payload[] = {static_cast<std::uint8_t>(i)};
-    EXPECT_TRUE(sender.send(FrameType::State, payload));
+    EXPECT_TRUE(arq.send(FrameType::State, payload));
   }
   queue.run_until(util::Seconds{2.0});
   ASSERT_EQ(delivered.size(), 20u);
   for (std::size_t i = 0; i < delivered.size(); ++i) EXPECT_EQ(delivered[i], i);
-  EXPECT_EQ(sender.retransmissions(), 0u);
-  EXPECT_EQ(sender.acks_received(), 20u);
-  EXPECT_EQ(sender.queued(), 0u);
+  EXPECT_EQ(arq.sender().retransmissions(), 0u);
+  EXPECT_EQ(arq.sender().acks_received(), 20u);
+  EXPECT_EQ(arq.sender().queued(), 0u);
   EXPECT_EQ(receiver.duplicates_discarded(), 0u);
 }
 
 TEST_F(ArqFixture, LostFrameIsRetransmittedAfterTimeout) {
   forward_ok = [](int n) { return n != 0; };  // first transmission dies
-  ArqSender sender(config, queue);
+  EventArqSender arq(config, queue);
   ArqReceiver receiver;
   std::vector<std::uint8_t> delivered;
   receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
-  wire(sender, receiver);
+  wire(arq, receiver);
   const std::uint8_t payload[] = {42};
-  sender.send(FrameType::State, payload);
+  arq.send(FrameType::State, payload);
   queue.run_until(util::Seconds{1.0});
+  // The retransmit's delivery event takes the calendar slot the spent
+  // wake event just freed; re-arming the wake must leave it alone.
   ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(sender.retransmissions(), 1u);
-  EXPECT_EQ(sender.acks_received(), 1u);
-  EXPECT_EQ(sender.queued(), 0u);
+  EXPECT_EQ(arq.sender().retransmissions(), 1u);
+  EXPECT_EQ(arq.sender().acks_received(), 1u);
+  EXPECT_EQ(arq.sender().queued(), 0u);
 }
 
 TEST_F(ArqFixture, LostAckTriggersRetransmitAndDuplicateDiscard) {
   ack_ok = [](int n) { return n != 0; };  // first ack dies
-  ArqSender sender(config, queue);
+  EventArqSender arq(config, queue);
   ArqReceiver receiver;
   std::vector<std::uint8_t> delivered;
   receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
-  wire(sender, receiver);
+  wire(arq, receiver);
   const std::uint8_t payload[] = {7};
-  sender.send(FrameType::State, payload);
+  arq.send(FrameType::State, payload);
   queue.run_until(util::Seconds{1.0});
   // Delivered exactly once despite the retransmission.
   ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_GE(sender.retransmissions(), 1u);
+  EXPECT_GE(arq.sender().retransmissions(), 1u);
   EXPECT_GE(receiver.duplicates_discarded(), 1u);
-  EXPECT_EQ(sender.queued(), 0u);  // the re-ack finally landed
+  EXPECT_EQ(arq.sender().queued(), 0u);  // the re-ack finally landed
 }
 
 TEST_F(ArqFixture, RetryExhaustionDropsTheFrameAndFreesTheWindow) {
   forward_ok = [](int) { return false; };  // black hole
   config.max_attempts = 3;
   config.initial_timeout = util::Seconds{0.010};
-  ArqSender sender(config, queue);
+  EventArqSender arq(config, queue);
   ArqReceiver receiver;
-  std::vector<std::uint8_t> dropped;
-  sender.set_drop_callback([&](std::uint8_t seq) { dropped.push_back(seq); });
-  wire(sender, receiver);
+  wire(arq, receiver);
   const std::uint8_t payload[] = {1};
-  sender.send(FrameType::State, payload);
+  arq.send(FrameType::State, payload);
   queue.run_until(util::Seconds{5.0});
-  EXPECT_EQ(sender.transmissions(), 3u);
-  EXPECT_EQ(sender.drops_retry_exhausted(), 1u);
-  ASSERT_EQ(dropped.size(), 1u);
-  EXPECT_EQ(dropped[0], 0);
-  EXPECT_EQ(sender.queued(), 0u);
+  EXPECT_EQ(arq.sender().transmissions(), 3u);
+  EXPECT_EQ(arq.sender().drops_retry_exhausted(), 1u);
+  EXPECT_EQ(arq.sender().queued(), 0u);
+  EXPECT_EQ(queue.pending(), 0u);  // no deadline left to wake for
 }
 
 TEST_F(ArqFixture, BackoffGrowsExponentiallyAndCaps) {
@@ -567,10 +566,10 @@ TEST_F(ArqFixture, BackoffGrowsExponentiallyAndCaps) {
   config.initial_timeout = util::Seconds{0.010};
   config.backoff_factor = 2.0;
   config.max_timeout = util::Seconds{0.050};
-  ArqSender sender(config, queue);
+  EventArqSender arq(config, queue);
   ArqReceiver receiver;
-  wire(sender, receiver);
-  sender.send(FrameType::Heartbeat, {});
+  wire(arq, receiver);
+  arq.send(FrameType::Heartbeat, {});
   queue.run_until(util::Seconds{5.0});
   ASSERT_EQ(forward_times.size(), 6u);
   // Gaps: 10, 20, 40, 50(cap), 50(cap) ms.
@@ -586,30 +585,29 @@ TEST_F(ArqFixture, BoundedQueueShedsOverloadAndWindowLimitsInFlight) {
   config.window = 2;
   config.queue_capacity = 4;
   config.initial_timeout = util::Seconds{10.0};  // no retransmits during test
-  ArqSender sender(config, queue);
+  EventArqSender arq(config, queue);
   ArqReceiver receiver;
-  wire(sender, receiver);
+  wire(arq, receiver);
   int accepted = 0;
   for (int i = 0; i < 10; ++i) {
     const std::uint8_t payload[] = {static_cast<std::uint8_t>(i)};
-    if (sender.send(FrameType::State, payload)) ++accepted;
+    if (arq.send(FrameType::State, payload)) ++accepted;
   }
   EXPECT_EQ(accepted, 4);
-  EXPECT_EQ(sender.drops_queue_full(), 6u);
-  EXPECT_EQ(sender.queued(), 4u);
-  EXPECT_EQ(sender.in_flight(), 2u);        // only the window transmitted
-  EXPECT_EQ(sender.transmissions(), 2u);
+  EXPECT_EQ(arq.sender().drops_queue_full(), 6u);
+  EXPECT_EQ(arq.sender().queued(), 4u);
+  EXPECT_EQ(arq.sender().transmissions(), 2u);  // only the window transmitted
 }
 
 TEST_F(ArqFixture, TransportBackpressureDefersUntilSpace) {
   // A wire sink that refuses until notify_tx_space(), like a full UART
   // TX FIFO.
   bool fifo_full = true;
-  ArqSender sender(config, queue);
+  EventArqSender arq(config, queue);
   ArqReceiver receiver;
   std::vector<std::uint8_t> delivered;
   receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
-  sender.set_wire_sink([&](std::span<const std::uint8_t> wire_bytes) {
+  arq.set_wire_sink([&](std::span<const std::uint8_t> wire_bytes) {
     if (fifo_full) return false;
     std::vector<std::uint8_t> copy(wire_bytes.begin(), wire_bytes.end());
     queue.schedule_after(util::Seconds{1e-3}, [&receiver, copy] {
@@ -619,242 +617,92 @@ TEST_F(ArqFixture, TransportBackpressureDefersUntilSpace) {
   });
   receiver.set_ack_sink([&](std::span<const std::uint8_t> wire_bytes) {
     std::vector<std::uint8_t> copy(wire_bytes.begin(), wire_bytes.end());
-    queue.schedule_after(util::Seconds{1e-3}, [&sender, copy] {
-      for (std::uint8_t b : copy) sender.on_ack_byte(b);
+    queue.schedule_after(util::Seconds{1e-3}, [&arq, copy] {
+      for (std::uint8_t b : copy) arq.on_ack_byte(b);
     });
     return true;
   });
   const std::uint8_t payload[] = {5};
-  sender.send(FrameType::State, payload);
+  arq.send(FrameType::State, payload);
   queue.run_until(util::Seconds{0.005});
-  EXPECT_EQ(sender.transmissions(), 0u);  // blocked on backpressure
+  EXPECT_EQ(arq.sender().transmissions(), 0u);  // blocked on backpressure
   fifo_full = false;
-  sender.notify_tx_space();
+  arq.notify_tx_space();
   queue.run_until(util::Seconds{0.100});
   ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(sender.transmissions(), 1u);
+  EXPECT_EQ(arq.sender().transmissions(), 1u);
 }
 
 TEST_F(ArqFixture, OversizedPayloadIsRejectedWithoutTakingASeq) {
-  ArqSender sender(config, queue);
+  EventArqSender arq(config, queue);
   std::vector<Frame> delivered;
   ArqReceiver receiver;
   receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f); });
-  wire(sender, receiver);
+  wire(arq, receiver);
   const std::vector<std::uint8_t> oversized(kMaxPayload + 1, 0x55);
-  EXPECT_FALSE(sender.send(FrameType::Debug, oversized));
-  EXPECT_EQ(sender.frames_accepted(), 0u);
-  EXPECT_EQ(sender.drops_queue_full(), 0u);  // not a capacity drop
+  EXPECT_FALSE(arq.send(FrameType::Debug, oversized));
+  EXPECT_EQ(arq.sender().frames_accepted(), 0u);
+  EXPECT_EQ(arq.sender().drops_queue_full(), 0u);  // not a capacity drop
   const std::vector<std::uint8_t> largest(kMaxPayload, 0x55);
-  EXPECT_TRUE(sender.send(FrameType::Debug, largest));
+  EXPECT_TRUE(arq.send(FrameType::Debug, largest));
   queue.run_until(util::Seconds{1.0});
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].seq, 0);  // the rejected send consumed no seq
   EXPECT_EQ(delivered[0].payload, largest);
 }
 
-TEST_F(ArqFixture, AckCancelsTheRetransmitTimer) {
-  ArqSender sender(config, queue);
-  sender.set_wire_sink([](std::span<const std::uint8_t>) { return true; });
-  for (std::uint8_t i = 0; i < 3; ++i) {
-    const std::uint8_t payload[] = {i};
-    ASSERT_TRUE(sender.send(FrameType::State, payload));
-  }
-  EXPECT_EQ(queue.pending(), 3u);  // one armed retransmit timer per frame
-  for (std::uint8_t b : encode(Frame{FrameType::Ack, 1, {}})) sender.on_ack_byte(b);
-  EXPECT_EQ(sender.queued(), 2u);
-  EXPECT_EQ(queue.pending(), 2u) << "the acked frame's timer must be cancelled";
-  sender.on_ack(0);
-  sender.on_ack(2);
-  EXPECT_EQ(sender.queued(), 0u);
-  EXPECT_EQ(queue.pending(), 0u);
-  // Nothing left to dispatch: no stale timer fires and nothing resends.
-  EXPECT_EQ(queue.run_until(util::Seconds{5.0}), 0u);
-  EXPECT_EQ(sender.transmissions(), 3u);
-  EXPECT_EQ(sender.acks_received(), 3u);
-}
-
-TEST_F(ArqFixture, AckAfterTimeoutLeavesTheRecycledTimerSlotAlone) {
-  // An ack that arrives after its frame's timer fired (the frame is
-  // waiting for a resend) holds a spent handle. Cancelling it must not
-  // touch whatever event has since taken the recycled calendar slot.
-  config.initial_timeout = util::Seconds{0.010};
-  ArqSender sender(config, queue);
-  bool accept = true;
-  sender.set_wire_sink([&](std::span<const std::uint8_t>) { return accept; });
-  const std::uint8_t payload[] = {0};
-  ASSERT_TRUE(sender.send(FrameType::State, payload));
-  accept = false;
-  queue.run_until(util::Seconds{0.015});  // timer fired; resend refused
-  EXPECT_EQ(sender.unsent(), 1u);
-  EXPECT_EQ(queue.pending(), 0u);
-  bool other_fired = false;
-  queue.schedule_after(util::Seconds{0.1}, [&other_fired] { other_fired = true; });
-  sender.on_ack(0);
-  EXPECT_EQ(sender.queued(), 0u);
-  EXPECT_EQ(queue.pending(), 1u);
-  queue.run_until(util::Seconds{1.0});
-  EXPECT_TRUE(other_fired);
-  EXPECT_EQ(sender.transmissions(), 1u);
-}
-
-using WireLog = std::vector<std::pair<double, std::vector<std::uint8_t>>>;
-
-// Records every transmitted wire image with its device time; refuses
-// every `refuse_every`-th attempt (transport backpressure) when non-zero.
-auto logging_sink(WireLog& log, const sim::SimClock& clock, int refuse_every = 0) {
-  return [&log, &clock, refuse_every, n = 0](std::span<const std::uint8_t> bytes) mutable {
-    if (refuse_every != 0 && ++n % refuse_every == 0) return false;
-    log.emplace_back(clock.now().value, std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+// The one wake event follows the sender's earliest deadline: forward to
+// a fresh frame's short timeout, back to a backed-off frame's when the
+// fresh one is acked, and off the calendar once nothing is armed.
+TEST_F(ArqFixture, WakeEventFollowsTheEarliestDeadline) {
+  EventArqSender arq(config, queue);
+  std::vector<std::pair<double, std::uint8_t>> sent;  // (time, seq); all lost
+  arq.set_wire_sink([&](std::span<const std::uint8_t> wire_bytes) {
+    sent.emplace_back(queue.now().value, parse_wire_frame(wire_bytes)->seq);
     return true;
+  });
+  const auto ack = [&](std::uint8_t seq) {
+    for (std::uint8_t b : encode(Frame{FrameType::Ack, seq, {}})) arq.on_ack_byte(b);
   };
+  const std::uint8_t payload[] = {0};
+  ASSERT_TRUE(arq.send(FrameType::State, payload));
+  // Seq 0 goes out at 0 and again at 30, 90 and 210 ms, where it backs
+  // off to a 240 ms timeout.
+  queue.run_until(util::Seconds{0.25});
+  ASSERT_EQ(sent.size(), 4u);
+  const double backed_off = sent.back().first + 0.240;
+  EXPECT_DOUBLE_EQ(arq.sender().next_deadline().time_s, backed_off);
+  ASSERT_TRUE(arq.send(FrameType::State, payload));  // seq 1, 30 ms timeout
+  queue.run_until(util::Seconds{0.30});
+  ASSERT_EQ(sent.size(), 6u);
+  EXPECT_EQ(sent[5], (std::pair{0.25 + 0.030, std::uint8_t{1}}));
+  ack(1);
+  ack(1);  // a re-ack of a frame no longer queued changes nothing
+  EXPECT_EQ(arq.sender().acks_received(), 1u);
+  EXPECT_EQ(queue.pending(), 1u);
+  queue.run_until(util::Seconds{0.46});
+  ASSERT_EQ(sent.size(), 7u);
+  EXPECT_EQ(sent[6], (std::pair{backed_off, std::uint8_t{0}}));
+  ack(0);
+  EXPECT_EQ(arq.sender().queued(), 0u);
+  EXPECT_EQ(queue.pending(), 0u);
+  // Nothing left to dispatch: no stale wake fires and nothing resends.
+  EXPECT_EQ(queue.run_until(util::Seconds{5.0}), 0u);
+  EXPECT_EQ(sent.size(), 7u);
 }
 
-// The host ingest links deliver acks as seqs through on_ack(); the RF
-// path feeds encoded ack bytes through on_ack_byte(). Over an uncorrupted
-// reverse channel the two must leave the sender in the same state.
-TEST(ArqSenderAck, OnAckMatchesFeedingEncodedAckBytes) {
-  ArqConfig config;
-  config.window = 4;
-  config.queue_capacity = 6;
-  config.max_attempts = 3;
-  config.initial_timeout = util::Seconds{0.010};
-  sim::EventQueue queue_seq;
-  sim::EventQueue queue_bytes;
-  ArqSender by_seq(config, queue_seq);
-  ArqSender by_bytes(config, queue_bytes);
-  // Same scripted forward channel on both: every fifth transmission is
-  // refused (backpressure) and the log records what got through, when.
-  WireLog log_seq;
-  WireLog log_bytes;
-  by_seq.set_wire_sink(logging_sink(log_seq, queue_seq.clock(), 5));
-  by_bytes.set_wire_sink(logging_sink(log_bytes, queue_bytes.clock(), 5));
-
-  const auto expect_same = [&](int step) {
-    SCOPED_TRACE(step);
-    EXPECT_EQ(by_seq.queued(), by_bytes.queued());
-    EXPECT_EQ(by_seq.in_flight(), by_bytes.in_flight());
-    EXPECT_EQ(by_seq.unsent(), by_bytes.unsent());
-    EXPECT_EQ(by_seq.frames_accepted(), by_bytes.frames_accepted());
-    EXPECT_EQ(by_seq.transmissions(), by_bytes.transmissions());
-    EXPECT_EQ(by_seq.retransmissions(), by_bytes.retransmissions());
-    EXPECT_EQ(by_seq.acks_received(), by_bytes.acks_received());
-    EXPECT_EQ(by_seq.duplicate_acks(), by_bytes.duplicate_acks());
-    EXPECT_EQ(by_seq.drops_queue_full(), by_bytes.drops_queue_full());
-    EXPECT_EQ(by_seq.drops_retry_exhausted(), by_bytes.drops_retry_exhausted());
-    EXPECT_EQ(queue_seq.pending(), queue_bytes.pending());
-    for (int seq = 0; seq < 256; ++seq) {
-      const auto s = static_cast<std::uint8_t>(seq);
-      EXPECT_EQ(by_seq.enqueue_time_s(s), by_bytes.enqueue_time_s(s));
-    }
-    EXPECT_EQ(log_seq, log_bytes);
-  };
-
-  for (int step = 0; step < 80; ++step) {
-    const std::uint8_t payload[] = {static_cast<std::uint8_t>(step)};
-    by_seq.send(FrameType::State, payload);
-    by_bytes.send(FrameType::State, payload);
-    // Acks: a recent frame most steps, a repeat of an old one (a
-    // duplicate ack) every fourth, and a seq never sent every seventh.
-    std::vector<std::uint8_t> acks;
-    if (step % 3 != 0) acks.push_back(static_cast<std::uint8_t>(step - 2));
-    if (step % 4 == 0) acks.push_back(static_cast<std::uint8_t>(step - 6));
-    if (step % 7 == 0) acks.push_back(200);
-    for (const std::uint8_t seq : acks) {
-      by_seq.on_ack(seq);
-      for (std::uint8_t b : encode(Frame{FrameType::Ack, seq, {}})) by_bytes.on_ack_byte(b);
-    }
-    const util::Seconds until{0.004 * (step + 1)};
-    queue_seq.run_until(until);
-    queue_bytes.run_until(until);
-    expect_same(step);
-  }
-  // The script exercised every path it means to compare.
-  EXPECT_GT(by_seq.acks_received(), 0u);
-  EXPECT_GT(by_seq.duplicate_acks(), 0u);
-  EXPECT_GT(by_seq.retransmissions(), 0u);
-  EXPECT_GT(by_seq.drops_queue_full(), 0u);
-  EXPECT_GT(by_seq.drops_retry_exhausted(), 0u);
-}
-
-// --- ARQ deadlines: event-driven and windowed owners -----------------------
-
-// A windowed owner's dispatch loop, as host::SimDeviceLink runs it:
-// expire each retransmit deadline due by `until` in (time, arm order),
-// then leave the device clock at `until`.
-void run_windowed(ArqSender& sender, sim::SimClock& clock, double until) {
-  for (sim::Deadline next = sender.next_deadline(); next.time_s <= until;
-       next = sender.next_deadline()) {
-    clock.advance_to(util::Seconds{next.time_s});
-    sender.expire(next.order);
-  }
-  clock.advance_to(util::Seconds{until});
-}
-
-// The two wake-up paths share one timeout/backoff/drop routine, so one
-// scripted loss/ack pattern must give the same wire images at the same
-// times and the same counters whichever owner drives the deadlines.
-TEST(ArqDeadlines, WindowedOwnerMatchesEventQueueOwner) {
-  ArqConfig config;
-  config.window = 4;
-  config.queue_capacity = 6;
-  config.max_attempts = 3;
-  config.initial_timeout = util::Seconds{0.010};
-  config.max_timeout = util::Seconds{0.030};
-  sim::EventQueue queue;
-  sim::SimClock clock;
-  ArqSender by_event(config, queue);
-  ArqSender by_window(config, clock);
-  WireLog log_event;
-  WireLog log_window;
-  by_event.set_wire_sink(logging_sink(log_event, queue.clock(), 5));
-  by_window.set_wire_sink(logging_sink(log_window, clock, 5));
-
-  for (int step = 0; step < 120; ++step) {
-    SCOPED_TRACE(step);
-    // Bursty offers, so same-instant deadlines occur; acks for some
-    // recent frames, a duplicate every fourth step, the rest lost.
-    for (int k = 0; k < (step % 3 == 0 ? 2 : 1); ++k) {
-      const std::uint8_t payload[] = {static_cast<std::uint8_t>(step), static_cast<std::uint8_t>(k)};
-      EXPECT_EQ(by_event.send(FrameType::State, payload),
-                by_window.send(FrameType::State, payload));
-    }
-    std::vector<std::uint8_t> acks;
-    if (step % 5 != 0) acks.push_back(static_cast<std::uint8_t>(step - 3));
-    if (step % 4 == 0) acks.push_back(static_cast<std::uint8_t>(step - 9));
-    for (const std::uint8_t seq : acks) {
-      by_event.on_ack(seq);
-      by_window.on_ack(seq);
-    }
-    by_event.notify_tx_space();
-    by_window.notify_tx_space();
-    const double until = 0.004 * (step + 1);
-    queue.run_until(util::Seconds{until});
-    run_windowed(by_window, clock, until);
-    EXPECT_EQ(by_event.queued(), by_window.queued());
-    EXPECT_EQ(by_event.unsent(), by_window.unsent());
-  }
-  EXPECT_EQ(log_event, log_window);
-  EXPECT_EQ(by_event.transmissions(), by_window.transmissions());
-  EXPECT_EQ(by_event.retransmissions(), by_window.retransmissions());
-  EXPECT_EQ(by_event.acks_received(), by_window.acks_received());
-  EXPECT_EQ(by_event.duplicate_acks(), by_window.duplicate_acks());
-  EXPECT_EQ(by_event.drops_queue_full(), by_window.drops_queue_full());
-  EXPECT_EQ(by_event.drops_retry_exhausted(), by_window.drops_retry_exhausted());
-  // The script exercised every path it means to compare.
-  EXPECT_GT(by_window.retransmissions(), 0u);
-  EXPECT_GT(by_window.duplicate_acks(), 0u);
-  EXPECT_GT(by_window.drops_queue_full(), 0u);
-  EXPECT_GT(by_window.drops_retry_exhausted(), 0u);
-}
+// --- ARQ deadlines: the sender's owner dispatches them ----------------------
 
 TEST(ArqDeadlines, SameInstantDeadlinesExpireInArmOrder) {
   ArqConfig config;
   config.max_attempts = 2;
   sim::SimClock clock;
   ArqSender sender(config, clock);
-  WireLog log;
-  sender.set_wire_sink(logging_sink(log, clock));
+  std::vector<std::uint8_t> seqs;
+  sender.set_wire_sink([&seqs](std::span<const std::uint8_t> wire_bytes) {
+    seqs.push_back(parse_wire_frame(wire_bytes)->seq);
+    return true;
+  });
   const std::uint8_t payload[] = {7};
   ASSERT_TRUE(sender.send(FrameType::State, payload));
   ASSERT_TRUE(sender.send(FrameType::State, payload));
@@ -864,9 +712,6 @@ TEST(ArqDeadlines, SameInstantDeadlinesExpireInArmOrder) {
   EXPECT_EQ(second.time_s, first.time_s);
   EXPECT_LT(first.order, second.order);
   sender.expire(second.order);
-  ASSERT_EQ(log.size(), 4u);
-  std::vector<std::uint8_t> seqs;
-  for (const auto& [t, wire] : log) seqs.push_back(parse_wire_frame(wire)->seq);
   EXPECT_EQ(seqs, (std::vector<std::uint8_t>{0, 1, 0, 1}));
 }
 
@@ -919,21 +764,21 @@ TEST_F(LinkFixture, ArqOverLossyLinkDeliversEverythingExactlyOnce) {
   RfLink forward(lossy, uart, queue, sim::Rng(21));
   RfLink reverse(lossy, host_uart, queue, sim::Rng(22));
 
-  ArqSender sender(ArqConfig{}, queue);
+  EventArqSender arq(ArqConfig{}, queue);
   ArqReceiver receiver;
-  sender.set_wire_sink([&](std::span<const std::uint8_t> wire_bytes) {
+  arq.set_wire_sink([&](std::span<const std::uint8_t> wire_bytes) {
     if (uart.tx_free() < wire_bytes.size()) return false;
     for (std::uint8_t b : wire_bytes) uart.transmit(b);
     return true;
   });
-  uart.set_tx_space_callback([&] { sender.notify_tx_space(); });
+  uart.set_tx_space_callback([&] { arq.notify_tx_space(); });
   forward.set_host_sink([&](std::uint8_t b) { receiver.on_byte(b); });
   receiver.set_ack_sink([&](std::span<const std::uint8_t> wire_bytes) {
     if (host_uart.tx_free() < wire_bytes.size()) return false;
     for (std::uint8_t b : wire_bytes) host_uart.transmit(b);
     return true;
   });
-  reverse.set_host_sink([&](std::uint8_t b) { sender.on_ack_byte(b); });
+  reverse.set_host_sink([&](std::uint8_t b) { arq.on_ack_byte(b); });
   std::vector<std::uint8_t> delivered;
   receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.payload.at(0)); });
   forward.start();
@@ -942,7 +787,7 @@ TEST_F(LinkFixture, ArqOverLossyLinkDeliversEverythingExactlyOnce) {
   constexpr int kFrames = 120;
   for (int i = 0; i < kFrames; ++i) {
     const std::uint8_t payload[] = {static_cast<std::uint8_t>(i)};
-    sender.send(FrameType::State, payload);
+    arq.send(FrameType::State, payload);
     queue.run_until(util::Seconds{queue.now().value + 0.02});
   }
   queue.run_until(util::Seconds{queue.now().value + 3.0});
@@ -952,8 +797,8 @@ TEST_F(LinkFixture, ArqOverLossyLinkDeliversEverythingExactlyOnce) {
   std::vector<std::uint8_t> sorted = delivered;
   std::sort(sorted.begin(), sorted.end());
   for (int i = 0; i < kFrames; ++i) EXPECT_EQ(sorted[static_cast<std::size_t>(i)], i);
-  EXPECT_GT(sender.retransmissions(), 0u);  // the link really was lossy
-  EXPECT_EQ(sender.queued(), 0u);
+  EXPECT_GT(arq.sender().retransmissions(), 0u);  // the link really was lossy
+  EXPECT_EQ(arq.sender().queued(), 0u);
 }
 
 // --- link stats -------------------------------------------------------------
