@@ -494,6 +494,43 @@ void BM_SimDeviceLink_StepWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_SimDeviceLink_StepWindow);
 
+/// One whole host ingest run at perfbench's host_ingest config (2000
+/// devices, 8 lanes x 512 slots, 1 s of telemetry at the fault mix
+/// above), at one thread. `bytes_allocated` and `allocations` count what
+/// one run asks of the heap: the link array, the lanes, the registry,
+/// the DSTL writer and the accepted stream once each, plus the per-device
+/// ARQ-queue and ack-list growth.
+void BM_RunHostIngest(benchmark::State& state) {
+  host::HostIngestConfig config;
+  config.devices = 2000;
+  config.lanes = 8;
+  config.lane_capacity = 512;
+  config.duration_s = 1.0;
+  config.faults.frame_loss = 0.01;
+  config.faults.bit_flip = 0.002;
+  config.faults.reorder = 0.005;
+  config.faults.ack_loss = 0.005;
+  config.session_id = 7;
+  config.base_seed = 1;
+  config.threads = 1;
+  std::uint64_t bytes = 0;
+  std::uint64_t allocations = 0;
+  std::uint64_t accepted = 0;
+  for (auto _ : state) {
+    const util::AllocGuard run;
+    const host::HostIngestResult result = host::run_host_ingest(config);
+    bytes = run.bytes();
+    allocations = run.allocations();
+    accepted = result.stats.frames_accepted;
+    benchmark::DoNotOptimize(result.dstl.data());
+  }
+  state.counters["bytes_allocated"] = static_cast<double>(bytes);
+  state.counters["allocations"] = static_cast<double>(allocations);
+  state.counters["frames_accepted"] = static_cast<double>(accepted);
+  state.counters["interposer_linked"] = util::alloc_interposer_linked() ? 1.0 : 0.0;
+}
+BENCHMARK(BM_RunHostIngest)->Unit(benchmark::kMillisecond);
+
 /// Cost of the AllocGuard interposer on the allocator itself: a
 /// new/delete pair with the counting operator new linked in (linking
 /// bench against ds_util pulls the interposer object in). No guard

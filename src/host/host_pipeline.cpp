@@ -1,7 +1,7 @@
 #include "host/host_pipeline.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 
 #include "host/device_registry.h"
 #include "sim/thread_pool.h"
@@ -24,19 +24,23 @@ HostIngestResult run_host_ingest(const HostIngestConfig& config,
   ColumnarWriter writer(config.session_id);
 
   // Devices are sharded onto lanes contiguously and in id order; the
-  // assignment depends only on (devices, lanes), never on threads.
+  // assignment depends only on (devices, lanes), never on threads. The
+  // links live in one array in id order, so lane l steps the slice
+  // [lane_begin(l), lane_begin(l + 1)): device d is on lane
+  // floor(d * lanes / devices), so a lane starts at ceil(l * devices / lanes).
+  const auto lane_begin = [&](std::size_t l) { return (l * config.devices + lanes - 1) / lanes; };
   const double period_s = 1.0 / config.report_hz;
   sim::Rng fleet_rng(config.base_seed);
-  std::vector<std::unique_ptr<SimDeviceLink>> links;
-  links.reserve(config.devices);
-  std::vector<std::vector<std::size_t>> lane_members(lanes);
+  std::vector<std::optional<SimDeviceLink>> links(config.devices);
   for (std::size_t d = 0; d < config.devices; ++d) {
-    const std::size_t lane = d * lanes / config.devices;
-    links.push_back(std::make_unique<SimDeviceLink>(
-        static_cast<std::uint16_t>(d), lane, queue, config.arq, config.faults, period_s,
-        config.duration_s, fleet_rng.fork(d)));
-    lane_members[lane].push_back(d);
+    links[d].emplace(static_cast<std::uint16_t>(d), d * lanes / config.devices, queue,
+                     config.arq, config.faults, period_s, config.duration_s, fleet_rng.fork(d));
   }
+  // No device offers more than floor(duration * hz) + 1 reports (its
+  // first tick falls inside the first period), and every accepted frame
+  // is an offered report.
+  result.records.reserve(
+      config.devices * (static_cast<std::size_t>(config.duration_s * config.report_hz) + 1));
 
   // Instruments are looked up once, outside the loop (registry contract).
   obs::Counter* m_accepted = nullptr;
@@ -77,7 +81,9 @@ HostIngestResult run_host_ingest(const HostIngestConfig& config,
     // Produce phase: each lane stepped by exactly one worker; devices
     // within a lane advance in id order.
     pool.parallel_for(lanes, [&](std::size_t lane) {
-      for (const std::size_t d : lane_members[lane]) links[d]->step_window(end_s);
+      for (std::size_t d = lane_begin(lane); d < lane_begin(lane + 1); ++d) {
+        links[d]->step_window(end_s);
+      }
     });
 
     const std::size_t depth = queue.depth();

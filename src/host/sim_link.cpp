@@ -45,9 +45,18 @@ void SimDeviceLink::telemetry_tick() {
   std::array<std::uint8_t, wireless::StateReport::kPackedSize> payload;
   report.pack_into(payload);
   if (sender_.send(wireless::FrameType::State, payload)) {
-    seq_to_index_[seq] = index;
+    if (seq_to_index_) (*seq_to_index_)[seq] = index;
   } else {
     ++reports_shed_;  // ARQ queue full: device RAM budget says drop new
+    if (!seq_to_index_) {
+      // From here on index and seq diverge: record the identity that
+      // held so far, then every accepted send.
+      auto map = std::make_unique<std::array<std::uint64_t, 256>>();
+      for (std::size_t s = 0; s < map->size(); ++s) {
+        (*map)[s] = index_for_seq(static_cast<std::uint8_t>(s));
+      }
+      seq_to_index_ = std::move(map);
+    }
   }
   const double next_s = clock_.now().value + report_period_s_;
   tick_ = next_s <= duration_s_ ? sim::Deadline{next_s, clock_.arm()} : sim::Deadline{};

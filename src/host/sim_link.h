@@ -39,6 +39,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -79,13 +80,24 @@ class SimDeviceLink {
   /// the start of this device's next step_window().
   void queue_ack(std::uint8_t seq);
 
-  /// Telemetry index of the report carried by ARQ sequence `seq`
-  /// (positions shed by a full ARQ queue make the two diverge, so the
-  /// mapping is recorded per accepted send). Valid while `seq` is inside
-  /// the 256-entry ring — the registry's 64-frame horizon guarantees any
-  /// acceptable frame still resolves.
+  /// Telemetry index of the report carried by ARQ sequence `seq`: the
+  /// index of the most recent accepted send with that seq, over the last
+  /// 256 accepted sends (0 when none). The registry's 64-frame horizon
+  /// keeps every acceptable frame inside that window.
+  ///
+  /// Invariant: `ArqSender` numbers accepted sends k = 0, 1, … and gives
+  /// send k the seq k mod 256. Until this device first sheds, every
+  /// offered report is accepted, so report index == k and no map is
+  /// kept: the answer is the largest k < frames_accepted() with
+  /// k ≡ seq (mod 256). A shed makes index and k diverge; the first one
+  /// allocates the 256-entry seq → index map, fills it with that
+  /// identity for the last 256 sends, and every accepted send after it
+  /// writes its entry. A device that never sheds never allocates it.
   [[nodiscard]] std::uint64_t index_for_seq(std::uint8_t seq) const {
-    return seq_to_index_[seq];
+    if (seq_to_index_) return (*seq_to_index_)[seq];
+    const std::uint64_t sent = sender_.frames_accepted();
+    if (seq >= sent) return 0;  // seq never sent (only possible below 256 sends)
+    return sent - 1 - ((sent - 1 - seq) & 0xFF);
   }
 
   [[nodiscard]] std::uint16_t device_id() const { return device_id_; }
@@ -125,7 +137,8 @@ class SimDeviceLink {
   sim::Rng channel_rng_;
   sim::Rng ack_rng_;
 
-  std::array<std::uint64_t, 256> seq_to_index_{};
+  // seq → report index; null until the first shed (see index_for_seq).
+  std::unique_ptr<std::array<std::uint64_t, 256>> seq_to_index_;
   // Acks awaiting the device, as seqs: this channel drops whole acks
   // (ack_loss) but never corrupts their bytes, so there is nothing for
   // an encode/CRC/decode round trip to catch.

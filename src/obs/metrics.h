@@ -1,6 +1,6 @@
-// MetricsRegistry: one home for the counters, gauges and histograms
-// that used to live ad hoc in wireless::LinkStats and the study
-// metrics.
+// MetricsRegistry: one home for a run's named counters, gauges and
+// histograms (the MCU scheduler, the sweep runner, the host pipeline,
+// the bench reports).
 //
 // Usage contract (zero steady-state allocation): components look their
 // instruments up ONCE at wiring time — counter()/gauge()/histogram()
@@ -22,7 +22,7 @@ class Counter {
  public:
   void increment(std::uint64_t n = 1) { value_ += n; }
   /// Snapshot-style assignment for components that keep their own
-  /// counters and export them (LinkStats::sample).
+  /// counters and export them at the end of a run.
   void set(std::uint64_t value) { value_ = value; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
 

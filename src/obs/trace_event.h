@@ -33,6 +33,8 @@ enum class EventKind : std::uint8_t {
   CursorMove = 6,
   /// Debounced button edge. a = button index, b = 1 press / 0 release.
   ButtonEdge = 7,
+  // The four Arq kinds keep their values in the trace format, but no
+  // component records them: the ARQ is not traced.
   /// ARQ sender put a frame on the wire for the first time.
   /// a = sequence number, b = encoded wire size in bytes.
   ArqTx = 8,

@@ -36,14 +36,7 @@ void ArqSender::pump() {
     pending.needs_tx = false;
     ++pending.attempts;
     ++transmissions_;
-    if (pending.attempts > 1) {
-      ++retransmissions_;
-      DS_TRACE(tracer_, obs::EventKind::ArqRetry, pending.seq,
-               static_cast<std::uint32_t>(pending.attempts));
-    } else {
-      DS_TRACE(tracer_, obs::EventKind::ArqTx, pending.seq,
-               static_cast<std::uint32_t>(pending.wire_len));
-    }
+    if (pending.attempts > 1) ++retransmissions_;
     pending.deadline = {now_s() + pending.timeout_s, clock_->arm()};  // arm the retransmit timer
   }
 }
@@ -68,8 +61,6 @@ void ArqSender::expire(std::uint64_t order) {
   assert(it != queue_.end());
   if (it->attempts >= config_.max_attempts) {
     ++drops_retry_exhausted_;
-    DS_TRACE(tracer_, obs::EventKind::ArqDrop, it->seq,
-             static_cast<std::uint32_t>(it->attempts));
     queue_.erase(it);
   } else {
     it->needs_tx = true;
@@ -148,18 +139,15 @@ void ArqReceiver::on_frame(const Frame& frame) {
   if (frame.type == FrameType::Ack) return;  // not expected on the forward channel
   // Ack every arrival, duplicates included: the sender retransmitting
   // means our previous ack may have died on the reverse channel.
-  Frame ack;
-  ack.type = FrameType::Ack;
-  ack.seq = frame.seq;
-  if (ack_sink_ && ack_sink_(encode(ack))) ++acks_sent_;
+  std::array<std::uint8_t, kMaxEncodedFrame> ack;
+  const std::size_t ack_len = encode_into(FrameType::Ack, frame.seq, {}, ack);
+  if (ack_sink_ && ack_sink_({ack.data(), ack_len})) ++acks_sent_;
   // TooOld counts as a duplicate: past the horizon the two are one.
   if (!window_.admit(frame.seq).accepted()) {
     ++duplicates_discarded_;
     return;
   }
   ++frames_delivered_;
-  DS_TRACE(tracer_, obs::EventKind::ArqRx, frame.seq,
-           static_cast<std::uint32_t>(frame.payload.size()));
   if (frame_sink_) frame_sink_(frame);
 }
 

@@ -40,7 +40,6 @@
 #include <span>
 #include <vector>
 
-#include "obs/tracer.h"
 #include "sim/clock.h"
 #include "util/seq_window.h"
 #include "util/units.h"
@@ -78,9 +77,6 @@ class ArqSender {
 
   void set_wire_sink(WireSink sink) { wire_sink_ = std::move(sink); }
   void set_ack_callback(AckCallback cb) { ack_callback_ = std::move(cb); }
-  /// Structured tracing of the retransmit machinery (ArqTx / ArqRetry /
-  /// ArqDrop). Null detaches; tracing must never change behaviour.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Queue a frame for reliable delivery; the payload is encoded into
   /// the retransmit queue at once, so the span need not outlive the
@@ -135,7 +131,6 @@ class ArqSender {
 
   ArqConfig config_;
   sim::SimClock* clock_;  // device time
-  obs::Tracer* tracer_ = nullptr;
   WireSink wire_sink_;
   AckCallback ack_callback_;
   // Seq order; the first `window` entries are active. Grows to the
@@ -195,8 +190,6 @@ class ArqReceiver {
 
   void set_frame_sink(FrameSink sink) { frame_sink_ = std::move(sink); }
   void set_ack_sink(WireSink sink) { ack_sink_ = std::move(sink); }
-  /// Structured tracing of delivered frames (ArqRx). Null detaches.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Forward-channel bytes off the RF link.
   void on_byte(std::uint8_t byte);
@@ -212,7 +205,6 @@ class ArqReceiver {
   FrameDecoder decoder_;
   FrameSink frame_sink_;
   WireSink ack_sink_;
-  obs::Tracer* tracer_ = nullptr;
   util::SeqWindow window_;
   std::uint64_t frames_delivered_ = 0;
   std::uint64_t duplicates_discarded_ = 0;

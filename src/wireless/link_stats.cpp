@@ -12,8 +12,6 @@ namespace distscroll::wireless {
 
 // --- LinkStats --------------------------------------------------------------
 
-LinkStats::LinkStats() : latency_hist_(&registry_.histogram("arq_delivery_latency")) {}
-
 void LinkStats::sample(const RfLink* link, const FrameDecoder* decoder, const ArqSender* sender,
                        const ArqReceiver* receiver, const HostLogger* logger) {
   if (link) {
@@ -44,31 +42,11 @@ void LinkStats::sample(const RfLink* link, const FrameDecoder* decoder, const Ar
     counters_.logged_frames = logger->frames_received();
     counters_.sequence_gaps = logger->sequence_gaps();
   }
-  // Republish the snapshot into the registry (cold path; the lookups
-  // find-or-create by name).
-  registry_.counter("bytes_sent").set(counters_.bytes_sent);
-  registry_.counter("bytes_lost").set(counters_.bytes_lost);
-  registry_.counter("bytes_corrupted").set(counters_.bytes_corrupted);
-  registry_.counter("frames_decoded").set(counters_.frames_decoded);
-  registry_.counter("crc_errors").set(counters_.crc_errors);
-  registry_.counter("framing_errors").set(counters_.framing_errors);
-  registry_.counter("resyncs").set(counters_.resyncs);
-  registry_.counter("arq_accepted").set(counters_.arq_accepted);
-  registry_.counter("arq_transmissions").set(counters_.arq_transmissions);
-  registry_.counter("arq_retransmissions").set(counters_.arq_retransmissions);
-  registry_.counter("arq_acks").set(counters_.arq_acks);
-  registry_.counter("arq_drops_queue_full").set(counters_.arq_drops_queue_full);
-  registry_.counter("arq_drops_retry_exhausted").set(counters_.arq_drops_retry_exhausted);
-  registry_.counter("arq_delivered").set(counters_.delivered);
-  registry_.counter("arq_duplicates_discarded").set(counters_.duplicates_discarded);
-  registry_.counter("arq_acks_sent").set(counters_.acks_sent);
-  registry_.counter("logged_frames").set(counters_.logged_frames);
-  registry_.counter("sequence_gaps").set(counters_.sequence_gaps);
 }
 
 void LinkStats::record_delivery_latency(double seconds) {
   latencies_.push_back(seconds);
-  latency_hist_->record(seconds);
+  latency_hist_.record(seconds);
 }
 
 void LinkStats::record_attempts(int transmissions) {
@@ -129,7 +107,7 @@ std::string LinkStats::report() const {
                   latencies_.size(), latency_percentile(0.50) * 1e3,
                   latency_percentile(0.99) * 1e3, latency_summary().max * 1e3);
     out += line;
-    out += latency_hist_->render();
+    out += latency_hist_.render();
   }
   return out;
 }

@@ -9,11 +9,9 @@
 // summarised through util::stats percentiles plus a log-bucketed ASCII
 // histogram for the bench output.
 //
-// The instruments live on an obs::MetricsRegistry: the delivery-latency
-// histogram is an obs::Histogram with the default (0.5 ms log₂, ms
-// display) config — bucket math and rendering byte-identical to the
-// LatencyHistogram class this replaced — and sample() republishes every
-// counter into the registry so one snapshot serialises the whole link.
+// The delivery-latency histogram is an obs::Histogram with the default
+// (0.5 ms log₂, ms display) config — bucket math and rendering
+// byte-identical to the LatencyHistogram class this replaced.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +31,6 @@ class HostLogger;
 
 class LinkStats {
  public:
-  LinkStats();
-
   /// Counter snapshot across the pipeline; zeros for absent components.
   struct Counters {
     // RfLink
@@ -78,11 +74,7 @@ class LinkStats {
   [[nodiscard]] util::Summary latency_summary() const { return util::summarize(latencies_); }
   [[nodiscard]] double mean_attempts() const;
   [[nodiscard]] double max_attempts() const;
-  [[nodiscard]] const obs::Histogram& latency_histogram() const { return *latency_hist_; }
-
-  /// The backing registry (latency histogram plus, after sample(), all
-  /// pipeline counters) — snapshot with metrics().to_json_fields().
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const { return registry_; }
+  [[nodiscard]] const obs::Histogram& latency_histogram() const { return latency_hist_; }
 
   /// Human-readable dump (counters + latency histogram) for benches.
   [[nodiscard]] std::string report() const;
@@ -91,8 +83,7 @@ class LinkStats {
   Counters counters_{};
   std::vector<double> latencies_;
   std::vector<double> attempts_;
-  obs::MetricsRegistry registry_;
-  obs::Histogram* latency_hist_;  // registry-owned; looked up once
+  obs::Histogram latency_hist_;
 };
 
 }  // namespace distscroll::wireless

@@ -3,18 +3,24 @@
 // process (file:line) if the wrapped scope allocates. These tests pin
 // the allocation-free claims the session kernel makes on its hot paths:
 // Tracer::record past ring capacity, EventQueue schedule/dispatch at
-// recycled depth, the device firmware sample loop, and a host ingest
-// device link's construction and its send/drain/ack/retransmit cycle.
+// recycled depth, the device firmware sample loop, the ARQ receiver's
+// ack path, and a host ingest device link's construction and its
+// send/drain/ack/retransmit cycle. One more pins what a whole host
+// ingest run allocates.
 //
 // The interposer is compiled out under sanitizer builds (they own the
 // allocator), so every assertion skips when it is not linked in.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/distscroll_device.h"
+#include "host/host_pipeline.h"
 #include "host/ingest_queue.h"
 #include "host/sim_link.h"
 #include "menu/menu_builder.h"
@@ -22,6 +28,7 @@
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "util/alloc_guard.h"
+#include "wireless/arq.h"
 #include "wireless/packet.h"
 
 namespace distscroll {
@@ -109,6 +116,85 @@ TEST(AllocGuard, DeviceSampleLoopIsAllocationFreeWhenWarm) {
     queue.run_until(util::Seconds{4.0});
   }
   EXPECT_EQ(device.cursor().index(), cursor_before);
+}
+
+TEST(AllocGuard, ArqReceiverAcksWithoutAllocating) {
+  SKIP_WITHOUT_INTERPOSER();
+  // Payload-less frames, seq 0..255: each pass delivers and acks every
+  // one. The receiver's FrameDecoder queues finished frames in a deque,
+  // which allocates now and then on its own, so the receiver is held to
+  // what a bare decoder allocates on the same bytes: anything beyond
+  // that is the ack path's.
+  std::vector<std::uint8_t> stream;
+  for (int seq = 0; seq < 256; ++seq) {
+    std::array<std::uint8_t, wireless::kMaxEncodedFrame> wire;
+    const std::size_t n =
+        wireless::encode_into(wireless::FrameType::State, static_cast<std::uint8_t>(seq), {}, wire);
+    stream.insert(stream.end(), wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  wireless::ArqReceiver receiver;
+  std::uint64_t ack_bytes = 0;
+  receiver.set_ack_sink([&ack_bytes](std::span<const std::uint8_t> wire) {
+    ack_bytes += wire.size();
+    return true;
+  });
+  wireless::FrameDecoder bare;
+  const auto decode_bare = [&bare](std::uint8_t byte) {
+    for (auto frame = bare.feed(byte); frame; frame = bare.poll()) {
+    }
+  };
+  for (const std::uint8_t byte : stream) {  // warm-up: same history for both
+    receiver.on_byte(byte);
+    decode_bare(byte);
+  }
+
+  std::uint64_t receiver_allocations = 0;
+  {
+    util::AllocGuard guard{__FILE__, __LINE__};
+    for (const std::uint8_t byte : stream) receiver.on_byte(byte);
+    receiver_allocations = guard.allocations();
+  }
+  std::uint64_t decoder_allocations = 0;
+  {
+    util::AllocGuard guard{__FILE__, __LINE__};
+    for (const std::uint8_t byte : stream) decode_bare(byte);
+    decoder_allocations = guard.allocations();
+  }
+  EXPECT_EQ(receiver_allocations, decoder_allocations);
+  EXPECT_EQ(receiver.acks_sent(), 512u);
+  EXPECT_EQ(receiver.frames_delivered(), 512u);
+  EXPECT_EQ(ack_bytes, 512u * 5u);  // SYNC LEN TYPE SEQ CRC
+}
+
+TEST(AllocGuard, HostIngestRunStaysWithinItsAllocationBudget) {
+  SKIP_WITHOUT_INTERPOSER();
+  // perfbench's host_ingest run at one thread (the pipeline then steps
+  // every lane on this thread, where the guard counts). A run allocates
+  // its lanes, registry, DSTL writer, the link array and the accepted
+  // stream once each; past that, each device's ARQ queue and ack list
+  // grow a few times, and only a device that sheds allocates its
+  // seq → index map.
+  host::HostIngestConfig config;
+  config.devices = 2000;
+  config.lanes = 8;
+  config.lane_capacity = 512;
+  config.duration_s = 1.0;
+  config.faults.frame_loss = 0.01;
+  config.faults.bit_flip = 0.002;
+  config.faults.reorder = 0.005;
+  config.faults.ack_loss = 0.005;
+  config.session_id = 7;
+  config.base_seed = 1;
+  config.threads = 1;
+  util::AllocGuard guard{__FILE__, __LINE__};
+  const host::HostIngestResult result = host::run_host_ingest(config);
+  const std::uint64_t bytes = guard.bytes();
+  const std::uint64_t allocations = guard.allocations();
+  EXPECT_LE(bytes, 7'500'000u);
+  EXPECT_LE(allocations, 6'600u);
+  EXPECT_TRUE(result.stats.complete);
+  EXPECT_EQ(result.stats.reports_shed, 0u);
+  EXPECT_EQ(result.records.size(), result.stats.frames_accepted);
 }
 
 TEST(AllocGuard, HostLinkSendDrainAckRetransmitIsAllocationFreeWhenWarm) {

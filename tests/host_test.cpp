@@ -4,6 +4,7 @@
 //   * DeviceRegistry — per-device exactly-once admission, gap
 //     accounting that settles exactly once streams drain;
 //   * IngestQueue — bounded lanes, FIFO order, backpressure signal;
+//   * SimDeviceLink — seq → report index across seq wraps and sheds;
 //   * the DSTL columnar codec — lossless round trip, validation;
 //   * run_host_ingest — full-stack invariants under fault injection
 //     (zero accepted-frame corruption, full recovery within grace,
@@ -17,6 +18,8 @@
 //       DISTSCROLL_REGEN_GOLDEN=1 ./build/tests/test_host
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -26,7 +29,10 @@
 #include "host/device_registry.h"
 #include "host/host_pipeline.h"
 #include "host/ingest_queue.h"
+#include "host/sim_link.h"
 #include "obs/metrics.h"
+#include "sim/random.h"
+#include "wireless/packet.h"
 
 namespace {
 
@@ -135,6 +141,60 @@ TEST(IngestQueue, BoundedLanesFifoAndBackpressure) {
   }
   ASSERT_EQ(queue.pop_batch(0, out), 2u);
   EXPECT_EQ(out[0].t_us, 10u);
+}
+
+// --- SimDeviceLink ---------------------------------------------------------
+
+TEST(SimDeviceLink, IndexForSeqMatchesARingWrittenOnEverySendAcrossWrapsAndSheds) {
+  // A link keeps no seq → index ring until its first shed. Its answers
+  // must still equal those of a ring written on every accepted send
+  // (zeros where nothing was written), for every seq, in every window:
+  // past a seq wrap before the first shed, and past two more after it.
+  host::IngestQueue lanes(/*lanes=*/1, /*lane_capacity=*/64);
+  const double period_s = 1.0 / 38.0;
+  host::SimDeviceLink link(/*device_id=*/0, /*lane=*/0, lanes, wireless::ArqConfig{},
+                           host::LinkFaultConfig{}, period_s, /*duration_s=*/1e9, sim::Rng(77));
+  std::array<std::uint64_t, 256> reference{};
+  std::array<host::RawRecord, 64> drained;
+  std::uint64_t mismatches = 0;
+  double now_s = 0.0;
+  const auto run_window = [&](bool ack) {
+    // Half a report period: at most one telemetry tick per window, so
+    // the counters say whether that tick's report went out and as what.
+    now_s += period_s / 2.0;
+    const std::uint64_t index = link.reports_offered();
+    const std::uint64_t sent = link.sender().frames_accepted();
+    link.step_window(now_s);
+    if (link.sender().frames_accepted() > sent) reference[sent & 0xFF] = index;
+    for (std::size_t n = 0; (n = lanes.pop_batch(0, drained)) > 0;) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto view = wireless::parse_wire_frame({drained[i].wire.data(), drained[i].len});
+        if (view && ack) link.queue_ack(view->seq);
+      }
+    }
+    for (std::size_t seq = 0; seq < reference.size(); ++seq) {
+      if (link.index_for_seq(static_cast<std::uint8_t>(seq)) != reference[seq]) ++mismatches;
+    }
+  };
+
+  while (link.sender().frames_accepted() < 300) run_window(/*ack=*/true);
+  EXPECT_EQ(link.reports_shed(), 0u);
+  EXPECT_EQ(mismatches, 0u);
+  // Three seconds without acks: the ARQ queue fills and the device sheds.
+  for (int w = 0; w < static_cast<int>(3.0 / (period_s / 2.0)); ++w) run_window(/*ack=*/false);
+  EXPECT_GT(link.reports_shed(), 0u);
+  EXPECT_EQ(mismatches, 0u);
+  while (link.sender().frames_accepted() < 3 * 256 + 100) run_window(/*ack=*/true);
+  EXPECT_EQ(mismatches, 0u);
+  // Sheds made report index and send count diverge.
+  EXPECT_EQ(link.reports_offered(), link.sender().frames_accepted() + link.reports_shed());
+}
+
+TEST(SimDeviceLink, StaysSmall) {
+  // A host ingest run holds one link per device in one array; the
+  // 256-entry seq → index map (2 KiB) lives outside it and only on
+  // devices that shed.
+  EXPECT_LE(sizeof(host::SimDeviceLink), 640u);
 }
 
 // --- DSTL columnar codec --------------------------------------------------
@@ -348,6 +408,11 @@ TEST(HostIngest, LaneCountDoesNotChangeResultWithAmpleCapacity) {
   const auto other = host::run_host_ingest(config);
   EXPECT_EQ(other.stats.frames_accepted, base.stats.frames_accepted);
   EXPECT_EQ(other.dstl, base.dstl);
+  // More lanes than devices: some lanes carry none.
+  config.lanes = 64;
+  const auto sparse = host::run_host_ingest(config);
+  EXPECT_EQ(sparse.stats.frames_accepted, base.stats.frames_accepted);
+  EXPECT_EQ(sparse.dstl, base.dstl);
 }
 
 TEST(HostIngest, OverloadShedsAtTheDeviceNeverCorrupts) {
