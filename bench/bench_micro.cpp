@@ -377,16 +377,17 @@ void BM_DisplayFullRedraw(benchmark::State& state) {
 BENCHMARK(BM_DisplayFullRedraw);
 
 void BM_FrameEncodeDecode(benchmark::State& state) {
-  wireless::Frame frame;
-  frame.type = wireless::FrameType::State;
-  frame.payload = wireless::StateReport{512, 1, 3, 9, 0}.pack();
+  std::array<std::uint8_t, wireless::StateReport::kPackedSize> payload{};
+  wireless::StateReport{512, 1, 3, 9, 0}.pack_into(payload);
   wireless::FrameDecoder decoder;
+  std::uint64_t decoded = 0;
+  const auto count = [&decoded](const wireless::FrameView&) { ++decoded; };
+  std::array<std::uint8_t, wireless::kMaxEncodedFrame> wire{};
   for (auto _ : state) {
-    const auto wire = wireless::encode(frame);
-    std::optional<wireless::Frame> decoded;
-    for (std::uint8_t byte : wire) decoded = decoder.feed(byte);
-    benchmark::DoNotOptimize(decoded);
+    const std::size_t len = wireless::encode_into(wireless::FrameType::State, 0, payload, wire);
+    for (std::size_t i = 0; i < len; ++i) decoder.feed(wire[i], count);
   }
+  benchmark::DoNotOptimize(decoded);
 }
 BENCHMARK(BM_FrameEncodeDecode);
 

@@ -13,6 +13,7 @@
 // and reports delivered-frame ratio, CRC rejections, sequence gaps,
 // retransmit counts and delivery-latency percentiles via
 // wireless::LinkStats / util::stats.
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -54,7 +55,7 @@ RawResult run_raw_link(double byte_loss, double bit_flip, std::uint64_t seed) {
   link_config.byte_loss_probability = byte_loss;
   link_config.bit_flip_probability = bit_flip;
   wireless::RfLink link(link_config, device.board().uart(), queue, sim::Rng(seed + 1));
-  wireless::HostLogger logger(queue);
+  wireless::HostLogger logger;
   link.set_host_sink([&](std::uint8_t b) { logger.on_byte(b); });
   link.start();
 
@@ -90,7 +91,7 @@ ArqResult run_arq_link(double byte_loss, double bit_flip, std::uint64_t seed) {
 
   wireless::EventArqSender arq(wireless::ArqConfig{}, queue);
   wireless::ArqReceiver receiver;
-  wireless::HostLogger logger(queue);
+  wireless::HostLogger logger;
   wireless::LinkStats stats;
 
   arq.set_wire_sink([&](std::span<const std::uint8_t> wire) {
@@ -106,7 +107,7 @@ ArqResult run_arq_link(double byte_loss, double bit_flip, std::uint64_t seed) {
     return true;
   });
   reverse.set_host_sink([&](std::uint8_t b) { arq.on_ack_byte(b); });
-  receiver.set_frame_sink([&](const wireless::Frame& frame) {
+  receiver.set_frame_sink([&](const wireless::FrameView& frame) {
     // Delivery latency: first enqueue at the device to arrival here.
     if (const auto t0 = arq.sender().enqueue_time_s(frame.seq)) {
       stats.record_delivery_latency(queue.now().value - *t0);
@@ -127,7 +128,9 @@ ArqResult run_arq_link(double byte_loss, double bit_flip, std::uint64_t seed) {
     report.adc_counts = static_cast<std::uint16_t>(512.0 + 400.0 * std::sin(now * 0.7));
     report.cursor_index = static_cast<std::uint8_t>(offered % 8);
     report.level_size = 8;
-    arq.send(wireless::FrameType::State, report.pack());
+    std::array<std::uint8_t, wireless::StateReport::kPackedSize> payload{};
+    report.pack_into(payload);
+    arq.send(wireless::FrameType::State, payload);
     ++offered;
     queue.schedule_after(util::Seconds{kFramePeriod}, tick);
   };

@@ -40,7 +40,7 @@ int main() {
 
   // The logging PC behind the wireless link.
   wireless::RfLink link({}, device.board().uart(), queue, sim::Rng(1));
-  wireless::HostLogger logger(queue);
+  wireless::HostLogger logger;
   link.set_host_sink([&](std::uint8_t b) { logger.on_byte(b); });
   link.start();
 

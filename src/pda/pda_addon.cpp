@@ -1,5 +1,7 @@
 #include "pda/pda_addon.h"
 
+#include <algorithm>
+
 namespace distscroll::pda {
 
 PdaAddon::PdaAddon(Config config, sim::EventQueue& queue, sim::Rng rng)
@@ -67,22 +69,21 @@ void PdaAddon::button_tick() {
   board_.mcu().charge_cycles(10);
 }
 
-void PdaAddon::send_frame(wireless::FrameType type, std::vector<std::uint8_t> payload) {
-  wireless::Frame frame;
-  frame.type = type;
-  frame.seq = seq_++;
-  frame.payload = std::move(payload);
-  for (std::uint8_t byte : wireless::encode(frame)) board_.uart().transmit(byte);
+void PdaAddon::send_frame(wireless::FrameType type, std::array<std::uint8_t, 2> payload) {
+  std::array<std::uint8_t, wireless::kMaxEncodedFrame> wire{};
+  const std::size_t len = wireless::encode_into(type, seq_++, payload, wire);
+  for (std::size_t i = 0; i < len; ++i) board_.uart().transmit(wire[i]);
   ++frames_sent_;
   board_.mcu().charge_cycles(90);
 }
 
 void PdaAddon::on_host_byte(std::uint8_t byte) {
-  for (auto frame = host_decoder_.feed(byte); frame; frame = host_decoder_.poll()) {
-    if (frame->type == kRateCommand && !frame->payload.empty()) {
-      config_.report_divider = std::max<int>(1, frame->payload[0]);
+  const auto on_command = [this](const wireless::FrameView& frame) {
+    if (frame.type == kRateCommand && !frame.payload.empty()) {
+      config_.report_divider = std::max<int>(1, frame.payload[0]);
     }
-  }
+  };
+  host_decoder_.feed(byte, on_command);
 }
 
 }  // namespace distscroll::pda

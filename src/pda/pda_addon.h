@@ -14,6 +14,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "hw/smart_its.h"
 #include "input/button.h"
@@ -23,9 +24,9 @@
 
 namespace distscroll::pda {
 
-/// Frame types the add-on protocol adds on top of wireless::FrameType.
-/// (The decoder passes unknown types through; these values extend the
-/// enum's range without colliding.)
+/// Frame types the add-on protocol adds on top of wireless::FrameType,
+/// from the 0x10..0x1F extension range the decoder accepts alongside
+/// the core 0x01..0x06 (wireless::is_known_frame_type).
 inline constexpr auto kDistanceFrame = static_cast<wireless::FrameType>(0x10);
 inline constexpr auto kButtonFrame = static_cast<wireless::FrameType>(0x11);
 inline constexpr auto kRateCommand = static_cast<wireless::FrameType>(0x12);
@@ -68,7 +69,9 @@ class PdaAddon {
  private:
   void firmware_tick();
   void button_tick();
-  void send_frame(wireless::FrameType type, std::vector<std::uint8_t> payload);
+  /// Every add-on frame carries two bytes: (lo, hi) counts or
+  /// (button, pressed).
+  void send_frame(wireless::FrameType type, std::array<std::uint8_t, 2> payload);
 
   Config config_;
   sim::EventQueue* queue_;

@@ -16,14 +16,14 @@ void PdaHost::rebuild_mapping() {
 }
 
 void PdaHost::on_byte(std::uint8_t byte) {
-  // Drain: a decoder resync can complete more than one frame per byte.
-  for (auto frame = decoder_.feed(byte); frame; frame = decoder_.poll()) {
-    if (frame->type == kDistanceFrame && frame->payload.size() == 2) {
-      handle_distance(static_cast<std::uint16_t>(frame->payload[0] | (frame->payload[1] << 8)));
-    } else if (frame->type == kButtonFrame && frame->payload.size() == 2) {
-      handle_button(frame->payload[0], frame->payload[1] != 0);
+  const auto dispatch = [this](const wireless::FrameView& frame) {
+    if (frame.type == kDistanceFrame && frame.payload.size() == 2) {
+      handle_distance(static_cast<std::uint16_t>(frame.payload[0] | (frame.payload[1] << 8)));
+    } else if (frame.type == kButtonFrame && frame.payload.size() == 2) {
+      handle_button(frame.payload[0], frame.payload[1] != 0);
     }
-  }
+  };
+  decoder_.feed(byte, dispatch);
 }
 
 void PdaHost::handle_distance(std::uint16_t counts) {
@@ -52,11 +52,10 @@ void PdaHost::handle_button(std::uint8_t button, bool pressed) {
 
 void PdaHost::request_report_divider(std::uint8_t divider) {
   if (!addon_sink_) return;
-  wireless::Frame frame;
-  frame.type = kRateCommand;
-  frame.seq = command_seq_++;
-  frame.payload = {divider};
-  for (std::uint8_t byte : wireless::encode(frame)) addon_sink_(byte);
+  const std::uint8_t payload[] = {divider};
+  std::array<std::uint8_t, wireless::kMaxEncodedFrame> wire{};
+  const std::size_t len = wireless::encode_into(kRateCommand, command_seq_++, payload, wire);
+  for (std::size_t i = 0; i < len; ++i) addon_sink_(wire[i]);
 }
 
 std::vector<std::string> PdaHost::screen() const {

@@ -99,9 +99,10 @@ bool EventArqSender::send(FrameType type, std::span<const std::uint8_t> payload)
 
 void EventArqSender::on_ack_byte(std::uint8_t byte) {
   clock_.advance_to(queue_->now());
-  for (auto frame = ack_decoder_.feed(byte); frame; frame = ack_decoder_.poll()) {
-    if (frame->type == FrameType::Ack) sender_.on_ack(frame->seq);
-  }
+  const auto on_ack = [this](const FrameView& frame) {
+    if (frame.type == FrameType::Ack) sender_.on_ack(frame.seq);
+  };
+  ack_decoder_.feed(byte, on_ack);
   rewake();
 }
 
@@ -130,12 +131,11 @@ void EventArqSender::rewake() {
 // --- receiver ---------------------------------------------------------------
 
 void ArqReceiver::on_byte(std::uint8_t byte) {
-  for (auto frame = decoder_.feed(byte); frame; frame = decoder_.poll()) {
-    on_frame(*frame);
-  }
+  const auto deliver = [this](const FrameView& frame) { on_frame(frame); };
+  decoder_.feed(byte, deliver);
 }
 
-void ArqReceiver::on_frame(const Frame& frame) {
+void ArqReceiver::on_frame(const FrameView& frame) {
   if (frame.type == FrameType::Ack) return;  // not expected on the forward channel
   // Ack every arrival, duplicates included: the sender retransmitting
   // means our previous ack may have died on the reverse channel.

@@ -186,7 +186,9 @@ class EventArqSender {
 /// Host-side endpoint: decodes, deduplicates, acks, delivers.
 class ArqReceiver {
  public:
-  using FrameSink = std::function<void(const Frame&)>;
+  /// The delivered frame's payload borrows the decoder's window: valid
+  /// only during the call.
+  using FrameSink = std::function<void(const FrameView&)>;
 
   void set_frame_sink(FrameSink sink) { frame_sink_ = std::move(sink); }
   void set_ack_sink(WireSink sink) { ack_sink_ = std::move(sink); }
@@ -200,7 +202,7 @@ class ArqReceiver {
   [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
 
  private:
-  void on_frame(const Frame& frame);
+  void on_frame(const FrameView& frame);
 
   FrameDecoder decoder_;
   FrameSink frame_sink_;

@@ -3,13 +3,11 @@
 namespace distscroll::wireless {
 
 void HostLogger::on_byte(std::uint8_t byte) {
-  // A resync can complete several buffered frames on one byte: drain.
-  for (auto frame = decoder_.feed(byte); frame; frame = decoder_.poll()) {
-    on_frame(*frame);
-  }
+  const auto log = [this](const FrameView& frame) { on_frame(frame); };
+  decoder_.feed(byte, log);
 }
 
-void HostLogger::on_frame(const Frame& frame) {
+void HostLogger::on_frame(const FrameView& frame) {
   ++frames_logged_;
   const util::SeqWindow::Decision decision = window_.admit(frame.seq);
   if (decision.verdict == util::SeqWindow::Verdict::Accept) {
@@ -19,7 +17,6 @@ void HostLogger::on_frame(const Frame& frame) {
     --sequence_gaps_;  // saturating: a frame older than the first fills no counted gap
   }
   if (frame.type == FrameType::State) last_state_ = StateReport::unpack(frame.payload);
-  events_.push_back({queue_->now().value, frame});
 }
 
 }  // namespace distscroll::wireless

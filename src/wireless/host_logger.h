@@ -1,9 +1,9 @@
 // PC-side telemetry receiver.
 //
 // Decodes the frame stream coming off the RF link and keeps the study
-// harness's view of device state: last state report, event log with
-// simulated timestamps, and link-quality counters. This is the "PC used
-// for logging" end of the paper's research setup.
+// harness's view of device state: last state report and link-quality
+// counters. This is the "PC used for logging" end of the paper's
+// research setup.
 //
 // One logger follows ONE device's sequence stream (the paper's setup:
 // one prototype, one PC). Fleets of devices go through host ingest
@@ -12,9 +12,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
-#include "sim/event_queue.h"
 #include "util/seq_window.h"
 #include "wireless/packet.h"
 
@@ -22,8 +20,6 @@ namespace distscroll::wireless {
 
 class HostLogger {
  public:
-  explicit HostLogger(const sim::EventQueue& queue) : queue_(&queue) {}
-
   /// Byte sink to hang on RfLink::set_host_sink (raw pipeline).
   void on_byte(std::uint8_t byte);
 
@@ -32,14 +28,7 @@ class HostLogger {
   /// Retransmissions arrive out of order there; a late frame fills the
   /// gap it left, so sequence_gaps() settles to the frames never
   /// delivered. ARQ delivery accounting lives in LinkStats.
-  void on_frame(const Frame& frame);
-
-  struct LoggedEvent {
-    double time_s;
-    Frame frame;
-  };
-
-  [[nodiscard]] const std::vector<LoggedEvent>& events() const { return events_; }
+  void on_frame(const FrameView& frame);
 
   /// Most recent state report logged.
   [[nodiscard]] std::optional<StateReport> last_state() const { return last_state_; }
@@ -57,9 +46,7 @@ class HostLogger {
   [[nodiscard]] const FrameDecoder& decoder() const { return decoder_; }
 
  private:
-  const sim::EventQueue* queue_;
   FrameDecoder decoder_;
-  std::vector<LoggedEvent> events_;
   std::optional<StateReport> last_state_;
   util::SeqWindow window_;
   std::uint64_t sequence_gaps_ = 0;

@@ -1,14 +1,11 @@
 #include "wireless/packet.h"
 
+#include <cassert>
+
 #include "util/crc.h"
+#include "util/hot_path.h"
 
 namespace distscroll::wireless {
-
-std::vector<std::uint8_t> StateReport::pack() const {
-  std::vector<std::uint8_t> out(kPackedSize);
-  pack_into(std::span<std::uint8_t, kPackedSize>(out.data(), kPackedSize));
-  return out;
-}
 
 void StateReport::pack_into(std::span<std::uint8_t, kPackedSize> out) const {
   out[0] = static_cast<std::uint8_t>(adc_counts & 0xFF);
@@ -47,12 +44,6 @@ std::size_t encode_into(FrameType type, std::uint8_t seq, std::span<const std::u
   return total;
 }
 
-std::vector<std::uint8_t> encode(const Frame& frame) {
-  std::vector<std::uint8_t> wire(frame.payload.size() + 5);
-  wire.resize(encode_into(frame.type, frame.seq, frame.payload, wire));
-  return wire;
-}
-
 std::optional<FrameView> parse_wire_frame(std::span<const std::uint8_t> wire) {
   if (wire.size() < 5 || wire.size() > kMaxEncodedFrame) return std::nullopt;
   if (wire[0] != kSyncByte) return std::nullopt;
@@ -73,112 +64,69 @@ std::optional<FrameView> parse_wire_frame(std::span<const std::uint8_t> wire) {
   return view;
 }
 
-std::optional<Frame> FrameDecoder::feed(std::uint8_t byte) {
-  replay_.push_back(byte);
-  // Drain the replay queue through the state machine. An error inside
-  // step() prepends its consumed window here, so rescans happen in
-  // stream order before any newer byte is considered. Each pass through
-  // a failed window permanently consumes at least its leading sync byte,
-  // so the loop terminates.
-  while (!replay_.empty()) {
-    const std::uint8_t b = replay_.front();
-    replay_.pop_front();
-    step(b);
-  }
-  return poll();
+// The byte path: steady-state allocation-free (DS_HOT is lint-enforced;
+// tests/alloc_guard_test.cpp pins it for a warm receiver and logger).
+DS_HOT_BEGIN
+void FrameDecoder::feed(std::uint8_t byte, FrameHandler on_frame) {
+  if (size_ == 0 && byte != kSyncByte) return;  // between frames: not a frame start
+  // scan() leaves at most a frame's prefix, one byte short of its end.
+  assert(size_ < window_.size());
+  window_[size_++] = byte;
+  scan(on_frame);
 }
 
-std::optional<Frame> FrameDecoder::flush() {
-  // Each pass discards one truncated partial (consuming its sync byte),
-  // so the loop terminates.
-  while (state_ != State::Sync || !replay_.empty()) {
-    if (state_ != State::Sync) {
+void FrameDecoder::flush(FrameHandler on_frame) {
+  // Each pass drops the truncated partial's sync byte, so the loop ends.
+  while (size_ > 0) {
+    ++framing_errors_;
+    ++resyncs_;
+    drop_front(1);
+    scan(on_frame);
+  }
+}
+
+void FrameDecoder::scan(FrameHandler on_frame) {
+  for (;;) {
+    std::size_t sync = 0;
+    while (sync < size_ && window_[sync] != kSyncByte) ++sync;
+    drop_front(sync);
+    if (size_ < 2) return;
+    const std::size_t len = window_[1];
+    if (len < 2 || len > 2 + kMaxPayload) {
+      // The LEN byte itself is rescanned: it may be the sync of a real
+      // frame that this spurious sync captured.
       ++framing_errors_;
-      fail_frame();
+      drop_front(1);
+      continue;
     }
-    while (!replay_.empty()) {
-      const std::uint8_t b = replay_.front();
-      replay_.pop_front();
-      step(b);
+    if (size_ < 3) return;
+    // Reject an unknown TYPE at once, so resync starts LEN bytes sooner.
+    if (!is_known_frame_type(window_[2])) {
+      ++framing_errors_;
+      ++resyncs_;
+      drop_front(1);
+      continue;
     }
-  }
-  return poll();
-}
-
-std::optional<Frame> FrameDecoder::poll() {
-  if (ready_.empty()) return std::nullopt;
-  Frame frame = std::move(ready_.front());
-  ready_.pop_front();
-  return frame;
-}
-
-void FrameDecoder::fail_frame() {
-  // Give every consumed byte after the sync back to the scanner: the
-  // next real frame's sync may be hiding inside the window (e.g. a
-  // bit-flipped LEN swallowed it). The failed frame's own sync byte is
-  // NOT replayed, so progress is guaranteed.
-  ++resyncs_;
-  replay_.insert(replay_.begin(), buffer_.begin(), buffer_.end());
-  buffer_.clear();
-  state_ = State::Sync;
-}
-
-void FrameDecoder::step(std::uint8_t byte) {
-  switch (state_) {
-    case State::Sync:
-      if (byte == kSyncByte) {
-        buffer_.clear();
-        state_ = State::Length;
-      }
-      return;
-
-    case State::Length:
-      if (byte < 2 || byte > 2 + kMaxPayload) {
-        ++framing_errors_;
-        // Rescan the offending byte itself: it may be the sync of a
-        // real frame that this spurious sync captured.
-        state_ = State::Sync;
-        replay_.push_front(byte);
-        return;
-      }
-      buffer_.push_back(byte);
-      expected_len_ = byte;
-      state_ = State::Body;
-      return;
-
-    case State::Body:
-      buffer_.push_back(byte);
-      // First body byte is TYPE: reject unknown types immediately so a
-      // corrupted type byte never reaches a consumer as a garbage enum
-      // value, and resync starts LEN bytes sooner.
-      if (buffer_.size() == 2 && !is_known_frame_type(byte)) {
-        ++framing_errors_;
-        fail_frame();
-        return;
-      }
-      // buffer_ holds LEN + body-so-far; body completes at LEN bytes,
-      // then one CRC byte follows.
-      if (buffer_.size() < 1 + expected_len_ + 1) return;
-      {
-        const std::uint8_t received_crc = buffer_.back();
-        const std::uint8_t computed =
-            util::crc8({buffer_.data(), buffer_.size() - 1});
-        if (received_crc != computed) {
-          ++crc_errors_;
-          fail_frame();
-          return;
-        }
-        Frame frame;
-        frame.type = static_cast<FrameType>(buffer_[1]);
-        frame.seq = buffer_[2];
-        frame.payload.assign(buffer_.begin() + 3, buffer_.end() - 1);
-        ++frames_decoded_;
-        ready_.push_back(std::move(frame));
-        buffer_.clear();
-        state_ = State::Sync;
-      }
-      return;
+    if (size_ < len + 3) return;
+    // SYNC, LEN and TYPE already hold: only the CRC can fail here.
+    const auto frame = parse_wire_frame({window_.data(), len + 3});
+    if (!frame) {
+      ++crc_errors_;
+      ++resyncs_;
+      drop_front(1);
+      continue;
+    }
+    ++frames_decoded_;
+    on_frame(*frame);
+    drop_front(len + 3);
   }
 }
+
+void FrameDecoder::drop_front(std::size_t count) {
+  // Overlapping shift toward the front; at most one frame's bytes move.
+  for (std::size_t i = count; i < size_; ++i) window_[i - count] = window_[i];
+  size_ -= count;
+}
+DS_HOT_END
 
 }  // namespace distscroll::wireless

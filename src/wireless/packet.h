@@ -9,11 +9,12 @@
 // LEN counts TYPE..PAYLOAD (not SYNC/LEN/CRC). CRC8 covers LEN..PAYLOAD.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
-#include <vector>
+
+#include "util/function_ref.h"
 
 namespace distscroll::wireless {
 
@@ -38,14 +39,6 @@ enum class FrameType : std::uint8_t {
   return (raw >= 0x01 && raw <= 0x06) || (raw >= 0x10 && raw <= 0x1F);
 }
 
-struct Frame {
-  FrameType type = FrameType::Heartbeat;
-  std::uint8_t seq = 0;
-  std::vector<std::uint8_t> payload;
-
-  bool operator==(const Frame&) const = default;
-};
-
 /// The periodic state report, packed into a State frame payload.
 struct StateReport {
   std::uint16_t adc_counts = 0;   // raw distance sensor reading
@@ -58,31 +51,23 @@ struct StateReport {
 
   static constexpr std::size_t kPackedSize = 6;
 
-  [[nodiscard]] std::vector<std::uint8_t> pack() const;
-  /// Allocation-free pack for the firmware's steady-state telemetry
-  /// path (same bytes as pack()).
   void pack_into(std::span<std::uint8_t, kPackedSize> out) const;
   [[nodiscard]] static std::optional<StateReport> unpack(std::span<const std::uint8_t> payload);
 };
 
-/// Serialize a frame to wire bytes (with sync, length and CRC).
-[[nodiscard]] std::vector<std::uint8_t> encode(const Frame& frame);
-
-/// Allocation-free encode: write the wire image of (type, seq, payload)
-/// into `out` (sized >= payload.size() + 5) and return the byte count.
-/// Returns 0 without writing when the payload exceeds kMaxPayload or
-/// `out` is too small — never writes out of bounds.
-/// Byte-identical to encode() — the firmware's per-tick telemetry uses
-/// this form so the device sample loop stays heap-free (the DS_HOT /
-/// AllocGuard contract), while host-side code keeps the vector form.
+/// The encoder: write the wire image of (type, seq, payload) into
+/// caller storage `out` (sized >= payload.size() + 5, e.g. a
+/// kMaxEncodedFrame stack array) and return the byte count, so no send
+/// path touches the heap. Returns 0 without writing when the payload
+/// exceeds kMaxPayload or `out` is too small — never out of bounds.
 std::size_t encode_into(FrameType type, std::uint8_t seq, std::span<const std::uint8_t> payload,
                         std::span<std::uint8_t> out);
 
-/// Zero-copy view of one validated wire frame: TYPE/SEQ decoded, the
-/// payload a span into the caller's buffer. Produced by
-/// parse_wire_frame() for batch validation paths (host ingest) where
-/// frames arrive already delimited and the byte-at-a-time FrameDecoder
-/// state machine would only add copying.
+/// One validated wire frame: TYPE/SEQ decoded, the payload a span into
+/// the bytes it was validated in. parse_wire_frame() returns it for
+/// frames that arrive already delimited (host ingest); FrameDecoder
+/// hands it to its handler for a byte stream. Either way the payload
+/// borrows — copy what must outlive the buffer.
 struct FrameView {
   FrameType type = FrameType::Heartbeat;
   std::uint8_t seq = 0;
@@ -95,36 +80,33 @@ struct FrameView {
 /// unknown TYPE, or CRC failure. Never reads outside `wire`.
 [[nodiscard]] std::optional<FrameView> parse_wire_frame(std::span<const std::uint8_t> wire);
 
-/// Incremental decoder: feed bytes as they arrive, pops complete valid
-/// frames.
-///
-/// Resync algorithm: the decoder buffers every byte consumed after a
-/// sync match (LEN TYPE SEQ PAYLOAD CRC). When the frame fails — LEN
-/// outside [2, 2+kMaxPayload], unknown TYPE, or CRC mismatch — the error
-/// is counted and the *entire consumed window* is pushed back through
-/// the state machine, rescanned for the next kSyncByte. A corrupted byte
-/// can therefore never swallow the bytes behind it: a bit-flipped LEN
-/// that captured the following frame's sync gives those bytes back, and
-/// single-byte corruption of a valid stream loses at most the one frame
-/// it landed in (tests/wireless_test.cpp holds this as a property).
-///
-/// Because a rescanned window can complete more than one frame while a
-/// single byte arrives, finished frames queue internally: feed() returns
-/// the first, poll() drains the rest.
+/// Receives each frame a FrameDecoder completes. The payload points into
+/// the decoder's window and is valid only during the call; the handler
+/// must not feed the same decoder.
+using FrameHandler = util::FunctionRef<void(const FrameView&)>;
+
+/// Incremental decoder for a byte stream. It keeps one fixed window, at
+/// most one frame long, that always starts at a candidate sync byte
+/// (other bytes arriving between frames are dropped). The window is
+/// checked in wire order as it fills: a bad LEN is a framing error, an
+/// unknown TYPE a framing error and a resync, and at LEN+3 bytes
+/// parse_wire_frame() validates it — a failure there is a CRC error and
+/// a resync. On any failure only the leading sync byte is dropped and
+/// the rest is rescanned, so a corrupted byte never swallows the bytes
+/// behind it: a bit-flipped LEN that captured the next frame's sync
+/// gives it back, and single-byte corruption of a valid stream loses at
+/// most the frame it landed in (tests/wireless_test.cpp holds this as a
+/// property). One byte can complete several frames after a rescan; the
+/// handler sees each, in stream order.
 class FrameDecoder {
  public:
-  /// Feed one byte; returns a frame when one completes. Call poll()
-  /// afterwards to drain any further frames recovered by a resync.
-  std::optional<Frame> feed(std::uint8_t byte);
+  /// Feed one byte; calls `on_frame` for every frame it completes.
+  void feed(std::uint8_t byte, FrameHandler on_frame);
 
-  /// Next decoded-but-undelivered frame, if any.
-  std::optional<Frame> poll();
-
-  /// End-of-stream: a partial frame can never complete now, so discard
-  /// it (counted as a framing error) after rescanning its bytes —
+  /// End of stream: a partial frame can never complete now, so discard
+  /// its sync byte (a framing error and a resync) and rescan the rest —
   /// complete frames wedged behind a truncated one are recovered.
-  /// Returns the first such frame; drain the rest with poll().
-  std::optional<Frame> flush();
+  void flush(FrameHandler on_frame);
 
   [[nodiscard]] std::uint64_t crc_errors() const { return crc_errors_; }
   [[nodiscard]] std::uint64_t framing_errors() const { return framing_errors_; }
@@ -133,16 +115,13 @@ class FrameDecoder {
   [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
 
  private:
-  enum class State { Sync, Length, Body };
+  /// Deliver or reject what the window holds, until it is empty or a
+  /// valid prefix waiting for more bytes.
+  void scan(FrameHandler on_frame);
+  void drop_front(std::size_t count);
 
-  void step(std::uint8_t byte);
-  void fail_frame();  // push the consumed window back for rescan
-
-  State state_ = State::Sync;
-  std::vector<std::uint8_t> buffer_;  // LEN TYPE SEQ PAYLOAD... (after sync)
-  std::size_t expected_len_ = 0;
-  std::deque<std::uint8_t> replay_;   // bytes awaiting (re)scan
-  std::deque<Frame> ready_;           // decoded, not yet handed out
+  std::array<std::uint8_t, kMaxEncodedFrame> window_{};
+  std::size_t size_ = 0;
   std::uint64_t crc_errors_ = 0;
   std::uint64_t framing_errors_ = 0;
   std::uint64_t frames_decoded_ = 0;

@@ -165,7 +165,7 @@ TEST_F(DeviceFixture, TelemetryFramesReachHost) {
   link_config.byte_loss_probability = 0.0;
   link_config.bit_flip_probability = 0.0;
   wireless::RfLink link(link_config, device->board().uart(), queue, sim::Rng(7));
-  wireless::HostLogger logger(queue);
+  wireless::HostLogger logger;
   link.set_host_sink([&](std::uint8_t b) { logger.on_byte(b); });
   link.start();
   distance_cm = distance_for_index(*device, 3);

@@ -7,6 +7,7 @@
 #include "menu/menu_builder.h"
 #include "pda/pda_host.h"
 #include "wireless/packet.h"
+#include "wire_frames.h"
 
 namespace distscroll {
 namespace {
@@ -89,14 +90,14 @@ TEST_P(DecoderFuzz, RandomBytesNeverProduceInvalidFrames) {
   sim::Rng rng(GetParam());
   wireless::FrameDecoder decoder;
   int decoded = 0;
+  const auto check = [&decoded](const wireless::FrameView& frame) {
+    ++decoded;
+    // Anything that decodes must be structurally valid.
+    ASSERT_LE(frame.payload.size(), wireless::kMaxPayload);
+    ASSERT_TRUE(wireless::is_known_frame_type(static_cast<std::uint8_t>(frame.type)));
+  };
   for (int i = 0; i < 20000; ++i) {
-    const auto byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    for (auto frame = decoder.feed(byte); frame; frame = decoder.poll()) {
-      ++decoded;
-      // Anything that decodes must be structurally valid.
-      ASSERT_LE(frame->payload.size(), wireless::kMaxPayload);
-      ASSERT_TRUE(wireless::is_known_frame_type(static_cast<std::uint8_t>(frame->type)));
-    }
+    decoder.feed(static_cast<std::uint8_t>(rng.uniform_int(0, 255)), check);
   }
   // Random bytes occasionally form valid CRC-protected frames (1/256
   // per sync hit) — but only rarely.
@@ -107,21 +108,18 @@ TEST_P(DecoderFuzz, GarbageBetweenValidFramesNeverDesyncsForLong) {
   sim::Rng rng(GetParam() + 500);
   wireless::FrameDecoder decoder;
   int delivered = 0;
+  const auto count = [&delivered](const wireless::FrameView&) { ++delivered; };
   constexpr int kFrames = 200;
   for (int i = 0; i < kFrames; ++i) {
     // Garbage burst.
     const int garbage = rng.uniform_int(0, 12);
     for (int g = 0; g < garbage; ++g) {
-      decoder.feed(static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
+      decoder.feed(static_cast<std::uint8_t>(rng.uniform_int(0, 255)), count);
     }
     // A valid frame.
-    wireless::Frame frame;
-    frame.type = wireless::FrameType::State;
-    frame.seq = static_cast<std::uint8_t>(i);
-    frame.payload = {static_cast<std::uint8_t>(i), 7};
-    for (std::uint8_t byte : wireless::encode(frame)) {
-      for (auto f = decoder.feed(byte); f; f = decoder.poll()) ++delivered;
-    }
+    const wireless::test_support::OwnedFrame frame{
+        wireless::FrameType::State, static_cast<std::uint8_t>(i), {static_cast<std::uint8_t>(i), 7}};
+    for (std::uint8_t byte : wireless::test_support::wire_of(frame)) decoder.feed(byte, count);
   }
   // A fake sync inside garbage can capture real bytes, but the resync
   // rescan must hand them back: since the rescan window always ends at a
@@ -135,16 +133,14 @@ TEST_P(DecoderFuzz, GarbageBetweenValidFramesNeverDesyncsForLong) {
 TEST_P(DecoderFuzz, SingleByteCorruptionOfRandomStreamLosesAtMostOneFrame) {
   sim::Rng rng(GetParam() + 9000);
   for (int trial = 0; trial < 200; ++trial) {
-    std::vector<wireless::Frame> frames(8);
-    std::vector<std::uint8_t> wire;
+    std::vector<wireless::test_support::OwnedFrame> frames(8);
     for (std::size_t i = 0; i < frames.size(); ++i) {
       frames[i].type = static_cast<wireless::FrameType>(rng.uniform_int(1, 5));
       frames[i].seq = static_cast<std::uint8_t>(i);
       frames[i].payload.resize(static_cast<std::size_t>(rng.uniform_int(0, 8)));
       for (auto& b : frames[i].payload) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-      const auto bytes = wireless::encode(frames[i]);
-      wire.insert(wire.end(), bytes.begin(), bytes.end());
     }
+    auto wire = wireless::test_support::wire_of(frames);
     const auto pos = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<int>(wire.size()) - 1));
     const auto original = wire[pos];
@@ -153,11 +149,7 @@ TEST_P(DecoderFuzz, SingleByteCorruptionOfRandomStreamLosesAtMostOneFrame) {
     } while (wire[pos] == original);
 
     wireless::FrameDecoder decoder;
-    std::vector<wireless::Frame> decoded;
-    for (std::uint8_t byte : wire) {
-      for (auto f = decoder.feed(byte); f; f = decoder.poll()) decoded.push_back(std::move(*f));
-    }
-    for (auto f = decoder.flush(); f; f = decoder.poll()) decoded.push_back(std::move(*f));
+    const auto decoded = wireless::test_support::decode_all(decoder, wire);
 
     std::size_t matched = 0;
     std::size_t next = 0;

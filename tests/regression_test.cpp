@@ -2,6 +2,8 @@
 // development (pinned here forever) plus corner cases of the device UI.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "baselines/distance_scroll.h"
 #include "core/distscroll_device.h"
 #include "hw/battery.h"
@@ -111,7 +113,7 @@ TEST_F(UiFixture, TelemetryReportsButtonBits) {
   link_config.byte_loss_probability = 0.0;
   link_config.bit_flip_probability = 0.0;
   wireless::RfLink link(link_config, device->board().uart(), queue, sim::Rng(6));
-  wireless::HostLogger logger(queue);
+  wireless::HostLogger logger;
   link.set_host_sink([&](std::uint8_t b) { logger.on_byte(b); });
   link.start();
 
@@ -131,7 +133,7 @@ TEST_F(UiFixture, DepthReportedInTelemetry) {
   link_config.byte_loss_probability = 0.0;
   link_config.bit_flip_probability = 0.0;
   wireless::RfLink link(link_config, device->board().uart(), queue, sim::Rng(7));
-  wireless::HostLogger logger(queue);
+  wireless::HostLogger logger;
   link.set_host_sink([&](std::uint8_t b) { logger.on_byte(b); });
   link.start();
 
@@ -158,11 +160,11 @@ TEST(PdaHostScreen, WindowFollowsCursorInLongMenu) {
   const auto& mapper = host.mapper();
   const std::size_t island = mapper.entries() - 1 - 25;
   const std::uint16_t counts = mapper.islands()[island].centre;
-  wireless::Frame frame;
-  frame.type = pda::kDistanceFrame;
-  frame.payload = {static_cast<std::uint8_t>(counts & 0xFF),
-                   static_cast<std::uint8_t>(counts >> 8)};
-  for (std::uint8_t byte : wireless::encode(frame)) host.on_byte(byte);
+  const std::uint8_t payload[] = {static_cast<std::uint8_t>(counts & 0xFF),
+                                  static_cast<std::uint8_t>(counts >> 8)};
+  std::array<std::uint8_t, wireless::kMaxEncodedFrame> wire{};
+  const std::size_t len = wireless::encode_into(pda::kDistanceFrame, 0, payload, wire);
+  for (std::size_t i = 0; i < len; ++i) host.on_byte(wire[i]);
   ASSERT_EQ(host.cursor().index(), 25u);
   const auto screen = host.screen();
   ASSERT_EQ(screen.size(), 10u);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <initializer_list>
 #include <span>
 #include <utility>
@@ -18,124 +19,85 @@
 #include "wireless/link_stats.h"
 #include "wireless/packet.h"
 #include "wireless/rf_link.h"
+#include "wire_frames.h"
 
 namespace distscroll::wireless {
 namespace {
 
 // --- framing ----------------------------------------------------------------
 
+using test_support::decode_all;
+using test_support::feed_all;
+using test_support::OwnedFrame;
+using test_support::wire_of;
+
 TEST(Packet, EncodeDecodeRoundTrip) {
-  Frame frame;
-  frame.type = FrameType::ButtonEvent;
-  frame.seq = 42;
-  frame.payload = {1, 2, 3, 4};
+  const OwnedFrame frame{FrameType::ButtonEvent, 42, {1, 2, 3, 4}};
   FrameDecoder decoder;
-  std::optional<Frame> decoded;
-  for (std::uint8_t byte : encode(frame)) decoded = decoder.feed(byte);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, frame);
+  const auto decoded = feed_all(decoder, wire_of(frame));
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0], frame);
   EXPECT_EQ(decoder.frames_decoded(), 1u);
 }
 
 TEST(Packet, EmptyPayloadFrame) {
-  Frame frame;
-  frame.type = FrameType::Heartbeat;
-  frame.seq = 0;
+  const OwnedFrame frame{FrameType::Heartbeat, 0, {}};
   FrameDecoder decoder;
-  std::optional<Frame> decoded;
-  for (std::uint8_t byte : encode(frame)) decoded = decoder.feed(byte);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->payload.empty());
+  const auto decoded = feed_all(decoder, wire_of(frame));
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_TRUE(decoded[0].payload.empty());
 }
 
 TEST(Packet, CorruptedByteRejectedByCrc) {
-  Frame frame;
-  frame.type = FrameType::State;
-  frame.payload = {9, 9, 9};
-  auto wire = encode(frame);
+  auto wire = wire_of(OwnedFrame{FrameType::State, 0, {9, 9, 9}});
   wire[4] ^= 0x10;  // flip a payload bit
   FrameDecoder decoder;
-  std::optional<Frame> decoded;
-  for (std::uint8_t byte : wire) decoded = decoder.feed(byte);
-  EXPECT_FALSE(decoded.has_value());
+  EXPECT_TRUE(feed_all(decoder, wire).empty());
   EXPECT_EQ(decoder.crc_errors(), 1u);
 }
 
 TEST(Packet, DecoderResynchronisesAfterGarbage) {
   FrameDecoder decoder;
   // Garbage, then a valid frame.
-  for (std::uint8_t b : {0x12, 0x00, 0xFF}) decoder.feed(b);
-  Frame frame;
-  frame.type = FrameType::Debug;
-  frame.seq = 7;
-  frame.payload = {0xAB};
-  std::optional<Frame> decoded;
-  for (std::uint8_t byte : encode(frame)) decoded = decoder.feed(byte);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->seq, 7);
+  const std::uint8_t garbage[] = {0x12, 0x00, 0xFF};
+  EXPECT_TRUE(feed_all(decoder, garbage).empty());
+  const auto decoded = feed_all(decoder, wire_of(OwnedFrame{FrameType::Debug, 7, {0xAB}}));
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].seq, 7);
 }
 
 TEST(Packet, BogusLengthCountsFramingError) {
   FrameDecoder decoder;
-  decoder.feed(kSyncByte);
-  decoder.feed(0xFF);  // length way beyond kMaxPayload
+  const std::uint8_t bogus[] = {kSyncByte, 0xFF};  // length way beyond kMaxPayload
+  feed_all(decoder, bogus);
   EXPECT_EQ(decoder.framing_errors(), 1u);
   // Still decodes a following good frame.
-  Frame frame;
-  frame.payload = {1};
-  std::optional<Frame> decoded;
-  for (std::uint8_t byte : encode(frame)) decoded = decoder.feed(byte);
-  EXPECT_TRUE(decoded.has_value());
+  EXPECT_EQ(feed_all(decoder, wire_of(OwnedFrame{FrameType::Heartbeat, 0, {1}})).size(), 1u);
 }
 
 TEST(Packet, BackToBackFrames) {
-  FrameDecoder decoder;
-  int decoded = 0;
+  std::vector<OwnedFrame> frames;
   for (int i = 0; i < 10; ++i) {
-    Frame frame;
-    frame.seq = static_cast<std::uint8_t>(i);
-    frame.payload = {static_cast<std::uint8_t>(i)};
-    for (std::uint8_t byte : encode(frame)) {
-      if (decoder.feed(byte)) ++decoded;
-    }
+    frames.push_back({FrameType::Heartbeat, static_cast<std::uint8_t>(i),
+                      {static_cast<std::uint8_t>(i)}});
   }
-  EXPECT_EQ(decoded, 10);
+  FrameDecoder decoder;
+  EXPECT_EQ(feed_all(decoder, wire_of(frames)), frames);
 }
 
 // --- decoder resync ---------------------------------------------------------
 
-std::vector<Frame> make_stream_frames() {
-  std::vector<Frame> frames;
+std::vector<OwnedFrame> make_stream_frames() {
+  std::vector<OwnedFrame> frames;
   for (int i = 0; i < 6; ++i) {
-    Frame frame;
-    frame.type = (i % 2 == 0) ? FrameType::State : FrameType::ButtonEvent;
-    frame.seq = static_cast<std::uint8_t>(i);
     // Payloads deliberately contain kSyncByte to stress phantom-sync
     // rescans.
-    frame.payload = {static_cast<std::uint8_t>(i), kSyncByte,
-                     static_cast<std::uint8_t>(0xF0 + i)};
-    frames.push_back(std::move(frame));
+    frames.push_back({(i % 2 == 0) ? FrameType::State : FrameType::ButtonEvent,
+                      static_cast<std::uint8_t>(i),
+                      {static_cast<std::uint8_t>(i), kSyncByte,
+                       static_cast<std::uint8_t>(0xF0 + i)}});
   }
   return frames;
-}
-
-std::vector<std::uint8_t> wire_of(const std::vector<Frame>& frames) {
-  std::vector<std::uint8_t> wire;
-  for (const auto& frame : frames) {
-    const auto bytes = encode(frame);
-    wire.insert(wire.end(), bytes.begin(), bytes.end());
-  }
-  return wire;
-}
-
-/// Feeds a byte stream, flushes, returns everything decoded.
-std::vector<Frame> decode_all(FrameDecoder& decoder, const std::vector<std::uint8_t>& wire) {
-  std::vector<Frame> out;
-  for (std::uint8_t byte : wire) {
-    for (auto f = decoder.feed(byte); f; f = decoder.poll()) out.push_back(std::move(*f));
-  }
-  for (auto f = decoder.flush(); f; f = decoder.poll()) out.push_back(std::move(*f));
-  return out;
 }
 
 // The headline regression: a bit-flipped LEN used to swallow the next
@@ -160,97 +122,120 @@ TEST(Packet, CorruptedLenLosesOnlyTheFrameItHit) {
   EXPECT_GE(decoder.resyncs(), 1u);
 }
 
-// The property the ISSUE demands: for a valid multi-frame stream,
+/// Every single-byte corruption of `clean` the resync tests replay: at
+/// each position, three XOR masks and two overwrites (skipping an
+/// overwrite that changes nothing).
+std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> single_byte_mutations(
+    const std::vector<std::uint8_t>& clean) {
+  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> corpus;
+  for (std::size_t pos = 0; pos < clean.size(); ++pos) {
+    const std::uint8_t masks[] = {0x01, 0x80, 0xFF};
+    const std::uint8_t overwrites[] = {0x00, kSyncByte};
+    std::vector<std::uint8_t> values;
+    for (const std::uint8_t mask : masks) {
+      values.push_back(static_cast<std::uint8_t>(clean[pos] ^ mask));
+    }
+    for (const std::uint8_t value : overwrites) {
+      if (value != clean[pos]) values.push_back(value);
+    }
+    for (const std::uint8_t value : values) {
+      auto wire = clean;
+      wire[pos] = value;
+      corpus.emplace_back(pos, std::move(wire));
+    }
+  }
+  return corpus;
+}
+
+// The resync property: for a valid multi-frame stream,
 // corrupting ANY single byte (several corruption patterns) loses at most
 // one frame, and the decoder never emits a frame that was not sent.
 TEST(Packet, AnySingleByteCorruptionLosesAtMostOneFrame) {
   const auto frames = make_stream_frames();
-  const auto clean_wire = wire_of(frames);
-  const std::uint8_t patterns[] = {0x01, 0x80, 0xFF};  // XOR masks
-  const std::uint8_t overwrites[] = {0x00, kSyncByte};
-  for (std::size_t pos = 0; pos < clean_wire.size(); ++pos) {
-    std::vector<std::uint8_t> mutations;
-    for (std::uint8_t m : patterns) mutations.push_back(clean_wire[pos] ^ m);
-    for (std::uint8_t v : overwrites) {
-      if (v != clean_wire[pos]) mutations.push_back(v);
-    }
-    for (std::uint8_t mutated : mutations) {
-      auto wire = clean_wire;
-      wire[pos] = mutated;
-      FrameDecoder decoder;
-      const auto decoded = decode_all(decoder, wire);
-      // Count originals recovered (each at most once, in order).
-      std::size_t matched = 0;
-      std::size_t garbage = 0;
-      std::size_t next = 0;
-      for (const auto& frame : decoded) {
-        const auto it = std::find(frames.begin() + static_cast<long>(next), frames.end(), frame);
-        if (it != frames.end()) {
-          ++matched;
-          next = static_cast<std::size_t>(it - frames.begin()) + 1;
-        } else {
-          ++garbage;
-        }
+  for (const auto& [pos, wire] : single_byte_mutations(wire_of(frames))) {
+    const int mutated = wire[pos];
+    FrameDecoder decoder;
+    const auto decoded = decode_all(decoder, wire);
+    // Count originals recovered (each at most once, in order).
+    std::size_t matched = 0;
+    std::size_t garbage = 0;
+    std::size_t next = 0;
+    for (const auto& frame : decoded) {
+      const auto it = std::find(frames.begin() + static_cast<long>(next), frames.end(), frame);
+      if (it != frames.end()) {
+        ++matched;
+        next = static_cast<std::size_t>(it - frames.begin()) + 1;
+      } else {
+        ++garbage;
       }
-      EXPECT_GE(matched, frames.size() - 1)
-          << "byte " << pos << " -> " << static_cast<int>(mutated) << " lost more than one frame";
-      EXPECT_EQ(garbage, 0u) << "byte " << pos << " -> " << static_cast<int>(mutated)
-                             << " produced a frame that was never sent";
-      // Counter reconciliation: every frame that went missing left a
-      // trace in the error counters (or the flush truncation did).
-      if (matched < frames.size()) {
-        EXPECT_GE(decoder.crc_errors() + decoder.framing_errors(), 1u)
-            << "byte " << pos << ": a frame vanished without any error counted";
-      }
-      EXPECT_EQ(decoder.frames_decoded(), decoded.size());
     }
+    EXPECT_GE(matched, frames.size() - 1)
+        << "byte " << pos << " -> " << mutated << " lost more than one frame";
+    EXPECT_EQ(garbage, 0u) << "byte " << pos << " -> " << mutated
+                           << " produced a frame that was never sent";
+    // Counter reconciliation: every frame that went missing left a
+    // trace in the error counters (or the flush truncation did).
+    if (matched < frames.size()) {
+      EXPECT_GE(decoder.crc_errors() + decoder.framing_errors(), 1u)
+          << "byte " << pos << ": a frame vanished without any error counted";
+    }
+    EXPECT_EQ(decoder.frames_decoded(), decoded.size());
   }
+}
+
+// The same corpus, held to the counters rather than the frames: which
+// check rejects a window, and how often a rescan starts, are part of
+// what LinkStats reports. The totals were recorded from the replay-queue
+// state-machine decoder at commit 5cd5f53; the window decoder must match
+// them exactly.
+TEST(Packet, SingleByteCorruptionCounterTotalsArePinned) {
+  const auto corpus = single_byte_mutations(wire_of(make_stream_frames()));
+  ASSERT_EQ(corpus.size(), 226u);
+  std::uint64_t frames = 0;
+  std::uint64_t crc = 0;
+  std::uint64_t framing = 0;
+  std::uint64_t resyncs = 0;
+  for (const auto& [pos, wire] : corpus) {
+    FrameDecoder decoder;
+    decode_all(decoder, wire);
+    frames += decoder.frames_decoded();
+    crc += decoder.crc_errors();
+    framing += decoder.framing_errors();
+    resyncs += decoder.resyncs();
+  }
+  EXPECT_EQ(frames, 1130u);
+  EXPECT_EQ(crc, 157u);
+  EXPECT_EQ(framing, 283u);
+  EXPECT_EQ(resyncs, 196u);
 }
 
 TEST(Packet, UnknownFrameTypeCountsFramingErrorAndIsNotDelivered) {
-  Frame frame;
-  frame.type = FrameType::State;
-  frame.payload = {1, 2, 3};
-  auto wire = encode(frame);
+  auto wire = wire_of(OwnedFrame{FrameType::State, 0, {1, 2, 3}});
   wire[2] = 0x7E;  // not a known type; CRC now fails too, but the type
                    // check fires first and counts a framing error
   FrameDecoder decoder;
-  std::optional<Frame> decoded;
-  for (std::uint8_t byte : wire) {
-    if (auto f = decoder.feed(byte)) decoded = f;
-  }
-  EXPECT_FALSE(decoded.has_value());
+  EXPECT_TRUE(feed_all(decoder, wire).empty());
   EXPECT_EQ(decoder.framing_errors(), 1u);
   EXPECT_EQ(decoder.crc_errors(), 0u);
   // A valid frame still decodes afterwards.
-  Frame good;
-  good.payload = {9};
-  for (std::uint8_t byte : encode(good)) {
-    if (auto f = decoder.feed(byte)) decoded = f;
-  }
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, good);
+  const OwnedFrame good{FrameType::Heartbeat, 0, {9}};
+  const auto decoded = feed_all(decoder, wire_of(good));
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0], good);
 }
 
 TEST(Packet, FlushRecoversFrameWedgedBehindTruncatedPartial) {
-  Frame frame;
-  frame.type = FrameType::Debug;
-  frame.seq = 3;
-  frame.payload = {0x42};
+  const OwnedFrame frame{FrameType::Debug, 3, {0x42}};
   FrameDecoder decoder;
   // A sync + huge-but-valid LEN that will never complete, swallowing the
   // real frame that follows.
-  decoder.feed(kSyncByte);
-  decoder.feed(static_cast<std::uint8_t>(2 + kMaxPayload));
-  decoder.feed(static_cast<std::uint8_t>(FrameType::Debug));
-  std::optional<Frame> decoded;
-  for (std::uint8_t byte : encode(frame)) {
-    if (auto f = decoder.feed(byte)) decoded = f;
-  }
-  EXPECT_FALSE(decoded.has_value());  // wedged in the phantom body
-  decoded = decoder.flush();
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, frame);
+  const std::uint8_t partial[] = {kSyncByte, static_cast<std::uint8_t>(2 + kMaxPayload),
+                                  static_cast<std::uint8_t>(FrameType::Debug)};
+  EXPECT_TRUE(feed_all(decoder, partial).empty());
+  EXPECT_TRUE(feed_all(decoder, wire_of(frame)).empty());  // wedged in the phantom body
+  const auto decoded = decode_all(decoder, {});
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0], frame);
   EXPECT_GE(decoder.framing_errors(), 1u);  // the truncated partial
 }
 
@@ -261,7 +246,9 @@ TEST(StateReport, PackUnpackRoundTrip) {
   report.cursor_index = 5;
   report.level_size = 9;
   report.buttons = 0b101;
-  const auto unpacked = StateReport::unpack(report.pack());
+  std::array<std::uint8_t, StateReport::kPackedSize> packed{};
+  report.pack_into(packed);
+  const auto unpacked = StateReport::unpack(packed);
   ASSERT_TRUE(unpacked.has_value());
   EXPECT_EQ(unpacked->adc_counts, 789);
   EXPECT_EQ(unpacked->menu_depth, 2);
@@ -282,17 +269,23 @@ struct LinkFixture : ::testing::Test {
   hw::Uart uart;
 
   void send_frames(RfLink& link, HostLogger& logger, int count) {
-    link.set_host_sink([&](std::uint8_t byte) { logger.on_byte(byte); });
+    send_frames(link, [&logger](std::uint8_t byte) { logger.on_byte(byte); }, count);
+  }
+
+  /// State frames seq 0..count-1 reporting adc_counts 100+seq.
+  void send_frames(RfLink& link, RfLink::HostSink host_sink, int count) {
+    link.set_host_sink(std::move(host_sink));
     link.start();
     for (int i = 0; i < count; ++i) {
-      Frame frame;
-      frame.type = FrameType::State;
-      frame.seq = static_cast<std::uint8_t>(i);
       StateReport report;
       report.adc_counts = static_cast<std::uint16_t>(100 + i);
-      frame.payload = report.pack();
+      std::array<std::uint8_t, StateReport::kPackedSize> payload{};
+      report.pack_into(payload);
+      std::array<std::uint8_t, kMaxEncodedFrame> wire{};
+      const std::size_t len =
+          encode_into(FrameType::State, static_cast<std::uint8_t>(i), payload, wire);
       // Pace transmissions so the 64-byte UART FIFO never overflows.
-      for (std::uint8_t byte : encode(frame)) uart.transmit(byte);
+      for (std::size_t b = 0; b < len; ++b) uart.transmit(wire[b]);
       queue.run_until(util::Seconds{queue.now().value + 0.01});
     }
     queue.run_until(util::Seconds{queue.now().value + 0.5});
@@ -304,7 +297,7 @@ TEST_F(LinkFixture, CleanLinkDeliversEverything) {
   config.byte_loss_probability = 0.0;
   config.bit_flip_probability = 0.0;
   RfLink link(config, uart, queue, sim::Rng(1));
-  HostLogger logger(queue);
+  HostLogger logger;
   send_frames(link, logger, 20);
   EXPECT_EQ(logger.frames_received(), 20u);
   EXPECT_EQ(logger.crc_errors(), 0u);
@@ -319,11 +312,10 @@ TEST_F(LinkFixture, LatencyDelaysDelivery) {
   config.bit_flip_probability = 0.0;
   config.latency = util::Seconds{0.050};
   RfLink link(config, uart, queue, sim::Rng(2));
-  HostLogger logger(queue);
+  HostLogger logger;
   link.set_host_sink([&](std::uint8_t byte) { logger.on_byte(byte); });
   link.start();
-  Frame frame;
-  for (std::uint8_t byte : encode(frame)) uart.transmit(byte);
+  for (std::uint8_t byte : wire_of(OwnedFrame{})) uart.transmit(byte);
   queue.run_until(util::Seconds{0.045});
   EXPECT_EQ(logger.frames_received(), 0u);  // still in flight
   queue.run_until(util::Seconds{0.3});
@@ -335,19 +327,29 @@ TEST_F(LinkFixture, LossyLinkDropsFramesButNeverCorruptsThem) {
   config.byte_loss_probability = 0.02;
   config.bit_flip_probability = 0.01;
   RfLink link(config, uart, queue, sim::Rng(3));
-  HostLogger logger(queue);
-  send_frames(link, logger, 200);
+  HostLogger logger;
+  // A second decoder on the same bytes checks each frame as it lands:
+  // every delivered state frame carries a valid payload.
+  FrameDecoder checker;
+  std::uint64_t states_checked = 0;
+  const auto check = [&states_checked](const FrameView& frame) {
+    if (frame.type != FrameType::State) return;
+    ++states_checked;
+    const auto report = StateReport::unpack(frame.payload);
+    ASSERT_TRUE(report.has_value());
+    EXPECT_GE(report->adc_counts, 100);
+    EXPECT_LT(report->adc_counts, 300);
+  };
+  send_frames(
+      link,
+      [&](std::uint8_t byte) {
+        logger.on_byte(byte);
+        checker.feed(byte, check);
+      },
+      200);
   EXPECT_LT(logger.frames_received(), 200u);  // some lost
   EXPECT_GT(logger.frames_received(), 100u);  // most survive
-  // Every delivered state frame carries a valid payload.
-  for (const auto& event : logger.events()) {
-    if (event.frame.type == FrameType::State) {
-      const auto report = StateReport::unpack(event.frame.payload);
-      ASSERT_TRUE(report.has_value());
-      EXPECT_GE(report->adc_counts, 100);
-      EXPECT_LT(report->adc_counts, 300);
-    }
-  }
+  EXPECT_EQ(states_checked, logger.frames_received());
   // Gaps observed match the loss.
   EXPECT_GT(logger.sequence_gaps() + logger.crc_errors(), 0u);
 }
@@ -356,7 +358,7 @@ TEST_F(LinkFixture, LinkCountersConsistent) {
   RfLink::Config config;
   config.byte_loss_probability = 0.05;
   RfLink link(config, uart, queue, sim::Rng(4));
-  HostLogger logger(queue);
+  HostLogger logger;
   send_frames(link, logger, 50);
   EXPECT_GT(link.bytes_sent(), 0u);
   EXPECT_GT(link.bytes_lost(), 0u);
@@ -369,34 +371,30 @@ TEST_F(LinkFixture, LateFrameFillsTheGapItLeft) {
   // 0, 1, 3, 2, 4 read as 1 + 254 + 1 = 256 missing frames.
   const auto feed = [](HostLogger& logger, std::initializer_list<int> seqs) {
     for (const int seq : seqs) {
-      Frame frame;
-      frame.type = FrameType::Heartbeat;
-      frame.seq = static_cast<std::uint8_t>(seq);
-      logger.on_frame(frame);
+      logger.on_frame(FrameView{FrameType::Heartbeat, static_cast<std::uint8_t>(seq), {}});
     }
   };
-  HostLogger reordered(queue);
+  HostLogger reordered;
   feed(reordered, {0, 1, 3, 2, 4});
   EXPECT_EQ(reordered.frames_received(), 5u);
   EXPECT_EQ(reordered.sequence_gaps(), 0u);
   // A genuine hole stays counted.
-  HostLogger lossy(queue);
+  HostLogger lossy;
   feed(lossy, {0, 1, 4});
   EXPECT_EQ(lossy.sequence_gaps(), 2u);
 }
 
 TEST(ParseWireFrame, AcceptsExactlyWhatEncodeProduces) {
-  Frame frame;
-  frame.type = FrameType::State;
-  frame.seq = 42;
   StateReport report;
   report.adc_counts = 777;
   report.menu_depth = 2;
   report.cursor_index = 5;
   report.level_size = 9;
   report.buttons = 0b101;
-  frame.payload = report.pack();
-  const std::vector<std::uint8_t> wire = encode(frame);
+  std::array<std::uint8_t, StateReport::kPackedSize> payload{};
+  report.pack_into(payload);
+  const std::vector<std::uint8_t> wire =
+      wire_of(OwnedFrame{FrameType::State, 42, {payload.begin(), payload.end()}});
 
   const auto view = parse_wire_frame(wire);
   ASSERT_TRUE(view.has_value());
@@ -408,11 +406,7 @@ TEST(ParseWireFrame, AcceptsExactlyWhatEncodeProduces) {
 }
 
 TEST(ParseWireFrame, RejectsEverySingleBitFlip) {
-  Frame frame;
-  frame.type = FrameType::SelectionEvent;
-  frame.seq = 7;
-  frame.payload = {1, 2, 3, 4};
-  const std::vector<std::uint8_t> wire = encode(frame);
+  const std::vector<std::uint8_t> wire = wire_of(OwnedFrame{FrameType::SelectionEvent, 7, {1, 2, 3, 4}});
   for (std::size_t bit = 0; bit < wire.size() * 8; ++bit) {
     std::vector<std::uint8_t> mutated = wire;
     mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
@@ -424,9 +418,7 @@ TEST(ParseWireFrame, RejectsEverySingleBitFlip) {
 }
 
 TEST(ParseWireFrame, RejectsTruncationPaddingAndGarbage) {
-  Frame frame;
-  frame.payload = {9, 9};
-  const std::vector<std::uint8_t> wire = encode(frame);
+  const std::vector<std::uint8_t> wire = wire_of(OwnedFrame{FrameType::Heartbeat, 0, {9, 9}});
   for (std::size_t n = 0; n < wire.size(); ++n) {
     EXPECT_FALSE(parse_wire_frame({wire.data(), n}).has_value()) << "prefix " << n;
   }
@@ -443,12 +435,11 @@ TEST_F(LinkFixture, StopHaltsPumping) {
   config.byte_loss_probability = 0.0;
   config.bit_flip_probability = 0.0;
   RfLink link(config, uart, queue, sim::Rng(5));
-  HostLogger logger(queue);
+  HostLogger logger;
   link.set_host_sink([&](std::uint8_t byte) { logger.on_byte(byte); });
   link.start();
   link.stop();
-  Frame frame;
-  for (std::uint8_t byte : encode(frame)) uart.transmit(byte);
+  for (std::uint8_t byte : wire_of(OwnedFrame{})) uart.transmit(byte);
   queue.run_until(util::Seconds{1.0});
   EXPECT_EQ(logger.frames_received(), 0u);
 }
@@ -494,7 +485,7 @@ TEST_F(ArqFixture, CleanChannelDeliversEverythingOnceWithoutRetransmits) {
   EventArqSender arq(config, queue);
   ArqReceiver receiver;
   std::vector<std::uint8_t> delivered;
-  receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
+  receiver.set_frame_sink([&](const FrameView& f) { delivered.push_back(f.seq); });
   wire(arq, receiver);
   for (int i = 0; i < 20; ++i) {
     const std::uint8_t payload[] = {static_cast<std::uint8_t>(i)};
@@ -514,7 +505,7 @@ TEST_F(ArqFixture, LostFrameIsRetransmittedAfterTimeout) {
   EventArqSender arq(config, queue);
   ArqReceiver receiver;
   std::vector<std::uint8_t> delivered;
-  receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
+  receiver.set_frame_sink([&](const FrameView& f) { delivered.push_back(f.seq); });
   wire(arq, receiver);
   const std::uint8_t payload[] = {42};
   arq.send(FrameType::State, payload);
@@ -532,7 +523,7 @@ TEST_F(ArqFixture, LostAckTriggersRetransmitAndDuplicateDiscard) {
   EventArqSender arq(config, queue);
   ArqReceiver receiver;
   std::vector<std::uint8_t> delivered;
-  receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
+  receiver.set_frame_sink([&](const FrameView& f) { delivered.push_back(f.seq); });
   wire(arq, receiver);
   const std::uint8_t payload[] = {7};
   arq.send(FrameType::State, payload);
@@ -606,7 +597,7 @@ TEST_F(ArqFixture, TransportBackpressureDefersUntilSpace) {
   EventArqSender arq(config, queue);
   ArqReceiver receiver;
   std::vector<std::uint8_t> delivered;
-  receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
+  receiver.set_frame_sink([&](const FrameView& f) { delivered.push_back(f.seq); });
   arq.set_wire_sink([&](std::span<const std::uint8_t> wire_bytes) {
     if (fifo_full) return false;
     std::vector<std::uint8_t> copy(wire_bytes.begin(), wire_bytes.end());
@@ -635,9 +626,9 @@ TEST_F(ArqFixture, TransportBackpressureDefersUntilSpace) {
 
 TEST_F(ArqFixture, OversizedPayloadIsRejectedWithoutTakingASeq) {
   EventArqSender arq(config, queue);
-  std::vector<Frame> delivered;
+  std::vector<OwnedFrame> delivered;
   ArqReceiver receiver;
-  receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f); });
+  receiver.set_frame_sink([&](const FrameView& f) { delivered.push_back(test_support::own(f)); });
   wire(arq, receiver);
   const std::vector<std::uint8_t> oversized(kMaxPayload + 1, 0x55);
   EXPECT_FALSE(arq.send(FrameType::Debug, oversized));
@@ -662,7 +653,7 @@ TEST_F(ArqFixture, WakeEventFollowsTheEarliestDeadline) {
     return true;
   });
   const auto ack = [&](std::uint8_t seq) {
-    for (std::uint8_t b : encode(Frame{FrameType::Ack, seq, {}})) arq.on_ack_byte(b);
+    for (std::uint8_t b : wire_of(OwnedFrame{FrameType::Ack, seq, {}})) arq.on_ack_byte(b);
   };
   const std::uint8_t payload[] = {0};
   ASSERT_TRUE(arq.send(FrameType::State, payload));
@@ -780,7 +771,10 @@ TEST_F(LinkFixture, ArqOverLossyLinkDeliversEverythingExactlyOnce) {
   });
   reverse.set_host_sink([&](std::uint8_t b) { arq.on_ack_byte(b); });
   std::vector<std::uint8_t> delivered;
-  receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.payload.at(0)); });
+  receiver.set_frame_sink([&](const FrameView& f) {
+    ASSERT_EQ(f.payload.size(), 1u);
+    delivered.push_back(f.payload[0]);
+  });
   forward.start();
   reverse.start();
 
@@ -828,12 +822,11 @@ TEST(LinkStats, AttemptsSummary) {
 
 TEST(LinkStats, SamplesCountersFromComponents) {
   FrameDecoder decoder;
-  Frame frame;
-  frame.payload = {1, 2};
-  for (std::uint8_t byte : encode(frame)) decoder.feed(byte);
-  auto bad = encode(frame);
+  const OwnedFrame frame{FrameType::Heartbeat, 0, {1, 2}};
+  feed_all(decoder, wire_of(frame));
+  auto bad = wire_of(frame);
   bad[4] ^= 0x40;
-  for (std::uint8_t byte : bad) decoder.feed(byte);
+  feed_all(decoder, bad);
 
   LinkStats stats;
   stats.sample(nullptr, &decoder, nullptr, nullptr, nullptr);
