@@ -25,7 +25,10 @@
 #include "core/scroll_controller.h"
 #include "display/bt96040.h"
 #include "display/display_driver.h"
+#include "host/columnar.h"
+#include "host/device_registry.h"
 #include "host/host_pipeline.h"
+#include "host/ingest_queue.h"
 #include "host/sim_link.h"
 #include "human/hand_model.h"
 #include "human/motion_planner.h"
@@ -434,10 +437,11 @@ void BM_ArqSendAck(benchmark::State& state) {
   sim::SimClock clock;
   wireless::ArqSender sender(wireless::ArqConfig{}, clock);
   std::size_t wire_bytes = 0;
-  sender.set_wire_sink([&wire_bytes](std::span<const std::uint8_t> wire) {
+  const auto count_bytes = [&wire_bytes](std::span<const std::uint8_t> wire) {
     wire_bytes += wire.size();
     return true;
-  });
+  };
+  sender.set_wire_sink(count_bytes);
   std::array<std::uint8_t, wireless::StateReport::kPackedSize> payload;
   wireless::StateReport{512, 1, 3, 9, 0}.pack_into(payload);
   std::uint8_t seq = 0;
@@ -494,6 +498,78 @@ void BM_SimDeviceLink_StepWindow(benchmark::State& state) {
       static_cast<double>(link.sender().transmissions());
 }
 BENCHMARK(BM_SimDeviceLink_StepWindow);
+
+/// The host's lane layer: one lane of 512 slots (perfbench's host_ingest
+/// lane size) filled with 64 records, then drained in batches of 64 as
+/// the consumer does, so the ring wraps every 8 iterations.
+/// `s_per_record` is one push plus one pop.
+void BM_IngestQueuePushPop(benchmark::State& state) {
+  host::IngestQueue queue(/*lanes=*/8, /*lane_capacity=*/512);
+  std::array<host::RawRecord, 64> drained;
+  host::RawRecord record;
+  record.len = 11;
+  std::uint64_t moved = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < drained.size(); ++i) {
+      record.t_us = moved + i;
+      if (!queue.try_push(3, record)) state.SkipWithError("lane full");
+    }
+    moved += queue.pop_batch(3, drained);
+    benchmark::DoNotOptimize(drained.back().t_us);
+  }
+  state.counters["s_per_record"] = benchmark::Counter(
+      static_cast<double>(moved), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_IngestQueuePushPop);
+
+/// The host's admit layer: DeviceRegistry::admit over 2000 devices (the
+/// host_ingest fleet) receiving their frames round-robin in order, as a
+/// drained window delivers them.
+void BM_DeviceRegistryAdmit(benchmark::State& state) {
+  constexpr std::size_t kDevices = 2000;
+  host::DeviceRegistry registry(kDevices);
+  std::size_t device = 0;
+  std::uint8_t seq = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(registry.admit(static_cast<std::uint16_t>(device), seq));
+    if (++device == kDevices) {
+      device = 0;
+      ++seq;
+    }
+  }
+  if (registry.accepted() != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("an in-order frame was not accepted");
+  }
+}
+BENCHMARK(BM_DeviceRegistryAdmit);
+
+/// The host's columnar-append layer: a fresh ColumnarWriter sized for,
+/// then fed, 4096 accepted records shaped like a drained host stream
+/// (256 devices in lane order per 38 Hz period, ADC drifting a few
+/// counts). `s_per_record` is one append, the columns' allocation
+/// included.
+void BM_ColumnarAppend(benchmark::State& state) {
+  constexpr std::size_t kRecords = 4096;
+  std::vector<host::CompactRecord> stream(kRecords);
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    host::CompactRecord& record = stream[i];
+    record.device_id = static_cast<std::uint16_t>(i % 256);
+    record.t_us = (i / 256) * 26316 + (i % 256) * 97;
+    record.seq = static_cast<std::uint8_t>(i / 256);
+    record.state = {static_cast<std::uint16_t>(512 + (i * 7) % 13), 1, 3, 9, 0};
+  }
+  for (auto _ : state) {
+    host::ColumnarWriter writer(7);
+    writer.reserve(kRecords);
+    for (const host::CompactRecord& record : stream) writer.append(record);
+    benchmark::DoNotOptimize(writer.records());
+    benchmark::ClobberMemory();
+  }
+  state.counters["s_per_record"] =
+      benchmark::Counter(static_cast<double>(state.iterations() * kRecords),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ColumnarAppend);
 
 /// One whole host ingest run at perfbench's host_ingest config (2000
 /// devices, 8 lanes x 512 slots, 1 s of telemetry at the fault mix

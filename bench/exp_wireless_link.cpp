@@ -94,18 +94,20 @@ ArqResult run_arq_link(double byte_loss, double bit_flip, std::uint64_t seed) {
   wireless::HostLogger logger;
   wireless::LinkStats stats;
 
-  arq.set_wire_sink([&](std::span<const std::uint8_t> wire) {
+  const auto to_device_uart = [&](std::span<const std::uint8_t> wire) {
     if (device_uart.tx_free() < wire.size()) return false;
     for (std::uint8_t b : wire) device_uart.transmit(b);
     return true;
-  });
+  };
+  arq.set_wire_sink(to_device_uart);
   device_uart.set_tx_space_callback([&] { arq.notify_tx_space(); });
   forward.set_host_sink([&](std::uint8_t b) { receiver.on_byte(b); });
-  receiver.set_ack_sink([&](std::span<const std::uint8_t> wire) {
+  const auto to_host_uart = [&](std::span<const std::uint8_t> wire) {
     if (host_uart.tx_free() < wire.size()) return false;
     for (std::uint8_t b : wire) host_uart.transmit(b);
     return true;
-  });
+  };
+  receiver.set_ack_sink(to_host_uart);
   reverse.set_host_sink([&](std::uint8_t b) { arq.on_ack_byte(b); });
   receiver.set_frame_sink([&](const wireless::FrameView& frame) {
     // Delivery latency: first enqueue at the device to arrival here.

@@ -45,14 +45,6 @@ void put_column(util::ByteWriter& writer, std::vector<std::uint8_t>& out,
 
 }  // namespace
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80u);
-    value >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(value));
-}
-
 bool get_varint(std::span<const std::uint8_t> bytes, std::size_t& cursor,
                 std::uint64_t& value) {
   std::uint64_t result = 0;
@@ -66,6 +58,17 @@ bool get_varint(std::span<const std::uint8_t> bytes, std::size_t& cursor,
     }
   }
   return false;  // > 10 bytes cannot be a valid u64 varint
+}
+
+void ColumnarWriter::reserve(std::size_t records) {
+  device_ids_.reserve(2 * records);
+  times_.reserve(3 * records);
+  seqs_.reserve(records);
+  adcs_.reserve(2 * records);
+  depths_.reserve(records);
+  cursors_.reserve(records);
+  levels_.reserve(records);
+  buttons_.reserve(records);
 }
 
 void ColumnarWriter::append(const CompactRecord& record) {

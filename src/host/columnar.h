@@ -66,8 +66,16 @@ struct CompactRecord {
 
 // --- varint helpers (shared with the fuzzer) ------------------------------
 
-/// Append an unsigned LEB128 varint (1..10 bytes).
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value);
+/// Append an unsigned LEB128 varint (1..10 bytes). Forced inline: the
+/// writer calls it three times per record, and GCC's size heuristic
+/// would otherwise keep the push_back growth path out of line.
+[[gnu::always_inline]] inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
+  while (value >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(value) | 0x80u);
+    value >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(value));
+}
 
 /// Bounds-checked varint read: advances `cursor` and returns true on
 /// success; false (cursor untouched beyond consumed prefix is NOT
@@ -93,6 +101,13 @@ class ColumnarWriter {
  public:
   explicit ColumnarWriter(std::uint16_t session_id = 0) : session_id_(session_id) {}
 
+  /// Size every column for `records` typical records up front, so the
+  /// columns are allocated once instead of growing by doubling: a device
+  /// id below 2^14, a time delta below 2^20 us and an ADC delta below
+  /// 2^13 counts each fit 2, 3 and 2 varint bytes, the five u8 columns
+  /// one byte each (12 bytes a record). Capacity only: no byte of the
+  /// container depends on it, and a column that outgrows it still grows.
+  void reserve(std::size_t records);
   void append(const CompactRecord& record);
   [[nodiscard]] std::uint32_t records() const { return count_; }
   /// Serialise the container (the writer itself stays appendable, so

@@ -39,8 +39,11 @@ HostIngestResult run_host_ingest(const HostIngestConfig& config,
   // No device offers more than floor(duration * hz) + 1 reports (its
   // first tick falls inside the first period), and every accepted frame
   // is an offered report.
-  result.records.reserve(
-      config.devices * (static_cast<std::size_t>(config.duration_s * config.report_hz) + 1));
+  // The DSTL columns are sized from the same bound.
+  const std::size_t max_records =
+      config.devices * (static_cast<std::size_t>(config.duration_s * config.report_hz) + 1);
+  result.records.reserve(max_records);
+  writer.reserve(max_records);
 
   // Instruments are looked up once, outside the loop (registry contract).
   obs::Counter* m_accepted = nullptr;

@@ -61,7 +61,7 @@ class IngestQueue {
     Lane& lane = lanes_[lane_index];
     if (lane.count == capacity_) return false;
     lane.ring[lane.head] = record;
-    lane.head = (lane.head + 1) % capacity_;
+    if (++lane.head == capacity_) lane.head = 0;
     ++lane.count;
     return true;
   }
@@ -86,7 +86,7 @@ class IngestQueue {
     std::size_t popped = 0;
     while (popped < out.size() && lane.count > 0) {
       out[popped++] = lane.ring[lane.tail];
-      lane.tail = (lane.tail + 1) % capacity_;
+      if (++lane.tail == capacity_) lane.tail = 0;
       --lane.count;
     }
     return popped;

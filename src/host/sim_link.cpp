@@ -27,7 +27,11 @@ SimDeviceLink::SimDeviceLink(std::uint16_t device_id, std::size_t lane, IngestQu
       source_(device_rng.fork(kSourceStream)),
       channel_rng_(device_rng.fork(kChannelStream)),
       ack_rng_(device_rng.fork(kAckStream)) {
-  sender_.set_wire_sink([this](std::span<const std::uint8_t> wire) { return wire_sink(wire); });
+  // A direct call into the lane: the sender holds only `this` and the
+  // trampoline, and the link (neither copyable nor movable) outlives it.
+  sender_.set_wire_sink({this, [](void* link, std::span<const std::uint8_t> wire) {
+                           return static_cast<SimDeviceLink*>(link)->wire_sink(wire);
+                         }});
   // Stagger device start phases across one report period so a 10k-device
   // fleet doesn't fire every tick at the same instant (which would be
   // both unrealistic and a worst-case burst into the lanes).
@@ -121,6 +125,12 @@ void SimDeviceLink::queue_ack(std::uint8_t seq) {
 }
 
 void SimDeviceLink::step_window(double end_s) {
+  // An idle window: no ack to take, nothing queued to (re)send and no
+  // tick due. It would call no sink, draw nothing and arm nothing, so
+  // return at once. The clock may lag until the next event: with the
+  // ARQ queue empty, every read of it follows an advance_to to an
+  // event time (the tick that queues the next frame).
+  if (acked_seqs_.empty() && sender_.queued() == 0 && !(tick_.time_s <= end_s)) return;
   // Acks the consumer queued during the last drain reach the device now.
   for (const std::uint8_t seq : acked_seqs_) sender_.on_ack(seq);
   acked_seqs_.clear();

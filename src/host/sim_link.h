@@ -73,6 +73,8 @@ class SimDeviceLink {
   /// transport-stalled frames another chance (the lane was just
   /// drained), then dispatch telemetry ticks and retransmit deadlines
   /// due by `end_s` in (time, arm order), and leave the clock at `end_s`.
+  /// An idle window (no ack queued, nothing in the ARQ queue, no tick
+  /// due) returns at once and leaves the clock where it was.
   void step_window(double end_s);
 
   /// Consumer side (serial drain phase): queue an ack for `seq`. Subject

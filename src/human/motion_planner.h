@@ -46,8 +46,6 @@ class MotionPlanner {
                              const UserProfile& profile);
 
  private:
-  struct LoopState;
-
   AcquisitionOutcome run_absolute(baselines::ScrollTechnique& t, std::size_t target,
                                   const UserProfile& p);
   AcquisitionOutcome run_rate(baselines::ScrollTechnique& t, std::size_t target,

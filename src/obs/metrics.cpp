@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -8,15 +9,40 @@ namespace distscroll::obs {
 
 // --- Histogram --------------------------------------------------------------
 
+namespace {
+
+/// The bucket `value` counts in: 0 up to first_bucket, else
+/// floor(log2(value / first_bucket)) + 1 capped at the last bucket.
+std::size_t bucket_of(double value, double first_bucket) {
+  constexpr std::size_t kBuckets = Histogram::kBuckets;
+  if (!(value > first_bucket)) return 0;
+  // r >= 1 (first_bucket > 0). Its bucket is floor(log2(r)) + 1, which
+  // is the IEEE exponent + 1 unless r's significand (in [1, 2)) lies
+  // within 2^-20 of 1 or of 2: there a libm ulp error in log2 could
+  // cross the floor, so that band keeps the log2 expression itself.
+  // Elsewhere log2(r) sits at least ~7e-7 from an integer, far beyond
+  // any libm error, so the two agree exactly.
+  const double r = value / first_bucket;
+  const auto bits = std::bit_cast<std::uint64_t>(r);
+  const auto exponent = static_cast<std::int64_t>(bits >> 52) - 1023;
+  // Also catches r = +inf (exponent 1024); every r >= 2^15 lands last.
+  if (exponent >= static_cast<std::int64_t>(kBuckets) - 1) return kBuckets - 1;
+  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+  constexpr std::uint64_t kNearPow2 = std::uint64_t{1} << 32;  // 2^-20 in significand units
+  const std::uint64_t mantissa = bits & kMantissa;
+  if (mantissa >= kNearPow2 && mantissa <= kMantissa - kNearPow2) {
+    return static_cast<std::size_t>(exponent) + 1;
+  }
+  const auto bucket = static_cast<std::size_t>(std::floor(std::log2(r))) + 1;
+  return std::min(bucket, kBuckets - 1);
+}
+
+}  // namespace
+
 void Histogram::record(double value) {
   ++count_;
   sum_ += value;
-  std::size_t bucket = 0;
-  if (value > config_.first_bucket) {
-    bucket = static_cast<std::size_t>(std::floor(std::log2(value / config_.first_bucket))) + 1;
-    bucket = std::min(bucket, kBuckets - 1);
-  }
-  ++buckets_[bucket];
+  ++buckets_[bucket_of(value, config_.first_bucket)];
 }
 
 double Histogram::bucket_low(std::size_t i) const {

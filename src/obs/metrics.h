@@ -49,7 +49,7 @@ class Histogram {
   static constexpr std::size_t kBuckets = 16;
 
   struct Config {
-    double first_bucket = 0.5e-3;  // seconds, for the latency default
+    double first_bucket = 0.5e-3;  // > 0; seconds, for the latency default
     double display_scale = 1e3;    // render values as value * scale
     const char* unit = "ms";
   };

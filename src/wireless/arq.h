@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "sim/clock.h"
+#include "util/function_ref.h"
 #include "util/seq_window.h"
 #include "util/units.h"
 #include "wireless/packet.h"
@@ -53,8 +54,10 @@ namespace distscroll::wireless {
 
 /// Pushes one encoded wire frame at the transport; must be all-or-nothing
 /// and return false when the transport has no room (UART TX FIFO full).
-/// A sender then waits for notify_tx_space().
-using WireSink = std::function<bool(std::span<const std::uint8_t>)>;
+/// A sender then waits for notify_tx_space(). A non-owning view: the
+/// bound callable (a named lambda, or `this` plus a trampoline) must
+/// outlive the endpoint it is set on.
+using WireSink = util::FunctionRef<bool(std::span<const std::uint8_t>)>;
 
 struct ArqConfig {
   std::size_t window = 8;           // max unacked frames in flight
@@ -75,7 +78,7 @@ class ArqSender {
   /// Device time is `clock`; armings take its arm numbers.
   ArqSender(ArqConfig config, sim::SimClock& clock) : config_(config), clock_(&clock) {}
 
-  void set_wire_sink(WireSink sink) { wire_sink_ = std::move(sink); }
+  void set_wire_sink(WireSink sink) { wire_sink_ = sink; }
   void set_ack_callback(AckCallback cb) { ack_callback_ = std::move(cb); }
 
   /// Queue a frame for reliable delivery; the payload is encoded into
@@ -156,7 +159,7 @@ class EventArqSender {
   EventArqSender(const EventArqSender&) = delete;  // the wake event holds `this`
   EventArqSender& operator=(const EventArqSender&) = delete;
 
-  void set_wire_sink(WireSink sink) { sender_.set_wire_sink(std::move(sink)); }
+  void set_wire_sink(WireSink sink) { sender_.set_wire_sink(sink); }
   void set_ack_callback(ArqSender::AckCallback cb) { sender_.set_ack_callback(std::move(cb)); }
 
   /// ArqSender::send at the queue's time.
@@ -191,7 +194,7 @@ class ArqReceiver {
   using FrameSink = std::function<void(const FrameView&)>;
 
   void set_frame_sink(FrameSink sink) { frame_sink_ = std::move(sink); }
-  void set_ack_sink(WireSink sink) { ack_sink_ = std::move(sink); }
+  void set_ack_sink(WireSink sink) { ack_sink_ = sink; }
 
   /// Forward-channel bytes off the RF link.
   void on_byte(std::uint8_t byte);

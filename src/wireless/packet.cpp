@@ -96,6 +96,7 @@ void FrameDecoder::scan(FrameHandler on_frame) {
       // The LEN byte itself is rescanned: it may be the sync of a real
       // frame that this spurious sync captured.
       ++framing_errors_;
+      ++resyncs_;
       drop_front(1);
       continue;
     }

@@ -88,8 +88,8 @@ using FrameHandler = util::FunctionRef<void(const FrameView&)>;
 /// Incremental decoder for a byte stream. It keeps one fixed window, at
 /// most one frame long, that always starts at a candidate sync byte
 /// (other bytes arriving between frames are dropped). The window is
-/// checked in wire order as it fills: a bad LEN is a framing error, an
-/// unknown TYPE a framing error and a resync, and at LEN+3 bytes
+/// checked in wire order as it fills: a bad LEN or an unknown TYPE is a
+/// framing error and a resync, and at LEN+3 bytes
 /// parse_wire_frame() validates it — a failure there is a CRC error and
 /// a resync. On any failure only the leading sync byte is dropped and
 /// the rest is rescanned, so a corrupted byte never swallows the bytes

@@ -18,9 +18,12 @@
 //       DISTSCROLL_REGEN_GOLDEN=1 ./build/tests/test_host
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -141,6 +144,41 @@ TEST(IngestQueue, BoundedLanesFifoAndBackpressure) {
   }
   ASSERT_EQ(queue.pop_batch(0, out), 2u);
   EXPECT_EQ(out[0].t_us, 10u);
+}
+
+// The ring wraps by compare: at capacities 1, 3 and 512, random runs of
+// pushes and batch pops (each up to one past capacity) stay FIFO, signal
+// a full lane exactly when a model queue is at capacity, and leave the
+// other lane alone, across many wraps.
+TEST(IngestQueue, InterleavedPushPopWrapsAroundInOrder) {
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{3}, std::size_t{512}}) {
+    host::IngestQueue queue(2, capacity);
+    std::deque<std::uint64_t> model;
+    std::vector<host::RawRecord> out(capacity + 1);
+    sim::Rng rng(capacity);
+    const int most = static_cast<int>(capacity) + 1;
+    std::uint64_t next = 0;
+    host::RawRecord record;
+    for (std::size_t step = 0; step < 40 + 4 * capacity; ++step) {
+      for (int pushes = rng.uniform_int(0, most); pushes > 0; --pushes) {
+        record.t_us = next;
+        const bool pushed = queue.try_push(1, record);
+        ASSERT_EQ(pushed, model.size() < capacity) << "capacity " << capacity;
+        if (pushed) model.push_back(next++);
+      }
+      const auto want = static_cast<std::size_t>(rng.uniform_int(0, most));
+      const std::size_t popped = queue.pop_batch(1, std::span(out).first(want));
+      ASSERT_EQ(popped, std::min(want, model.size())) << "capacity " << capacity;
+      for (std::size_t i = 0; i < popped; ++i) {
+        ASSERT_EQ(out[i].t_us, model.front()) << "capacity " << capacity;
+        model.pop_front();
+      }
+      ASSERT_EQ(queue.size(1), model.size());
+      ASSERT_EQ(queue.free(1), capacity - model.size());
+      ASSERT_EQ(queue.size(0), 0u);
+    }
+    EXPECT_GT(next, 3 * capacity) << "the ring wrapped";
+  }
 }
 
 // --- SimDeviceLink ---------------------------------------------------------

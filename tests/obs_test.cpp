@@ -3,9 +3,12 @@
 // compare_traces diagnostics that the golden harness reports through.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/replay.h"
@@ -13,6 +16,7 @@
 #include "obs/trace_io.h"
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
+#include "sim/random.h"
 #include "util/units.h"
 
 namespace {
@@ -134,6 +138,54 @@ TEST(Histogram, Log2BucketingMatchesDocumentedRanges) {
   EXPECT_DOUBLE_EQ(hist.bucket_low(1), 0.5e-3);
   EXPECT_DOUBLE_EQ(hist.bucket_low(2), 1.0e-3);
   EXPECT_NE(hist.render().find("ms"), std::string::npos);
+}
+
+/// The bucket record() counts `value` in, read back from a cleared histogram.
+std::size_t recorded_bucket(obs::Histogram& hist, double value) {
+  hist.clear();
+  hist.record(value);
+  const auto& buckets = hist.buckets();
+  return static_cast<std::size_t>(std::find(buckets.begin(), buckets.end(), 1u) - buckets.begin());
+}
+
+/// The documented rule, spelled with log2.
+std::size_t log2_bucket(double value, double first_bucket) {
+  if (!(value > first_bucket)) return 0;
+  const auto bucket = static_cast<std::size_t>(std::floor(std::log2(value / first_bucket))) + 1;
+  return std::min(bucket, obs::Histogram::kBuckets - 1);
+}
+
+// record() takes the bucket from the quotient's IEEE exponent away from
+// the bucket edges; it must agree with floor(log2(value / first)) + 1
+// everywhere: at first_bucket itself, at and within 4 ulps of every
+// edge (the overflow edge included), and at 10^5 random values.
+TEST(Histogram, ExponentBucketEqualsLog2RuleAtEdgesAndAtRandom) {
+  for (const double first : {0.5e-3, 1.0, 0.1, 3e-7}) {
+    obs::Histogram::Config config;
+    config.first_bucket = first;
+    obs::Histogram hist(config);
+    std::vector<double> values{first, 0.0, -1.0};
+    for (std::size_t i = 1; i <= obs::Histogram::kBuckets; ++i) {
+      const double edge = std::ldexp(first, static_cast<int>(i) - 1);
+      values.push_back(edge);
+      double up = edge;
+      double down = edge;
+      for (int ulps = 1; ulps <= 4; ++ulps) {
+        up = std::nextafter(up, HUGE_VAL);
+        down = std::nextafter(down, 0.0);
+        values.push_back(up);
+        values.push_back(down);
+      }
+    }
+    sim::Rng rng(0x4157);
+    for (int i = 0; i < 100000; ++i) {
+      values.push_back(first * std::exp2(rng.uniform01() * 20.0 - 2.0));  // 1/4 .. 2^18 firsts
+    }
+    for (const double value : values) {
+      ASSERT_EQ(recorded_bucket(hist, value), log2_bucket(value, first))
+          << std::hexfloat << value << " first " << first;
+    }
+  }
 }
 
 // --- trace IO ---------------------------------------------------------------

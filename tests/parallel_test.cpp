@@ -19,8 +19,10 @@
 #include <vector>
 
 #include "core/distscroll_device.h"
+#include "host/host_pipeline.h"
 #include "human/user_profile.h"
 #include "menu/phone_menu.h"
+#include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
@@ -370,6 +372,47 @@ TEST(DeviceStudy, SweepBitIdenticalAtAnyThreadCount) {
     for (std::size_t i = 0; i < kCells; ++i) {
       EXPECT_TRUE(same_result(got[i], reference[i])) << "cell " << i << " threads=" << threads;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Host ingest: idle device links
+
+// A 0.2 s horizon with a 2 s grace and heavy faults: most links drain
+// their ARQ queue soon after their last report and then sit idle, each
+// window returning at once, while a few lossy stragglers keep the run
+// going. DSTL bytes, records and metrics JSON must match at any thread
+// count (tsan runs this label).
+TEST(HostIngestIdleLinks, ResultBitIdenticalAtAnyThreadCount) {
+  const auto run = [](std::size_t threads, obs::MetricsRegistry& metrics) {
+    host::HostIngestConfig config;
+    config.devices = 64;
+    config.lanes = 4;
+    config.lane_capacity = 512;
+    config.duration_s = 0.2;
+    config.drain_grace_s = 2.0;
+    config.faults.frame_loss = 0.2;
+    config.faults.bit_flip = 0.02;
+    config.faults.reorder = 0.05;
+    config.faults.ack_loss = 0.1;
+    config.base_seed = 0x1D1E;
+    config.threads = threads;
+    return host::run_host_ingest(config, &metrics);
+  };
+  obs::MetricsRegistry base_metrics;
+  const auto base = run(1, base_metrics);
+  ASSERT_FALSE(base.records.empty());
+  ASSERT_GT(base.stats.link_frames_lost, 0u);
+  // The run outlasted the horizon by many windows: most links were idle.
+  ASSERT_GT(base.stats.windows, 3u * 10u);
+  const std::string base_json = base_metrics.to_json_fields();
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    obs::MetricsRegistry metrics;
+    const auto other = run(threads, metrics);
+    EXPECT_EQ(other.dstl, base.dstl) << threads << " threads";
+    EXPECT_EQ(other.records, base.records) << threads << " threads";
+    EXPECT_EQ(metrics.to_json_fields(), base_json) << threads << " threads";
+    EXPECT_EQ(other.stats.windows, base.stats.windows) << threads << " threads";
   }
 }
 

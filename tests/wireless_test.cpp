@@ -185,9 +185,10 @@ TEST(Packet, AnySingleByteCorruptionLosesAtMostOneFrame) {
 
 // The same corpus, held to the counters rather than the frames: which
 // check rejects a window, and how often a rescan starts, are part of
-// what LinkStats reports. The totals were recorded from the replay-queue
-// state-machine decoder at commit 5cd5f53; the window decoder must match
-// them exactly.
+// what LinkStats reports. frames, crc and framing were recorded from the
+// replay-queue state-machine decoder at commit 5cd5f53; the window
+// decoder must match them exactly. resyncs counts every rescan, the
+// bad-LEN ones included (that decoder left those out and read 196).
 TEST(Packet, SingleByteCorruptionCounterTotalsArePinned) {
   const auto corpus = single_byte_mutations(wire_of(make_stream_frames()));
   ASSERT_EQ(corpus.size(), 226u);
@@ -206,7 +207,7 @@ TEST(Packet, SingleByteCorruptionCounterTotalsArePinned) {
   EXPECT_EQ(frames, 1130u);
   EXPECT_EQ(crc, 157u);
   EXPECT_EQ(framing, 283u);
-  EXPECT_EQ(resyncs, 196u);
+  EXPECT_EQ(resyncs, 440u);
 }
 
 TEST(Packet, UnknownFrameTypeCountsFramingErrorAndIsNotDelivered) {
@@ -457,9 +458,12 @@ struct ArqFixture : ::testing::Test {
   int forward_count = 0;
   int ack_count = 0;
   std::vector<double> forward_times;
+  // The sinks wire() binds: a WireSink is a view, so they live here.
+  std::function<bool(std::span<const std::uint8_t>)> forward_sink;
+  std::function<bool(std::span<const std::uint8_t>)> ack_sink;
 
   void wire(EventArqSender& arq, ArqReceiver& receiver, double latency = 1e-3) {
-    arq.set_wire_sink([&, latency](std::span<const std::uint8_t> wire_bytes) {
+    forward_sink = [&, latency](std::span<const std::uint8_t> wire_bytes) {
       forward_times.push_back(queue.now().value);
       const int n = forward_count++;
       if (!forward_ok(n)) return true;  // lost on the air, but transmitted
@@ -468,8 +472,9 @@ struct ArqFixture : ::testing::Test {
         for (std::uint8_t b : copy) receiver.on_byte(b);
       });
       return true;
-    });
-    receiver.set_ack_sink([&, latency](std::span<const std::uint8_t> wire_bytes) {
+    };
+    arq.set_wire_sink(forward_sink);
+    ack_sink = [&, latency](std::span<const std::uint8_t> wire_bytes) {
       const int n = ack_count++;
       if (!ack_ok(n)) return true;
       std::vector<std::uint8_t> copy(wire_bytes.begin(), wire_bytes.end());
@@ -477,7 +482,8 @@ struct ArqFixture : ::testing::Test {
         for (std::uint8_t b : copy) arq.on_ack_byte(b);
       });
       return true;
-    });
+    };
+    receiver.set_ack_sink(ack_sink);
   }
 };
 
@@ -598,21 +604,23 @@ TEST_F(ArqFixture, TransportBackpressureDefersUntilSpace) {
   ArqReceiver receiver;
   std::vector<std::uint8_t> delivered;
   receiver.set_frame_sink([&](const FrameView& f) { delivered.push_back(f.seq); });
-  arq.set_wire_sink([&](std::span<const std::uint8_t> wire_bytes) {
+  const auto to_receiver = [&](std::span<const std::uint8_t> wire_bytes) {
     if (fifo_full) return false;
     std::vector<std::uint8_t> copy(wire_bytes.begin(), wire_bytes.end());
     queue.schedule_after(util::Seconds{1e-3}, [&receiver, copy] {
       for (std::uint8_t b : copy) receiver.on_byte(b);
     });
     return true;
-  });
-  receiver.set_ack_sink([&](std::span<const std::uint8_t> wire_bytes) {
+  };
+  arq.set_wire_sink(to_receiver);
+  const auto to_sender = [&](std::span<const std::uint8_t> wire_bytes) {
     std::vector<std::uint8_t> copy(wire_bytes.begin(), wire_bytes.end());
     queue.schedule_after(util::Seconds{1e-3}, [&arq, copy] {
       for (std::uint8_t b : copy) arq.on_ack_byte(b);
     });
     return true;
-  });
+  };
+  receiver.set_ack_sink(to_sender);
   const std::uint8_t payload[] = {5};
   arq.send(FrameType::State, payload);
   queue.run_until(util::Seconds{0.005});
@@ -648,10 +656,11 @@ TEST_F(ArqFixture, OversizedPayloadIsRejectedWithoutTakingASeq) {
 TEST_F(ArqFixture, WakeEventFollowsTheEarliestDeadline) {
   EventArqSender arq(config, queue);
   std::vector<std::pair<double, std::uint8_t>> sent;  // (time, seq); all lost
-  arq.set_wire_sink([&](std::span<const std::uint8_t> wire_bytes) {
+  const auto record_sends = [&](std::span<const std::uint8_t> wire_bytes) {
     sent.emplace_back(queue.now().value, parse_wire_frame(wire_bytes)->seq);
     return true;
-  });
+  };
+  arq.set_wire_sink(record_sends);
   const auto ack = [&](std::uint8_t seq) {
     for (std::uint8_t b : wire_of(OwnedFrame{FrameType::Ack, seq, {}})) arq.on_ack_byte(b);
   };
@@ -690,10 +699,11 @@ TEST(ArqDeadlines, SameInstantDeadlinesExpireInArmOrder) {
   sim::SimClock clock;
   ArqSender sender(config, clock);
   std::vector<std::uint8_t> seqs;
-  sender.set_wire_sink([&seqs](std::span<const std::uint8_t> wire_bytes) {
+  const auto record_seqs = [&seqs](std::span<const std::uint8_t> wire_bytes) {
     seqs.push_back(parse_wire_frame(wire_bytes)->seq);
     return true;
-  });
+  };
+  sender.set_wire_sink(record_seqs);
   const std::uint8_t payload[] = {7};
   ASSERT_TRUE(sender.send(FrameType::State, payload));
   ASSERT_TRUE(sender.send(FrameType::State, payload));
@@ -710,7 +720,8 @@ TEST(ArqDeadlines, AckRemovesItsFramesDeadline) {
   ArqConfig config;
   sim::SimClock clock;
   ArqSender sender(config, clock);
-  sender.set_wire_sink([](std::span<const std::uint8_t>) { return true; });
+  const auto accept_all = [](std::span<const std::uint8_t>) { return true; };
+  sender.set_wire_sink(accept_all);
   EXPECT_EQ(sender.next_deadline(), sim::Deadline{});  // nothing armed: never
   const std::uint8_t payload[] = {1};
   ASSERT_TRUE(sender.send(FrameType::State, payload));
@@ -730,7 +741,8 @@ TEST(ArqDeadlines, ReArmedDeadlineUsesBackedOffTimeout) {
   config.max_timeout = util::Seconds{0.030};
   sim::SimClock clock;
   ArqSender sender(config, clock);
-  sender.set_wire_sink([](std::span<const std::uint8_t>) { return true; });
+  const auto accept_all = [](std::span<const std::uint8_t>) { return true; };
+  sender.set_wire_sink(accept_all);
   const std::uint8_t payload[] = {1};
   ASSERT_TRUE(sender.send(FrameType::State, payload));
   // Each expiry retransmits at its own instant and re-arms with the
@@ -757,18 +769,20 @@ TEST_F(LinkFixture, ArqOverLossyLinkDeliversEverythingExactlyOnce) {
 
   EventArqSender arq(ArqConfig{}, queue);
   ArqReceiver receiver;
-  arq.set_wire_sink([&](std::span<const std::uint8_t> wire_bytes) {
+  const auto to_device_uart = [&](std::span<const std::uint8_t> wire_bytes) {
     if (uart.tx_free() < wire_bytes.size()) return false;
     for (std::uint8_t b : wire_bytes) uart.transmit(b);
     return true;
-  });
+  };
+  arq.set_wire_sink(to_device_uart);
   uart.set_tx_space_callback([&] { arq.notify_tx_space(); });
   forward.set_host_sink([&](std::uint8_t b) { receiver.on_byte(b); });
-  receiver.set_ack_sink([&](std::span<const std::uint8_t> wire_bytes) {
+  const auto to_host_uart = [&](std::span<const std::uint8_t> wire_bytes) {
     if (host_uart.tx_free() < wire_bytes.size()) return false;
     for (std::uint8_t b : wire_bytes) host_uart.transmit(b);
     return true;
-  });
+  };
+  receiver.set_ack_sink(to_host_uart);
   reverse.set_host_sink([&](std::uint8_t b) { arq.on_ack_byte(b); });
   std::vector<std::uint8_t> delivered;
   receiver.set_frame_sink([&](const FrameView& f) {
