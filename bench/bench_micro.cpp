@@ -136,6 +136,37 @@ void BM_ScrollControllerSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ScrollControllerSample)->Arg(0)->Arg(1)->Arg(2);  // raw/median/ema
 
+/// The DistScroll technique layer on its own: one 17-tick
+/// on_control_block (sensor + ADC pass, then the controller pass) per
+/// iteration on a 40-entry menu, the block shape MotionPlanner feeds.
+/// The hand sweeps 4–30 cm from a precomputed table and is read only on
+/// the ticks where the GP2D120 re-measures.
+void BM_DistanceScrollControlBlock(benchmark::State& state) {
+  constexpr std::size_t kTicks = 17;
+  baselines::DistanceScroll technique({}, sim::Rng(1));
+  technique.reset(40, 0);
+  std::vector<double> sweep(1024);
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    sweep[i] = 17.0 + 13.0 * std::sin(0.013 * static_cast<double>(i));
+  }
+  std::array<double, kTicks> now_s{};
+  std::array<std::size_t, kTicks> cursors{};
+  const double tick = technique.control_period_s();
+  std::size_t ticks = 0;
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < kTicks; ++k) {
+      now_s[k] = static_cast<double>(ticks + k) * tick;
+    }
+    const auto hand = [&](std::size_t k) { return sweep[(ticks + k) % sweep.size()]; };
+    technique.on_control_block(now_s, hand, cursors);
+    benchmark::DoNotOptimize(cursors.data());
+    benchmark::ClobberMemory();
+    ticks += kTicks;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(ticks));
+}
+BENCHMARK(BM_DistanceScrollControlBlock);
+
 /// The gesture-recognition strawman: a 32-sample window of 2-axis
 /// accelerometer data, mean/energy/zero-crossing features plus an
 /// 8-template nearest-neighbour match — the cheap end of what the

@@ -13,6 +13,7 @@ IslandMapper::IslandMapper(const SensorCurve& curve, std::size_t entries, Config
 void IslandMapper::rebuild(const SensorCurve& curve, std::size_t entries, Config config) {
   config_ = config;
   assert(entries >= 1);
+  assert(entries < kLutGap);  // island ids and the gap sentinel share 16 bits
   assert(config.near < config.far);
   assert(config.coverage > 0.0 && config.coverage <= 1.0);
 
@@ -111,7 +112,9 @@ std::optional<std::size_t> IslandMapper::lookup(util::AdcCounts counts) const {
 
 std::optional<std::size_t> IslandMapper::select(util::AdcCounts counts,
                                                 std::optional<std::size_t> current) const {
-  return probe(counts, current).selection;
+  const std::uint16_t id = probe(counts, current.value_or(kLutGap)).id;
+  if (id == kLutGap) return current;
+  return static_cast<std::size_t>(id);
 }
 
 double IslandMapper::coverage_fraction() const {

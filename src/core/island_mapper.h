@@ -68,52 +68,56 @@ class IslandMapper {
 
   /// The stateless lookup, reference implementation: binary search over
   /// the island table. Kept as the oracle the LUT is property-tested
-  /// against; the hot path uses lookup_lut().
+  /// against; the hot path reads the LUT through probe().
   [[nodiscard]] std::optional<std::size_t> lookup(util::AdcCounts counts) const;
 
   /// O(1) lookup through the 1024-entry counts→island table — exactly
   /// the table the PIC firmware would burn into flash (1 KB of 8-bit
   /// entry ids; we store 16-bit ids so >255-entry menus stay correct).
   [[nodiscard]] std::optional<std::size_t> lookup_lut(util::AdcCounts counts) const {
-    if (counts.value >= kLutSize) return std::nullopt;
-    const std::uint16_t id = lut_[counts.value];
+    const std::uint16_t id = probe(counts, kLutGap).id;
     if (id == kLutGap) return std::nullopt;
     return static_cast<std::size_t>(id);
   }
 
-  /// One table probe, full verdict: the stateful select() result plus
-  /// the facts a caller would otherwise pay a second lookup() for. The
-  /// firmware hot path (ScrollController::on_sample) uses this so gap
-  /// statistics come for free from the single probe.
+  /// One table probe, full verdict: the island the counts select, or
+  /// kLutGap when they fall in a selection-free gap ("No selection or
+  /// change happens if the device is held in a distance between two of
+  /// those islands") or past the 10-bit range. `current` is the island
+  /// held so far, or any index >= entries() (the controller passes
+  /// kLutGap) before the first hit. The firmware hot path
+  /// (ScrollController::on_sample) uses this so gap statistics come for
+  /// free from the single probe.
   struct Probe {
-    /// New selection (may equal `current`); nullopt only before any
-    /// island was ever hit.
-    std::optional<std::size_t> selection;
-    /// counts fell in no island: selection was carried over.
-    bool in_gap = false;
-    /// The binary search actually ran (false = hysteresis held the
-    /// current island without touching the table — cheaper in cycles).
+    /// Island index (may equal `current`), or kLutGap for a gap.
+    std::uint16_t id = kLutGap;
+    /// The table was actually read (false = hysteresis held the current
+    /// island without touching the table — cheaper in cycles).
     bool table_probed = true;
   };
-  [[nodiscard]] Probe probe(util::AdcCounts counts, std::optional<std::size_t> current) const {
-    if (current && *current < islands_.size() && config_.hysteresis_counts > 0) {
-      const Island& island = islands_[*current];
-      const int x = counts.value;
-      const int lo = static_cast<int>(island.low) - config_.hysteresis_counts;
-      const int hi = static_cast<int>(island.high) + config_.hysteresis_counts;
-      if (x >= lo && x <= hi) return {current, false, false};
-    }
-    auto hit = lookup_lut(counts);
-    if (hit) return {hit, false, true};
-    // Selection-free gap: "No selection or change happens if the device
-    // is held in a distance between two of those islands."
-    return {current, true, true};
+  [[nodiscard]] Probe probe(util::AdcCounts counts, std::size_t current) const {
+    const std::uint16_t x = counts.value;
+    // Branch-free: the masked index keeps the load in bounds, and counts
+    // past the table OR in all ones, which is kLutGap.
+    const std::uint16_t id = lut_[x & (kLutSize - 1)] | all_ones_if(x >= kLutSize);
+    if (config_.hysteresis_counts == 0 || current >= islands_.size()) return {id, true};
+    const Island& island = islands_[current];
+    const int h = config_.hysteresis_counts;
+    const bool hold = (x + h >= island.low) & (x <= island.high + h);
+    const std::uint16_t keep = all_ones_if(hold);
+    return {static_cast<std::uint16_t>((current & keep) | (id & ~keep)), !hold};
+  }
+
+  /// 0xFFFF when `condition` holds, else 0: the mask behind the
+  /// firmware step's branch-free selects.
+  [[nodiscard]] static constexpr std::uint16_t all_ones_if(bool condition) {
+    return static_cast<std::uint16_t>(-static_cast<int>(condition));
   }
 
   /// The stateful firmware query: applies hysteresis relative to the
   /// currently selected entry. Returns the new selection (which may be
-  /// unchanged); nullopt means "in a gap — keep whatever you had".
-  /// Convenience wrapper over probe().
+  /// unchanged); in a gap that is `current`, so nullopt only before any
+  /// island was hit. Convenience wrapper over probe().
   [[nodiscard]] std::optional<std::size_t> select(util::AdcCounts counts,
                                                   std::optional<std::size_t> current) const;
 

@@ -13,12 +13,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 
 #include "core/island_mapper.h"
 #include "obs/tracer.h"
-#include "util/ring_buffer.h"
 #include "util/units.h"
 
 namespace distscroll::core {
@@ -62,59 +62,45 @@ class ScrollController {
     std::uint64_t cycles = 0;               // firmware cost of this sample
   };
 
-  /// Process one ADC sample.
-  Update on_sample(util::AdcCounts raw) {
+  /// Process one ADC sample: smoothing, one LUT probe, then the
+  /// bookkeeping as selects and adds rather than branches on gap/hit
+  /// (DESIGN.md §9). Forced inline: GCC otherwise keeps it out of line
+  /// in DistanceScroll's block loop.
+  [[gnu::always_inline]] Update on_sample(util::AdcCounts raw) {
     Update update;
     ++samples_;
     const std::uint16_t filtered = apply_smoothing(raw.value, update.cycles);
-
-    const auto before = island_selection_;
-    const bool was_in_gap = in_gap_;
-    // One table probe serves both the selection and the gap statistic (a
-    // second stateless lookup() per sample used to pay for the latter).
-    const auto result = mapper_->probe(util::AdcCounts{filtered}, island_selection_);
-    update.cycles += result.table_probed ? IslandMapper::lookup_cost_cycles()
-                                         : IslandMapper::hysteresis_hold_cycles();
-    if (result.in_gap) ++gap_samples_;
-    if (result.selection) island_selection_ = result.selection;
-    if (island_selection_ != before) {
-      ++changes_;
-      update.changed = true;
+    const IslandMapper::Probe probe = mapper_->probe(util::AdcCounts{filtered}, island_);
+    update.cycles += probe.table_probed ? IslandMapper::lookup_cost_cycles()
+                                        : IslandMapper::hysteresis_hold_cycles();
+    // A hold returns the current island, so only a table miss is a gap,
+    // and a gap keeps the selection.
+    const bool in_gap = probe.id == IslandMapper::kLutGap;
+    const std::uint16_t before = island_;
+    const std::uint16_t keep = IslandMapper::all_ones_if(in_gap);
+    const auto after = static_cast<std::uint16_t>((before & keep) | (probe.id & ~keep));
+    update.changed = after != before;
+    gap_samples_ += in_gap;
+    changes_ += update.changed;
+    if (tracer_ != nullptr) [[unlikely]] {
+      trace_transitions(before, after, in_gap_, in_gap, filtered);
     }
-    in_gap_ = result.in_gap;
-    // --- trace the transitions (observability only; no behaviour) ----------
-    if (island_selection_ != before) {
-      if (before) {
-        DS_TRACE(tracer_, obs::EventKind::IslandLeave, static_cast<std::uint32_t>(*before),
-                 static_cast<std::uint32_t>(to_menu_index(*before)));
-      }
-      DS_TRACE(tracer_, obs::EventKind::IslandEnter,
-               static_cast<std::uint32_t>(*island_selection_),
-               static_cast<std::uint32_t>(to_menu_index(*island_selection_)));
-    } else if (!in_gap_ && was_in_gap && island_selection_) {
-      // Re-entered the same island after a dead-zone excursion.
-      DS_TRACE(tracer_, obs::EventKind::IslandEnter,
-               static_cast<std::uint32_t>(*island_selection_),
-               static_cast<std::uint32_t>(to_menu_index(*island_selection_)));
-    }
-    if (in_gap_ && !was_in_gap && island_selection_) {
-      DS_TRACE(tracer_, obs::EventKind::DeadZoneCross,
-               static_cast<std::uint32_t>(*island_selection_), filtered);
-    }
+    in_gap_ = in_gap;
+    island_ = after;
     update.menu_index = selection();
     return update;
   }
 
   /// Current selection as a menu index (nullopt before first island hit).
   [[nodiscard]] std::optional<std::size_t> selection() const {
-    if (!island_selection_) return std::nullopt;
-    return to_menu_index(*island_selection_);
+    if (island_ == kNoIsland) return std::nullopt;
+    return to_menu_index(island_);
   }
 
   void reset() {
-    island_selection_.reset();
+    island_ = kNoIsland;
     in_gap_ = false;
-    median_window_.clear();
+    median_fill_ = 0;
     ema_state_ = -1;
   }
 
@@ -154,16 +140,19 @@ class ScrollController {
         cycles += 2;  // just a register move
         return raw;
       case Smoothing::Median3: {
-        median_window_.push_overwrite(raw);
-        std::uint16_t a = raw, b = raw, c = raw;
-        if (median_window_.size() >= 1) a = median_window_.at_from_oldest(0);
-        if (median_window_.size() >= 2) b = median_window_.at_from_oldest(1);
-        if (median_window_.size() >= 3) c = median_window_.at_from_oldest(2);
+        // Median of the last three samples; until three have arrived the
+        // newest one wins (the median of s1, s2, s2 is s2).
+        const std::uint16_t lo = std::min({median_prev_[0], median_prev_[1], raw});
+        const std::uint16_t hi = std::max({median_prev_[0], median_prev_[1], raw});
+        const auto median =
+            static_cast<std::uint16_t>(median_prev_[0] + median_prev_[1] + raw - lo - hi);
+        const std::uint16_t out = median_fill_ == 2 ? median : raw;
+        median_prev_[0] = median_prev_[1];
+        median_prev_[1] = raw;
+        median_fill_ += median_fill_ < 2;
         // Median of three: ~9 compares/moves on the PIC.
         cycles += 18;
-        const std::uint16_t lo = std::min({a, b, c});
-        const std::uint16_t hi = std::max({a, b, c});
-        return static_cast<std::uint16_t>(a + b + c - lo - hi);
+        return out;
       }
       case Smoothing::Ema: {
         // Fixed-point EMA with alpha = 1/4: state is counts << 2.
@@ -176,12 +165,23 @@ class ScrollController {
     return raw;
   }
 
+  /// The IslandEnter/IslandLeave/DeadZoneCross events of one sample;
+  /// out of line so the untraced step carries none of it.
+  [[gnu::cold]] void trace_transitions(std::uint16_t before, std::uint16_t after,
+                                       bool was_in_gap, bool in_gap,
+                                       std::uint16_t filtered) const;
+
+  /// island_ before the first island hit (shares the LUT's gap id, which
+  /// no island can have).
+  static constexpr std::uint16_t kNoIsland = IslandMapper::kLutGap;
+
   const IslandMapper* mapper_;
   Config config_;
   obs::Tracer* tracer_ = nullptr;
   bool in_gap_ = false;  // last sample fell in a selection-free gap
-  std::optional<std::size_t> island_selection_;
-  util::RingBuffer<std::uint16_t, 3> median_window_;
+  std::uint16_t island_ = kNoIsland;
+  std::array<std::uint16_t, 2> median_prev_{};  // the two samples before this one, oldest first
+  std::uint8_t median_fill_ = 0;                 // samples in median_prev_ (saturates at 2)
   std::int32_t ema_state_ = -1;  // scaled by 4 to keep fractional bits
   std::uint64_t samples_ = 0;
   std::uint64_t changes_ = 0;

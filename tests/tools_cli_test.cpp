@@ -356,7 +356,8 @@ TEST(ToolsCli, HelpExitsZeroAndUsageErrorsExit64) {
   // trace_replay that includes an argument past the mode's arity (dump
   // used to ignore `--format=chrome` and print JSONL). An overloaded
   // host_ingest (64 devices behind one 1-slot lane) runs out
-  // of drain grace and exits 1 rather than passing as a clean ingest.
+  // of drain grace with reports undelivered and exits 1 rather than
+  // passing as a clean ingest.
   // fleet_run --stop-after without --checkpoint used to exit 0 and drop
   // the folded participants; with one it writes a resumable half-run.
   const std::string stop_with_checkpoint =
@@ -405,6 +406,21 @@ TEST(ToolsCli, HostIngestIncompleteDrainStillWritesItsOutputs) {
   EXPECT_NE(run.out.find("grace exhausted"), std::string::npos) << run.out;
   EXPECT_GT(std::filesystem::file_size(out), 0u);
   EXPECT_GT(std::filesystem::file_size(jsonl), 0u);
+}
+
+TEST(ToolsCli, HostIngestGraceEndWithEveryReportAcceptedExitsZero) {
+  // Every one of the 488 reports is accepted, but one device's frame
+  // loses its acks and is still queued when the 2 s grace ends.
+  // The host holds every report, so the run is not a failed drain.
+  const CliRun run = run_cli(DS_HOST_INGEST_BIN,
+                             "--devices 64 --duration 0.2 --loss 0.2 --reorder 0.05 "
+                             "--corrupt 0.02 --ack-loss 0.1 --seed 7709");
+  EXPECT_EQ(run.exit_code, 0) << run.out;
+  EXPECT_NE(run.out.find("reports offered    488  (shed 0)"), std::string::npos) << run.out;
+  EXPECT_NE(run.out.find("frames accepted    488 "), std::string::npos) << run.out;
+  EXPECT_NE(run.out.find("grace exhausted"), std::string::npos) << run.out;
+  EXPECT_NE(run.out.find("accepted frames are still awaiting acks"), std::string::npos)
+      << run.out;
 }
 
 TEST(ToolsCli, NumericFlagsAreStrict) {
