@@ -35,7 +35,6 @@ class ButtonScroll final : public ScrollTechnique {
   void poll_hold(util::Seconds now);
   /// ...and release.
   void end_hold(util::Seconds now);
-  [[nodiscard]] bool holding() const { return holding_; }
 
   [[nodiscard]] const Config& config() const { return config_; }
   /// Tiny tactile keys: maximally glove-sensitive.

@@ -47,12 +47,6 @@ class ChunkedScroll {
     return true;
   }
 
-  bool prev_chunk() {
-    if (chunk_ == 0) return false;
-    --chunk_;
-    return true;
-  }
-
   void jump_to_chunk(std::size_t chunk) { chunk_ = std::min(chunk, chunk_count() - 1); }
 
  private:

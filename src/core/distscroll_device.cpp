@@ -129,11 +129,6 @@ void DistScrollDevice::set_tilt_provider(std::function<util::Radians(util::Secon
   tilt_provider_ = TiltProvider(tilt_owner_);
 }
 
-void DistScrollDevice::set_tilt_provider_ref(TiltProvider provider) {
-  tilt_owner_ = nullptr;
-  tilt_provider_ = provider;
-}
-
 void DistScrollDevice::set_surface(sensors::SurfaceProfile surface) {
   ranger_.set_surface(surface);
 }
@@ -366,7 +361,6 @@ void DistScrollDevice::firmware_tick() {
   // regulator and the device browns out.
   board_.battery().consume(config_.firmware_tick);
   if (board_.battery().depleted()) {
-    browned_out_ = true;
     power_off();
     return;
   }
@@ -380,10 +374,7 @@ DS_HOT_END
 
 bool DistScrollDevice::load_calibration_from_eeprom() {
   const auto calibration = CalibrationStore::load(eeprom_);
-  if (!calibration) {
-    calibrated_from_eeprom_ = false;
-    return false;
-  }
+  if (!calibration) return false;
   config_.curve = calibration->curve;
   config_.islands.near = calibration->usable_near;
   // Keep the configured far bound if the stored one extends beyond it:
@@ -391,7 +382,6 @@ bool DistScrollDevice::load_calibration_from_eeprom() {
   if (calibration->usable_far < config_.islands.far) {
     config_.islands.far = calibration->usable_far;
   }
-  calibrated_from_eeprom_ = true;
   rebuild_mapping();
   return true;
 }

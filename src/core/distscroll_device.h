@@ -106,18 +106,14 @@ class DistScrollDevice {
   /// Non-owning form for hot callers that already own a stable callable.
   void set_distance_provider_ref(DistanceProvider provider);
   /// Device tilt (for the accelerometer; the tilt baselines reuse it).
-  // ds-lint: allow(no-std-function-hot-path) owning setup-time slot; sampling uses the _ref view
+  // ds-lint: allow(no-std-function-hot-path, test-only-api) owning setup-time slot; only the posture-gate tests tilt the device
   void set_tilt_provider(std::function<util::Radians(util::Seconds)> provider);
-  void set_tilt_provider_ref(TiltProvider provider);
   /// What the sensor looks at (clothing, lab coat, reflective vest...).
   void set_surface(sensors::SurfaceProfile surface);
 
   void power_on();
   void power_off();
   [[nodiscard]] bool powered() const { return powered_; }
-  /// True once the battery sagged below the regulator cutoff and the
-  /// device shut itself down.
-  [[nodiscard]] bool browned_out() const { return browned_out_; }
 
   /// Boot-time calibration: load a persisted record from the data
   /// EEPROM (falls back to the config's default curve when missing or
@@ -126,7 +122,6 @@ class DistScrollDevice {
   /// Persist the current curve (e.g. after a calibration sweep).
   void save_calibration_to_eeprom(const CalibrationResult& calibration);
   [[nodiscard]] hw::Eeprom& eeprom() { return eeprom_; }
-  [[nodiscard]] bool calibrated_from_eeprom() const { return calibrated_from_eeprom_; }
 
   // --- the user's fingers ------------------------------------------------
   input::Button& select_button() { return *buttons_[0]; }  // top right, thumb
@@ -146,8 +141,6 @@ class DistScrollDevice {
   [[nodiscard]] util::AdcCounts last_counts() const { return last_counts_; }
   /// Posture gate state (always true when the gate is disabled).
   [[nodiscard]] bool scrolling_enabled() const;
-  /// Whether the ranger is currently duty-cycled down.
-  [[nodiscard]] bool sensor_idle() const { return sensor_idle_; }
 
   struct SelectionEvent {
     double time_s;
@@ -162,9 +155,11 @@ class DistScrollDevice {
   }
 
   /// Redraws counted (for display-churn diagnostics).
+  // ds-lint: allow(test-only-api) the idle-churn, power-off and trace-flush tests count redraws; no program prints them
   [[nodiscard]] std::uint64_t redraws() const { return redraws_; }
 
   /// Contrast potentiometer (user-adjustable, drives display bias).
+  // ds-lint: allow(test-only-api) a test turns the device's trimmer; no program does
   input::Potentiometer& contrast_pot() { return pot_; }
 
   // --- observability ------------------------------------------------------
@@ -264,8 +259,6 @@ class DistScrollDevice {
   std::size_t display_draw_ = 0;
 
   bool powered_ = false;
-  bool browned_out_ = false;
-  bool calibrated_from_eeprom_ = false;
   std::size_t firmware_timer_ = 0;
   std::size_t button_timer_ = 0;
   int ticks_since_telemetry_ = 0;

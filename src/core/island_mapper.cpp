@@ -62,12 +62,13 @@ void IslandMapper::rebuild(const SensorCurve& curve, std::size_t entries, Config
 
     int high = std::min(static_cast<int>(std::lround(high_d)), bound - 1);
     int low = static_cast<int>(std::lround(low_d));
-    if (high < 0) high = 0;
     if (low > high) {
-      // Squeezed out by quantisation: empty interval positioned at
-      // `high` so the table stays ordered.
-      low = high + 1;
+      // Squeezed out by quantisation, or no counts left once a nearer
+      // island took count 0 (high == -1): an empty interval positioned
+      // at `high` (at 0 when none are left) so the table stays ordered.
       bound = high + 1;
+      high = std::max(high, 0);
+      low = high + 1;
     } else {
       bound = low;
     }
@@ -94,8 +95,11 @@ void IslandMapper::rebuild(const SensorCurve& curve, std::size_t entries, Config
 std::optional<std::size_t> IslandMapper::lookup(util::AdcCounts counts) const {
   // Islands are ordered by descending counts (entry 0 nearest/highest).
   // Binary search for the first island whose low bound is <= counts.
+  // Trailing empty islands own nothing, and one past the last count
+  // cannot be positioned below count 0, so the search stops before them.
   const std::uint16_t x = counts.value;
   std::size_t lo = 0, hi = islands_.size();
+  while (hi > 0 && islands_[hi - 1].low > islands_[hi - 1].high) --hi;
   while (lo < hi) {
     const std::size_t mid = (lo + hi) / 2;
     if (islands_[mid].high < x) {
@@ -108,13 +112,6 @@ std::optional<std::size_t> IslandMapper::lookup(util::AdcCounts counts) const {
     }
   }
   return std::nullopt;
-}
-
-std::optional<std::size_t> IslandMapper::select(util::AdcCounts counts,
-                                                std::optional<std::size_t> current) const {
-  const std::uint16_t id = probe(counts, current.value_or(kLutGap)).id;
-  if (id == kLutGap) return current;
-  return static_cast<std::size_t>(id);
 }
 
 double IslandMapper::coverage_fraction() const {

@@ -114,13 +114,6 @@ class IslandMapper {
     return static_cast<std::uint16_t>(-static_cast<int>(condition));
   }
 
-  /// The stateful firmware query: applies hysteresis relative to the
-  /// currently selected entry. Returns the new selection (which may be
-  /// unchanged); in a gap that is `current`, so nullopt only before any
-  /// island was hit. Convenience wrapper over probe().
-  [[nodiscard]] std::optional<std::size_t> select(util::AdcCounts counts,
-                                                  std::optional<std::size_t> current) const;
-
   /// Firmware cost of a hysteresis short-circuit (two 16-bit compares);
   /// charged instead of lookup_cost_cycles() when probe() skips the
   /// table.

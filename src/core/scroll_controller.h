@@ -118,10 +118,12 @@ class ScrollController {
 
   // Stream statistics for the study harness.
   [[nodiscard]] std::uint64_t samples() const { return samples_; }
+  // ds-lint: allow(test-only-api) the controller and tracing-invariance tests count selection changes
   [[nodiscard]] std::uint64_t selection_changes() const { return changes_; }
   /// Samples whose (filtered) counts fell in a selection-free gap. With
   /// hysteresis enabled, samples the hysteresis band held inside the
   /// current island do not count as gaps (no table probe runs for them).
+  // ds-lint: allow(test-only-api) pins the branch-free LUT step's gap bookkeeping; no output shows it
   [[nodiscard]] std::uint64_t gap_samples() const { return gap_samples_; }
 
  private:

@@ -36,8 +36,6 @@ class SpeedZoom {
   [[nodiscard]] Mode mode() const { return mode_; }
   [[nodiscard]] std::size_t total_entries() const { return total_; }
   [[nodiscard]] std::size_t islands() const { return islands_; }
-  [[nodiscard]] std::size_t bucket_size() const { return bucket_size_; }
-  [[nodiscard]] double velocity() const { return velocity_; }
 
   /// Process an island-selection update; returns the absolute entry the
   /// cursor should sit on.

@@ -58,7 +58,6 @@ void Bt96040::execute(Command cmd, std::span<const std::uint8_t> args) {
   switch (cmd) {
     case Command::Clear:
       clear();
-      ++frames_written_;
       break;
     case Command::SetCursor:
       if (args.size() >= 2) {
@@ -72,7 +71,6 @@ void Bt96040::execute(Command cmd, std::span<const std::uint8_t> args) {
         draw_char(cursor_row_, cursor_col_, static_cast<char>(byte));
         ++cursor_col_;
       }
-      ++frames_written_;
       break;
     case Command::SetContrast:
       if (!args.empty()) contrast_ = static_cast<std::uint8_t>(args[0] & 0x3F);
@@ -104,7 +102,6 @@ void Bt96040::execute(Command cmd, std::span<const std::uint8_t> args) {
             framebuffer_[index_of(x, y)] = (bytes[i] >> bit) & 1u;
           }
         }
-        ++frames_written_;
       }
       break;
   }

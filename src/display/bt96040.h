@@ -49,7 +49,6 @@ class Bt96040 final : public hw::I2cSlave {
   // --- host-side inspection ------------------------------------------------
   [[nodiscard]] bool pixel(int x, int y) const;
   [[nodiscard]] std::uint8_t contrast() const { return contrast_; }
-  [[nodiscard]] std::uint64_t frames_written() const { return frames_written_; }
 
   /// The text currently on a line, reconstructed from the text-mode
   /// shadow buffer (raw blits bypass it and show as '\0' cells -> ' ').
@@ -74,7 +73,6 @@ class Bt96040 final : public hw::I2cSlave {
   int cursor_row_ = 0;
   int cursor_col_ = 0;
   std::uint8_t contrast_ = 32;
-  std::uint64_t frames_written_ = 0;
 };
 
 }  // namespace distscroll::display

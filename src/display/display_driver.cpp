@@ -48,10 +48,6 @@ util::Seconds DisplayDriver::set_line_inverted(int row, bool inverted) {
                  {static_cast<std::uint8_t>(row), static_cast<std::uint8_t>(inverted ? 1 : 0)});
 }
 
-util::Seconds DisplayDriver::set_contrast(std::uint8_t level) {
-  return command(Command::SetContrast, {level});
-}
-
 util::Seconds DisplayDriver::show(const std::array<std::string, kTextLines>& lines,
                                   int highlighted_row) {
   util::Seconds total{0.0};

@@ -26,19 +26,18 @@ class DisplayDriver {
   util::Seconds clear();
 
   /// Write text at a text cell (clipped to 16 columns).
+  // ds-lint: allow(test-only-api) the only direct write; a test pins that it invalidates the show() cache
   util::Seconds write_at(int row, int col, std::string_view text);
 
   /// Set line inversion (menu highlight).
   util::Seconds set_line_inverted(int row, bool inverted);
-
-  /// Set contrast 0..63 (potentiometer path).
-  util::Seconds set_contrast(std::uint8_t level);
 
   /// Convenience: replace the whole panel with up to 5 lines and one
   /// highlighted row (-1 = none). Only redraws lines that changed since
   /// the last show() to keep bus time low.
   util::Seconds show(const std::array<std::string, kTextLines>& lines, int highlighted_row);
 
+  // ds-lint: allow(test-only-api) the missing-panel test reads the NACK; no program output shows it
   [[nodiscard]] bool last_acked() const { return last_acked_; }
 
  private:

@@ -44,8 +44,10 @@ class AltitudeGame {
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] int score() const { return score_; }
   [[nodiscard]] int crashes() const { return crashes_; }
+  // ds-lint: allow(test-only-api) the game tests steer the plane; the example shows only the framebuffer
   [[nodiscard]] int plane_y() const { return plane_y_; }
   [[nodiscard]] const std::vector<Wall>& walls() const { return walls_; }
+  // ds-lint: allow(test-only-api) the shooting tests wait for the bullet; no program output shows it
   [[nodiscard]] bool bullet_in_flight() const { return bullet_x_ >= 0; }
 
   /// Set the plane's altitude (clamped to the screen).

@@ -130,17 +130,20 @@ class ColumnarWriter {
 };
 
 /// One-shot convenience over ColumnarWriter.
+// ds-lint: allow(test-only-api) the round-trip, compression and fuzz tests build containers with it
 [[nodiscard]] std::vector<std::uint8_t> encode_dstl(std::span<const CompactRecord> records,
                                                     std::uint16_t session_id = 0);
 
 /// Parse a DSTL container; nullopt on any structural, bounds or CRC
 /// failure. `session_id` (when non-null) receives the header field.
+// ds-lint: allow(test-only-api) the golden and fuzz tests read back what host_ingest writes
 [[nodiscard]] std::optional<std::vector<CompactRecord>> decode_dstl(
     std::span<const std::uint8_t> bytes, std::uint16_t* session_id = nullptr);
 
 /// Write/read the container to/from a file. write returns false when
 /// the file could not be opened or written.
 bool write_dstl_file(const std::string& path, std::span<const std::uint8_t> container);
+// ds-lint: allow(test-only-api) the golden DSTL test loads its committed artifact with it
 [[nodiscard]] std::optional<std::vector<std::uint8_t>> read_dstl_file(const std::string& path);
 
 /// JSONL export, one record per line (integers only, so the rendering

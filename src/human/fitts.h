@@ -36,11 +36,4 @@ struct FittsParams {
   return util::Seconds{std::max(0.05, params.a_seconds + params.b_seconds_per_bit * id)};
 }
 
-/// Effective throughput in bits/s given a measured time for a task of
-/// known difficulty (study metric).
-[[nodiscard]] inline double throughput_bits_per_s(double id_bits, util::Seconds time) {
-  if (time.value <= 0.0) return 0.0;
-  return id_bits / time.value;
-}
-
 }  // namespace distscroll::human

@@ -106,10 +106,6 @@ class HandModel {
     reach_duration_ = duration.value;
   }
 
-  [[nodiscard]] bool reach_complete(util::Seconds now) const {
-    return now.value >= reach_start_ + reach_duration_;
-  }
-
   [[nodiscard]] double target_cm() const { return target_; }
 
   /// True device-to-body distance at time t (voluntary + tremor).

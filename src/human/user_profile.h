@@ -55,9 +55,7 @@ struct UserProfile {
   /// Apply glove effects on top of the current profile.
   [[nodiscard]] UserProfile with_glove(Glove g) const;
 
-  static UserProfile novice() { return UserProfile{}.with_expertise(0.15); }
   static UserProfile average() { return UserProfile{}.with_expertise(0.5); }
-  static UserProfile expert() { return UserProfile{}.with_expertise(0.95); }
 };
 
 /// The practice rule: each completed block closes `rate` of the

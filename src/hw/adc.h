@@ -39,7 +39,6 @@ class Adc10 {
   /// Attach an analog source to a channel; returns the channel number.
   std::size_t attach(AnalogSource source);
 
-  [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
   [[nodiscard]] util::Seconds conversion_time() const { return config_.conversion_time; }
 
   /// Sample `channel` at simulated time `now`. The caller (MCU) is

@@ -42,7 +42,6 @@ class Battery {
   /// Terminal voltage under the present load.
   [[nodiscard]] util::Volts voltage() const;
 
-  [[nodiscard]] double consumed_mah() const { return consumed_mah_; }
   [[nodiscard]] double remaining_fraction() const;
   [[nodiscard]] bool depleted() const;
 

@@ -4,7 +4,7 @@
 // battery changes ("To allow an opening of the device for battery
 // changes...", paper Section 4.1) — that is what the PIC's on-chip data
 // EEPROM is for. Modelled: byte-addressed read/write, the PIC's slow
-// (~4 ms) self-timed write, per-cell wear counting, and fault injection
+// (~4 ms) self-timed write, a total write count, and fault injection
 // for corruption tests.
 #pragma once
 
@@ -36,7 +36,6 @@ class Eeprom {
   util::Seconds write(std::size_t address, std::uint8_t value) {
     assert(address < kSize);
     cells_[address] = value;
-    ++wear_[address];
     ++writes_;
     return kWriteTime;
   }
@@ -56,13 +55,10 @@ class Eeprom {
   }
 
   [[nodiscard]] std::uint64_t total_writes() const { return writes_; }
-  [[nodiscard]] std::uint32_t wear(std::size_t address) const {
-    assert(address < kSize);
-    return wear_[address];
-  }
 
   /// Fault injection: flip `bits` random bits anywhere in the array
   /// (data retention loss / a write interrupted by battery removal).
+  // ds-lint: allow(test-only-api) the corrupt-record recovery tests inject bit flips with it
   void corrupt(sim::Rng& rng, int bits) {
     for (int i = 0; i < bits; ++i) {
       const auto address = static_cast<std::size_t>(rng.uniform_int(0, kSize - 1));
@@ -76,7 +72,6 @@ class Eeprom {
 
  private:
   std::array<std::uint8_t, kSize> cells_{};
-  std::array<std::uint32_t, kSize> wear_{};
   std::uint64_t writes_ = 0;
 };
 

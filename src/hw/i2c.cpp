@@ -20,7 +20,6 @@ I2cBus::Result I2cBus::write(std::uint8_t address, std::span<const std::uint8_t>
     result.bus_time = byte_time(1);
     return result;
   }
-  bytes_ += 1 + payload.size();
   result.acked = it->second->on_write(payload);
   return result;
 }
@@ -36,7 +35,6 @@ I2cBus::Result I2cBus::read(std::uint8_t address, std::size_t length) {
   result.data = it->second->on_read(length);
   result.acked = true;
   result.bus_time = byte_time(1 + result.data.size());
-  bytes_ += 1 + result.data.size();
   return result;
 }
 

@@ -54,8 +54,8 @@ class I2cBus {
   /// Master read transaction: START, address+R, `length` bytes, STOP.
   Result read(std::uint8_t address, std::size_t length);
 
+  // ds-lint: allow(test-only-api) the display tests observe bus traffic with it; no program prints it
   [[nodiscard]] std::uint64_t transactions() const { return transactions_; }
-  [[nodiscard]] std::uint64_t bytes_transferred() const { return bytes_; }
 
  private:
   [[nodiscard]] util::Seconds byte_time(std::size_t bytes) const {
@@ -67,7 +67,6 @@ class I2cBus {
   Config config_;
   std::map<std::uint8_t, I2cSlave*> slaves_;
   std::uint64_t transactions_ = 0;
-  std::uint64_t bytes_ = 0;
 };
 
 }  // namespace distscroll::hw

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "sim/event_queue.h"
 #include "util/units.h"
 
@@ -23,7 +22,6 @@ namespace distscroll::hw {
 class Mcu {
  public:
   struct Config {
-    double mips = 10.0;             // instruction throughput (40 MHz / 4)
     std::size_t flash_bytes = 32 * 1024;
     std::size_t ram_bytes = 1536;
   };
@@ -35,9 +33,6 @@ class Mcu {
   /// the "no heavy processing" micro-benchmark.
   void charge_cycles(std::uint64_t cycles) { cycles_ += cycles; }
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
-  [[nodiscard]] util::Seconds cycles_as_time(std::uint64_t cycles) const {
-    return util::Seconds{static_cast<double>(cycles) / (config_.mips * 1e6)};
-  }
 
   // --- memory budgets ----------------------------------------------------
   /// Register a static RAM allocation (firmware tables, FIFOs). Asserts
@@ -46,7 +41,6 @@ class Mcu {
   void reserve_flash(std::string what, std::size_t bytes);
   [[nodiscard]] std::size_t ram_used() const { return ram_used_; }
   [[nodiscard]] std::size_t flash_used() const { return flash_used_; }
-  [[nodiscard]] std::size_t ram_free() const { return config_.ram_bytes - ram_used_; }
 
   // --- timers -------------------------------------------------------------
   /// Start a periodic timer interrupt. The handler runs on the event
@@ -57,14 +51,6 @@ class Mcu {
 
   [[nodiscard]] sim::EventQueue& queue() { return *queue_; }
   [[nodiscard]] util::Seconds now() const { return queue_->now(); }
-
-  /// Publish the MCU's budget state into a metrics registry.
-  void export_metrics(obs::MetricsRegistry& registry, const char* prefix = "mcu") const {
-    std::string p(prefix);
-    registry.counter(p + "_cycles").set(cycles_);
-    registry.gauge(p + "_ram_used_bytes").set(static_cast<double>(ram_used_));
-    registry.gauge(p + "_flash_used_bytes").set(static_cast<double>(flash_used_));
-  }
 
  private:
   void arm(std::size_t timer);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "hw/mcu.h"
-#include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "util/units.h"
 
@@ -41,6 +40,7 @@ class Scheduler {
     return tasks_.size() - 1;
   }
 
+  // ds-lint: allow(test-only-api) a test pins that tick() skips a disabled task
   void set_enabled(std::size_t task, bool enabled) {
     assert(task < tasks_.size());
     tasks_[task].enabled = enabled ? 1 : 0;
@@ -66,14 +66,6 @@ class Scheduler {
   /// Structured tracing of budget overruns (TickOverrun: a = cycles
   /// spent, b = tick budget). Null detaches.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  /// Publish the scheduler's timing envelope into a metrics registry.
-  void export_metrics(obs::MetricsRegistry& registry, const char* prefix = "sched") const {
-    std::string p(prefix);
-    registry.counter(p + "_ticks").set(ticks_);
-    registry.counter(p + "_overruns").set(overruns_);
-    registry.gauge(p + "_utilization").set(utilization());
-  }
 
   /// Mean fraction of the tick budget used.
   [[nodiscard]] double utilization() const {

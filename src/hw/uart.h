@@ -43,7 +43,6 @@ class Uart {
   /// FIFO is full (byte dropped — the firmware must pace itself).
   bool transmit(std::uint8_t byte) { return tx_fifo_.try_push(byte); }
 
-  [[nodiscard]] std::size_t tx_pending() const { return tx_fifo_.size(); }
   [[nodiscard]] std::size_t tx_free() const { return tx_fifo_.capacity() - tx_fifo_.size(); }
 
   void set_tx_space_callback(TxSpaceCallback cb) { tx_space_cb_ = std::move(cb); }
@@ -57,18 +56,8 @@ class Uart {
   }
 
   /// The wire side delivers a received byte into the RX FIFO. Returns
-  /// false on overflow (byte lost, counted).
-  bool deliver(std::uint8_t byte) {
-    if (rx_fifo_.try_push(byte)) return true;
-    ++rx_overflows_;
-    return false;
-  }
-
-  /// Firmware reads a received byte.
-  std::optional<std::uint8_t> receive() { return rx_fifo_.pop(); }
-
-  [[nodiscard]] std::size_t rx_available() const { return rx_fifo_.size(); }
-  [[nodiscard]] std::uint64_t rx_overflows() const { return rx_overflows_; }
+  /// false on overflow (byte lost).
+  bool deliver(std::uint8_t byte) { return rx_fifo_.try_push(byte); }
 
  private:
   Config config_;
@@ -77,7 +66,6 @@ class Uart {
   util::RingBuffer<std::uint8_t, 64> tx_fifo_;
   util::RingBuffer<std::uint8_t, 64> rx_fifo_;
   TxSpaceCallback tx_space_cb_;
-  std::uint64_t rx_overflows_ = 0;
 };
 
 }  // namespace distscroll::hw

@@ -33,7 +33,6 @@ class Button {
   }
 
   [[nodiscard]] std::size_t pin() const { return pin_; }
-  [[nodiscard]] bool physically_pressed() const { return pressed_; }
 
   /// The (simulated) user presses the button now. Emits bounce edges
   /// then settles Low (active-low wiring). Returns false if the press

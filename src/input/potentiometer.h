@@ -21,6 +21,7 @@ class Potentiometer {
 
   Potentiometer(Config config, sim::Rng rng) : config_(config), rng_(rng) {}
 
+  // ds-lint: allow(test-only-api) the contrast-trimmer tests turn it; no firmware path reads the trimmer yet
   void set_position(double position) { position_ = std::clamp(position, 0.0, 1.0); }
   [[nodiscard]] double position() const { return position_; }
 
@@ -33,6 +34,7 @@ class Potentiometer {
   /// Rounded to nearest so endstop positions survive wiper noise (a
   /// truncating read at position 1.0 reported 62 whenever the noise
   /// draw came out negative).
+  // ds-lint: allow(test-only-api) pins the paper's 6-bit contrast read; no firmware path applies it yet
   [[nodiscard]] std::uint8_t as_contrast_level() {
     const double level = output().value / config_.vcc * 63.0;
     return static_cast<std::uint8_t>(std::clamp(level + 0.5, 0.0, 63.0));

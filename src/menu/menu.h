@@ -68,7 +68,6 @@ class MenuCursor {
   [[nodiscard]] std::size_t index() const { return index_; }
   [[nodiscard]] const MenuNode& highlighted() const { return current_level().child(index_); }
   [[nodiscard]] std::size_t depth() const { return path_.size(); }
-  [[nodiscard]] bool at_root_level() const { return path_.empty(); }
 
   /// Absolute positioning within the level — this is what distance
   /// scrolling drives. Clamps to the level bounds.

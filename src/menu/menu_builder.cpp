@@ -16,28 +16,4 @@ std::unique_ptr<MenuNode> make_flat_menu(std::size_t n) {
   return root;
 }
 
-namespace {
-void grow(MenuNode& node, sim::Rng& rng, int min_fanout, int max_fanout, int levels) {
-  if (levels <= 0) return;
-  const int fanout = rng.uniform_int(min_fanout, max_fanout);
-  for (int i = 0; i < fanout; ++i) {
-    MenuNode& child = node.add_child(node.label() + "." + std::to_string(i));
-    // Interior with probability 0.5 except at the last level.
-    if (levels > 1 && rng.bernoulli(0.5)) {
-      grow(child, rng, min_fanout, max_fanout, levels - 1);
-    }
-  }
-}
-}  // namespace
-
-std::unique_ptr<MenuNode> make_random_menu(sim::Rng& rng, int min_fanout, int max_fanout,
-                                           int levels) {
-  assert(min_fanout >= 1 && max_fanout >= min_fanout && levels >= 1);
-  auto root = std::make_unique<MenuNode>("r");
-  grow(*root, rng, min_fanout, max_fanout, levels);
-  // Guarantee the root is non-empty (MenuCursor requires entries).
-  if (root->is_leaf()) root->add_child("r.only");
-  return root;
-}
-
 }  // namespace distscroll::menu

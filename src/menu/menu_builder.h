@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "menu/menu.h"
-#include "sim/random.h"
 
 namespace distscroll::menu {
 
@@ -50,10 +49,5 @@ class MenuBuilder {
 /// A flat list menu of `n` entries ("Item 001" ...), the workload used
 /// by the scrolling experiments.
 [[nodiscard]] std::unique_ptr<MenuNode> make_flat_menu(std::size_t n);
-
-/// A random hierarchical menu with given fanout range and depth, for
-/// property tests over tree navigation.
-[[nodiscard]] std::unique_ptr<MenuNode> make_random_menu(sim::Rng& rng, int min_fanout,
-                                                         int max_fanout, int levels);
 
 }  // namespace distscroll::menu

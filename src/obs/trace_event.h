@@ -33,17 +33,8 @@ enum class EventKind : std::uint8_t {
   CursorMove = 6,
   /// Debounced button edge. a = button index, b = 1 press / 0 release.
   ButtonEdge = 7,
-  // The four Arq kinds keep their values in the trace format, but no
-  // component records them: the ARQ is not traced.
-  /// ARQ sender put a frame on the wire for the first time.
-  /// a = sequence number, b = encoded wire size in bytes.
-  ArqTx = 8,
-  /// ARQ sender retransmitted after a timeout. a = seq, b = attempt.
-  ArqRetry = 9,
-  /// ARQ receiver delivered a frame upward. a = seq, b = payload bytes.
-  ArqRx = 10,
-  /// ARQ sender abandoned a frame. a = seq, b = attempts used.
-  ArqDrop = 11,
+  // 8..11 are retired (ARQ kinds that nothing recorded): never reuse
+  // them, so an old file with one fails to load instead of misreading.
   /// Device pushed a full redraw to both panels. a = cursor index,
   /// b = level size at the flush.
   DisplayFlush = 12,
@@ -59,17 +50,18 @@ enum Category : std::uint32_t {
   kCatAdc = 1u << 1,       // AdcRead
   kCatScroll = 1u << 2,    // IslandEnter/IslandLeave/DeadZoneCross
   kCatInput = 1u << 3,     // ButtonEdge
-  kCatWireless = 1u << 4,  // ArqTx/ArqRetry/ArqRx/ArqDrop
+  // Bit 4 is retired with the ARQ kinds: never reuse it.
   kCatDisplay = 1u << 5,   // DisplayFlush/CursorMove
   kCatSched = 1u << 6,     // TickOverrun
-  kCatAll = 0x7F,
+  kCatAll = kCatSensor | kCatAdc | kCatScroll | kCatInput | kCatDisplay | kCatSched,
   /// The deterministically replayable subset: the device-level inputs
   /// (ADC counts, button edges) plus everything the firmware derives
-  /// from them. Excludes the stochastic sensor internals and link
-  /// events, which a replay run does not re-execute.
+  /// from them. Excludes the stochastic sensor internals, which a
+  /// replay run does not re-execute.
   kCatReplay = kCatAdc | kCatScroll | kCatInput | kCatDisplay,
 };
 
+/// The kind's category bit; 0 for a byte that is not a defined kind.
 [[nodiscard]] constexpr std::uint32_t category_of(EventKind kind) {
   switch (kind) {
     case EventKind::SensorMeasure:
@@ -82,11 +74,6 @@ enum Category : std::uint32_t {
       return kCatScroll;
     case EventKind::ButtonEdge:
       return kCatInput;
-    case EventKind::ArqTx:
-    case EventKind::ArqRetry:
-    case EventKind::ArqRx:
-    case EventKind::ArqDrop:
-      return kCatWireless;
     case EventKind::CursorMove:
     case EventKind::DisplayFlush:
       return kCatDisplay;
@@ -105,10 +92,6 @@ enum Category : std::uint32_t {
     case EventKind::DeadZoneCross: return "dead_zone_cross";
     case EventKind::CursorMove: return "cursor_move";
     case EventKind::ButtonEdge: return "button_edge";
-    case EventKind::ArqTx: return "arq_tx";
-    case EventKind::ArqRetry: return "arq_retry";
-    case EventKind::ArqRx: return "arq_rx";
-    case EventKind::ArqDrop: return "arq_drop";
     case EventKind::DisplayFlush: return "display_flush";
     case EventKind::TickOverrun: return "tick_overrun";
   }

@@ -82,6 +82,7 @@ std::optional<Trace> deserialize(const std::vector<std::uint8_t>& bytes) {
     TraceEvent event;
     event.time_s = std::bit_cast<double>(get_u64(p));
     event.kind = static_cast<EventKind>(p[8]);
+    if (category_of(event.kind) == 0) return std::nullopt;  // not a defined kind
     event.a = get_u32(p + 9);
     event.b = get_u32(p + 13);
     trace.events.push_back(event);

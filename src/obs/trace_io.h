@@ -44,7 +44,8 @@ inline constexpr std::uint16_t kCanonicalPhoneMenuSession = 1;
 /// Serialise to the binary container format.
 [[nodiscard]] std::vector<std::uint8_t> serialize(const Trace& trace);
 
-/// Parse a binary container; nullopt on bad magic/version/truncation.
+/// Parse a binary container; nullopt on bad magic/version/truncation or
+/// an event whose kind byte is not a defined EventKind.
 [[nodiscard]] std::optional<Trace> deserialize(const std::vector<std::uint8_t>& bytes);
 
 /// Write/read the binary container to/from a file. write returns false

@@ -1,7 +1,7 @@
 // Deterministic structured tracer: a flight recorder for the simulator.
 //
 // A fixed-capacity ring of TraceEvent records, pre-allocated at
-// construction — the hot paths (firmware tick, ARQ pump, sweep cells)
+// construction — the hot paths (firmware tick, controller sample)
 // never allocate to trace. When the ring fills, the oldest events are
 // overwritten and counted in dropped(); a capture that must be complete
 // (the golden session) sizes the ring up front and asserts dropped()==0.
@@ -10,12 +10,14 @@
 // vs off must not perturb behaviour — pinned by tests/parallel_test.cpp):
 //  * compile time: configure with -DDISTSCROLL_TRACING=OFF and
 //    DS_TRACE() compiles to nothing — record() is never emitted;
-//  * runtime: set_enabled(false) or a category mask turns individual
-//    streams off behind one predictable branch.
+//  * runtime: the category mask the tracer is built with turns
+//    individual streams off behind one predictable branch; a component
+//    with no tracer attached records nothing.
 //
 // Timestamps come from a bound sim::EventQueue clock when available
 // (components that already live on the queue don't thread `now` through
-// every call), or from record_at() when the caller knows better.
+// every call), or from record_at() when the caller knows better; record()
+// with no bound clock stamps 0.
 #pragma once
 
 #include <cstdint>
@@ -63,17 +65,11 @@ class Tracer {
     return DISTSCROLL_TRACING_ENABLED != 0;
   }
 
-  // --- switches ---------------------------------------------------------
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-  void set_category_mask(std::uint32_t mask) { mask_ = mask; }
   [[nodiscard]] std::uint32_t category_mask() const { return mask_; }
 
-  /// Take timestamps from this queue's simulated clock.
+  /// Take timestamps from this queue's simulated clock; record() stamps
+  /// 0 until a clock is bound (record_at takes an explicit time).
   void bind_clock(const sim::EventQueue& queue) { clock_ = &queue; }
-  /// Manual timestamp for clockless contexts (overridden by a bound
-  /// clock).
-  void set_time(double time_s) { manual_time_s_ = time_s; }
 
   // --- the hot path -----------------------------------------------------
   // Allocation-free by construction (the ring is pre-sized; a full ring
@@ -81,11 +77,11 @@ class Tracer {
   // the AllocGuard test.
   DS_HOT_BEGIN
   void record(EventKind kind, std::uint32_t a, std::uint32_t b) {
-    record_at(clock_ ? clock_->now().value : manual_time_s_, kind, a, b);
+    record_at(clock_ ? clock_->now().value : 0.0, kind, a, b);
   }
 
   void record_at(double time_s, EventKind kind, std::uint32_t a, std::uint32_t b) {
-    if (!enabled_ || (mask_ & category_of(kind)) == 0) return;
+    if ((mask_ & category_of(kind)) == 0) return;
     TraceEvent& slot = ring_[head_];
     slot.time_s = time_s;
     slot.kind = kind;
@@ -122,10 +118,8 @@ class Tracer {
   std::size_t head_ = 0;
   std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;
-  bool enabled_ = true;
   std::uint32_t mask_ = kCatAll;
   const sim::EventQueue* clock_ = nullptr;
-  double manual_time_s_ = 0.0;
 };
 
 }  // namespace distscroll::obs

@@ -21,11 +21,7 @@ struct SurfaceProfile {
   /// out-of-range). Zero for ordinary clothing.
   double specular_glitch_probability = 0.0;
 
-  static SurfaceProfile white_shirt() { return {0.9, 0.0}; }
-  static SurfaceProfile dark_fleece() { return {0.12, 0.0}; }
   static SurfaceProfile gray_jacket() { return {0.35, 0.0}; }
-  static SurfaceProfile reflective_vest() { return {1.0, 0.12}; }
-  static SurfaceProfile lab_coat() { return {0.85, 0.0}; }
 };
 
 }  // namespace distscroll::sensors

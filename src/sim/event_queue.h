@@ -112,6 +112,7 @@ class EventQueue {
 
   /// True when the last run_all() stopped at its event cap with events
   /// still pending (i.e. the simulation did not actually finish).
+  // ds-lint: allow(test-only-api) the run_all cap tests read it; no program runs an unbounded queue
   [[nodiscard]] bool truncated() const { return truncated_; }
 
  private:

@@ -73,7 +73,6 @@ class FleetAggregates {
   [[nodiscard]] const util::OnlineMoments& time_s() const { return time_s_; }
   /// ID/time over successful trials.
   [[nodiscard]] const util::OnlineMoments& throughput_bits_s() const { return throughput_; }
-  [[nodiscard]] const obs::Histogram& time_hist() const { return time_hist_; }
   [[nodiscard]] const util::QuantileSketch& time_sketch() const { return time_sketch_; }
 
   friend bool operator==(const FleetAggregates& a, const FleetAggregates& b);

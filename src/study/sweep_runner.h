@@ -51,14 +51,13 @@ class SweepGrid {
   }
 
   [[nodiscard]] std::size_t cells() const { return cells_; }
-  [[nodiscard]] std::size_t axes() const { return axes_.size(); }
 
   /// Coordinate of flat `index` along `axis`.
   [[nodiscard]] std::size_t coord(std::size_t index, std::size_t axis) const {
     return (index / strides_[axis]) % axes_[axis];
   }
 
-  /// Flat index of a coordinate tuple (must match axes()).
+  /// Flat index of a coordinate tuple (one per axis).
   [[nodiscard]] std::size_t index(std::initializer_list<std::size_t> coords) const {
     std::size_t flat = 0, axis = 0;
     for (const std::size_t c : coords) flat = flat * axes_[axis++] + c;

@@ -22,27 +22,4 @@ std::vector<SelectionTask> random_tasks(sim::Rng& rng, std::size_t level_size,
   return tasks;
 }
 
-std::vector<SelectionTask> fixed_distance_tasks(sim::Rng& rng, std::size_t level_size,
-                                                std::size_t distance, std::size_t count) {
-  assert(level_size >= 2 && distance >= 1 && distance < level_size);
-  std::vector<SelectionTask> tasks;
-  tasks.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    SelectionTask task;
-    task.level_size = level_size;
-    const bool down = rng.bernoulli(0.5);
-    if (down) {
-      task.start_index = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<int>(level_size - 1 - distance)));
-      task.target_index = task.start_index + distance;
-    } else {
-      task.start_index = static_cast<std::size_t>(
-          rng.uniform_int(static_cast<int>(distance), static_cast<int>(level_size) - 1));
-      task.target_index = task.start_index - distance;
-    }
-    tasks.push_back(task);
-  }
-  return tasks;
-}
-
 }  // namespace distscroll::study

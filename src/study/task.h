@@ -20,11 +20,4 @@ struct SelectionTask {
 [[nodiscard]] std::vector<SelectionTask> random_tasks(sim::Rng& rng, std::size_t level_size,
                                                       std::size_t count);
 
-/// Tasks at a fixed scroll distance (|target-start| = distance), both
-/// directions, for Fitts-style distance sweeps.
-[[nodiscard]] std::vector<SelectionTask> fixed_distance_tasks(sim::Rng& rng,
-                                                              std::size_t level_size,
-                                                              std::size_t distance,
-                                                              std::size_t count);
-
 }  // namespace distscroll::study

@@ -37,11 +37,13 @@ class Dictionary {
   /// Candidates for a word prefix typed so far (zone sequence prefix),
   /// most frequent first, capped at `limit` — the completion list shown
   /// on the display.
+  // ds-lint: allow(test-only-api) a test pins prefix completion; no text-entry program shows the list yet
   [[nodiscard]] std::vector<Entry> completions(std::string_view zone_sequence_prefix,
                                                std::size_t limit = 5) const;
 
   /// Rank (0-based) of `word` among candidates of its own sequence;
   /// nullopt if absent. Rank 0 = the disambiguator's first guess.
+  // ds-lint: allow(test-only-api) the disambiguation tests read a word's rank; programs take candidates()
   [[nodiscard]] std::optional<std::size_t> rank_of(std::string_view word) const;
 
   /// The default embedded corpus (a few hundred common English words).

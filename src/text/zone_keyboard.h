@@ -13,7 +13,6 @@
 // dictionary.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -35,14 +34,6 @@ class ZoneKeyboard {
     const int index = c - 'a';
     if (index < 20) return index / 4;
     return 5 + (index - 20) / 3;
-  }
-
-  /// The characters a zone contains.
-  [[nodiscard]] static std::string zone_characters(int zone) {
-    static const std::array<std::string, kZones> zones = {
-        "abcd", "efgh", "ijkl", "mnop", "qrst", "uvw", "xyz", " "};
-    if (zone < 0 || zone >= kZones) return {};
-    return zones[static_cast<std::size_t>(zone)];
   }
 
   /// A word's zone sequence; nullopt if it contains unmapped characters.

@@ -58,21 +58,6 @@ std::uint8_t crc8(std::span<const std::uint8_t> data) {
   return crc;
 }
 
-std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) {
-  std::uint16_t crc = 0xFFFF;
-  for (std::uint8_t byte : data) {
-    crc ^= static_cast<std::uint16_t>(byte) << 8;
-    for (int bit = 0; bit < 8; ++bit) {
-      if (crc & 0x8000u) {
-        crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021u);
-      } else {
-        crc = static_cast<std::uint16_t>(crc << 1);
-      }
-    }
-  }
-  return crc;
-}
-
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
   const auto& t = kCrc32Slices;
   std::uint32_t crc = 0xFFFFFFFFu;

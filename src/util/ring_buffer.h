@@ -2,8 +2,7 @@
 //
 // Used in the firmware paths (UART FIFOs, sensor smoothing windows) where
 // a real PIC 18F452 would use a static array: no heap allocation after
-// construction, O(1) push/pop, oldest element overwritten when full
-// (configurable via push_overwrite vs try_push).
+// construction, O(1) push/pop, a push into a full ring is refused.
 #pragma once
 
 #include <array>
@@ -32,18 +31,6 @@ class RingBuffer {
     return true;
   }
 
-  /// Push, evicting the oldest element when full. Returns true if an
-  /// element was evicted.
-  constexpr bool push_overwrite(const T& value) {
-    if (!full()) {
-      (void)try_push(value);
-      return false;
-    }
-    data_[head_] = value;
-    head_ = (head_ + 1) % Capacity;
-    return true;
-  }
-
   /// Pop the oldest element; nullopt when empty.
   constexpr std::optional<T> pop() {
     if (empty()) return std::nullopt;
@@ -63,12 +50,6 @@ class RingBuffer {
   [[nodiscard]] constexpr std::optional<T> back() const {
     if (empty()) return std::nullopt;
     return data_[(head_ + size_ - 1) % Capacity];
-  }
-
-  /// Element i positions from the oldest (0 == oldest). Precondition:
-  /// i < size().
-  [[nodiscard]] constexpr const T& at_from_oldest(std::size_t i) const {
-    return data_[(head_ + i) % Capacity];
   }
 
   constexpr void clear() {

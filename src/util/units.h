@@ -65,8 +65,6 @@ struct Seconds {
   constexpr Seconds operator*(double s) const { return Seconds{value * s}; }
 };
 
-constexpr Seconds milliseconds(double ms) { return Seconds{ms / 1000.0}; }
-
 /// Acceleration in units of standard gravity, as the ADXL311 reports it.
 struct Gs {
   double value{0.0};

@@ -68,13 +68,11 @@ class LinkStats {
   void record_delivery_latency(double seconds);
   void record_attempts(int transmissions);
 
-  [[nodiscard]] std::uint64_t latency_count() const { return latencies_.size(); }
   /// p in [0, 1]; 0 when nothing was recorded.
   [[nodiscard]] double latency_percentile(double p) const;
   [[nodiscard]] util::Summary latency_summary() const { return util::summarize(latencies_); }
   [[nodiscard]] double mean_attempts() const;
   [[nodiscard]] double max_attempts() const;
-  [[nodiscard]] const obs::Histogram& latency_histogram() const { return latency_hist_; }
 
   /// Human-readable dump (counters + latency histogram) for benches.
   [[nodiscard]] std::string report() const;

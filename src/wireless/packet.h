@@ -106,6 +106,7 @@ class FrameDecoder {
   /// End of stream: a partial frame can never complete now, so discard
   /// its sync byte (a framing error and a resync) and rescan the rest —
   /// complete frames wedged behind a truncated one are recovered.
+  // ds-lint: allow(test-only-api) the mutation-corpus tests pin end-of-stream recovery; no program ends a stream
   void flush(FrameHandler on_frame);
 
   [[nodiscard]] std::uint64_t crc_errors() const { return crc_errors_; }

@@ -57,7 +57,6 @@ TEST(AllocGuard, CountsARealAllocation) {
 TEST(AllocGuard, TracerRecordIsAllocationFree) {
   SKIP_WITHOUT_INTERPOSER();
   obs::Tracer tracer(/*capacity=*/64);
-  tracer.set_time(0.25);
   DS_ASSERT_NO_ALLOC {
     // 4x capacity: exercises both the fill and the wrap/overwrite path.
     for (std::uint32_t i = 0; i < 256; ++i) {

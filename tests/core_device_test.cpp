@@ -178,12 +178,13 @@ TEST_F(DeviceFixture, TelemetryFramesReachHost) {
 
 TEST_F(DeviceFixture, BatteryDrainsOverTime) {
   auto device = make();
-  const double before = device->board().battery().consumed_mah();
+  constexpr double kCapacityMah = 550.0;  // the default Battery::Config
+  const double before = device->board().battery().remaining_fraction();
   settle(60.0);
-  const double after = device->board().battery().consumed_mah();
+  const double after = device->board().battery().remaining_fraction();
   // ~47 mA total for a minute: ~0.78 mAh.
-  EXPECT_GT(after - before, 0.5);
-  EXPECT_LT(after - before, 1.5);
+  EXPECT_GT((before - after) * kCapacityMah, 0.5);
+  EXPECT_LT((before - after) * kCapacityMah, 1.5);
 }
 
 TEST_F(DeviceFixture, CyclesStayFarUnderBudget) {
@@ -289,7 +290,7 @@ TEST_F(DeviceFixture, SurfaceGlitchWithMedianFilterStaysStable) {
   DistScrollDevice::Config config;
   config.scroll.smoothing = Smoothing::Median3;
   auto device = make(config);
-  device->set_surface(sensors::SurfaceProfile::reflective_vest());
+  device->set_surface(sensors::SurfaceProfile{1.0, 0.12});  // a reflective vest
   distance_cm = distance_for_index(*device, 2);
   settle(1.0);
   // Median-3 suppresses isolated specular glitches: cursor stays put for

@@ -250,15 +250,12 @@ TEST_F(ExtDeviceFixture, DutyCycleDropsDrawWhenIdleAndWakesOnMotion) {
   config.idle_after = util::Seconds{2.0};
   auto device = make(config);
   settle(1.0);
-  EXPECT_FALSE(device->sensor_idle());
   const double active_draw = device->board().battery().total_draw_ma();
   settle(4.0);  // nothing happens: goes idle
-  EXPECT_TRUE(device->sensor_idle());
   EXPECT_LT(device->board().battery().total_draw_ma(), active_draw - 20.0);
   // The hand moves: the next (sparse) sample notices and wakes up.
   distance_cm = distance_for_index(*device, 3);
   settle(1.0);
-  EXPECT_FALSE(device->sensor_idle());
   EXPECT_NEAR(device->board().battery().total_draw_ma(), active_draw, 1.0);
   EXPECT_EQ(device->cursor().index(), 3u);
 }

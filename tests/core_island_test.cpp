@@ -155,17 +155,41 @@ TEST(IslandMapper, OutOfRangeCountsHitNothing) {
   EXPECT_FALSE(mapper.lookup(util::AdcCounts{0}).has_value());     // too far
 }
 
+TEST(IslandMapper, IslandsPastTheLastCountAreEmpty) {
+  // A curve with a negative offset reaches count 0 well before 60 cm,
+  // so the far islands have no counts left. They must stay empty: a
+  // [0,0] island would overlap the one that took count 0.
+  SensorCurve::Params params;
+  params.c = -0.3;
+  const SensorCurve curve(params);
+  IslandMapper::Config config;
+  config.far = util::Centimeters{60.0};
+  config.coverage = 1.0;
+  const IslandMapper mapper(curve, 12, config);
+  ASSERT_EQ(curve.counts_at(config.far).value, 0) << "the far end must run out of counts";
+  const auto& islands = mapper.islands();
+  for (int c = 0; c <= 1023; ++c) {
+    const util::AdcCounts counts{static_cast<std::uint16_t>(c)};
+    int owners = 0;
+    for (const auto& island : islands) owners += island.low <= c && c <= island.high;
+    EXPECT_LE(owners, 1) << "count " << c << " is in " << owners << " islands";
+    EXPECT_EQ(mapper.lookup(counts), mapper.lookup_lut(counts)) << "count " << c;
+  }
+}
+
 TEST(IslandMapper, SelectKeepsCurrentInGaps) {
   // "No selection or change happens if the device is held in a distance
   // between two of those islands."
   SensorCurve curve;
   IslandMapper mapper(curve, 5, {});
-  const auto first = mapper.select(util::AdcCounts{mapper.islands()[2].centre}, std::nullopt);
+  const std::uint16_t first =
+      mapper.probe(util::AdcCounts{mapper.islands()[2].centre}, IslandMapper::kLutGap).id;
   ASSERT_EQ(first, 2u);
-  // A count in the gap between islands 2 and 3:
+  // A count in the gap between islands 2 and 3 selects nothing, so the
+  // controller keeps island 2:
   const auto gap_counts =
       static_cast<std::uint16_t>((mapper.islands()[2].low + mapper.islands()[3].high) / 2);
-  EXPECT_EQ(mapper.select(util::AdcCounts{gap_counts}, first), 2u);
+  EXPECT_EQ(mapper.probe(util::AdcCounts{gap_counts}, first).id, IslandMapper::kLutGap);
 }
 
 TEST(IslandMapper, HysteresisResistsBoundaryFlicker) {
@@ -174,15 +198,16 @@ TEST(IslandMapper, HysteresisResistsBoundaryFlicker) {
   config.hysteresis_counts = 6;
   IslandMapper mapper(curve, 5, config);
   const auto& islands = mapper.islands();
-  auto current = mapper.select(util::AdcCounts{islands[2].centre}, std::nullopt);
+  const std::uint16_t current =
+      mapper.probe(util::AdcCounts{islands[2].centre}, IslandMapper::kLutGap).id;
   ASSERT_EQ(current, 2u);
   // Nudge just past the island's low bound into the gap, then slightly
   // into island 3's territory but within hysteresis: selection holds.
   const auto jitter = static_cast<std::uint16_t>(islands[2].low - 3);
-  EXPECT_EQ(mapper.select(util::AdcCounts{jitter}, current), 2u);
+  EXPECT_EQ(mapper.probe(util::AdcCounts{jitter}, current).id, 2u);
   // Far beyond hysteresis: selection moves.
   const auto firmly_in_3 = islands[3].centre;
-  EXPECT_EQ(mapper.select(util::AdcCounts{firmly_in_3}, current), 3u);
+  EXPECT_EQ(mapper.probe(util::AdcCounts{firmly_in_3}, current).id, 3u);
 }
 
 TEST(IslandMapper, LookupCostConstantAndBelowSearch) {

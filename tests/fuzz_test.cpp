@@ -7,6 +7,7 @@
 #include "menu/menu_builder.h"
 #include "pda/pda_host.h"
 #include "wireless/packet.h"
+#include "random_menu.h"
 #include "wire_frames.h"
 
 namespace distscroll {
@@ -17,7 +18,7 @@ class DeviceFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DeviceFuzz, ChaoticUseNeverBreaksInvariants) {
   sim::Rng rng(GetParam());
   sim::Rng menu_rng = rng.fork(1);
-  auto menu_root = menu::make_random_menu(menu_rng, 2, 8, 3);
+  auto menu_root = menu::test_support::make_random_menu(menu_rng, 2, 8, 3);
 
   sim::EventQueue queue;
   core::DistScrollDevice::Config config;
@@ -34,7 +35,8 @@ TEST_P(DeviceFuzz, ChaoticUseNeverBreaksInvariants) {
   core::DistScrollDevice device(config, *menu_root, queue, rng.fork(8));
   device.set_distance_provider([&](util::Seconds) { return util::Centimeters{distance}; });
   device.set_tilt_provider([&](util::Seconds) { return util::Radians{pitch}; });
-  device.set_surface(rng.fork(9).bernoulli(0.3) ? sensors::SurfaceProfile::reflective_vest()
+  // 30% of runs face a reflective vest.
+  device.set_surface(rng.fork(9).bernoulli(0.3) ? sensors::SurfaceProfile{1.0, 0.12}
                                                 : sensors::SurfaceProfile::gray_jacket());
   device.power_on();
 

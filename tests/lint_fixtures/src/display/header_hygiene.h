@@ -8,6 +8,6 @@
 
 namespace fixture {
 
-inline void log_line() { std::cout << "hygiene\n"; }
+inline std::ostream& kLog = std::cout;
 
 }  // namespace fixture

@@ -5,7 +5,7 @@
 
 namespace fixture {
 
-inline int guarded_the_old_way() { return 1; }
+inline constexpr int kGuardedTheOldWay = 1;
 
 }  // namespace fixture
 

@@ -10,7 +10,7 @@ namespace fixture {
 struct Sampler {
   using SampleFn = std::function<double(double)>;  // finding
 
-  void set_callback(std::function<void()> cb);  // finding
+  std::function<void()> callback;  // finding
 
   // ds-lint: allow(no-std-function-hot-path) fixture: justified setup-time owner stays silent
   std::function<void()> owner_slot;

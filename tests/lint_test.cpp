@@ -108,9 +108,24 @@ TEST(DsLint, ListRulesCoversRegistry) {
       "no-wallclock",        "no-ambient-rng",   "no-unordered-iteration",
       "no-std-function-hot-path", "no-alloc-markers", "include-hygiene",
       "pragma-once",         "include-layering", "hot-path-reachability",
-      "concurrency-purity",  "suppression-hygiene",
+      "concurrency-purity",  "test-only-api",    "suppression-hygiene",
   };
   EXPECT_EQ(names, want);
+}
+
+TEST(DsLint, TestOnlyApiReadsTheWholeTreeOnAPartialRun) {
+  // Linting one header alone: its .cpp, perfbench/ and tests/ are read
+  // as references only, so the findings are exactly the full run's.
+  const LintRun run = run_lint(std::string("--root ") + DS_LINT_FIXTURE_DIR + " " +
+                               DS_LINT_FIXTURE_DIR + "/src/study/api_surface.h");
+  EXPECT_EQ(run.exit_code, 1);
+  std::vector<std::string> got;
+  for (const std::string& line : run.lines) got.push_back(diagnostic_key(line));
+  const std::vector<std::string> want = {
+      "src/study/api_surface.h:20: test-only-api",
+      "src/study/api_surface.h:21: test-only-api",
+  };
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 #include "menu/menu.h"
 #include "menu/menu_builder.h"
 #include "menu/phone_menu.h"
+#include "random_menu.h"
 
 namespace distscroll::menu {
 namespace {
+
+using test_support::make_random_menu;
 
 TEST(MenuNode, LeafAndInterior) {
   MenuNode root("root");

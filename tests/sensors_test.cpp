@@ -115,8 +115,8 @@ TEST(Gp2d120, NoiseIsBounded) {
 TEST(Gp2d120, NearlyColorIndependent) {
   // "the color (the reflectivity) of the object ... does nearly not
   // matter": white vs dark fleece differ by only a few percent.
-  Gp2d120Model white(quiet_config(), sim::Rng(1), SurfaceProfile::white_shirt());
-  Gp2d120Model dark(quiet_config(), sim::Rng(1), SurfaceProfile::dark_fleece());
+  Gp2d120Model white(quiet_config(), sim::Rng(1), SurfaceProfile{0.9, 0.0});  // white shirt
+  Gp2d120Model dark(quiet_config(), sim::Rng(1), SurfaceProfile{0.12, 0.0});  // dark fleece
   double t = 0.0;
   double max_rel = 0.0;
   for (double d = 5.0; d <= 28.0; d += 3.0) {
@@ -132,7 +132,7 @@ TEST(Gp2d120, ReflectiveBoundariesGlitch) {
   // "Potentially problematic could be reflective surfaces with clear
   // boundaries" — glitches read as out-of-range.
   Gp2d120Model::Config config = quiet_config();
-  Gp2d120Model vest(config, sim::Rng(3), SurfaceProfile::reflective_vest());
+  Gp2d120Model vest(config, sim::Rng(3), SurfaceProfile{1.0, 0.12});  // reflective vest
   int glitches = 0;
   double t = 0.0;
   for (int i = 0; i < 500; ++i) {
@@ -147,7 +147,7 @@ TEST(Gp2d120, ReflectiveBoundariesGlitch) {
 
 TEST(Gp2d120, OrdinaryClothingNeverGlitches) {
   Gp2d120Model::Config config = quiet_config();
-  Gp2d120Model shirt(config, sim::Rng(3), SurfaceProfile::white_shirt());
+  Gp2d120Model shirt(config, sim::Rng(3), SurfaceProfile{0.9, 0.0});  // white shirt
   double t = 0.0;
   for (int i = 0; i < 500; ++i) {
     t += 0.04;

@@ -32,22 +32,6 @@ TEST(Tasks, RandomTasksValid) {
   }
 }
 
-TEST(Tasks, FixedDistanceTasksHonourDistance) {
-  sim::Rng rng(2);
-  const auto tasks = fixed_distance_tasks(rng, 20, 7, 40);
-  bool saw_up = false, saw_down = false;
-  for (const auto& t : tasks) {
-    const long diff =
-        static_cast<long>(t.target_index) - static_cast<long>(t.start_index);
-    EXPECT_EQ(std::abs(diff), 7);
-    EXPECT_LT(t.target_index, 20u);
-    saw_up |= diff < 0;
-    saw_down |= diff > 0;
-  }
-  EXPECT_TRUE(saw_up);
-  EXPECT_TRUE(saw_down);
-}
-
 // --- metrics -----------------------------------------------------------------------
 
 TEST(Metrics, AggregateMixesSuccessAndFailure) {
@@ -151,7 +135,7 @@ std::vector<TrialRecord> deadline_records(Technique& technique, human::Glove glo
                                           std::uint64_t seed) {
   sim::Rng rng(seed);
   const auto tasks = random_tasks(rng, 20, 40);
-  return run_trials(technique, tasks, human::UserProfile::novice().with_glove(glove), rng.fork(1));
+  return run_trials(technique, tasks, human::UserProfile{}.with_expertise(0.15).with_glove(glove), rng.fork(1));
 }
 
 /// Runs the bare technique and a dense (non-forwarding) wrapper over it
@@ -392,10 +376,10 @@ TEST(DeviceStudy, NovicePracticesToNearlyErrorless) {
   DeviceStudyConfig config;
   config.blocks = 4;
   config.trials_per_block = 12;
-  const auto result = run_device_participant(*menu_root, human::UserProfile::novice(), config,
+  const auto result = run_device_participant(*menu_root, human::UserProfile{}.with_expertise(0.15), config,
                                              sim::Rng(8));
   ASSERT_EQ(result.blocks.size(), 4u);
-  EXPECT_EQ(result.blocks[0].expertise, human::UserProfile::novice().expertise);
+  EXPECT_EQ(result.blocks[0].expertise, human::UserProfile{}.with_expertise(0.15).expertise);
   for (std::size_t b = 1; b < result.blocks.size(); ++b) {
     EXPECT_EQ(result.blocks[b].expertise,
               human::practice(result.blocks[b - 1].expertise, config.learning_rate))

@@ -2,6 +2,9 @@
 // comparison machinery).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string_view>
+
 #include "baselines/button_scroll.h"
 #include "baselines/distance_scroll.h"
 #include "text/dictionary.h"
@@ -30,16 +33,16 @@ TEST(ZoneKeyboard, RejectsNonAlphabet) {
 }
 
 TEST(ZoneKeyboard, ZonesPartitionTheAlphabet) {
-  std::string all;
-  for (int zone = 0; zone < ZoneKeyboard::kZones; ++zone) {
-    for (char c : ZoneKeyboard::zone_characters(zone)) {
-      EXPECT_EQ(ZoneKeyboard::zone_of(c), zone) << c;
-      all += c;
-    }
+  // a-z and space each fall in exactly one zone, and no zone is empty.
+  std::array<int, ZoneKeyboard::kZones> per_zone{};
+  for (const char c : std::string_view("abcdefghijklmnopqrstuvwxyz ")) {
+    const auto zone = ZoneKeyboard::zone_of(c);
+    ASSERT_TRUE(zone.has_value()) << c;
+    ASSERT_GE(*zone, 0) << c;
+    ASSERT_LT(*zone, ZoneKeyboard::kZones) << c;
+    ++per_zone[static_cast<std::size_t>(*zone)];
   }
-  EXPECT_EQ(all.size(), 27u);  // a-z + space, no duplicates
-  std::sort(all.begin(), all.end());
-  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+  for (const int count : per_zone) EXPECT_GT(count, 0);
 }
 
 TEST(ZoneKeyboard, SequenceOfWord) {
@@ -111,7 +114,7 @@ TEST(TextEntry, EnterWordWithButtons) {
   const auto dictionary = Dictionary::common_english();
   TextEntrySession session(dictionary);
   baselines::ButtonScroll technique;
-  const auto result = session.enter_word(technique, "the", human::UserProfile::expert(),
+  const auto result = session.enter_word(technique, "the", human::UserProfile{}.with_expertise(0.95),
                                          sim::Rng(1));
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.selections, 4u);  // 3 zones + 1 confirm
@@ -134,7 +137,7 @@ TEST(TextEntry, UnknownWordFails) {
   TextEntrySession session(dictionary);
   baselines::ButtonScroll technique;
   const auto result =
-      session.enter_word(technique, "zzz", human::UserProfile::expert(), sim::Rng(1));
+      session.enter_word(technique, "zzz", human::UserProfile{}.with_expertise(0.95), sim::Rng(1));
   EXPECT_FALSE(result.success);
 }
 
@@ -143,7 +146,7 @@ TEST(TextEntry, PhraseSplitsWords) {
   TextEntrySession session(dictionary);
   baselines::ButtonScroll technique;
   const auto results =
-      session.enter_phrase(technique, "we can go", human::UserProfile::expert(), sim::Rng(4));
+      session.enter_phrase(technique, "we can go", human::UserProfile{}.with_expertise(0.95), sim::Rng(4));
   ASSERT_EQ(results.size(), 3u);
   for (const auto& r : results) EXPECT_TRUE(r.success) << r.word;
 }
@@ -153,7 +156,7 @@ TEST(TextEntry, AggregateStats) {
   TextEntrySession session(dictionary);
   baselines::ButtonScroll technique;
   const auto results = session.enter_phrase(technique, "the and you we",
-                                            human::UserProfile::expert(), sim::Rng(5));
+                                            human::UserProfile{}.with_expertise(0.95), sim::Rng(5));
   const auto stats = TextEntrySession::aggregate(results);
   EXPECT_GT(stats.words_per_minute, 1.0);
   EXPECT_LT(stats.words_per_minute, 60.0);
@@ -166,9 +169,9 @@ TEST(TextEntry, ExpertFasterThanNovice) {
   TextEntrySession session(dictionary);
   baselines::ButtonScroll technique;
   const auto expert = session.enter_phrase(technique, "the water people",
-                                           human::UserProfile::expert(), sim::Rng(6));
+                                           human::UserProfile{}.with_expertise(0.95), sim::Rng(6));
   const auto novice = session.enter_phrase(technique, "the water people",
-                                           human::UserProfile::novice(), sim::Rng(6));
+                                           human::UserProfile{}.with_expertise(0.15), sim::Rng(6));
   const auto stats_e = TextEntrySession::aggregate(expert);
   const auto stats_n = TextEntrySession::aggregate(novice);
   EXPECT_GT(stats_e.words_per_minute, stats_n.words_per_minute);

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 namespace {
@@ -391,6 +392,25 @@ TEST(ToolsCli, HelpExitsZeroAndUsageErrorsExit64) {
     EXPECT_EQ(run.exit_code, c.exit_code) << c.bin << " " << c.args;
     EXPECT_EQ(run.out.find("usage") != std::string::npos, c.usage_on_stdout)
         << c.bin << " " << c.args << ": " << run.out;
+  }
+}
+
+TEST(ToolsCli, TraceReplayRejectsUnknownEventKind) {
+  // The golden trace with its first event's kind byte set to a retired
+  // ARQ kind (8) and to 255: the file does not load, so dump and verify
+  // both exit 1 ("unreadable trace") and dump prints nothing.
+  std::ifstream in(DISTSCROLL_GOLDEN_DIR "/canonical_phone_menu.trace", std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  ASSERT_GT(bytes.size(), 24u + 17u);
+  const std::string path = testing::TempDir() + "/trace_replay_unknown_kind.trace";
+  for (const char kind : {'\x08', '\xff'}) {
+    bytes[24 + 8] = kind;  // 24-byte header, then the first event's kind after its time
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    for (const char* mode : {"dump ", "verify "}) {
+      const CliRun run = run_cli(DS_TRACE_REPLAY_BIN, mode + path);
+      EXPECT_EQ(run.exit_code, 1) << mode << int{static_cast<unsigned char>(kind)};
+      EXPECT_TRUE(run.out.empty()) << run.out;
+    }
   }
 }
 

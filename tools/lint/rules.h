@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lint/index.h"
@@ -54,6 +55,11 @@ using Emit = std::vector<Finding>;
 /// Raw-emit helper: 0-based line in, 1-based line recorded.
 void emit(Emit& out, const SourceFile& src, std::size_t line_index, const char* rule,
           std::string message);
+
+/// `'text'` followed by `suffix` inside the quotes (`'rand()'`). Built
+/// by appending: GCC 12 at -O3 misreads `"'" + std::string(…)` as an
+/// overlapping copy (-Wrestrict).
+std::string quoted(std::string_view text, std::string_view suffix = {});
 
 struct Rule {
   const char* name;

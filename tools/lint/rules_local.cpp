@@ -15,6 +15,16 @@ void emit(Emit& out, const SourceFile& src, std::size_t line_index, const char* 
   out.push_back(Finding{src.path, line_index + 1, rule, std::move(message), {}, false});
 }
 
+std::string quoted(std::string_view text, std::string_view suffix) {
+  std::string out;
+  out.reserve(text.size() + suffix.size() + 2);
+  out += '\'';
+  out += text;
+  out += suffix;
+  out += '\'';
+  return out;
+}
+
 namespace {
 
 /// Index of the previous token on the same line, or npos (the call
@@ -79,7 +89,7 @@ void detect_alloc_markers(const SourceFile& src, std::size_t begin, std::size_t 
     if (kCalls.count(text) != 0) {
       const std::size_t paren = skip_template_args(src, i + 1);
       if (paren < src.tokens.size() && src.is_punct(paren, "(")) {
-        sink(i, "no-alloc-markers", "'" + std::string(text) + "'");
+        sink(i, "no-alloc-markers", quoted(text));
       }
       continue;
     }
@@ -89,7 +99,7 @@ void detect_alloc_markers(const SourceFile& src, std::size_t begin, std::size_t 
           p != std::string::npos && (src.is_punct(p, ".") || src.is_punct(p, "->"));
       const std::size_t paren = skip_template_args(src, i + 1);
       if (member && paren < src.tokens.size() && src.is_punct(paren, "(")) {
-        sink(i, "no-alloc-markers", "container growth '" + std::string(text) + "'");
+        sink(i, "no-alloc-markers", "container growth " + quoted(text));
       }
     }
   }
@@ -105,14 +115,14 @@ void detect_ambient_rng(const SourceFile& src, std::size_t begin, std::size_t en
     if (src.tokens[i].kind != Token::Kind::Ident) continue;
     const std::string_view text = src.text(src.tokens[i]);
     if (kTypes.count(text) != 0) {
-      sink(i, "no-ambient-rng", "'" + std::string(text) + "'");
+      sink(i, "no-ambient-rng", quoted(text));
       continue;
     }
     if (kCalls.count(text) != 0 && adjacent_punct(src, i, "(")) {
       const std::size_t p = prev_on_line(src, i);
       const bool member =
           p != std::string::npos && (src.is_punct(p, ".") || src.is_punct(p, "->"));
-      if (!member) sink(i, "no-ambient-rng", "'" + std::string(text) + "()'");
+      if (!member) sink(i, "no-ambient-rng", quoted(text, "()"));
     }
   }
 }
@@ -130,7 +140,7 @@ void detect_wallclock(const SourceFile& src, std::size_t begin, std::size_t end,
     if (src.tokens[i].kind != Token::Kind::Ident) continue;
     const std::string_view text = src.text(src.tokens[i]);
     if (kBanned.count(text) != 0) {
-      sink(i, "no-wallclock", "'" + std::string(text) + "'");
+      sink(i, "no-wallclock", quoted(text));
       continue;
     }
     // Bare C `time(` / `clock(` calls: flag only expression-position
@@ -147,7 +157,7 @@ void detect_wallclock(const SourceFile& src, std::size_t begin, std::size_t end,
         std_qualified = q != std::string::npos && src.is_ident(q, "std");
       }
       if ((call_position && !member) || std_qualified) {
-        sink(i, "no-wallclock", "'" + std::string(text) + "()'");
+        sink(i, "no-wallclock", quoted(text, "()"));
       }
     }
   }
@@ -351,6 +361,7 @@ bool never(const std::string&) { return false; }
 void rule_include_layering(const FileIndex& index, Emit& out);
 void rule_hot_path_reachability(const FileIndex& index, Emit& out);
 void rule_concurrency_purity(const FileIndex& index, Emit& out);
+void rule_test_only_api(const FileIndex& index, Emit& out);
 
 const std::vector<Rule>& registry() {
   static const std::vector<Rule> kRules = {
@@ -379,6 +390,9 @@ const std::vector<Rule>& registry() {
       {"concurrency-purity",
        "mutable namespace-scope/static state in ThreadPool-executed modules",
        nullptr, nullptr, rule_concurrency_purity},
+      {"test-only-api",
+       "functions declared in src/ headers that no program outside tests/ calls",
+       nullptr, nullptr, rule_test_only_api},
       {"suppression-hygiene",
        "allow() comments must name a rule that fires here and carry a justification",
        never, nullptr, nullptr},  // implemented by the driver over raw findings

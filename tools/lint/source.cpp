@@ -99,7 +99,11 @@ void strip(SourceFile& src) {
             if (i >= 1 && s[i - 1] == 'R' && (i < 2 || !ident_char(s[i - 2]))) {
               const std::size_t open = s.find('(', i + 1);
               if (open != std::string::npos) {
-                raw_delim = ")" + s.substr(i + 1, open - i - 1) + "\"";
+                // Appended piecewise: GCC 12 misreads `")" + s.substr(…)`
+                // as an overlapping copy (-Wrestrict).
+                raw_delim.assign(1, ')');
+                raw_delim.append(s, i + 1, open - i - 1);
+                raw_delim.push_back('"');
                 out[i] = '"';
                 i = open;
                 mode = Mode::RawStr;
