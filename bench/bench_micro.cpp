@@ -32,6 +32,7 @@
 #include "host/sim_link.h"
 #include "human/hand_model.h"
 #include "human/motion_planner.h"
+#include "human/population.h"
 #include "hw/adc.h"
 #include "lint/index.h"
 #include "lint/rules.h"
@@ -42,10 +43,12 @@
 #include "sensors/gp2d120.h"
 #include "hw/scheduler.h"
 #include "sim/event_queue.h"
+#include "study/fleet_study.h"
 #include "study/sweep_runner.h"
 #include "study/task.h"
 #include "util/alloc_guard.h"
 #include "util/crc.h"
+#include "util/quantile_sketch.h"
 #include "wireless/arq.h"
 #include "wireless/packet.h"
 
@@ -364,6 +367,69 @@ void BM_SweepRunner(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kCells);
 }
 BENCHMARK(BM_SweepRunner)->Arg(1)->Arg(2)->Arg(8);
+
+/// The fleet's fold/merge layer: one chunk as run_fleet folds it — a
+/// fresh FleetAggregates (the engine's chunk slot), 256 participants of
+/// 4 synthetic trials each folded in order, then merged into a global
+/// aggregate that lives across iterations like a run's. The records are
+/// built once outside the loop, so no trial kernel runs. `s_per_chunk`
+/// is one construct + fold + merge.
+void BM_FleetFoldMerge(benchmark::State& state) {
+  constexpr std::size_t kParticipants = 256;
+  constexpr std::size_t kTrials = 4;
+  const human::PopulationSpec spec;
+  const sim::Rng root(0xF1EE7);
+  std::vector<human::SampledParticipant> participants;
+  std::vector<study::TrialRecord> records;
+  sim::Rng draws = root.fork(kParticipants);
+  for (std::size_t p = 0; p < kParticipants; ++p) {
+    participants.push_back(human::sample_participant(spec, root.fork(p)));
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      study::TrialRecord record;
+      record.outcome.success = draws.uniform01() < 0.95;
+      record.outcome.time_s = 0.5 + draws.exponential(4.0);
+      record.outcome.id_bits = 1.0 + 4.0 * draws.uniform01();
+      record.outcome.overshoots = draws.uniform01() < 0.3 ? 1 : 0;
+      records.push_back(record);
+    }
+  }
+  study::FleetAggregates global;
+  for (auto _ : state) {
+    study::FleetAggregates chunk;
+    for (std::size_t p = 0; p < kParticipants; ++p) {
+      chunk.fold_participant(participants[p]);
+      for (std::size_t t = 0; t < kTrials; ++t) chunk.fold_trial(records[p * kTrials + t]);
+    }
+    global.merge(chunk);
+  }
+  benchmark::DoNotOptimize(global.trials());
+  state.counters["s_per_chunk"] =
+      benchmark::Counter(static_cast<double>(state.iterations()),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FleetFoldMerge);
+
+/// The quantile sketch alone: a fresh sketch takes 1024 values (a chunk
+/// of 256 participants x 4 trials) and merges into a global sketch that
+/// lives across iterations. `s_per_value` is one add, with the
+/// construction and the merge spread over the chunk.
+void BM_QuantileSketchAddMerge(benchmark::State& state) {
+  constexpr std::size_t kValues = 1024;
+  std::vector<double> values(kValues);
+  sim::Rng rng(0x5CE7C4);
+  for (double& v : values) v = 0.5 + rng.exponential(4.0);
+  util::QuantileSketch global;
+  for (auto _ : state) {
+    util::QuantileSketch chunk;
+    for (const double v : values) chunk.add(v);
+    global.merge(chunk);
+  }
+  benchmark::DoNotOptimize(global.count());
+  state.counters["s_per_value"] =
+      benchmark::Counter(static_cast<double>(state.iterations() * kValues),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_QuantileSketchAddMerge);
 
 /// The tracer hot path: one record into the pre-allocated ring — what
 /// every instrumented firmware tick pays per event. Arg 1 = category

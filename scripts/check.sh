@@ -7,13 +7,15 @@
 #   tracing-off  same labels — proves tracing compiled out changes no
 #                behaviour (perf baselines are recorded for the tracing
 #                build, so the perf gate only runs on default)
-#   asan-ubsan   lint + unit + fuzz + host + golden under ASan/UBSan
+#   asan-ubsan   lint + unit + fuzz + host + golden + fleet under ASan/UBSan
 #                (+ the gcc/clang extra UBSan checks CMakeLists.txt adds
 #                per compiler); host runs here too so the ingest drain
 #                loop and the DSTL decoder get the over-read
 #                instrumentation, and golden so the bit-exact study
 #                digests drive every double->integer rounding past
-#                UBSan's float-cast-overflow check
+#                UBSan's float-cast-overflow check; fleet so the quantile
+#                sketch, its checkpoint decoding and the fleet engine run
+#                under the over-read instrumentation too
 #   tsan         threading + fleet + host + batch under ThreadSanitizer:
 #                every sim::ThreadPool user (sweep runner, fleet engine,
 #                host ingest's per-lane produce phase, thread-local
@@ -24,6 +26,9 @@
 #                target with FMA does not fuse a*b + c); host brings in
 #                the DSTL golden (GoldenHostIngest.*), which is labelled
 #                host, not golden
+#
+# Every flavour builds with DISTSCROLL_WERROR=ON (-Werror; the presets
+# set it too), so a new compiler warning fails the gate where it appears.
 #
 # Every flavour runs the same pre-step: build ds_lint alone and assert
 # `ds_lint --root .` exits 0 BEFORE the (much longer) test build. A
@@ -64,7 +69,7 @@ run_flavour() {
   local bindir
   bindir="$(preset_bindir "${preset}")"
   echo "==> [${preset}] configure"
-  cmake --preset "${preset}" >/dev/null
+  cmake --preset "${preset}" -DDISTSCROLL_WERROR=ON >/dev/null
   echo "==> [${preset}] lint gate: ds_lint --root ."
   cmake --build --preset "${preset}" -j "${JOBS}" --target ds_lint >/dev/null
   "./${bindir}/tools/ds_lint" --root .
@@ -95,7 +100,7 @@ run_perf_gate() {
 
 run_flavour default     'lint|unit|property|golden|batch|fleet|host'
 run_flavour tracing-off 'lint|unit|property|golden|batch|fleet|host'
-run_flavour asan-ubsan  'lint|unit|fuzz|host|golden'
+run_flavour asan-ubsan  'lint|unit|fuzz|host|golden|fleet'
 run_flavour tsan        'threading|fleet|host|batch'
 run_flavour native      'golden|threading|fleet|host'
 run_perf_gate

@@ -33,7 +33,6 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
       accel_(config.accel, rng.fork(3)),
       top_driver_(board_.i2c(), kTopDisplayAddress),
       bottom_driver_(board_.i2c(), kBottomDisplayAddress),
-      pot_({}, rng.fork(4)),
       cursor_(menu_root),
       mapper_(config.curve, 1, config.islands),
       controller_(mapper_, config.scroll),
@@ -42,7 +41,7 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
   board_.i2c().attach(kTopDisplayAddress, &top_panel_);
   board_.i2c().attach(kBottomDisplayAddress, &bottom_panel_);
 
-  // All five ADC channels are wired unconditionally — the parts are on
+  // All four ADC channels are wired unconditionally — the parts are on
   // the board whether or not the config samples them, and an unsampled
   // channel draws nothing from the noise stream. The sources are
   // non-owning delegates: context is the device itself.
@@ -56,9 +55,6 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
   }));
   accel_y_channel_ = board_.adc().attach(hw::AnalogSource(this, [](void* ctx, util::Seconds) {
     return static_cast<DistScrollDevice*>(ctx)->accel_.output_y(util::Radians{0.0});
-  }));
-  pot_channel_ = board_.adc().attach(hw::AnalogSource(this, [](void* ctx, util::Seconds) {
-    return static_cast<DistScrollDevice*>(ctx)->pot_.output();
   }));
   // The second GP2D120, recessed by offset_cm in the case: it sees the
   // same target farther away, always on the monotone branch.

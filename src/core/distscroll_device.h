@@ -1,6 +1,6 @@
 // The complete DistScroll prototype: Smart-Its board, GP2D120 ranger,
-// ADXL311, two BT96040 displays, three push buttons, contrast pot,
-// battery, wireless telemetry — and the firmware loop that turns
+// ADXL311, two BT96040 displays, three push buttons, battery,
+// wireless telemetry — and the firmware loop that turns
 // distance into menu navigation (paper Sections 4 and 5.1).
 //
 // Usage model (matches Figure 1): the simulated user holds the device,
@@ -32,7 +32,6 @@
 #include "hw/smart_its.h"
 #include "input/button.h"
 #include "input/debouncer.h"
-#include "input/potentiometer.h"
 #include "menu/menu.h"
 #include "obs/tracer.h"
 #include "sensors/adxl311.h"
@@ -158,10 +157,6 @@ class DistScrollDevice {
   // ds-lint: allow(test-only-api) the idle-churn, power-off and trace-flush tests count redraws; no program prints them
   [[nodiscard]] std::uint64_t redraws() const { return redraws_; }
 
-  /// Contrast potentiometer (user-adjustable, drives display bias).
-  // ds-lint: allow(test-only-api) a test turns the device's trimmer; no program does
-  input::Potentiometer& contrast_pot() { return pot_; }
-
   // --- observability ------------------------------------------------------
   /// Attach a structured tracer (nullptr detaches). Binds the tracer's
   /// clock to the device's event queue and propagates to the scroll
@@ -214,7 +209,6 @@ class DistScrollDevice {
   display::Bt96040 bottom_panel_;
   display::DisplayDriver top_driver_;
   display::DisplayDriver bottom_driver_;
-  input::Potentiometer pot_;
   std::vector<std::unique_ptr<input::Button>> buttons_;
   std::vector<input::Debouncer> debouncers_;
   /// Stable contexts for the debouncers' non-owning edge callbacks.
@@ -254,7 +248,6 @@ class DistScrollDevice {
   std::size_t secondary_channel_ = 0;
   std::size_t accel_x_channel_ = 0;
   std::size_t accel_y_channel_ = 0;
-  std::size_t pot_channel_ = 0;
   std::size_t sensor_draw_ = 0;
   std::size_t display_draw_ = 0;
 

@@ -172,6 +172,11 @@ HostIngestResult run_host_ingest(const HostIngestConfig& config,
     stats.link_frames_reordered += link->frames_reordered();
     stats.acks_lost += link->acks_lost();
   }
+  // The links and the lanes are read for the last time above. Release
+  // them before finish() builds the DSTL image next to its columns, so
+  // the run's peak never holds both.
+  decltype(links)().swap(links);
+  queue = IngestQueue(0, 0);
   stats.frames_accepted = registry.accepted();
   stats.frames_reordered = registry.reordered();
   stats.frames_duplicate = registry.duplicates();

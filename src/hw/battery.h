@@ -30,8 +30,7 @@ class Battery {
   /// Returns the consumer id.
   std::size_t add_consumer(std::string name, double draw_ma);
 
-  /// Change a consumer's draw (e.g. display brightness via the
-  /// potentiometer, sensor duty cycling).
+  /// Change a consumer's draw (e.g. sensor duty cycling).
   void set_draw(std::size_t consumer, double draw_ma);
 
   [[nodiscard]] double total_draw_ma() const;

@@ -1,8 +1,9 @@
 // The Smart-Its board pair (Gellersen et al., cited as [4]/[12] in the
 // paper): a base board carrying the PIC 18F452, UART and power, plus an
 // add-on board carrying the application peripherals — here the GP2D120
-// distance sensor, the ADXL311 accelerometer, two BT96040 displays, three
-// push buttons and the contrast potentiometer (paper Fig. 2 / Fig. 3).
+// distance sensor, the ADXL311 accelerometer, two BT96040 displays and
+// three push buttons (paper Fig. 2 / Fig. 3; the display contrast
+// trimmer is not modelled).
 //
 // SmartIts owns the shared buses and budgets; peripherals are attached
 // by the device layer (core::DistScrollDevice), mirroring how the

@@ -2,9 +2,9 @@
 //
 // The Smart-Its base board exposes a serial connector (paper Fig. 3);
 // the wireless module sits behind it. We model baud-limited byte
-// transmission with a bounded TX queue and an RX FIFO, so telemetry
-// bandwidth is a real constraint: at 115200 baud a state frame costs
-// ~1 ms, which matters at a 38 Hz sensor rate.
+// transmission with a bounded TX queue (the device only sends), so
+// telemetry bandwidth is a real constraint: at 115200 baud a state
+// frame costs ~1 ms, which matters at a 38 Hz sensor rate.
 #pragma once
 
 #include <cstdint>
@@ -55,16 +55,11 @@ class Uart {
     return byte;
   }
 
-  /// The wire side delivers a received byte into the RX FIFO. Returns
-  /// false on overflow (byte lost).
-  bool deliver(std::uint8_t byte) { return rx_fifo_.try_push(byte); }
-
  private:
   Config config_;
   // The PIC 18F452 USART has a tiny hardware FIFO; firmware typically
   // adds a software ring in RAM. 64 bytes models base board firmware.
   util::RingBuffer<std::uint8_t, 64> tx_fifo_;
-  util::RingBuffer<std::uint8_t, 64> rx_fifo_;
   TxSpaceCallback tx_space_cb_;
 };
 

@@ -10,7 +10,7 @@
 // registry into BENCH_*.json is deterministic.
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -64,7 +64,7 @@ class Histogram {
   /// derive means and time shares from a snapshot.
   [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const { return buckets_; }
+  [[nodiscard]] const std::array<std::uint64_t, kBuckets>& buckets() const { return buckets_; }
   [[nodiscard]] double bucket_low(std::size_t i) const;
 
   /// Multi-line "bucket range | bar | count" rendering (only non-empty
@@ -73,37 +73,30 @@ class Histogram {
 
   /// Zero all buckets, keeping the bucket configuration.
   void clear() {
-    std::fill(buckets_.begin(), buckets_.end(), 0);
+    buckets_.fill(0);
     count_ = 0;
     sum_ = 0.0;
   }
 
   /// Bucket-wise accumulate (the fleet fold-then-merge path; both sides
-  /// must share a bucket layout). False (state untouched) on a
-  /// bucket-count mismatch.
-  [[nodiscard]] bool merge(const Histogram& other) {
-    if (other.buckets_.size() != buckets_.size()) return false;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  /// should share a bucket configuration).
+  void merge(const Histogram& other) {
+    for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
     count_ += other.count_;
     sum_ += other.sum_;
-    return true;
   }
 
   /// Restore a snapshot taken via count()/sum()/buckets() — the fleet
-  /// checkpoint/resume path. False (state untouched) on a bucket-count
-  /// mismatch, which would mean a foreign serialisation.
-  [[nodiscard]] bool restore(std::uint64_t count, double sum,
-                             const std::vector<std::uint64_t>& buckets) {
-    if (buckets.size() != buckets_.size()) return false;
+  /// checkpoint/resume path.
+  void restore(std::uint64_t count, double sum, const std::array<std::uint64_t, kBuckets>& buckets) {
     buckets_ = buckets;
     count_ = count;
     sum_ = sum;
-    return true;
   }
 
  private:
   Config config_;
-  std::vector<std::uint64_t> buckets_ = std::vector<std::uint64_t>(kBuckets, 0);
+  std::array<std::uint64_t, kBuckets> buckets_{};
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
 };

@@ -4,7 +4,9 @@
 // capped by memory. FleetEngine removes the cap: participants are
 // generated on the fly from their index, folded CHUNK by chunk into
 // mergeable online aggregates, and only the aggregates survive — memory
-// is O(window_chunks × |Agg|), independent of the participant count.
+// is O(min(window_chunks, chunks) × |Agg|), independent of the
+// participant count: the engine builds only the chunk slots a run can
+// fill (DESIGN.md §12).
 //
 // Determinism contract (extends DESIGN.md §7; details in §12):
 //  * participant k's randomness is Rng(base_seed).fork(k) — identical
@@ -46,9 +48,10 @@ struct FleetConfig {
   /// recorded in checkpoints and must match on resume.
   std::uint64_t chunk = 256;
   std::uint64_t base_seed = 0;
-  /// Chunk aggregates in flight per window — the memory bound. NOT part
-  /// of the result's identity (merge order is chunk order regardless),
-  /// so it may differ between a run and its resume.
+  /// Chunk aggregates in flight per window — the memory bound (the
+  /// engine builds min(window_chunks, chunks) slots). NOT part of the
+  /// result's identity (merge order is chunk order regardless), so it
+  /// may differ between a run and its resume.
   std::size_t window_chunks = 32;
 };
 
@@ -63,7 +66,11 @@ class FleetEngine {
     if (config_.chunk == 0) config_.chunk = 1;
     if (config_.window_chunks == 0) config_.window_chunks = 1;
     if (threads_ > 1) pool_.emplace(threads_);
-    slots_.resize(config_.window_chunks);
+    // run() never dispatches more chunks per window than the run has,
+    // so a window wider than the run builds only the slots it can fill.
+    const std::uint64_t chunks = (config_.participants + config_.chunk - 1) / config_.chunk;
+    slots_.resize(static_cast<std::size_t>(
+        std::max<std::uint64_t>(1, std::min<std::uint64_t>(config_.window_chunks, chunks))));
   }
 
   [[nodiscard]] const FleetConfig& config() const { return config_; }
@@ -105,8 +112,7 @@ class FleetEngine {
                                    ? total_chunks
                                    : (stop_after + chunk - 1) / chunk);
     while (next_chunk < stop_chunk) {
-      const std::uint64_t window =
-          std::min<std::uint64_t>(config_.window_chunks, stop_chunk - next_chunk);
+      const std::uint64_t window = std::min<std::uint64_t>(slots_.size(), stop_chunk - next_chunk);
       auto run_chunk = [&](std::size_t i) {
         const std::uint64_t chunk_index = next_chunk + i;
         const std::uint64_t first = chunk_index * chunk;

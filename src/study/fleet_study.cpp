@@ -73,7 +73,7 @@ void write_identity(util::ByteWriter& out, const FleetStudyConfig& config) {
 FleetAggregates::FleetAggregates() : time_hist_(kTimeHistConfig) {}
 
 // The warm per-participant fold path: every instrument below has
-// pre-reserved capacity (sketch buffers, fixed histogram buckets, POD
+// pre-reserved capacity (sketch buffers, inline histogram buckets, POD
 // moments), so folding is allocation-free — pinned statically here and
 // empirically by the DS_ASSERT_NO_ALLOC scope in tests/fleet_test.cpp.
 DS_HOT_BEGIN
@@ -123,7 +123,7 @@ void FleetAggregates::merge(const FleetAggregates& other) {
   corrective_movements_ += other.corrective_movements_;
   time_s_.merge(other.time_s_);
   throughput_.merge(other.throughput_);
-  (void)time_hist_.merge(other.time_hist_);  // layouts always match (same Config)
+  time_hist_.merge(other.time_hist_);
   time_sketch_.merge(other.time_sketch_);
 }
 
@@ -181,11 +181,12 @@ bool FleetAggregates::deserialize(util::ByteReader& in) {
   double hist_sum = 0.0;
   std::uint32_t hist_buckets = 0;
   if (!in.u64(hist_count) || !in.f64(hist_sum) || !in.u32(hist_buckets)) return false;
-  std::vector<std::uint64_t> buckets(hist_buckets, 0);
+  std::array<std::uint64_t, obs::Histogram::kBuckets> buckets{};
+  if (hist_buckets != buckets.size()) return false;  // a foreign bucket layout
   for (std::uint64_t& b : buckets) {
     if (!in.u64(b)) return false;
   }
-  if (!time_hist_.restore(hist_count, hist_sum, buckets)) return false;
+  time_hist_.restore(hist_count, hist_sum, buckets);
   return time_sketch_.deserialize(in);
 }
 

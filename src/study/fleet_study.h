@@ -45,7 +45,7 @@ class FleetAggregates {
   /// this <- this ++ other. Callers MUST merge in ascending chunk-index
   /// order — the merge maths is order-sensitive in FP.
   void merge(const FleetAggregates& other);
-  /// Reset to empty, keeping warmed capacity (sketch/histogram buffers).
+  /// Reset to empty, keeping warmed capacity (sketch buffers).
   void clear();
 
   void serialize(util::ByteWriter& out) const;

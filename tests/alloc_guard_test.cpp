@@ -5,8 +5,8 @@
 // Tracer::record past ring capacity, EventQueue schedule/dispatch at
 // recycled depth, the device firmware sample loop, the ARQ receiver's
 // ack path, and a host ingest device link's construction and its
-// send/drain/ack/retransmit cycle. One more pins what a whole host
-// ingest run allocates.
+// send/drain/ack/retransmit cycle. Two more pin what a whole host
+// ingest run and a whole warm fleet run allocate.
 //
 // The interposer is compiled out under sanitizer builds (they own the
 // allocator), so every assertion skips when it is not linked in.
@@ -27,6 +27,7 @@
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
+#include "study/fleet_study.h"
 #include "util/alloc_guard.h"
 #include "wireless/arq.h"
 #include "wireless/host_logger.h"
@@ -186,6 +187,33 @@ TEST(AllocGuard, HostIngestRunStaysWithinItsAllocationBudget) {
   EXPECT_TRUE(result.stats.complete);
   EXPECT_EQ(result.stats.reports_shed, 0u);
   EXPECT_EQ(result.records.size(), result.stats.frames_accepted);
+}
+
+TEST(AllocGuard, FleetRunStaysWithinItsAllocationBudget) {
+  SKIP_WITHOUT_INTERPOSER();
+  // perfbench's fleet_distscroll run at one thread (no pool: every chunk
+  // folds on this thread, where the guard counts), measured warm — the
+  // first run grows the thread-local trial runner. What is left is per
+  // run: the engine's chunk slots (one per chunk the run has, here 4),
+  // the global aggregate, and the trial kernels' per-participant state.
+  // Measured 1.52 MB in 9 187 allocations; building a full window of 32
+  // slots took 3.39 MB in 10 172.
+  study::FleetStudyConfig config;
+  config.participants = 1024;
+  config.trials_per_participant = 4;
+  config.menu_size = 40;
+  config.chunk = 256;
+  config.base_seed = 1;
+  config.threads = 1;
+  (void)study::run_fleet(config);
+  util::AllocGuard guard{__FILE__, __LINE__};
+  const study::FleetRunResult result = study::run_fleet(config);
+  const std::uint64_t bytes = guard.bytes();
+  const std::uint64_t allocations = guard.allocations();
+  EXPECT_LE(bytes, 1'600'000u);
+  EXPECT_LE(allocations, 9'550u);
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(result.aggregates.participants(), config.participants);
 }
 
 TEST(AllocGuard, HostLinkSendDrainAckRetransmitIsAllocationFreeWhenWarm) {

@@ -304,12 +304,6 @@ TEST_F(DeviceFixture, SurfaceGlitchWithMedianFilterStaysStable) {
   EXPECT_GT(on_target, 85) << "cursor unstable under glitches: " << on_target << "/" << total;
 }
 
-TEST_F(DeviceFixture, ContrastPotDrivesDisplay) {
-  auto device = make();
-  device->contrast_pot().set_position(1.0);
-  EXPECT_EQ(device->contrast_pot().as_contrast_level(), 63);
-}
-
 TEST_F(DeviceFixture, SelectionEventsRecorded) {
   auto device = make();
   distance_cm = distance_for_index(*device, 1);

@@ -162,6 +162,102 @@ TEST(QuantileSketch, SerializeRoundTripsExactly) {
   EXPECT_FALSE(scratch.deserialize(bad));
 }
 
+/// FNV-1a over a sketch's serialised bytes followed by the bit patterns
+/// of a spread of quantiles.
+std::uint64_t sketch_digest(const util::QuantileSketch& sketch) {
+  std::vector<std::uint8_t> bytes;
+  util::ByteWriter writer(bytes);
+  sketch.serialize(writer);
+  for (const double p : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+    writer.f64(sketch.quantile(p));
+  }
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    hash ^= b;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// A sketch whose levels 0..kLevels-1 each hold `resident` values:
+/// kCapacity - 1 is the fullest state add() and merge() leave behind,
+/// 2 * kCapacity the fullest deserialize() accepts.
+template <std::size_t kLevels, std::uint32_t kResident>
+util::QuantileSketch crafted_sketch(std::uint64_t seed) {
+  std::vector<std::uint8_t> bytes;
+  util::ByteWriter writer(bytes);
+  std::uint64_t count = 0;
+  for (std::size_t l = 0; l < kLevels; ++l) count += std::uint64_t{kResident} << l;
+  writer.u64(count);
+  sim::Rng rng(seed);
+  for (std::size_t l = 0; l < util::QuantileSketch::kMaxLevels; ++l) {
+    writer.u8(static_cast<std::uint8_t>(l % 2));
+    const std::uint32_t size = l < kLevels ? kResident : 0;
+    writer.u32(size);
+    for (std::uint32_t i = 0; i < size; ++i) writer.f64(rng.uniform01() * static_cast<double>(l + 1));
+  }
+  util::QuantileSketch sketch;
+  util::ByteReader reader(bytes);
+  EXPECT_TRUE(sketch.deserialize(reader));
+  return sketch;
+}
+
+util::QuantileSketch near_full_sketch(std::uint64_t seed) {
+  return crafted_sketch<6, util::QuantileSketch::kCapacity - 1>(seed);
+}
+
+TEST(QuantileSketch, AddMergeClearPlanIsPinned) {
+  // The sketch's state — hence its checkpoint bytes and quantiles — is
+  // a pure function of the add/merge/clear sequence, whatever the
+  // storage layout. Merging two near-full sketches concatenates 254
+  // values at level 0, promotes 127 of them, and so puts 381 values
+  // (past 2*kCapacity) into level 1 before it compacts.
+  util::QuantileSketch global = near_full_sketch(101);
+  global.merge(near_full_sketch(102));
+
+  sim::Rng rng(103);
+  util::QuantileSketch gaussian;
+  for (int i = 0; i < 5000; ++i) gaussian.add(rng.gaussian(2.0, 0.7));
+  global.merge(gaussian);
+
+  // Signed zeros compare equal, so the bytes also pin the order in which
+  // ties reach each compaction's sort.
+  util::QuantileSketch reused;
+  for (int i = 0; i < 300; ++i) reused.add(rng.uniform01());
+  reused.clear();
+  for (int i = 0; i < 777; ++i) {
+    reused.add(i % 3 == 0 ? -0.0 : (i % 3 == 1 ? 0.0 : rng.uniform01() - 0.5));
+  }
+  global.merge(reused);
+  for (int i = 0; i < 1000; ++i) global.add(rng.exponential(1.5));
+
+  // The fleet's shape: chunk sketches merged in order into a global one.
+  util::QuantileSketch chunked;
+  util::QuantileSketch chunk;
+  for (int c = 0; c < 20; ++c) {
+    chunk.clear();
+    for (int i = 0; i < 1000; ++i) chunk.add(rng.exponential(2.0));
+    chunked.merge(chunk);
+  }
+  global.merge(chunked);
+  global.merge(near_full_sketch(104));
+
+  EXPECT_EQ(global.count(), 2 * 8001u + 5000u + 777u + 1000u + 20000u + 8001u);
+  EXPECT_EQ(sketch_digest(global), 0x34ffdcaf3636bc94ULL) << std::hex << sketch_digest(global);
+  EXPECT_EQ(sketch_digest(chunked), 0xd6d0a6d6d7bf04a0ULL) << std::hex << sketch_digest(chunked);
+
+  // deserialize() accepts up to 2*kCapacity values per level, more than
+  // add() and merge() ever leave resident; both keep working from there.
+  // One add cascades 384, 448 and 480 values through levels 1..3.
+  util::QuantileSketch overfull = crafted_sketch<4, 2 * util::QuantileSketch::kCapacity>(105);
+  for (int i = 0; i < 300; ++i) overfull.add(rng.uniform01());
+  EXPECT_EQ(sketch_digest(overfull), 0x09a61db59c1874eeULL) << std::hex << sketch_digest(overfull);
+  util::QuantileSketch merged = crafted_sketch<4, 2 * util::QuantileSketch::kCapacity>(106);
+  merged.merge(crafted_sketch<4, 2 * util::QuantileSketch::kCapacity>(107));
+  merged.merge(overfull);
+  EXPECT_EQ(sketch_digest(merged), 0x93755b85b68c121dULL) << std::hex << sketch_digest(merged);
+}
+
 TEST(QuantileSketch, ClearedSketchSerialisesLikeFresh) {
   util::QuantileSketch used;
   sim::Rng rng(41);
@@ -410,6 +506,29 @@ TEST(FleetEngine, WindowHookFiresAtChunkAlignedCursors) {
   EXPECT_EQ(cuts.back(), config.participants);
 }
 
+/// ProbeAgg that counts its constructions (the engine's chunk slots).
+struct CountingAgg : ProbeAgg {
+  static inline int constructed = 0;
+  CountingAgg() { ++constructed; }
+  void merge(const CountingAgg& other) { ProbeAgg::merge(other); }
+};
+
+TEST(FleetEngine, WindowWiderThanTheRunBuildsOnlyTheSlotsItFills) {
+  // 150 participants in chunks of 64: three chunks, the last partial.
+  study::FleetConfig config;
+  config.participants = 150;
+  config.threads = 1;
+  config.chunk = 64;
+  config.window_chunks = 32;
+  CountingAgg::constructed = 0;
+  study::FleetEngine<CountingAgg> engine(config);
+  EXPECT_EQ(CountingAgg::constructed, 3);
+  config.participants = 0;
+  CountingAgg::constructed = 0;
+  study::FleetEngine<CountingAgg> empty(config);
+  EXPECT_EQ(CountingAgg::constructed, 1);
+}
+
 // --- end-to-end fleet study -----------------------------------------------
 
 study::FleetStudyConfig small_fleet() {
@@ -457,6 +576,22 @@ TEST(FleetStudy, MatchesPerParticipantReference) {
   EXPECT_EQ(got.aggregates.to_bytes(), expected.to_bytes());
   EXPECT_EQ(got.aggregates.participants(), 640u);
   EXPECT_EQ(got.aggregates.trials(), 1280u);
+}
+
+TEST(FleetStudy, WindowWiderThanTheRunGivesTheSameBytes) {
+  // window_chunks is not part of the result's identity: a window of 32
+  // over a three-chunk run folds and merges what a window of 1 does.
+  study::FleetStudyConfig config = small_fleet();
+  config.participants = 150;
+  config.window_chunks = 1;
+  const auto narrow = study::run_fleet(config);
+  config.window_chunks = 32;
+  config.threads = 4;
+  const auto wide = study::run_fleet(config);
+  ASSERT_TRUE(narrow.complete);
+  ASSERT_TRUE(wide.complete);
+  EXPECT_EQ(wide.aggregates.participants(), 150u);
+  EXPECT_EQ(wide.aggregates.to_bytes(), narrow.aggregates.to_bytes());
 }
 
 TEST(FleetStudy, BitIdenticalAcrossThreadCounts) {

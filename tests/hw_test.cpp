@@ -203,12 +203,6 @@ TEST(Uart, TxFifoOrderAndOverflow) {
   EXPECT_EQ(uart.clock_out(), 1);
 }
 
-TEST(Uart, RxOverflowCounted) {
-  Uart uart;
-  for (int i = 0; i < 64; ++i) EXPECT_TRUE(uart.deliver(0xAA));
-  EXPECT_FALSE(uart.deliver(0xBB));
-}
-
 // --- MCU --------------------------------------------------------------------------
 
 TEST(Mcu, CycleAccounting) {

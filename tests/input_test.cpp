@@ -1,11 +1,10 @@
-// Unit tests for buttons (with mechanical bounce), the firmware
-// debouncer, and the contrast potentiometer.
+// Unit tests for buttons (with mechanical bounce) and the firmware
+// debouncer.
 #include <gtest/gtest.h>
 
 #include "hw/gpio.h"
 #include "input/button.h"
 #include "input/debouncer.h"
-#include "input/potentiometer.h"
 #include "sim/event_queue.h"
 
 namespace distscroll::input {
@@ -142,36 +141,6 @@ TEST(DebouncerWithButton, EndToEndThroughGpio) {
   }
   EXPECT_EQ(presses, 1);
   EXPECT_EQ(releases, 1);
-}
-
-// --- potentiometer -----------------------------------------------------------------
-
-TEST(Potentiometer, PositionMapsToVoltage) {
-  Potentiometer::Config config;
-  config.wiper_noise_volts = 0.0;
-  Potentiometer pot(config, sim::Rng(1));
-  pot.set_position(0.5);
-  EXPECT_NEAR(pot.output().value, 2.5, 1e-9);
-  pot.set_position(0.0);
-  EXPECT_NEAR(pot.output().value, 0.0, 1e-9);
-}
-
-TEST(Potentiometer, PositionClamped) {
-  Potentiometer pot({}, sim::Rng(1));
-  pot.set_position(2.0);
-  EXPECT_DOUBLE_EQ(pot.position(), 1.0);
-  pot.set_position(-1.0);
-  EXPECT_DOUBLE_EQ(pot.position(), 0.0);
-}
-
-TEST(Potentiometer, ContrastLevelSpansRange) {
-  Potentiometer::Config config;
-  config.wiper_noise_volts = 0.0;
-  Potentiometer pot(config, sim::Rng(1));
-  pot.set_position(1.0);
-  EXPECT_EQ(pot.as_contrast_level(), 63);
-  pot.set_position(0.0);
-  EXPECT_EQ(pot.as_contrast_level(), 0);
 }
 
 }  // namespace
