@@ -14,6 +14,7 @@
 #include <array>
 #include <cmath>
 #include <filesystem>
+#include <numbers>
 #include <span>
 #include <vector>
 
@@ -41,7 +42,6 @@
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "sensors/gp2d120.h"
-#include "hw/scheduler.h"
 #include "sim/event_queue.h"
 #include "study/fleet_study.h"
 #include "study/sweep_runner.h"
@@ -754,26 +754,39 @@ void BM_DsLintFullTree(benchmark::State& state) {
 }
 BENCHMARK(BM_DsLintFullTree)->Unit(benchmark::kMillisecond);
 
-/// The whole DistScroll firmware task set on the cooperative scheduler:
-/// how much of the PIC's 1 ms tick budget does the prototype use?
-void BM_FirmwareTaskSetUtilization(benchmark::State& state) {
-  double utilization = 0.0;
+/// One simulated second of the real default device: every firmware
+/// timer (1 kHz button scan, 50 Hz ADC sample + island step, telemetry
+/// frames, redraws) on the event queue. Arg 0 holds the hand still at
+/// 17 cm (idle); arg 1 sweeps it 6..28 cm once per second, so the cursor
+/// walks the phone menu's top level and the displays redraw. The device
+/// is built and powered with the timer paused. tick_budget_used is the
+/// share of the PIC's 10 MIPS second that the firmware charged
+/// (mcu().cycles() / 1e7, construction and boot redraw included).
+void BM_DeviceSecond(benchmark::State& state) {
+  const auto menu_root = menu::make_phone_menu();
+  const bool sweeping = state.range(0) != 0;
+  auto hand = [sweeping](util::Seconds t) {
+    return util::Centimeters{sweeping ? 17.0 + 11.0 * std::sin(2.0 * std::numbers::pi * t.value) : 17.0};
+  };
+  std::uint64_t cycles = 0;
+  std::uint64_t redraws = 0;
   for (auto _ : state) {
+    state.PauseTiming();
     sim::EventQueue queue;
-    hw::Mcu mcu({}, queue);
-    hw::Scheduler scheduler({}, mcu);
-    scheduler.add_task("buttons", 1, 12, [] {});           // 1 kHz scan
-    scheduler.add_task("ranger+map", 20, 440 + 82, [] {}); // 50 Hz sense+lookup
-    scheduler.add_task("display", 20, 900, [] {});         // redraw path
-    scheduler.add_task("telemetry", 40, 120 + 990, [] {}); // frame + uart pump
-    scheduler.start();
+    core::DistScrollDevice device(core::DistScrollDevice::Config{}, *menu_root, queue,
+                                  sim::Rng(7));
+    device.set_distance_provider_ref(hand);
+    device.power_on();
+    state.ResumeTiming();
     queue.run_until(util::Seconds{1.0});
-    utilization = scheduler.utilization();
-    benchmark::DoNotOptimize(scheduler.overruns());
+    cycles = device.board().mcu().cycles();
+    redraws = device.redraws();
+    benchmark::DoNotOptimize(cycles);
   }
-  state.counters["tick_budget_used"] = utilization;
+  state.counters["tick_budget_used"] = static_cast<double>(cycles) / 1e7;
+  state.counters["redraws"] = static_cast<double>(redraws);
 }
-BENCHMARK(BM_FirmwareTaskSetUtilization);
+BENCHMARK(BM_DeviceSecond)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -30,7 +30,7 @@ int main() {
     fake_time += 0.1;
     const util::Volts v = ranger.output(d, util::Seconds{fake_time});
     // Route through the ADC quantisation path (noiseless).
-    return util::adc10_counts(v.value, hw::Adc10::Config{}.vref, 0.0);
+    return util::adc10_counts(v.value, hw::Adc10::kVref, 0.0);
   };
 
   const auto samples = core::sweep(util::Centimeters{4.0}, util::Centimeters{32.0}, 1.0,

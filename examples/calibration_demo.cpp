@@ -22,8 +22,8 @@ int main() {
 
   std::printf("=== DistScroll per-unit calibration ===\n\n");
   std::printf("factory default curve: V(d) = %.2f/(d + %.2f) + %.2f\n",
-              device.config().curve.params().a, device.config().curve.params().k,
-              device.config().curve.params().c);
+              device.curve().params().a, device.curve().params().k,
+              device.curve().params().c);
   std::printf("this unit's actual sensor: a=%.2f k=%.2f (reads hot)\n\n", 11.6, 0.75);
 
   std::vector<double> jig;
@@ -49,7 +49,7 @@ int main() {
   if (fresh.load_calibration_from_eeprom()) {
     std::printf("after battery change: calibration restored from EEPROM\n");
     std::printf("  curve a=%.2f (calibrated) vs %.2f (datasheet default)\n",
-                fresh.config().curve.params().a, core::SensorCurve().params().a);
+                fresh.curve().params().a, core::SensorCurve().params().a);
   }
   std::printf("EEPROM writes so far: %llu (record is %zu bytes)\n",
               static_cast<unsigned long long>(device.eeprom().total_writes()),

@@ -17,7 +17,7 @@ int main() {
   auto menu_root = menu::make_phone_menu();
   sim::EventQueue queue;
 
-  pda::PdaAddon addon({}, queue, sim::Rng(99));
+  pda::PdaAddon addon(queue, sim::Rng(99));
   pda::PdaHost host({}, *menu_root);
 
   // The serial cable: clock addon bytes into the host at UART pace.

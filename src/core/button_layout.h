@@ -74,10 +74,4 @@ struct ButtonErgonomics {
   return ButtonErgonomics{};
 }
 
-/// Long-press classification for the single-button layout: hold
-/// durations at or above the threshold mean BACK.
-struct LongPressConfig {
-  double threshold_s = 0.45;
-};
-
 }  // namespace distscroll::core

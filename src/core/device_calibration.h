@@ -24,19 +24,12 @@ struct DeviceCalibrationReport {
   double duration_s = 0.0; // simulated time the procedure took
 };
 
-struct DeviceCalibrationConfig {
-  int samples_per_point = 6;
-  /// Dwell per jig position: must exceed the sensor's 38 ms period so
-  /// every sample is a fresh measurement.
-  util::Seconds dwell_per_sample{60e-3};
-  double min_r_squared = 0.98;  // acceptance threshold
-};
-
-/// Run the calibration procedure. Temporarily owns the device's
+/// Run the calibration procedure: six samples per jig position, 60 ms
+/// apart, accepted at R^2 >= 0.98. Temporarily owns the device's
 /// distance provider (the jig); the caller re-attaches the hand
 /// afterwards. On acceptance the curve is saved to EEPROM and applied.
-[[nodiscard]] DeviceCalibrationReport calibrate_device(
-    DistScrollDevice& device, sim::EventQueue& queue, std::span<const double> jig_distances_cm,
-    DeviceCalibrationConfig config = {});
+[[nodiscard]] DeviceCalibrationReport calibrate_device(DistScrollDevice& device,
+                                                       sim::EventQueue& queue,
+                                                       std::span<const double> jig_distances_cm);
 
 }  // namespace distscroll::core

@@ -16,11 +16,13 @@ constexpr std::uint64_t kAdcCycles = 440;
 constexpr std::uint64_t kButtonScanCycles = 12;
 constexpr std::uint64_t kRedrawCycles = 900;  // formatting + I2C byte pumping
 constexpr double kRangerDrawMa = 33.0;        // GP2D120 typ. supply current
+// The 50 Hz sensing loop; a state frame goes out every second tick.
+constexpr util::Seconds kFirmwareTick{20e-3};
+constexpr int kTelemetryDivider = 2;
 
-// Default providers until the study wires a hand/posture model in: the
-// device rests at a mid-range distance, held level.
+// Default provider until the study wires a hand model in: the device
+// rests at a mid-range distance.
 util::Centimeters default_distance(util::Seconds) { return util::Centimeters{17.0}; }
-util::Radians default_tilt(util::Seconds) { return util::Radians{0.0}; }
 }  // namespace
 
 DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_root,
@@ -30,18 +32,16 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
       board_(config.board, queue, rng.fork(1)),
       ranger_(config.sensor, rng.fork(2)),
       secondary_ranger_(config.sensor, rng.fork(20)),
-      accel_(config.accel, rng.fork(3)),
       top_driver_(board_.i2c(), kTopDisplayAddress),
       bottom_driver_(board_.i2c(), kBottomDisplayAddress),
       cursor_(menu_root),
-      mapper_(config.curve, 1, config.islands),
+      mapper_(curve_, 1, islands_),
       controller_(mapper_, config.scroll),
-      distance_provider_(default_distance),
-      tilt_provider_(default_tilt) {
+      distance_provider_(default_distance) {
   board_.i2c().attach(kTopDisplayAddress, &top_panel_);
   board_.i2c().attach(kBottomDisplayAddress, &bottom_panel_);
 
-  // All four ADC channels are wired unconditionally — the parts are on
+  // Both ranger channels are wired unconditionally — the parts are on
   // the board whether or not the config samples them, and an unsampled
   // channel draws nothing from the noise stream. The sources are
   // non-owning delegates: context is the device itself.
@@ -49,30 +49,23 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
     auto* self = static_cast<DistScrollDevice*>(ctx);
     return self->ranger_.output(self->distance_provider_(now), now);
   }));
-  accel_x_channel_ = board_.adc().attach(hw::AnalogSource(this, [](void* ctx, util::Seconds now) {
-    auto* self = static_cast<DistScrollDevice*>(ctx);
-    return self->accel_.output_x(self->tilt_provider_(now));
-  }));
-  accel_y_channel_ = board_.adc().attach(hw::AnalogSource(this, [](void* ctx, util::Seconds) {
-    return static_cast<DistScrollDevice*>(ctx)->accel_.output_y(util::Radians{0.0});
-  }));
-  // The second GP2D120, recessed by offset_cm in the case: it sees the
-  // same target farther away, always on the monotone branch.
+  // The second GP2D120, recessed in the case: it sees the same target
+  // farther away, always on the monotone branch.
   secondary_channel_ = board_.adc().attach(hw::AnalogSource(this, [](void* ctx, util::Seconds now) {
     auto* self = static_cast<DistScrollDevice*>(ctx);
-    const double d = self->distance_provider_(now).value + self->config_.dual_sensor.offset_cm;
+    const double d = self->distance_provider_(now).value + DualRangeResolver::kOffsetCm;
     return self->secondary_ranger_.output(util::Centimeters{d}, now);
   }));
 
   for (std::size_t pin = 0; pin < 3; ++pin) {
     buttons_.push_back(
-        std::make_unique<input::Button>(config_.button, board_.gpio(), pin, queue, rng.fork(10 + pin)));
+        std::make_unique<input::Button>(input::Button::Config{}, board_.gpio(), pin, queue, rng.fork(10 + pin)));
     debouncers_.emplace_back();
     button_ctx_[pin] = ButtonCtx{this, pin};
   }
   // All debounced edges funnel through on_button_edge: one place that
-  // traces the edge and dispatches per the configured layout — and the
-  // same entry point trace replay injects recorded edges into.
+  // traces the edge and dispatches it — and the same entry point trace
+  // replay injects recorded edges into.
   for (std::size_t i = 0; i < debouncers_.size(); ++i) {
     debouncers_[i].on_press(input::Debouncer::Callback(&button_ctx_[i], [](void* ctx) {
       auto* c = static_cast<ButtonCtx*>(ctx);
@@ -86,8 +79,8 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
 
   // Battery consumers beyond the base board: ranger (GP2D120 typ. 33 mA)
   // and the two displays.
-  sensor_draw_ = board_.battery().add_consumer("gp2d120", kRangerDrawMa);
-  display_draw_ = board_.battery().add_consumer(
+  board_.battery().add_consumer("gp2d120", kRangerDrawMa);
+  board_.battery().add_consumer(
       "displays", top_panel_.current_draw_ma() + bottom_panel_.current_draw_ma());
 
   // Firmware static memory: island table (4 B/entry, worst case 64
@@ -98,13 +91,12 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
   board_.mcu().reserve_flash("firmware", 14 * 1024);
 
   if (config_.use_dual_sensor) {
-    DualRangeResolver::Config resolver_config = config_.dual_sensor;
+    DualRangeResolver::Config resolver_config;
     resolver_config.peak_cm = config_.sensor.peak_cm;
     resolver_config.dead_zone_volts = config_.sensor.dead_zone_volts;
-    dual_resolver_.emplace(config_.curve, config_.curve, resolver_config);
+    dual_resolver_.emplace(curve_, curve_, resolver_config);
     board_.mcu().reserve_ram("dual-sensor-state", 16);
   }
-  if (config_.enable_context_gate) context_gate_.emplace(config_.context_gate);
 
   rebuild_mapping();
 }
@@ -118,11 +110,6 @@ void DistScrollDevice::set_distance_provider(
 void DistScrollDevice::set_distance_provider_ref(DistanceProvider provider) {
   distance_owner_ = nullptr;
   distance_provider_ = provider;
-}
-
-void DistScrollDevice::set_tilt_provider(std::function<util::Radians(util::Seconds)> provider) {
-  tilt_owner_ = std::move(provider);
-  tilt_provider_ = TiltProvider(tilt_owner_);
 }
 
 void DistScrollDevice::set_surface(sensors::SurfaceProfile surface) {
@@ -139,37 +126,19 @@ void DistScrollDevice::attach_tracer(obs::Tracer* tracer) {
 void DistScrollDevice::on_button_edge(std::size_t index, bool pressed) {
   DS_TRACE(tracer_, obs::EventKind::ButtonEdge, static_cast<std::uint32_t>(index),
            pressed ? 1u : 0u);
-  if (config_.button_layout == ButtonLayout::SingleLargeButton) {
-    // One physical button: short press = SELECT on release, long press
-    // (>= threshold) = BACK. The other buttons stay unused.
-    if (index != 0) return;
-    if (pressed) {
-      select_pressed_at_s_ = queue_->now().value;
-      return;
-    }
-    if (select_pressed_at_s_ < 0.0) return;
-    const double held = queue_->now().value - select_pressed_at_s_;
-    select_pressed_at_s_ = -1.0;
-    if (held >= config_.long_press.threshold_s) {
-      handle_back();
-    } else {
-      handle_select();
-    }
-    return;
-  }
   if (!pressed) return;
   switch (index) {
     case 0: handle_select(); break;
     case 1: handle_back(); break;
-    default: handle_aux(); break;
+    default: advance_chunk(); break;
   }
 }
 
 void DistScrollDevice::power_on() {
   if (powered_) return;
   powered_ = true;
-  firmware_timer_ = board_.mcu().start_timer(config_.firmware_tick, [this] { firmware_tick(); });
-  button_timer_ = board_.mcu().start_timer(config_.button_tick, [this] { button_tick(); });
+  firmware_timer_ = board_.mcu().start_timer(kFirmwareTick, [this] { firmware_tick(); });
+  button_timer_ = board_.mcu().start_timer(kButtonTick, [this] { button_tick(); });
   redraw();
 }
 
@@ -189,35 +158,20 @@ void DistScrollDevice::rebuild_mapping() {
   const std::size_t level_size = std::max<std::size_t>(1, cursor_.level_size());
   std::size_t islands = level_size;
   chunker_.reset();
-  zoom_.reset();
-
-  switch (config_.long_menu) {
-    case LongMenuStrategy::Plain:
-      break;
-    case LongMenuStrategy::Chunked:
-      if (level_size > config_.chunk_size) {
-        chunker_.emplace(level_size, config_.chunk_size);
-        chunker_->jump_to_chunk(chunker_->chunk_of(cursor_.index()));
-        islands = chunker_->entries_in_chunk();
-      }
-      break;
-    case LongMenuStrategy::SpeedZoom:
-      if (level_size > config_.speed_zoom_islands) {
-        islands = config_.speed_zoom_islands;
-        zoom_.emplace(level_size, islands, config_.speed_zoom);
-      }
-      break;
+  if (config_.long_menu == LongMenuStrategy::Chunked && level_size > config_.chunk_size) {
+    chunker_.emplace(level_size, config_.chunk_size);
+    chunker_->jump_to_chunk(chunker_->chunk_of(cursor_.index()));
+    islands = chunker_->entries_in_chunk();
   }
 
-  mapper_.rebuild(config_.curve, islands, config_.islands);
+  mapper_.rebuild(curve_, islands, islands_);
   controller_.reinitialize(config_.scroll);
   controller_.set_tracer(tracer_);
   if (config_.enable_fast_scroll) {
-    FastScrollMode::Config fs = config_.fast_scroll;
-    if (fs.threshold_counts == 0) {
-      fs.threshold_counts = static_cast<std::uint16_t>(
-          std::min(1020, mapper_.islands().front().high + 12));
-    }
+    // The turbo zone starts just above the nearest island's counts.
+    FastScrollMode::Config fs;
+    fs.threshold_counts =
+        static_cast<std::uint16_t>(std::min(1020, mapper_.islands().front().high + 12));
     fast_scroll_.emplace(fs);
   } else {
     fast_scroll_.reset();
@@ -247,121 +201,79 @@ void DistScrollDevice::firmware_tick() {
   auto& mcu = board_.mcu();
   const util::Seconds now = queue_->now();
 
-  // --- ranger duty cycling (idle -> sample every Nth tick, lower draw) --
-  bool sample_this_tick = true;
-  if (config_.enable_sensor_duty_cycle) {
-    sensor_idle_ = (now.value - last_activity_s_) >= config_.idle_after.value;
-    board_.battery().set_draw(
-        sensor_draw_, sensor_idle_ ? kRangerDrawMa / config_.idle_divider : kRangerDrawMa);
-    if (sensor_idle_ && ++ticks_since_sample_ < config_.idle_divider) {
-      sample_this_tick = false;
+  {
+    DS_STAGE(AdcSample);
+    // Sample the ranger through the ADC (the MCU busy-waits conversion),
+    // or consume the replay override's recorded counts stream. Cycle
+    // cost is identical either way so replays keep the MCU budget.
+    if (counts_override_) {
+      if (const auto forced = counts_override_()) last_counts_ = *forced;
+    } else {
+      last_counts_ = board_.adc().sample(ranger_channel_, now);
     }
+    mcu.charge_cycles(kAdcCycles);
   }
+  DS_TRACE(tracer_, obs::EventKind::AdcRead, static_cast<std::uint32_t>(ranger_channel_),
+           last_counts_.value);
 
-  // --- posture context gate (Section 4.3) --------------------------------
-  bool gate_open = true;
-  if (context_gate_) {
+  // --- dual-sensor fold resolution (the board's second GP2D120) ----------
+  bool sample_valid = true;
+  bool fold_zone = false;
+  util::AdcCounts effective_counts = last_counts_;
+  if (dual_resolver_) {
     DS_STAGE(Sensor);
-    const auto accel_counts = board_.adc().sample(accel_x_channel_, now);
-    const auto pitch = accel_.tilt_from_volts(board_.adc().to_volts(accel_counts));
-    gate_open = context_gate_->on_sample(now, pitch);
-    mcu.charge_cycles(kAdcCycles + 30);
+    const auto secondary = board_.adc().sample(secondary_channel_, now);
+    mcu.charge_cycles(kAdcCycles + 180);  // two inversions + compare
+    const auto resolution = dual_resolver_->resolve(last_counts_, secondary);
+    if (!resolution) {
+      sample_valid = false;  // unexplained pair: glitch, skip sample
+    } else if (resolution->folded) {
+      fold_zone = true;  // unambiguous "too close"
+    } else {
+      effective_counts = curve_.counts_at(resolution->distance);
+    }
   }
 
-  if (sample_this_tick) {
-    ticks_since_sample_ = 0;
-    {
-      DS_STAGE(AdcSample);
-      // Sample the ranger through the ADC (the MCU busy-waits conversion),
-      // or consume the replay override's recorded counts stream. Cycle
-      // cost is identical either way so replays keep the MCU budget.
-      if (counts_override_) {
-        if (const auto forced = counts_override_()) last_counts_ = *forced;
+  // --- expert turbo zone --------------------------------------------------
+  if (fast_scroll_ && sample_valid) {
+    const int steps = dual_resolver_ ? fast_scroll_->on_zone(now, fold_zone)
+                                     : fast_scroll_->on_sample(now, last_counts_);
+    if (steps > 0) {
+      mcu.charge_cycles(20);
+      if (chunker_) {
+        for (int i = 0; i < steps; ++i) advance_chunk();
       } else {
-        last_counts_ = board_.adc().sample(ranger_channel_, now);
-      }
-      mcu.charge_cycles(kAdcCycles);
-    }
-    DS_TRACE(tracer_, obs::EventKind::AdcRead, static_cast<std::uint32_t>(ranger_channel_),
-             last_counts_.value);
-
-    // --- dual-sensor fold resolution (the board's second GP2D120) --------
-    bool sample_valid = true;
-    bool fold_zone = false;
-    util::AdcCounts effective_counts = last_counts_;
-    if (dual_resolver_) {
-      DS_STAGE(Sensor);
-      const auto secondary = board_.adc().sample(secondary_channel_, now);
-      mcu.charge_cycles(kAdcCycles + 180);  // two inversions + compare
-      const auto resolution = dual_resolver_->resolve(last_counts_, secondary);
-      if (!resolution) {
-        sample_valid = false;  // unexplained pair: glitch, skip sample
-      } else if (resolution->folded) {
-        fold_zone = true;  // unambiguous "too close"
-      } else {
-        effective_counts = config_.curve.counts_at(resolution->distance);
+        const int dir = (config_.scroll.direction == ScrollDirection::TowardUserScrollsDown)
+                            ? steps
+                            : -steps;
+        cursor_.move_by(dir);
+        DS_TRACE(tracer_, obs::EventKind::CursorMove,
+                 static_cast<std::uint32_t>(cursor_.index()),
+                 static_cast<std::uint32_t>(cursor_.depth()));
+        redraw();
       }
     }
+  }
 
-    // --- expert turbo zone ------------------------------------------------
-    if (fast_scroll_ && gate_open && sample_valid) {
-      const int steps = dual_resolver_ ? fast_scroll_->on_zone(now, fold_zone)
-                                       : fast_scroll_->on_sample(now, last_counts_);
-      if (steps > 0) {
-        mcu.charge_cycles(20);
-        mark_activity(now);
-        if (chunker_) {
-          for (int i = 0; i < steps; ++i) advance_chunk();
-        } else {
-          const int dir = (config_.scroll.direction == ScrollDirection::TowardUserScrollsDown)
-                              ? steps
-                              : -steps;
-          cursor_.move_by(dir);
-          DS_TRACE(tracer_, obs::EventKind::CursorMove,
-                   static_cast<std::uint32_t>(cursor_.index()),
-                   static_cast<std::uint32_t>(cursor_.depth()));
-          redraw();
-        }
-      }
-    }
-
-    // --- distance -> island -> entry ---------------------------------------
-    if (sample_valid && !fold_zone) {
-      DS_STAGE(Controller);
-      const ScrollController::Update update = controller_.on_sample(effective_counts);
-      mcu.charge_cycles(update.cycles);
-      if (update.changed) mark_activity(now);
-      if (update.menu_index && gate_open) {
-        std::size_t absolute = *update.menu_index;
-        if (chunker_) {
-          absolute = chunker_->to_absolute(*update.menu_index);
-        } else if (zoom_) {
-          // SpeedZoom consumes island indices directly (before direction
-          // mapping the controller applied); undo the mapping.
-          std::size_t island = *update.menu_index;
-          if (config_.scroll.direction == ScrollDirection::TowardUserScrollsDown) {
-            island = mapper_.entries() - 1 - island;
-          }
-          absolute = zoom_->on_update(now, island);
-          if (config_.scroll.direction == ScrollDirection::TowardUserScrollsDown) {
-            absolute = cursor_.level_size() - 1 - absolute;
-          }
-          mcu.charge_cycles(40);
-        }
-        apply_entry(absolute);
-      }
+  // --- distance -> island -> entry -----------------------------------------
+  if (sample_valid && !fold_zone) {
+    DS_STAGE(Controller);
+    const ScrollController::Update update = controller_.on_sample(effective_counts);
+    mcu.charge_cycles(update.cycles);
+    if (update.menu_index) {
+      apply_entry(chunker_ ? chunker_->to_absolute(*update.menu_index) : *update.menu_index);
     }
   }
 
   // Battery bookkeeping per tick; a depleted battery drops the
   // regulator and the device browns out.
-  board_.battery().consume(config_.firmware_tick);
+  board_.battery().consume(kFirmwareTick);
   if (board_.battery().depleted()) {
     power_off();
     return;
   }
 
-  if (++ticks_since_telemetry_ >= config_.telemetry_divider) {
+  if (++ticks_since_telemetry_ >= kTelemetryDivider) {
     ticks_since_telemetry_ = 0;
     send_state_frame();
   }
@@ -371,12 +283,12 @@ DS_HOT_END
 bool DistScrollDevice::load_calibration_from_eeprom() {
   const auto calibration = CalibrationStore::load(eeprom_);
   if (!calibration) return false;
-  config_.curve = calibration->curve;
-  config_.islands.near = calibration->usable_near;
-  // Keep the configured far bound if the stored one extends beyond it:
+  curve_ = calibration->curve;
+  islands_.near = calibration->usable_near;
+  // Keep the current far bound if the stored one extends beyond it:
   // comfort (arm length) caps the range before the sensor does.
-  if (calibration->usable_far < config_.islands.far) {
-    config_.islands.far = calibration->usable_far;
+  if (calibration->usable_far < islands_.far) {
+    islands_.far = calibration->usable_far;
   }
   rebuild_mapping();
   return true;
@@ -388,15 +300,6 @@ void DistScrollDevice::save_calibration_to_eeprom(const CalibrationResult& calib
   board_.mcu().charge_cycles(static_cast<std::uint64_t>(wait.value * 10e6));
 }
 
-void DistScrollDevice::mark_activity(util::Seconds now) {
-  last_activity_s_ = now.value;
-  sensor_idle_ = false;
-}
-
-bool DistScrollDevice::scrolling_enabled() const {
-  return context_gate_ ? context_gate_->scrolling_enabled() : true;
-}
-
 void DistScrollDevice::button_tick() {
   if (!powered_) return;
   for (std::size_t i = 0; i < debouncers_.size(); ++i) {
@@ -406,7 +309,6 @@ void DistScrollDevice::button_tick() {
 }
 
 void DistScrollDevice::handle_select() {
-  mark_activity(queue_->now());
   const menu::MenuNode& target = cursor_.highlighted();
   SelectionEvent event{queue_->now().value, target.label(), target.is_leaf(), cursor_.depth()};
   if (cursor_.enter()) {
@@ -423,7 +325,6 @@ void DistScrollDevice::handle_select() {
 }
 
 void DistScrollDevice::handle_back() {
-  mark_activity(queue_->now());
   if (cursor_.back()) {
     DS_TRACE(tracer_, obs::EventKind::CursorMove, static_cast<std::uint32_t>(cursor_.index()),
              static_cast<std::uint32_t>(cursor_.depth()));
@@ -432,18 +333,13 @@ void DistScrollDevice::handle_back() {
   }
 }
 
-void DistScrollDevice::handle_aux() {
-  mark_activity(queue_->now());
-  advance_chunk();
-}
-
 void DistScrollDevice::advance_chunk() {
   if (!chunker_) return;
   if (!chunker_->next_chunk()) chunker_->jump_to_chunk(0);  // wrap around
   const std::size_t islands = chunker_->entries_in_chunk();
   if (islands != mapper_.entries()) {
     // The last chunk can be short: the island table must match it.
-    mapper_.rebuild(config_.curve, islands, config_.islands);
+    mapper_.rebuild(curve_, islands, islands_);
     controller_.reinitialize(config_.scroll);
     controller_.set_tracer(tracer_);
     board_.mcu().charge_cycles(60 + 220 * islands);
@@ -495,10 +391,6 @@ void DistScrollDevice::redraw() {
     std::snprintf(buf, sizeof(buf), "chunk %zu/%zu", chunker_->chunk() + 1,
                   chunker_->chunk_count());
     debug[2] = buf;
-  } else if (zoom_) {
-    std::snprintf(buf, sizeof(buf), "zoom %s",
-                  zoom_->mode() == SpeedZoom::Mode::Coarse ? "coarse" : "fine");
-    debug[2] = buf;
   }
   std::snprintf(buf, sizeof(buf), "bat %3.0f%%", board_.battery().remaining_fraction() * 100.0);
   debug[3] = buf;
@@ -517,7 +409,7 @@ void DistScrollDevice::send_state_frame() {
     if (debouncers_[i].pressed()) report.buttons |= static_cast<std::uint8_t>(1u << i);
   }
   // Stack-buffer encode (bytes identical to wireless::encode): the
-  // state frame fires every telemetry_divider ticks, squarely inside
+  // state frame fires every kTelemetryDivider ticks, squarely inside
   // the sample loop's no-allocation contract.
   std::array<std::uint8_t, wireless::StateReport::kPackedSize> payload{};
   report.pack_into(payload);

@@ -1,6 +1,5 @@
 // The complete DistScroll prototype: Smart-Its board, GP2D120 ranger,
-// ADXL311, two BT96040 displays, three push buttons, battery,
-// wireless telemetry — and the firmware loop that turns
+// two BT96040 displays, three push buttons, battery, wireless telemetry — and the firmware loop that turns
 // distance into menu navigation (paper Sections 4 and 5.1).
 //
 // Usage model (matches Figure 1): the simulated user holds the device,
@@ -17,16 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "core/button_layout.h"
 #include "core/calibration_store.h"
 #include "core/chunked_scroll.h"
-#include "core/context_gate.h"
 #include "core/dual_sensor.h"
 #include "core/fast_scroll.h"
 #include "core/island_mapper.h"
 #include "core/scroll_controller.h"
 #include "core/sensor_curve.h"
-#include "core/speed_zoom.h"
 #include "display/bt96040.h"
 #include "display/display_driver.h"
 #include "hw/smart_its.h"
@@ -34,7 +30,6 @@
 #include "input/debouncer.h"
 #include "menu/menu.h"
 #include "obs/tracer.h"
-#include "sensors/adxl311.h"
 #include "sensors/gp2d120.h"
 #include "util/function_ref.h"
 #include "wireless/packet.h"
@@ -42,9 +37,8 @@
 namespace distscroll::core {
 
 enum class LongMenuStrategy : std::uint8_t {
-  Plain,      // islands = level size, however many that is
-  Chunked,    // islands = chunk size; aux button pages chunks
-  SpeedZoom,  // fixed island count + speed-dependent zooming
+  Plain,    // islands = level size, however many that is
+  Chunked,  // islands = chunk size; aux button pages chunks
 };
 
 class DistScrollDevice {
@@ -52,41 +46,18 @@ class DistScrollDevice {
   struct Config {
     hw::SmartIts::Config board{};
     sensors::Gp2d120Model::Config sensor{};
-    sensors::Adxl311Model::Config accel{};
-    SensorCurve curve{};  // the firmware's calibrated curve
-    IslandMapper::Config islands{};
     ScrollController::Config scroll{};
     LongMenuStrategy long_menu = LongMenuStrategy::Plain;
     std::size_t chunk_size = 10;
-    std::size_t speed_zoom_islands = 10;
-    SpeedZoom::Config speed_zoom{};
     bool enable_fast_scroll = false;
-    FastScrollMode::Config fast_scroll{};
     /// Second (recessed) ranger resolving the < 4 cm fold-back
     /// ambiguity (the board's unused second sensor, Section 4).
     bool use_dual_sensor = false;
-    DualRangeResolver::Config dual_sensor{};
-    /// Accelerometer-based posture gating (Section 4.3's planned
-    /// "context determination"): suspend scrolling when the device is
-    /// lowered or laid down.
-    bool enable_context_gate = false;
-    ContextGate::Config context_gate{};
-    /// Physical button arrangement (Sections 4.5 / 6). The single-
-    /// large-button layout uses press duration: short = select, long
-    /// (>= long_press.threshold_s) = back.
-    ButtonLayout button_layout = ButtonLayout::ThreeButtonRight;
-    LongPressConfig long_press{};
-    /// Duty-cycle the ranger when idle: after `idle_after` without a
-    /// selection change or button, sample only every `idle_divider`-th
-    /// tick and drop the sensor's battery draw accordingly.
-    bool enable_sensor_duty_cycle = false;
-    util::Seconds idle_after{5.0};
-    int idle_divider = 10;
-    util::Seconds firmware_tick{20e-3};
-    util::Seconds button_tick{1e-3};
-    int telemetry_divider = 2;  // state frame every N firmware ticks
-    input::Button::Config button{};
   };
+
+  /// The 1 kHz button scan period (trace replay injects recorded edges
+  /// on the same grid).
+  static constexpr util::Seconds kButtonTick{1e-3};
 
   DistScrollDevice(Config config, const menu::MenuNode& menu_root, sim::EventQueue& queue,
                    sim::Rng rng);
@@ -95,7 +66,6 @@ class DistScrollDevice {
   /// Hot-path (per-sample) provider views. Non-owning: the caller keeps
   /// the callable alive while the device may sample.
   using DistanceProvider = util::FunctionRef<util::Centimeters(util::Seconds)>;
-  using TiltProvider = util::FunctionRef<util::Radians(util::Seconds)>;
 
   /// The hand holding the device: true body-to-device distance over
   /// time. Owning form — a setup-time boundary; the firmware reads it
@@ -104,9 +74,6 @@ class DistScrollDevice {
   void set_distance_provider(std::function<util::Centimeters(util::Seconds)> provider);
   /// Non-owning form for hot callers that already own a stable callable.
   void set_distance_provider_ref(DistanceProvider provider);
-  /// Device tilt (for the accelerometer; the tilt baselines reuse it).
-  // ds-lint: allow(no-std-function-hot-path, test-only-api) owning setup-time slot; only the posture-gate tests tilt the device
-  void set_tilt_provider(std::function<util::Radians(util::Seconds)> provider);
   /// What the sensor looks at (clothing, lab coat, reflective vest...).
   void set_surface(sensors::SurfaceProfile surface);
 
@@ -115,7 +82,7 @@ class DistScrollDevice {
   [[nodiscard]] bool powered() const { return powered_; }
 
   /// Boot-time calibration: load a persisted record from the data
-  /// EEPROM (falls back to the config's default curve when missing or
+  /// EEPROM (falls back to the default curve when missing or
   /// corrupt). Returns whether a stored calibration was applied.
   bool load_calibration_from_eeprom();
   /// Persist the current curve (e.g. after a calibration sweep).
@@ -136,10 +103,11 @@ class DistScrollDevice {
   [[nodiscard]] const IslandMapper& mapper() const { return mapper_; }
   [[nodiscard]] const ScrollController& controller() const { return controller_; }
   [[nodiscard]] const Config& config() const { return config_; }
+  /// The firmware's calibrated curve (the default until a calibration
+  /// is loaded from the EEPROM).
+  [[nodiscard]] const SensorCurve& curve() const { return curve_; }
   [[nodiscard]] std::optional<std::size_t> current_chunk() const;
   [[nodiscard]] util::AdcCounts last_counts() const { return last_counts_; }
-  /// Posture gate state (always true when the gate is disabled).
-  [[nodiscard]] bool scrolling_enabled() const;
 
   struct SelectionEvent {
     double time_s;
@@ -154,7 +122,6 @@ class DistScrollDevice {
   }
 
   /// Redraws counted (for display-churn diagnostics).
-  // ds-lint: allow(test-only-api) the idle-churn, power-off and trace-flush tests count redraws; no program prints them
   [[nodiscard]] std::uint64_t redraws() const { return redraws_; }
 
   // --- observability ------------------------------------------------------
@@ -189,13 +156,15 @@ class DistScrollDevice {
   void apply_entry(std::size_t absolute_index);
   void handle_select();
   void handle_back();
-  void handle_aux();
   void advance_chunk();
-  void mark_activity(util::Seconds now);
   void redraw();
   void send_state_frame();
 
   Config config_;
+  // Calibrated state: load_calibration_from_eeprom() replaces the curve
+  // and narrows the usable range.
+  SensorCurve curve_{};
+  IslandMapper::Config islands_{};
   sim::EventQueue* queue_;
   hw::SmartIts board_;
   hw::Eeprom eeprom_;
@@ -204,7 +173,6 @@ class DistScrollDevice {
   /// on the board — always constructed, only sampled when
   /// config_.use_dual_sensor enables the resolver.
   sensors::Gp2d120Model secondary_ranger_;
-  sensors::Adxl311Model accel_;
   display::Bt96040 top_panel_;
   display::Bt96040 bottom_panel_;
   display::DisplayDriver top_driver_;
@@ -227,39 +195,25 @@ class DistScrollDevice {
   IslandMapper mapper_;
   ScrollController controller_;
   std::optional<ChunkedScroll> chunker_;
-  std::optional<SpeedZoom> zoom_;
   std::optional<FastScrollMode> fast_scroll_;
   std::optional<DualRangeResolver> dual_resolver_;
-  std::optional<ContextGate> context_gate_;
 
-  // Providers: owning slots filled at the setup boundary, read through
-  // the non-owning two-pointer views on the sampling path.
+  // Provider: an owning slot filled at the setup boundary, read through
+  // the non-owning two-pointer view on the sampling path.
   // ds-lint: allow(no-std-function-hot-path) owning setup-time slot behind the FunctionRef view
   std::function<util::Centimeters(util::Seconds)> distance_owner_;
-  // ds-lint: allow(no-std-function-hot-path) owning setup-time slot behind the FunctionRef view
-  std::function<util::Radians(util::Seconds)> tilt_owner_;
   DistanceProvider distance_provider_;
-  TiltProvider tilt_provider_;
   // ds-lint: allow(no-std-function-hot-path) replay-only; a replay session sets it once
   std::function<std::optional<util::AdcCounts>()> counts_override_;
   obs::Tracer* tracer_ = nullptr;
 
   std::size_t ranger_channel_ = 0;
   std::size_t secondary_channel_ = 0;
-  std::size_t accel_x_channel_ = 0;
-  std::size_t accel_y_channel_ = 0;
-  std::size_t sensor_draw_ = 0;
-  std::size_t display_draw_ = 0;
 
   bool powered_ = false;
   std::size_t firmware_timer_ = 0;
   std::size_t button_timer_ = 0;
   int ticks_since_telemetry_ = 0;
-  // Duty-cycle / long-press / activity state.
-  bool sensor_idle_ = false;
-  int ticks_since_sample_ = 0;
-  double last_activity_s_ = 0.0;
-  double select_pressed_at_s_ = -1.0;
   std::uint8_t telemetry_seq_ = 0;
   util::AdcCounts last_counts_{0};
   std::uint64_t redraws_ = 0;

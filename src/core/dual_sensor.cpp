@@ -5,6 +5,12 @@
 
 namespace distscroll::core {
 
+namespace {
+// Reject resolutions whose best prediction error exceeds this many ADC
+// counts (e.g. a specular glitch on one sensor).
+constexpr double kMaxResidualCounts = 40.0;
+}  // namespace
+
 std::optional<util::Centimeters> DualRangeResolver::fold_branch_distance(util::Volts v) const {
   // The rising branch is linear from (0, dead_zone_volts) to
   // (peak_cm, V(peak)) — the same shape Gp2d120Model simulates.
@@ -38,12 +44,12 @@ std::optional<DualRangeResolver::Resolution> DualRangeResolver::resolve(
   if (n == 0) return std::nullopt;
 
   // Pick the candidate whose predicted secondary reading matches best.
-  // The secondary sits `offset_cm` deeper, so for any candidate d it
+  // The secondary sits `kOffsetCm` deeper, so for any candidate d it
   // sees d + offset — beyond its own peak for every d >= 0 when
   // offset > peak, i.e. always on the monotone branch.
   std::optional<Resolution> best;
   for (int i = 0; i < n; ++i) {
-    const double d2 = candidates[i].distance_cm + config_.offset_cm;
+    const double d2 = candidates[i].distance_cm + kOffsetCm;
     const double predicted = secondary_.counts_at(util::Centimeters{d2}).value;
     const double residual = std::abs(predicted - static_cast<double>(secondary.value));
     if (!best || residual < best->residual_counts) {
@@ -51,7 +57,7 @@ std::optional<DualRangeResolver::Resolution> DualRangeResolver::resolve(
                         residual};
     }
   }
-  if (best && best->residual_counts > config_.max_residual_counts) return std::nullopt;
+  if (best && best->residual_counts > kMaxResidualCounts) return std::nullopt;
   return best;
 }
 

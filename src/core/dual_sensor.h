@@ -2,8 +2,8 @@
 //
 // The prototype board carries TWO distance sensors, "only one is used in
 // our experiments so far" (paper Section 4). This module puts the second
-// one to work: mounted recessed by `offset_cm` inside the case, it sees
-// the same target `offset_cm` farther away. Because the GP2D120 response
+// one to work: mounted recessed by `kOffsetCm` inside the case, it sees
+// the same target `kOffsetCm` farther away. Because the GP2D120 response
 // folds back below its ~3.2 cm peak, a single reading is ambiguous
 // (paper: "it cannot be detected if the device is moved away (> 4cm) or
 // towards the user (< 4 cm)") — but the recessed sensor sits on the
@@ -26,16 +26,14 @@ namespace distscroll::core {
 class DualRangeResolver {
  public:
   struct Config {
-    /// How much deeper the secondary sensor sits in the case.
-    double offset_cm = 3.0;
     /// The sensors' shared response peak (fold point).
     double peak_cm = 3.2;
     /// Output at touching distance (rising-branch anchor), in volts.
     double dead_zone_volts = 0.45;
-    /// Reject resolutions whose best prediction error exceeds this many
-    /// ADC counts (e.g. a specular glitch on one sensor).
-    double max_residual_counts = 40.0;
   };
+
+  /// How much deeper the secondary sensor sits in the case.
+  static constexpr double kOffsetCm = 3.0;
 
   DualRangeResolver(SensorCurve primary, SensorCurve secondary, Config config)
       : primary_(primary), secondary_(secondary), config_(config) {}

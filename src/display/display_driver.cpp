@@ -38,11 +38,6 @@ util::Seconds DisplayDriver::clear() {
   return command(Command::Clear, {});
 }
 
-util::Seconds DisplayDriver::write_at(int row, int col, std::string_view text) {
-  shadow_valid_ = false;  // direct writes invalidate the show() cache
-  return text_command(row, col, text);
-}
-
 util::Seconds DisplayDriver::set_line_inverted(int row, bool inverted) {
   return command(Command::InvertLine,
                  {static_cast<std::uint8_t>(row), static_cast<std::uint8_t>(inverted ? 1 : 0)});
@@ -63,13 +58,11 @@ util::Seconds DisplayDriver::show(const std::array<std::string, kTextLines>& lin
     const std::string_view padded(cell.data(), cell.size());
     const bool highlight_changed =
         shadow_valid_ && ((shadow_highlight_ == row) != (highlighted_row == row));
-    if (shadow_valid_ && std::string_view(shadow_line) == padded && !highlight_changed) continue;
+    if (shadow_valid_ && shadow_line == cell && !highlight_changed) continue;
     // Order matters: set polarity first so the glyphs render with it.
     total = total + set_line_inverted(row, highlighted_row == row);
     total = total + text_command(row, 0, padded);
-    // Shadow capacity ratchets to 16 bytes on the first repaint of each
-    // line; assign() reuses it from then on.
-    shadow_line.assign(padded);
+    shadow_line = cell;
   }
   shadow_highlight_ = highlighted_row;
   shadow_valid_ = true;

@@ -25,10 +25,6 @@ class DisplayDriver {
   /// Clear the panel. Returns bus time spent.
   util::Seconds clear();
 
-  /// Write text at a text cell (clipped to 16 columns).
-  // ds-lint: allow(test-only-api) the only direct write; a test pins that it invalidates the show() cache
-  util::Seconds write_at(int row, int col, std::string_view text);
-
   /// Set line inversion (menu highlight).
   util::Seconds set_line_inverted(int row, bool inverted);
 
@@ -47,7 +43,7 @@ class DisplayDriver {
   hw::I2cBus* bus_;
   std::uint8_t address_;
   bool last_acked_ = true;
-  std::array<std::string, kTextLines> shadow_{};
+  std::array<std::array<char, kTextColumns>, kTextLines> shadow_{};
   int shadow_highlight_ = -1;
   bool shadow_valid_ = false;
 };

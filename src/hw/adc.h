@@ -2,9 +2,9 @@
 //
 // The paper's Fig. 4 caption reads "measured analog voltage at Smart-Its
 // input port": the firmware never sees volts, it sees ADC counts. The
-// model covers reference-relative quantisation, input clamping, optional
-// LSB noise, and the acquisition+conversion time a real PIC pays
-// (~12 Tad + acquisition, here lumped into a fixed conversion time).
+// model covers reference-relative quantisation, input clamping and
+// optional LSB noise. The ~44 us acquisition+conversion a real PIC
+// busy-waits is charged by the firmware as MCU cycles.
 #pragma once
 
 #include <cassert>
@@ -29,26 +29,19 @@ using AnalogSource = util::FunctionRef<util::Volts(util::Seconds)>;
 class Adc10 {
  public:
   struct Config {
-    double vref = 5.0;                       // reference voltage
-    util::Seconds conversion_time{44e-6};    // PIC18 typical @ Fosc/32
-    double noise_lsb_stddev = 0.5;           // conversion noise in LSBs
+    double noise_lsb_stddev = 0.5;  // conversion noise in LSBs
   };
+
+  static constexpr double kVref = 5.0;  // reference voltage
 
   Adc10(Config config, sim::Rng rng) : config_(config), rng_(rng) {}
 
   /// Attach an analog source to a channel; returns the channel number.
   std::size_t attach(AnalogSource source);
 
-  [[nodiscard]] util::Seconds conversion_time() const { return config_.conversion_time; }
-
   /// Sample `channel` at simulated time `now`. The caller (MCU) is
   /// responsible for accounting the conversion time.
   [[nodiscard]] util::AdcCounts sample(std::size_t channel, util::Seconds now);
-
-  /// Convert a count back to volts (for host-side analysis/plots).
-  [[nodiscard]] util::Volts to_volts(util::AdcCounts counts) const {
-    return util::Volts{counts.value * config_.vref / 1023.0};
-  }
 
  private:
   Config config_;

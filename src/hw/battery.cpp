@@ -6,16 +6,17 @@
 
 namespace distscroll::hw {
 
+namespace {
+constexpr double kNominalVolts = 9.0;
+constexpr double kInternalOhms = 1.7;  // causes sag under load
+constexpr double kCutoffVolts = 6.0;   // below this the regulator drops out
+}  // namespace
+
 std::size_t Battery::add_consumer(std::string name, double draw_ma) {
   assert(draw_ma >= 0.0);
   consumers_.push_back({std::move(name), draw_ma});
   consumer_mah_.push_back(0.0);
   return consumers_.size() - 1;
-}
-
-void Battery::set_draw(std::size_t consumer, double draw_ma) {
-  assert(consumer < consumers_.size() && draw_ma >= 0.0);
-  consumers_[consumer].draw_ma = draw_ma;
 }
 
 double Battery::total_draw_ma() const {
@@ -39,8 +40,8 @@ util::Volts Battery::voltage() const {
   // a reasonable approximation of an alkaline block over its usable
   // range, minus resistive sag at the present load.
   const double frac = remaining_fraction();
-  const double open_circuit = config_.nominal_volts - (1.0 - frac) * 1.8;
-  const double sag = config_.internal_ohms * total_draw_ma() / 1000.0;
+  const double open_circuit = kNominalVolts - (1.0 - frac) * 1.8;
+  const double sag = kInternalOhms * total_draw_ma() / 1000.0;
   return util::Volts{std::max(0.0, open_circuit - sag)};
 }
 
@@ -50,7 +51,7 @@ double Battery::remaining_fraction() const {
 }
 
 bool Battery::depleted() const {
-  return remaining_fraction() <= 0.0 || voltage().value < config_.cutoff_volts;
+  return remaining_fraction() <= 0.0 || voltage().value < kCutoffVolts;
 }
 
 double Battery::estimated_runtime_hours() const {

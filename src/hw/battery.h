@@ -17,10 +17,7 @@ namespace distscroll::hw {
 class Battery {
  public:
   struct Config {
-    double nominal_volts = 9.0;
-    double capacity_mah = 550.0;    // typical alkaline 9 V block
-    double internal_ohms = 1.7;     // causes sag under load
-    double cutoff_volts = 6.0;      // below this the regulator drops out
+    double capacity_mah = 550.0;  // typical alkaline 9 V block
   };
 
   Battery() : Battery(Config{}) {}
@@ -29,9 +26,6 @@ class Battery {
   /// Register a named consumer with a constant current draw in mA.
   /// Returns the consumer id.
   std::size_t add_consumer(std::string name, double draw_ma);
-
-  /// Change a consumer's draw (e.g. sensor duty cycling).
-  void set_draw(std::size_t consumer, double draw_ma);
 
   [[nodiscard]] double total_draw_ma() const;
 

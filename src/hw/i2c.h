@@ -4,7 +4,7 @@
 // I2C bus (paper Section 4.4). We model the master-side transaction API
 // the firmware uses (write register/data bursts, reads), 7-bit
 // addressing, NACK on missing slaves, and per-byte timing at the
-// configured bus clock so display updates cost realistic time.
+// standard-mode bus clock so display updates cost realistic time.
 #pragma once
 
 #include <cstdint>
@@ -31,13 +31,6 @@ class I2cSlave {
 
 class I2cBus {
  public:
-  struct Config {
-    double bus_hz = 100'000.0;  // standard mode
-  };
-
-  I2cBus() : I2cBus(Config{}) {}
-  explicit I2cBus(Config config) : config_(config) {}
-
   /// Attach a slave at a 7-bit address. Replaces any previous slave at
   /// that address.
   void attach(std::uint8_t address, I2cSlave* slave);
@@ -58,13 +51,14 @@ class I2cBus {
   [[nodiscard]] std::uint64_t transactions() const { return transactions_; }
 
  private:
+  static constexpr double kBusHz = 100'000.0;  // standard mode
+
   [[nodiscard]] util::Seconds byte_time(std::size_t bytes) const {
     // 9 clocks per byte (8 bits + ACK) plus ~2 clocks of START/STOP
     // overhead amortised into the transaction by the caller.
-    return util::Seconds{9.0 * static_cast<double>(bytes) / config_.bus_hz};
+    return util::Seconds{9.0 * static_cast<double>(bytes) / kBusHz};
   }
 
-  Config config_;
   std::map<std::uint8_t, I2cSlave*> slaves_;
   std::uint64_t transactions_ = 0;
 };

@@ -21,12 +21,7 @@ namespace distscroll::hw {
 
 class Mcu {
  public:
-  struct Config {
-    std::size_t flash_bytes = 32 * 1024;
-    std::size_t ram_bytes = 1536;
-  };
-
-  Mcu(Config config, sim::EventQueue& queue) : config_(config), queue_(&queue) {}
+  explicit Mcu(sim::EventQueue& queue) : queue_(&queue) {}
 
   // --- cycle accounting -------------------------------------------------
   /// Firmware charges instruction cycles for work it performs; used by
@@ -55,7 +50,6 @@ class Mcu {
  private:
   void arm(std::size_t timer);
 
-  Config config_;
   sim::EventQueue* queue_;
   std::uint64_t cycles_ = 0;
   std::size_t ram_used_ = 0;

@@ -3,7 +3,8 @@
 // add-on board carrying the application peripherals — here the GP2D120
 // distance sensor, the ADXL311 accelerometer, two BT96040 displays and
 // three push buttons (paper Fig. 2 / Fig. 3; the display contrast
-// trimmer is not modelled).
+// trimmer is not modelled, and the firmware never samples the
+// accelerometer, so it is not wired here).
 //
 // SmartIts owns the shared buses and budgets; peripherals are attached
 // by the device layer (core::DistScrollDevice), mirroring how the
@@ -26,24 +27,20 @@ namespace distscroll::hw {
 class SmartIts {
  public:
   struct Config {
-    Mcu::Config mcu{};
     Adc10::Config adc{};
-    I2cBus::Config i2c{};
-    Uart::Config uart{};
     Battery::Config battery{};
-    std::size_t gpio_pins = 8;
   };
 
   /// Regulator + MCU active draw of the board itself.
   static constexpr double kBoardDrawMa = 12.0;
+  /// Digital I/O pins the add-on connector brings out.
+  static constexpr std::size_t kGpioPins = 8;
 
   SmartIts(Config config, sim::EventQueue& queue, sim::Rng rng)
       : battery_(config.battery),
-        mcu_(config.mcu, queue),
+        mcu_(queue),
         adc_(config.adc, rng.fork(0xADC)),
-        i2c_(config.i2c),
-        uart_(config.uart),
-        gpio_(config.gpio_pins) {
+        gpio_(kGpioPins) {
     // Baseline draws of the board itself (regulator + MCU active).
     battery_.add_consumer("base-board+mcu", kBoardDrawMa);
   }

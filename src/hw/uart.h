@@ -18,26 +18,14 @@ namespace distscroll::hw {
 
 class Uart {
  public:
-  struct Config {
-    double baud = 115200.0;
-    // 8N1: 10 bit times per byte.
-    static constexpr double bits_per_byte = 10.0;
-  };
-
-  // ds-lint: allow(no-std-function-hot-path) wired once when the RF module is attached
-  using TxCallback = std::function<void(std::uint8_t)>;
   /// Backpressure hook: fires after each byte leaves the TX FIFO, i.e.
   /// whenever transmit() space just opened up. Senders with their own
   /// queues (wireless::EventArqSender) use it instead of polling tx_free().
   // ds-lint: allow(no-std-function-hot-path) wired once to the ARQ driver at link setup
   using TxSpaceCallback = std::function<void()>;
 
-  Uart() : Uart(Config{}) {}
-  explicit Uart(Config config) : config_(config) {}
-
-  [[nodiscard]] util::Seconds byte_time() const {
-    return util::Seconds{Config::bits_per_byte / config_.baud};
-  }
+  /// 115200 baud, 8N1: 10 bit times per byte.
+  [[nodiscard]] util::Seconds byte_time() const { return util::Seconds{10.0 / kBaud}; }
 
   /// Firmware queues a byte for transmission. Returns false when the TX
   /// FIFO is full (byte dropped — the firmware must pace itself).
@@ -56,7 +44,7 @@ class Uart {
   }
 
  private:
-  Config config_;
+  static constexpr double kBaud = 115200.0;
   // The PIC 18F452 USART has a tiny hardware FIFO; firmware typically
   // adds a software ring in RAM. 64 bytes models base board firmware.
   util::RingBuffer<std::uint8_t, 64> tx_fifo_;

@@ -2,6 +2,11 @@
 
 namespace distscroll::input {
 
+namespace {
+// Contacts settle within this window after each transition.
+constexpr double kMaxBounceDurationS = 4e-3;
+}  // namespace
+
 bool Button::press() {
   if (pressed_) return true;
   if (rng_.bernoulli(config_.miss_probability)) return false;
@@ -19,7 +24,7 @@ void Button::release() {
 void Button::emit_bounce(hw::PinLevel final_level) {
   const std::uint64_t gen = ++generation_;
   const int edges = rng_.uniform_int(0, config_.max_bounce_edges);
-  const double window = config_.max_bounce_duration.value;
+  const double window = kMaxBounceDurationS;
   // Emit `edges` alternating spurious transitions inside the bounce
   // window, then the settled level at the end. Work backwards so the
   // last edge is always final_level.

@@ -20,7 +20,6 @@ namespace distscroll::input {
 class Button {
  public:
   struct Config {
-    util::Seconds max_bounce_duration{4e-3};
     int max_bounce_edges = 6;
     /// Gloved fingers press more slowly and sometimes only half-press;
     /// probability that a press attempt fails to make contact at all.

@@ -1,5 +1,5 @@
 // MetricsRegistry: one home for a run's named counters, gauges and
-// histograms (the MCU scheduler, the sweep runner, the host pipeline,
+// histograms (the sweep runner, the stage profile, the host pipeline,
 // the bench reports).
 //
 // Usage contract (zero steady-state allocation): components look their

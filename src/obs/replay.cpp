@@ -25,8 +25,8 @@ constexpr double kSessionEndS = 9.0;
 constexpr std::size_t kTraceCapacity = 1 << 16;
 
 core::DistScrollDevice::Config canonical_config() {
-  // Paper defaults: plain long-menu strategy, three-button layout, no
-  // duty cycling — the configuration the initial study ran with.
+  // Paper defaults: plain long-menu strategy, one ranger, no turbo zone
+  // — the configuration the initial study ran with.
   return core::DistScrollDevice::Config{};
 }
 
@@ -139,7 +139,7 @@ Trace replay_device_trace(const Trace& trace) {
   // timestamps — the order the recorded edges were traced in (a
   // debounced edge fires inside button_tick, which runs after
   // firmware_tick when both land on the same instant).
-  const double scan_period = device.config().button_tick.value;
+  const double scan_period = core::DistScrollDevice::kButtonTick.value;
   std::function<void()> inject = [&] {
     const double now = queue.now().value;
     while (!edges.empty() && edges.front().t <= now + 1e-12) {

@@ -31,7 +31,7 @@ namespace distscroll::obs {
 /// The instrumented hot-path stages of a device-study cell.
 enum class Stage : std::uint8_t {
   AdcSample = 0,  // ADC conversion incl. analog-source evaluation
-  Sensor,         // context gate + dual-sensor fold resolution
+  Sensor,         // dual-sensor fold resolution
   Controller,     // counts -> island -> menu entry (incl. apply)
   Flush,          // redraw: window building + both display drivers
   TrialSetup,     // device construction or technique reset + wiring

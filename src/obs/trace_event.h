@@ -38,9 +38,8 @@ enum class EventKind : std::uint8_t {
   /// Device pushed a full redraw to both panels. a = cursor index,
   /// b = level size at the flush.
   DisplayFlush = 12,
-  /// Scheduler tick exceeded its cycle budget. a = cycles spent
-  /// (saturated to 32 bits), b = budget.
-  TickOverrun = 13,
+  // 13 is retired (a scheduler overrun kind that nothing recorded):
+  // never reuse it.
 };
 
 /// Category bits for runtime filtering; the trace file records the mask
@@ -52,8 +51,8 @@ enum Category : std::uint32_t {
   kCatInput = 1u << 3,     // ButtonEdge
   // Bit 4 is retired with the ARQ kinds: never reuse it.
   kCatDisplay = 1u << 5,   // DisplayFlush/CursorMove
-  kCatSched = 1u << 6,     // TickOverrun
-  kCatAll = kCatSensor | kCatAdc | kCatScroll | kCatInput | kCatDisplay | kCatSched,
+  // Bit 6 is retired with kind 13: never reuse it.
+  kCatAll = kCatSensor | kCatAdc | kCatScroll | kCatInput | kCatDisplay,
   /// The deterministically replayable subset: the device-level inputs
   /// (ADC counts, button edges) plus everything the firmware derives
   /// from them. Excludes the stochastic sensor internals, which a
@@ -77,8 +76,6 @@ enum Category : std::uint32_t {
     case EventKind::CursorMove:
     case EventKind::DisplayFlush:
       return kCatDisplay;
-    case EventKind::TickOverrun:
-      return kCatSched;
   }
   return 0;
 }
@@ -93,7 +90,6 @@ enum Category : std::uint32_t {
     case EventKind::CursorMove: return "cursor_move";
     case EventKind::ButtonEdge: return "button_edge";
     case EventKind::DisplayFlush: return "display_flush";
-    case EventKind::TickOverrun: return "tick_overrun";
   }
   return "unknown";
 }

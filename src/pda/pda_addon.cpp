@@ -4,19 +4,23 @@
 
 namespace distscroll::pda {
 
-PdaAddon::PdaAddon(Config config, sim::EventQueue& queue, sim::Rng rng)
-    : config_(config),
-      queue_(&queue),
-      board_(config.board, queue, rng.fork(1)),
-      ranger_(config.sensor, rng.fork(2)) {
+namespace {
+constexpr util::Seconds kFirmwareTick{20e-3};
+constexpr util::Seconds kButtonTick{1e-3};
+}  // namespace
+
+PdaAddon::PdaAddon(sim::EventQueue& queue, sim::Rng rng)
+    : queue_(&queue), board_({}, queue, rng.fork(1)), ranger_({}, rng.fork(2)) {
   distance_provider_ = [](util::Seconds) { return util::Centimeters{17.0}; };
   ranger_channel_ = board_.adc().attach(hw::AnalogSource(this, [](void* ctx, util::Seconds now) {
     auto* self = static_cast<PdaAddon*>(ctx);
     return self->ranger_.output(self->distance_provider_(now), now);
   }));
 
-  select_ = std::make_unique<input::Button>(config_.button, board_.gpio(), 0, queue, rng.fork(3));
-  back_ = std::make_unique<input::Button>(config_.button, board_.gpio(), 1, queue, rng.fork(4));
+  select_ = std::make_unique<input::Button>(input::Button::Config{}, board_.gpio(), 0, queue,
+                                            rng.fork(3));
+  back_ = std::make_unique<input::Button>(input::Button::Config{}, board_.gpio(), 1, queue,
+                                          rng.fork(4));
   debouncers_.resize(2);
   for (std::size_t i = 0; i < 2; ++i) {
     button_ctx_[i] = ButtonCtx{this, static_cast<std::uint8_t>(i)};
@@ -38,8 +42,8 @@ PdaAddon::PdaAddon(Config config, sim::EventQueue& queue, sim::Rng rng)
 void PdaAddon::power_on() {
   if (powered_) return;
   powered_ = true;
-  firmware_timer_ = board_.mcu().start_timer(config_.firmware_tick, [this] { firmware_tick(); });
-  button_timer_ = board_.mcu().start_timer(config_.button_tick, [this] { button_tick(); });
+  firmware_timer_ = board_.mcu().start_timer(kFirmwareTick, [this] { firmware_tick(); });
+  button_timer_ = board_.mcu().start_timer(kButtonTick, [this] { button_tick(); });
 }
 
 void PdaAddon::power_off() {
@@ -53,12 +57,12 @@ void PdaAddon::firmware_tick() {
   if (!powered_) return;
   const auto counts = board_.adc().sample(ranger_channel_, queue_->now());
   board_.mcu().charge_cycles(440);
-  if (++ticks_since_report_ >= config_.report_divider) {
+  if (++ticks_since_report_ >= report_divider_) {
     ticks_since_report_ = 0;
     send_frame(kDistanceFrame, {static_cast<std::uint8_t>(counts.value & 0xFF),
                                 static_cast<std::uint8_t>(counts.value >> 8)});
   }
-  board_.battery().consume(config_.firmware_tick);
+  board_.battery().consume(kFirmwareTick);
 }
 
 void PdaAddon::button_tick() {
@@ -80,7 +84,7 @@ void PdaAddon::send_frame(wireless::FrameType type, std::array<std::uint8_t, 2> 
 void PdaAddon::on_host_byte(std::uint8_t byte) {
   const auto on_command = [this](const wireless::FrameView& frame) {
     if (frame.type == kRateCommand && !frame.payload.empty()) {
-      config_.report_divider = std::max<int>(1, frame.payload[0]);
+      report_divider_ = std::max<int>(1, frame.payload[0]);
     }
   };
   host_decoder_.feed(byte, on_command);

@@ -33,17 +33,7 @@ inline constexpr auto kRateCommand = static_cast<wireless::FrameType>(0x12);
 
 class PdaAddon {
  public:
-  struct Config {
-    hw::SmartIts::Config board{};
-    sensors::Gp2d120Model::Config sensor{};
-    util::Seconds firmware_tick{20e-3};
-    util::Seconds button_tick{1e-3};
-    /// Distance frame every N ticks (host-adjustable via kRateCommand).
-    int report_divider = 2;
-    input::Button::Config button{};
-  };
-
-  PdaAddon(Config config, sim::EventQueue& queue, sim::Rng rng);
+  PdaAddon(sim::EventQueue& queue, sim::Rng rng);
 
   void set_distance_provider(std::function<util::Centimeters(util::Seconds)> provider) {
     distance_provider_ = std::move(provider);
@@ -73,7 +63,6 @@ class PdaAddon {
   /// (button, pressed).
   void send_frame(wireless::FrameType type, std::array<std::uint8_t, 2> payload);
 
-  Config config_;
   sim::EventQueue* queue_;
   hw::SmartIts board_;
   sensors::Gp2d120Model ranger_;
@@ -93,6 +82,8 @@ class PdaAddon {
   std::size_t firmware_timer_ = 0;
   std::size_t button_timer_ = 0;
   bool powered_ = false;
+  /// Distance frame every N ticks (host-adjustable via kRateCommand).
+  int report_divider_ = 2;
   int ticks_since_report_ = 0;
   std::uint8_t seq_ = 0;
   std::uint64_t frames_sent_ = 0;

@@ -5,19 +5,11 @@
 
 namespace distscroll::sensors {
 
-util::Volts Adxl311Model::axis_output(double sin_angle, double dynamic_g) {
-  const double g_total = sin_angle + dynamic_g;
+util::Volts Adxl311Model::output_x(util::Radians pitch, util::Gs dynamic_x) {
+  const double g_total = std::sin(pitch.value) + dynamic_x.value;
   double v = config_.zero_g_volts + g_total * config_.sensitivity_v_per_g;
   v += rng_.gaussian(0.0, config_.noise_volts);
   return util::Volts{std::clamp(v, 0.0, 3.0)};
-}
-
-util::Volts Adxl311Model::output_x(util::Radians pitch, util::Gs dynamic_x) {
-  return axis_output(std::sin(pitch.value), dynamic_x.value);
-}
-
-util::Volts Adxl311Model::output_y(util::Radians roll, util::Gs dynamic_y) {
-  return axis_output(std::sin(roll.value), dynamic_y.value);
 }
 
 util::Radians Adxl311Model::tilt_from_volts(util::Volts v) const {

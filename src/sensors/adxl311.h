@@ -6,9 +6,10 @@
 // baselines (Rock'n'Scroll, TiltText, Unigesture). We use it exactly for
 // that: baselines::TiltScroll reads tilt through this model.
 //
-// Static orientation maps to acceleration: a_x = g*sin(pitch),
-// a_y = g*sin(roll); the analog outputs are mid-supply at 0 g with the
-// datasheet sensitivity of ~174 mV/g.
+// Static orientation maps to acceleration: a_x = g*sin(pitch); the
+// analog output is mid-supply at 0 g with the datasheet sensitivity of
+// ~174 mV/g. Only the X (pitch) axis is modelled: it is the one the tilt
+// baseline reads.
 #pragma once
 
 #include "sim/random.h"
@@ -32,16 +33,11 @@ class Adxl311Model {
   /// along the axis.
   [[nodiscard]] util::Volts output_x(util::Radians pitch, util::Gs dynamic_x = util::Gs{0.0});
 
-  /// Analog Y output for a static roll angle plus dynamic acceleration.
-  [[nodiscard]] util::Volts output_y(util::Radians roll, util::Gs dynamic_y = util::Gs{0.0});
-
   /// Host-side inverse: recover the tilt angle from a measured voltage
   /// (clamps to +-1 g before asin).
   [[nodiscard]] util::Radians tilt_from_volts(util::Volts v) const;
 
  private:
-  [[nodiscard]] util::Volts axis_output(double sin_angle, double dynamic_g);
-
   Config config_;
   sim::Rng rng_;
 };

@@ -5,6 +5,7 @@
 
 #include <optional>
 
+#include "core/distscroll_device.h"
 #include "human/fitts.h"
 #include "human/hand_model.h"
 #include "obs/stage_timer.h"
@@ -13,6 +14,9 @@
 namespace distscroll::study {
 
 namespace {
+
+/// A trial the participant has not finished by then is a failure.
+constexpr double kTrialTimeoutS = 45.0;
 
 void collect_leaves(const menu::MenuNode& node, std::vector<std::size_t>& path,
                     std::vector<MenuTarget>& out) {
@@ -32,12 +36,10 @@ void collect_leaves(const menu::MenuNode& node, std::vector<std::size_t>& path,
 class DeviceParticipant {
  public:
   DeviceParticipant(core::DistScrollDevice& device, sim::EventQueue& queue,
-                    const human::UserProfile& profile, const DeviceStudyConfig& config,
-                    sim::Rng rng)
+                    const human::UserProfile& profile, sim::Rng rng)
       : device_(&device),
         queue_(&queue),
         profile_(profile),
-        config_(config),
         rng_(rng),
         hand_({}, rng_.fork(1)) {
     // Non-owning provider: the participant outlives every queue event of
@@ -101,7 +103,7 @@ class DeviceParticipant {
   DeviceTrialResult run_trial(const MenuTarget& target) {
     DeviceTrialResult result;
     const double t0 = now();
-    const double deadline = t0 + config_.trial_timeout_s;
+    const double deadline = t0 + kTrialTimeoutS;
 
     // Start from the root level each trial (press back until at root).
     while (device_->cursor().depth() > 0 && now() < deadline) {
@@ -178,7 +180,7 @@ class DeviceParticipant {
   }
 
   [[nodiscard]] double estimate_island_width_cm() const {
-    const auto& cfg = device_->config().islands;
+    const auto& cfg = device_->mapper().config();
     const std::size_t entries = std::max<std::size_t>(1, device_->mapper().entries());
     return std::max(0.3, (cfg.far.value - cfg.near.value) / static_cast<double>(entries) *
                              cfg.coverage);
@@ -191,7 +193,6 @@ class DeviceParticipant {
   core::DistScrollDevice* device_;
   sim::EventQueue* queue_;
   human::UserProfile profile_;
-  DeviceStudyConfig config_;
   sim::Rng rng_;
   human::HandModel hand_;
   const menu::MenuNode* menu_root_ = nullptr;
@@ -213,12 +214,12 @@ DeviceParticipantResult run_device_participant(const menu::MenuNode& menu_root,
   std::optional<core::DistScrollDevice> device;
   {
     DS_STAGE(TrialSetup);
-    device.emplace(config.device, menu_root, queue, rng.fork(1));
+    device.emplace(core::DistScrollDevice::Config{}, menu_root, queue, rng.fork(1));
   }
   core::DistScrollDevice& dev = *device;
   dev.power_on();
 
-  DeviceParticipant participant(dev, queue, profile, config, rng.fork(2));
+  DeviceParticipant participant(dev, queue, profile, rng.fork(2));
   participant.set_menu_root(&menu_root);
 
   DeviceParticipantResult result;
@@ -249,7 +250,7 @@ DeviceParticipantResult run_device_participant(const menu::MenuNode& menu_root,
     if (!times.empty()) b.mean_time_s = util::summarize(times).mean;
     result.blocks.push_back(b);
 
-    profile = profile.with_expertise(human::practice(profile.expertise, config.learning_rate));
+    profile = profile.with_expertise(human::practice(profile.expertise, kDeviceLearningRate));
     participant.set_profile(profile);
   }
   dev.power_off();

@@ -9,11 +9,9 @@
 // errors drop to "nearly errorless".
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/distscroll_device.h"
 #include "human/user_profile.h"
 #include "menu/menu.h"
 #include "sim/random.h"
@@ -43,13 +41,14 @@ struct DeviceParticipantResult {
   std::vector<DeviceBlockResult> blocks;
 };
 
+/// Per-block practice gain of a device-study participant
+/// (human::practice), applied after every block.
+inline constexpr double kDeviceLearningRate = 0.35;
+
+/// Every participant runs the default device (the paper's prototype).
 struct DeviceStudyConfig {
   std::size_t blocks = 4;
   std::size_t trials_per_block = 10;
-  double step_s = 0.005;           // co-simulation step
-  double trial_timeout_s = 45.0;
-  double learning_rate = 0.35;
-  core::DistScrollDevice::Config device{};
 };
 
 /// A leaf target expressed as the index path from the root level.

@@ -23,19 +23,6 @@ std::vector<Dictionary::Entry> Dictionary::candidates(std::string_view zone_sequ
   return it->second;
 }
 
-std::vector<Dictionary::Entry> Dictionary::completions(std::string_view prefix,
-                                                       std::size_t limit) const {
-  std::vector<Entry> out;
-  for (auto it = by_sequence_.lower_bound(prefix);
-       it != by_sequence_.end() && it->first.compare(0, prefix.size(), prefix) == 0; ++it) {
-    out.insert(out.end(), it->second.begin(), it->second.end());
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Entry& a, const Entry& b) { return a.frequency > b.frequency; });
-  if (out.size() > limit) out.resize(limit);
-  return out;
-}
-
 std::optional<std::size_t> Dictionary::rank_of(std::string_view word) const {
   const auto sequence = ZoneKeyboard::zone_sequence(word);
   if (!sequence) return std::nullopt;

@@ -34,13 +34,6 @@ class Dictionary {
   /// Candidates for an exact zone sequence, most frequent first.
   [[nodiscard]] std::vector<Entry> candidates(std::string_view zone_sequence) const;
 
-  /// Candidates for a word prefix typed so far (zone sequence prefix),
-  /// most frequent first, capped at `limit` — the completion list shown
-  /// on the display.
-  // ds-lint: allow(test-only-api) a test pins prefix completion; no text-entry program shows the list yet
-  [[nodiscard]] std::vector<Entry> completions(std::string_view zone_sequence_prefix,
-                                               std::size_t limit = 5) const;
-
   /// Rank (0-based) of `word` among candidates of its own sequence;
   /// nullopt if absent. Rank 0 = the disambiguator's first guess.
   // ds-lint: allow(test-only-api) the disambiguation tests read a word's rank; programs take candidates()

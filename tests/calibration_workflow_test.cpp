@@ -48,7 +48,7 @@ TEST_F(CalibrationFixture, CapturesUnitVariation) {
   ASSERT_TRUE(report.accepted);
   EXPECT_NEAR(report.result.curve.params().a, 12.0, 1.8);
   // And the device's live mapping now uses it.
-  EXPECT_NEAR(device->config().curve.params().a, report.result.curve.params().a, 1e-6);
+  EXPECT_NEAR(device->curve().params().a, report.result.curve.params().a, 1e-6);
 }
 
 TEST_F(CalibrationFixture, CalibratedDeviceScrollsAccurately) {
@@ -68,7 +68,7 @@ TEST_F(CalibrationFixture, CalibratedDeviceScrollsAccurately) {
 TEST_F(CalibrationFixture, SurvivesPowerCycle) {
   auto device = make(11.5, 0.7);
   (void)core::calibrate_device(*device, queue, jig());
-  const double calibrated_a = device->config().curve.params().a;
+  const double calibrated_a = device->curve().params().a;
   // "Battery change": new device object, same EEPROM contents.
   core::DistScrollDevice::Config config;
   core::DistScrollDevice fresh(config, *menu_root, queue, sim::Rng(32));
@@ -77,7 +77,7 @@ TEST_F(CalibrationFixture, SurvivesPowerCycle) {
                                                   core::CalibrationStore::kRecordSize);
   fresh.eeprom().write_block(core::CalibrationStore::kBaseAddress, record);
   EXPECT_TRUE(fresh.load_calibration_from_eeprom());
-  EXPECT_NEAR(fresh.config().curve.params().a, calibrated_a, 1e-4);
+  EXPECT_NEAR(fresh.curve().params().a, calibrated_a, 1e-4);
 }
 
 // --- fatigue ------------------------------------------------------------------

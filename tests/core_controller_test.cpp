@@ -1,6 +1,5 @@
 // Tests for the scroll controller (direction mapping, smoothing,
-// statistics), chunked scrolling, speed-dependent zooming and the expert
-// fast-scroll mode.
+// statistics), chunked scrolling and the expert fast-scroll mode.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -10,7 +9,6 @@
 #include "core/fast_scroll.h"
 #include "core/island_mapper.h"
 #include "core/scroll_controller.h"
-#include "core/speed_zoom.h"
 #include "obs/tracer.h"
 #include "sim/random.h"
 
@@ -389,80 +387,6 @@ TEST(ChunkedScroll, DegenerateSizes) {
   EXPECT_EQ(one.chunk_count(), 1u);
   EXPECT_FALSE(one.next_chunk());
   EXPECT_EQ(one.to_absolute(5), 0u);
-}
-
-// --- speed zoom ------------------------------------------------------------------
-
-TEST(SpeedZoom, StartsCoarseForLongMenus) {
-  SpeedZoom zoom(100, 10);
-  EXPECT_EQ(zoom.mode(), SpeedZoom::Mode::Coarse);
-}
-
-TEST(SpeedZoom, ShortMenuIsAlwaysFine) {
-  SpeedZoom zoom(8, 10);
-  EXPECT_EQ(zoom.on_update(util::Seconds{0.1}, 3), 3u);
-  EXPECT_EQ(zoom.mode(), SpeedZoom::Mode::Fine);
-}
-
-TEST(SpeedZoom, CoarseAddressesBucketMiddles) {
-  SpeedZoom zoom(100, 10);
-  const auto entry = zoom.on_update(util::Seconds{0.1}, 4);
-  EXPECT_GE(entry, 40u);
-  EXPECT_LT(entry, 50u);
-}
-
-TEST(SpeedZoom, DwellZoomsIn) {
-  SpeedZoom zoom(100, 10);
-  double t = 0.0;
-  for (int i = 0; i < 40; ++i) {
-    t += 0.05;
-    zoom.on_update(util::Seconds{t}, 4);  // dwell on island 4
-  }
-  EXPECT_EQ(zoom.mode(), SpeedZoom::Mode::Fine);
-  // Fine mode spreads islands across bucket 4 (entries 40..49); move
-  // the hand SLOWLY (island by island) so the zoom stays fine.
-  std::size_t lo = 99, hi = 0;
-  for (int island = 4; island >= 0; --island) {
-    t += 0.3;
-    lo = zoom.on_update(util::Seconds{t}, static_cast<std::size_t>(island));
-  }
-  for (int island = 0; island <= 9; ++island) {
-    t += 0.3;
-    hi = zoom.on_update(util::Seconds{t}, static_cast<std::size_t>(island));
-  }
-  EXPECT_EQ(zoom.mode(), SpeedZoom::Mode::Fine);
-  EXPECT_EQ(lo, 40u);
-  EXPECT_EQ(hi, 49u);
-}
-
-TEST(SpeedZoom, FastMotionZoomsBackOut) {
-  SpeedZoom::Config config;
-  SpeedZoom zoom(100, 10, config);
-  double t = 0.0;
-  // Dwell -> fine.
-  for (int i = 0; i < 40; ++i) {
-    t += 0.05;
-    zoom.on_update(util::Seconds{t}, 4);
-  }
-  ASSERT_EQ(zoom.mode(), SpeedZoom::Mode::Fine);
-  // Whip across islands quickly -> coarse again.
-  for (int i = 0; i < 10; ++i) {
-    t += 0.02;
-    zoom.on_update(util::Seconds{t}, static_cast<std::size_t>(i % 10));
-  }
-  EXPECT_EQ(zoom.mode(), SpeedZoom::Mode::Coarse);
-}
-
-TEST(SpeedZoom, ResetRestoresCoarse) {
-  SpeedZoom zoom(100, 10);
-  double t = 0.0;
-  for (int i = 0; i < 40; ++i) {
-    t += 0.05;
-    zoom.on_update(util::Seconds{t}, 2);
-  }
-  ASSERT_EQ(zoom.mode(), SpeedZoom::Mode::Fine);
-  zoom.reset();
-  EXPECT_EQ(zoom.mode(), SpeedZoom::Mode::Coarse);
 }
 
 // --- fast scroll -------------------------------------------------------------------

@@ -243,23 +243,6 @@ TEST_F(DeviceFixture, ChunkedSelectionWithinChunk) {
   EXPECT_EQ(device->cursor().index(), 19u);
 }
 
-TEST_F(DeviceFixture, SpeedZoomStrategyReachesDistantEntries) {
-  menu_root = menu::make_flat_menu(100);
-  DistScrollDevice::Config config;
-  config.long_menu = LongMenuStrategy::SpeedZoom;
-  config.speed_zoom_islands = 10;
-  auto device = make(config);
-  // Aim for island centres: between-island distances sit in the paper's
-  // selection-free dead zones and would (correctly) change nothing.
-  distance_cm = device->mapper().centre_distance(9).value;  // farthest island
-  settle(1.5);  // dwell far: coarse lands near the top bucket, zooms in
-  const auto index = device->cursor().index();
-  EXPECT_LT(index, 20u);  // top region of the menu
-  distance_cm = device->mapper().centre_distance(0).value;  // nearest island
-  settle(1.5);
-  EXPECT_GT(device->cursor().index(), 60u);  // bottom region
-}
-
 TEST_F(DeviceFixture, FastScrollTurboInChunkedMode) {
   menu_root = menu::make_flat_menu(50);
   DistScrollDevice::Config config;
@@ -331,6 +314,91 @@ TEST_F(DeviceFixture, PhoneMenuFullNavigation) {
   device->on_leaf_activated([&](const DistScrollDevice::SelectionEvent& e) { activated = e.label; });
   press(device->select_button());
   EXPECT_EQ(activated, "Contrast");
+}
+
+// --- default-device totals ---------------------------------------------------
+
+/// One scripted session on the default device (phone menu, hand sweeps,
+/// descents, a leaf activation, backs, the unused aux button and a dip
+/// into the fold zone), with every total the firmware model accounts
+/// pinned exactly: MCU cycles and memory budgets, per-consumer charge,
+/// redraws, the telemetry bytes on the UART and the selections. No
+/// golden trace or CSV covers cycles or charge; this test does.
+TEST(DeviceTotals, DefaultSessionIsPinned) {
+  auto menu_root = menu::make_phone_menu();
+  sim::EventQueue queue;
+  DistScrollDevice device(DistScrollDevice::Config{}, *menu_root, queue, sim::Rng(31));
+  double distance_cm = 17.0;
+  device.set_distance_provider([&](util::Seconds) { return util::Centimeters{distance_cm}; });
+
+  wireless::RfLink::Config link_config;
+  link_config.byte_loss_probability = 0.0;
+  link_config.bit_flip_probability = 0.0;
+  wireless::RfLink link(link_config, device.board().uart(), queue, sim::Rng(5));
+  std::uint64_t wire_bytes = 0;
+  std::uint64_t wire_fnv = 0xcbf29ce484222325ull;
+  link.set_host_sink([&](std::uint8_t b) {
+    ++wire_bytes;
+    wire_fnv = (wire_fnv ^ b) * 0x100000001b3ull;
+  });
+  link.start();
+  device.power_on();
+
+  const auto settle = [&](double s) { queue.run_until(util::Seconds{queue.now().value + s}); };
+  const auto aim = [&](std::size_t index) {
+    const auto& mapper = device.mapper();
+    distance_cm = mapper.centre_distance(mapper.entries() - 1 - index).value;
+    settle(0.8);
+  };
+  const auto press = [&](input::Button& button) {
+    button.press();
+    settle(0.08);
+    button.release();
+    settle(0.12);
+  };
+
+  settle(1.0);
+  for (const double cm : {6.0, 28.0, 12.0, 22.0}) {
+    distance_cm = cm;
+    settle(0.4);
+  }
+  aim(3);  // Settings
+  press(device.select_button());
+  aim(1);  // Display
+  press(device.select_button());
+  aim(1);  // Contrast (a leaf)
+  press(device.select_button());
+  press(device.aux_button());  // no chunks on the default device
+  press(device.back_button());
+  aim(0);
+  press(device.select_button());
+  distance_cm = 0.6;  // the fold zone
+  settle(0.5);
+  press(device.back_button());
+  press(device.back_button());
+  aim(2);
+  settle(2.0);
+
+  const auto& mcu = device.board().mcu();
+  const auto& mah = device.board().battery().per_consumer_mah();
+  EXPECT_EQ(mcu.cycles(), 433'320u);
+  EXPECT_EQ(mcu.ram_used(), 448u);
+  EXPECT_EQ(mcu.flash_used(), 14'336u);
+  ASSERT_EQ(mah.size(), 3u);  // base-board+mcu, gp2d120, displays
+  EXPECT_EQ(mah[0], 0x1.242e6bdc8055bp-5);
+  EXPECT_EQ(mah[1], 0x1.91bfd44f30737p-4);
+  EXPECT_EQ(mah[2], 0x1.95287a42d4164p-8);
+  EXPECT_EQ(device.redraws(), 25u);
+  EXPECT_EQ(wire_bytes, 2937u);
+  EXPECT_EQ(wire_fnv, 0x3b9777c97ae324c3ull);
+  const auto& selections = device.selections();
+  ASSERT_EQ(selections.size(), 4u);
+  const char* const labels[] = {"Settings", "Display", "Contrast", "Tones"};
+  for (std::size_t i = 0; i < selections.size(); ++i) {
+    EXPECT_EQ(selections[i].label, labels[i]) << i;
+    EXPECT_EQ(selections[i].is_leaf, i == 2) << i;
+  }
+  EXPECT_EQ(selections[3].time_s, 0x1.b3e76c8b43c06p+2);
 }
 
 }  // namespace

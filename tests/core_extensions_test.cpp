@@ -1,11 +1,9 @@
 // Tests for the "final version" features the paper plans and this
-// reproduction implements: dual-sensor fold resolution, accelerometer
-// context gating, button layouts / single-button long press, and ranger
-// duty cycling.
+// reproduction implements: dual-sensor fold resolution and the button
+// layout ergonomics.
 #include <gtest/gtest.h>
 
 #include "core/button_layout.h"
-#include "core/context_gate.h"
 #include "core/distscroll_device.h"
 #include "core/dual_sensor.h"
 #include "menu/menu_builder.h"
@@ -43,7 +41,7 @@ TEST_F(DualFixture, ResolvesMonotoneBranch) {
   const auto resolver = make();
   for (double d = 5.0; d <= 28.0; d += 3.0) {
     const auto primary_counts = counts_at_true_distance(d);
-    const auto secondary_counts = counts_at_true_distance(d + config.offset_cm);
+    const auto secondary_counts = counts_at_true_distance(d + DualRangeResolver::kOffsetCm);
     const auto resolution = resolver.resolve(util::AdcCounts{primary_counts},
                                              util::AdcCounts{secondary_counts});
     ASSERT_TRUE(resolution.has_value()) << d;
@@ -59,7 +57,7 @@ TEST_F(DualFixture, ResolvesFoldedBranch) {
   const auto resolver = make();
   for (double d : {0.8, 1.5, 2.0, 2.8}) {
     const auto primary_counts = counts_at_true_distance(d);
-    const auto secondary_counts = counts_at_true_distance(d + config.offset_cm);
+    const auto secondary_counts = counts_at_true_distance(d + DualRangeResolver::kOffsetCm);
     const auto resolution = resolver.resolve(util::AdcCounts{primary_counts},
                                              util::AdcCounts{secondary_counts});
     ASSERT_TRUE(resolution.has_value()) << d;
@@ -87,41 +85,6 @@ TEST_F(DualFixture, FoldBranchInverseRoundTrip) {
     ASSERT_TRUE(back.has_value()) << d;
     EXPECT_NEAR(back->value, d, 0.1) << d;
   }
-}
-
-// --- ContextGate ----------------------------------------------------------------
-
-TEST(ContextGate, SuspendsWhenTippedAndResumesWithDelay) {
-  ContextGate gate({});
-  EXPECT_TRUE(gate.scrolling_enabled());
-  // Lower the device (pitch ~ -1.2 rad).
-  EXPECT_FALSE(gate.on_sample(util::Seconds{0.1}, util::Radians{-1.2}));
-  // Back upright: not instantly re-enabled.
-  EXPECT_FALSE(gate.on_sample(util::Seconds{0.2}, util::Radians{0.1}));
-  // After the resume delay, scrolling comes back.
-  EXPECT_TRUE(gate.on_sample(util::Seconds{0.6}, util::Radians{0.1}));
-}
-
-TEST(ContextGate, HysteresisBand) {
-  ContextGate gate({});
-  // 0.7 rad: inside [resume=0.6, suspend=0.9] — stays enabled...
-  EXPECT_TRUE(gate.on_sample(util::Seconds{0.0}, util::Radians{0.7}));
-  // ...but once suspended, 0.7 rad is NOT good enough to resume.
-  gate.on_sample(util::Seconds{0.1}, util::Radians{1.2});
-  for (double t = 0.2; t < 3.0; t += 0.1) {
-    EXPECT_FALSE(gate.on_sample(util::Seconds{t}, util::Radians{0.7}));
-  }
-}
-
-TEST(ContextGate, WobbleDoesNotResume) {
-  ContextGate gate({});
-  gate.on_sample(util::Seconds{0.0}, util::Radians{1.3});
-  // Alternating good/bad posture, never good long enough.
-  for (int i = 0; i < 20; ++i) {
-    const double t = 0.1 + i * 0.1;
-    gate.on_sample(util::Seconds{t}, util::Radians{(i % 2) ? 0.2 : 1.3});
-  }
-  EXPECT_FALSE(gate.scrolling_enabled());
 }
 
 // --- ButtonLayout ergonomics --------------------------------------------------------
@@ -154,7 +117,7 @@ TEST(ButtonLayout, SingleButtonBackIsSlowButReliable) {
   EXPECT_LT(back.miss_multiplier, 1.0);
 }
 
-// --- device integration: the new config knobs ---------------------------------------
+// --- device integration: the dual-sensor knobs ---------------------------------------
 
 struct ExtDeviceFixture : ::testing::Test {
   std::unique_ptr<menu::MenuNode> menu_root = menu::MenuBuilder("r")
@@ -168,13 +131,11 @@ struct ExtDeviceFixture : ::testing::Test {
                                                   .build();
   sim::EventQueue queue;
   double distance_cm = 17.0;
-  double pitch_rad = 0.0;
 
   std::unique_ptr<DistScrollDevice> make(DistScrollDevice::Config config) {
     auto device = std::make_unique<DistScrollDevice>(config, *menu_root, queue, sim::Rng(11));
     device->set_distance_provider(
         [this](util::Seconds) { return util::Centimeters{distance_cm}; });
-    device->set_tilt_provider([this](util::Seconds) { return util::Radians{pitch_rad}; });
     device->power_on();
     return device;
   }
@@ -186,79 +147,6 @@ struct ExtDeviceFixture : ::testing::Test {
     return mapper.centre_distance(mapper.entries() - 1 - index).value;
   }
 };
-
-TEST_F(ExtDeviceFixture, SingleButtonShortPressSelects) {
-  DistScrollDevice::Config config;
-  config.button_layout = ButtonLayout::SingleLargeButton;
-  auto device = make(config);
-  distance_cm = distance_for_index(*device, 0);  // "folder"
-  settle();
-  ASSERT_EQ(device->cursor().index(), 0u);
-  device->select_button().press();
-  settle(0.15);  // short press
-  device->select_button().release();
-  settle(0.1);
-  EXPECT_EQ(device->cursor().depth(), 1u);  // entered the folder
-}
-
-TEST_F(ExtDeviceFixture, SingleButtonLongPressGoesBack) {
-  DistScrollDevice::Config config;
-  config.button_layout = ButtonLayout::SingleLargeButton;
-  auto device = make(config);
-  distance_cm = distance_for_index(*device, 0);
-  settle();
-  device->select_button().press();
-  settle(0.15);
-  device->select_button().release();
-  settle(0.1);
-  ASSERT_EQ(device->cursor().depth(), 1u);
-  // Long press: back to the root level.
-  device->select_button().press();
-  settle(0.7);
-  device->select_button().release();
-  settle(0.1);
-  EXPECT_EQ(device->cursor().depth(), 0u);
-}
-
-TEST_F(ExtDeviceFixture, ContextGateStopsScrollingWhenLowered) {
-  DistScrollDevice::Config config;
-  config.enable_context_gate = true;
-  auto device = make(config);
-  distance_cm = distance_for_index(*device, 0);
-  settle();
-  ASSERT_EQ(device->cursor().index(), 0u);
-  ASSERT_TRUE(device->scrolling_enabled());
-
-  // Lower the arm: device hangs, the ranger now sees something close
-  // (the leg) — but the gate freezes the cursor.
-  pitch_rad = -1.3;
-  distance_cm = distance_for_index(*device, 3);
-  settle(1.0);
-  EXPECT_FALSE(device->scrolling_enabled());
-  EXPECT_EQ(device->cursor().index(), 0u);  // frozen despite the new distance
-
-  // Raise it again: scrolling resumes and follows the distance.
-  pitch_rad = 0.0;
-  settle(1.0);
-  EXPECT_TRUE(device->scrolling_enabled());
-  EXPECT_EQ(device->cursor().index(), 3u);
-}
-
-TEST_F(ExtDeviceFixture, DutyCycleDropsDrawWhenIdleAndWakesOnMotion) {
-  DistScrollDevice::Config config;
-  config.enable_sensor_duty_cycle = true;
-  config.idle_after = util::Seconds{2.0};
-  auto device = make(config);
-  settle(1.0);
-  const double active_draw = device->board().battery().total_draw_ma();
-  settle(4.0);  // nothing happens: goes idle
-  EXPECT_LT(device->board().battery().total_draw_ma(), active_draw - 20.0);
-  // The hand moves: the next (sparse) sample notices and wakes up.
-  distance_cm = distance_for_index(*device, 3);
-  settle(1.0);
-  EXPECT_NEAR(device->board().battery().total_draw_ma(), active_draw, 1.0);
-  EXPECT_EQ(device->cursor().index(), 3u);
-}
 
 TEST_F(ExtDeviceFixture, DualSensorKeepsScrollingUnambiguousWhenTooClose) {
   // WITHOUT the second sensor: 0.6 cm aliases to a farther entry

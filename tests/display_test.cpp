@@ -194,14 +194,5 @@ TEST_F(DriverFixture, MissingPanelReportsNack) {
   EXPECT_FALSE(ghost.last_acked());
 }
 
-TEST_F(DriverFixture, WriteAtInvalidatesShowCache) {
-  driver.show({"A", "B", "C", "D", "E"}, 0);
-  driver.write_at(0, 0, "Z");
-  const auto before = bus.transactions();
-  driver.show({"A", "B", "C", "D", "E"}, 0);  // must repaint despite same args
-  EXPECT_GT(bus.transactions(), before);
-  EXPECT_EQ(panel.line_text(0), "A");
-}
-
 }  // namespace
 }  // namespace distscroll::display

@@ -19,9 +19,8 @@ TEST(Battery, TracksConsumersAndDraw) {
   const auto mcu = bat.add_consumer("mcu", 12.0);
   const auto sensor = bat.add_consumer("sensor", 33.0);
   EXPECT_DOUBLE_EQ(bat.total_draw_ma(), 45.0);
-  bat.set_draw(sensor, 0.0);  // duty-cycled off
-  EXPECT_DOUBLE_EQ(bat.total_draw_ma(), 12.0);
   EXPECT_EQ(bat.consumer_name(mcu), "mcu");
+  EXPECT_EQ(bat.consumer_name(sensor), "sensor");
 }
 
 TEST(Battery, ConsumesCoulombs) {
@@ -86,11 +85,6 @@ TEST(Adc, NoiseStaysWithinAFewLsb) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_NEAR(adc.sample(ch, util::Seconds{0.0}).value, expected, 4.0);
   }
-}
-
-TEST(Adc, ToVoltsInverse) {
-  Adc10 adc({}, sim::Rng(3));
-  EXPECT_NEAR(adc.to_volts(util::AdcCounts{512}).value, 512 * 5.0 / 1023.0, 1e-12);
 }
 
 TEST(Adc, MultipleChannelsIndependent) {
@@ -207,7 +201,7 @@ TEST(Uart, TxFifoOrderAndOverflow) {
 
 TEST(Mcu, CycleAccounting) {
   sim::EventQueue queue;
-  Mcu mcu({}, queue);
+  Mcu mcu(queue);
   mcu.charge_cycles(100);
   mcu.charge_cycles(23);
   EXPECT_EQ(mcu.cycles(), 123u);
@@ -215,7 +209,7 @@ TEST(Mcu, CycleAccounting) {
 
 TEST(Mcu, MemoryBudgets) {
   sim::EventQueue queue;
-  Mcu mcu({}, queue);
+  Mcu mcu(queue);
   mcu.reserve_ram("table", 1000);
   EXPECT_EQ(mcu.ram_used(), 1000u);
   mcu.reserve_flash("code", 1024);
@@ -224,7 +218,7 @@ TEST(Mcu, MemoryBudgets) {
 
 TEST(Mcu, PeriodicTimerFiresAtPeriod) {
   sim::EventQueue queue;
-  Mcu mcu({}, queue);
+  Mcu mcu(queue);
   int fired = 0;
   mcu.start_timer(util::Seconds{0.01}, [&] { ++fired; });
   queue.run_until(util::Seconds{0.095});
@@ -233,7 +227,7 @@ TEST(Mcu, PeriodicTimerFiresAtPeriod) {
 
 TEST(Mcu, StoppedTimerStopsFiring) {
   sim::EventQueue queue;
-  Mcu mcu({}, queue);
+  Mcu mcu(queue);
   int fired = 0;
   const auto timer = mcu.start_timer(util::Seconds{0.01}, [&] { ++fired; });
   queue.run_until(util::Seconds{0.035});
@@ -244,7 +238,7 @@ TEST(Mcu, StoppedTimerStopsFiring) {
 
 TEST(Mcu, TimerCanStopItself) {
   sim::EventQueue queue;
-  Mcu mcu({}, queue);
+  Mcu mcu(queue);
   int fired = 0;
   std::size_t id = 0;
   id = mcu.start_timer(util::Seconds{0.01}, [&] {

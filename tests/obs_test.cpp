@@ -226,18 +226,18 @@ TEST(TraceIo, DeserializeRejectsCorruption) {
 
 TEST(TraceIo, DeserializeRejectsUnknownKindBytes) {
   // Kind byte of the last event (24-byte header, 17-byte events, the
-  // kind after the 8-byte time). 8 was a retired ARQ kind; 255 was
-  // never one.
+  // kind after the 8-byte time). 8 was a retired ARQ kind and 13 the
+  // retired scheduler-overrun kind; 255 was never one.
   const auto bytes = obs::serialize(sample_trace());
   const std::size_t kind_at = bytes.size() - 17 + 8;
   for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{8}, std::uint8_t{11},
-                                  std::uint8_t{14}, std::uint8_t{255}}) {
+                                  std::uint8_t{13}, std::uint8_t{14}, std::uint8_t{255}}) {
     auto bad_kind = bytes;
     bad_kind[kind_at] = kind;
     EXPECT_FALSE(obs::deserialize(bad_kind).has_value()) << "kind byte " << int{kind};
   }
   // Every defined kind still loads.
-  for (const std::uint8_t kind : {1, 2, 3, 4, 5, 6, 7, 12, 13}) {
+  for (const std::uint8_t kind : {1, 2, 3, 4, 5, 6, 7, 12}) {
     auto good = bytes;
     good[kind_at] = kind;
     EXPECT_TRUE(obs::deserialize(good).has_value()) << "kind byte " << int{kind};

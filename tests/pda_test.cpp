@@ -23,7 +23,7 @@ struct PdaFixture : ::testing::Test {
 
   /// Direct cable: addon UART clocked straight into the host.
   void wire_direct() {
-    addon = std::make_unique<PdaAddon>(PdaAddon::Config{}, queue, sim::Rng(1));
+    addon = std::make_unique<PdaAddon>(queue, sim::Rng(1));
     addon->set_distance_provider(
         [this](util::Seconds) { return util::Centimeters{distance_cm}; });
     host = std::make_unique<PdaHost>(PdaHost::Config{}, *menu_root);
@@ -126,7 +126,7 @@ TEST(PdaOverLossyLink, SurvivesLoss) {
   auto menu_root = menu::make_phone_menu();
   sim::EventQueue queue;
   double distance_cm = 17.0;
-  PdaAddon addon({}, queue, sim::Rng(7));
+  PdaAddon addon(queue, sim::Rng(7));
   addon.set_distance_provider([&](util::Seconds) { return util::Centimeters{distance_cm}; });
   PdaHost host({}, *menu_root);
 

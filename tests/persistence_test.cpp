@@ -1,12 +1,11 @@
-// Tests for the EEPROM model, calibration persistence, the firmware
-// scheduler, and battery-brownout behaviour — the "survives the field"
+// Tests for the EEPROM model, calibration persistence and
+// battery-brownout behaviour — the "survives the field"
 // layer of the prototype.
 #include <gtest/gtest.h>
 
 #include "core/calibration_store.h"
 #include "core/distscroll_device.h"
 #include "hw/eeprom.h"
-#include "hw/scheduler.h"
 #include "menu/menu_builder.h"
 
 namespace distscroll {
@@ -106,7 +105,7 @@ TEST(DeviceCalibration, BootLoadsPersistedCurve) {
   device.save_calibration_to_eeprom(calibration);
   EXPECT_TRUE(device.load_calibration_from_eeprom());
   // The island table now derives from the stored curve and range.
-  EXPECT_NEAR(device.config().islands.far.value, 29.5, 1e-3);
+  EXPECT_NEAR(device.mapper().config().far.value, 29.5, 1e-3);
 }
 
 TEST(DeviceCalibration, CorruptRecordFallsBackToDefaults) {
@@ -124,59 +123,6 @@ TEST(DeviceCalibration, CorruptRecordFallsBackToDefaults) {
   queue.run_until(util::Seconds{0.5});
   EXPECT_TRUE(device.controller().selection().has_value());
   (void)loaded;  // either way the device works
-}
-
-// --- scheduler --------------------------------------------------------------------------
-
-TEST(Scheduler, RunsTasksAtTheirPeriods) {
-  sim::EventQueue queue;
-  hw::Mcu mcu({}, queue);
-  hw::Scheduler scheduler({}, mcu);
-  int fast = 0, slow = 0;
-  scheduler.add_task("fast", 1, 100, [&] { ++fast; });
-  scheduler.add_task("slow", 10, 500, [&] { ++slow; });
-  scheduler.start();
-  queue.run_until(util::Seconds{0.1001});  // ~100 ticks at 1 ms
-  EXPECT_NEAR(fast, 100, 2);
-  EXPECT_NEAR(slow, 10, 1);
-}
-
-TEST(Scheduler, ChargesCyclesAndComputesUtilization) {
-  sim::EventQueue queue;
-  hw::Mcu mcu({}, queue);
-  hw::Scheduler scheduler({}, mcu);
-  scheduler.add_task("t", 1, 1000, [] {});
-  scheduler.start();
-  queue.run_until(util::Seconds{0.05});
-  EXPECT_GE(mcu.cycles(), 40u * 1000u);
-  // 1000 cycles per 10000-cycle tick budget = 10%.
-  EXPECT_NEAR(scheduler.utilization(), 0.10, 0.01);
-  EXPECT_EQ(scheduler.overruns(), 0u);
-}
-
-TEST(Scheduler, DetectsOverruns) {
-  sim::EventQueue queue;
-  hw::Mcu mcu({}, queue);
-  hw::Scheduler scheduler({}, mcu);
-  scheduler.add_task("hog", 1, 15000, [] {});  // > 10k cycles/ms budget
-  scheduler.start();
-  queue.run_until(util::Seconds{0.01});
-  EXPECT_GT(scheduler.overruns(), 5u);
-}
-
-TEST(Scheduler, DisabledTasksDoNotRun) {
-  sim::EventQueue queue;
-  hw::Mcu mcu({}, queue);
-  hw::Scheduler scheduler({}, mcu);
-  int runs = 0;
-  const auto task = scheduler.add_task("t", 1, 10, [&] { ++runs; });
-  scheduler.set_enabled(task, false);
-  scheduler.start();
-  queue.run_until(util::Seconds{0.02});
-  EXPECT_EQ(runs, 0);
-  scheduler.set_enabled(task, true);
-  queue.run_until(util::Seconds{0.04});
-  EXPECT_GT(runs, 10);
 }
 
 // --- brownout -------------------------------------------------------------------------

@@ -382,7 +382,7 @@ TEST(DeviceStudy, NovicePracticesToNearlyErrorless) {
   EXPECT_EQ(result.blocks[0].expertise, human::UserProfile{}.with_expertise(0.15).expertise);
   for (std::size_t b = 1; b < result.blocks.size(); ++b) {
     EXPECT_EQ(result.blocks[b].expertise,
-              human::practice(result.blocks[b - 1].expertise, config.learning_rate))
+              human::practice(result.blocks[b - 1].expertise, kDeviceLearningRate))
         << "block " << b;
   }
   // Later blocks at least as fast as the first; the last nearly errorless.

@@ -76,20 +76,6 @@ TEST(Dictionary, RejectsUnmappableWords) {
   EXPECT_EQ(dictionary.size(), 0u);
 }
 
-TEST(Dictionary, CompletionsByPrefix) {
-  Dictionary dictionary;
-  dictionary.add_word("a", 10);    // zone 0
-  dictionary.add_word("an", 5);    // zones 0,3
-  dictionary.add_word("and", 50);  // zones 0,3,0
-  dictionary.add_word("the", 100);
-  const auto completions = dictionary.completions("0", 10);
-  ASSERT_EQ(completions.size(), 3u);
-  EXPECT_EQ(completions[0].word, "the" == completions[0].word ? "the" : completions[0].word);
-  // "the" (zones 4,1,1) must NOT appear under prefix "0".
-  for (const auto& c : completions) EXPECT_NE(c.word, "the");
-  EXPECT_EQ(completions[0].word, "and");  // highest frequency among a/an/and
-}
-
 TEST(Dictionary, CommonEnglishLoads) {
   const auto dictionary = Dictionary::common_english();
   EXPECT_GT(dictionary.size(), 150u);

@@ -70,11 +70,21 @@ bool punct_in(const SourceFile& src, std::size_t i, std::string_view set_of_char
 
 void detect_alloc_markers(const SourceFile& src, std::size_t begin, std::size_t end,
                           const DetectorSink& sink) {
+  // Free functions that return fresh heap storage (DESIGN §14 lists
+  // both sets and what stays outside them).
   static const std::set<std::string, std::less<>> kCalls = {
-      "make_unique", "make_shared", "malloc", "calloc", "realloc", "strdup",
+      "make_unique",     "make_unique_for_overwrite", "make_shared",
+      "make_shared_for_overwrite", "allocate_shared", "allocate_shared_for_overwrite",
+      "malloc",          "calloc",                    "realloc",
+      "aligned_alloc",   "strdup",                    "strndup",
   };
+  // Standard-container members that may (re)allocate the container's
+  // storage, flagged when called through '.' or '->'.
   static const std::set<std::string, std::less<>> kGrowth = {
-      "push_back", "emplace_back", "emplace", "insert", "resize", "reserve", "append",
+      "push_back",     "emplace_back", "push_front",       "emplace_front", "emplace",
+      "emplace_hint",  "try_emplace",  "insert",           "insert_or_assign",
+      "insert_range",  "append",       "append_range",     "prepend_range", "assign",
+      "assign_range",  "resize",       "resize_and_overwrite", "reserve",   "shrink_to_fit",
   };
   for (std::size_t i = begin; i < end && i < src.tokens.size(); ++i) {
     if (src.tokens[i].kind != Token::Kind::Ident) continue;
