@@ -255,7 +255,7 @@ void run_planner_trials(benchmark::State& state, baselines::ScrollTechnique& tec
   for (auto _ : state) {
     const study::SelectionTask& task = tasks[trial % tasks.size()];
     technique.reset(task.level_size, task.start_index);
-    human::MotionPlanner planner({}, trials_rng.fork(trial++));
+    human::MotionPlanner planner(trials_rng.fork(trial++));
     benchmark::DoNotOptimize(planner.acquire(technique, task.target_index, profile));
   }
 }

@@ -36,17 +36,16 @@ int main() {
   constexpr double kSessionSeconds = 15.0 * 60.0;
   constexpr int kBins = 5;
   const double bin_width = kSessionSeconds / kBins;
-  const human::FatigueModel::Config fatigue_config{};
 
   sim::Rng rng(0xFA716);
   TechniqueRun runs[] = {
       {"DistScroll", std::make_unique<baselines::DistanceScroll>(baselines::DistanceScroll::Config{}, rng.fork(1)),
-       fatigue_config.arm_extension_rate},
+       human::FatigueModel::kArmExtensionRate},
       {"TiltScroll", std::make_unique<baselines::TiltScroll>(baselines::TiltScroll::Config{}, rng.fork(2)),
-       fatigue_config.wrist_tilt_rate},
+       human::FatigueModel::kWristTiltRate},
       {"YoYoWheel", std::make_unique<baselines::WheelScroll>(baselines::WheelScroll::Config{}, rng.fork(3)),
-       fatigue_config.stroke_rate},
-      {"ButtonScroll", std::make_unique<baselines::ButtonScroll>(), fatigue_config.button_rate},
+       human::FatigueModel::kStrokeRate},
+      {"ButtonScroll", std::make_unique<baselines::ButtonScroll>(), human::FatigueModel::kButtonRate},
   };
 
   std::printf("=== Fatigue over a 15-minute continuous session (10-entry menu) ===\n\n");
@@ -56,7 +55,7 @@ int main() {
                       {"technique", "bin", "mean_time_s", "fatigue_level"});
 
   for (auto& run : runs) {
-    human::FatigueModel fatigue(fatigue_config);
+    human::FatigueModel fatigue;
     const auto base_profile = human::UserProfile::average();
     sim::Rng tech_rng = rng.fork(std::hash<std::string>{}(run.name));
     sim::Rng task_rng = tech_rng.fork(1);

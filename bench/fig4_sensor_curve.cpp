@@ -30,7 +30,7 @@ int main() {
     fake_time += 0.1;
     const util::Volts v = ranger.output(d, util::Seconds{fake_time});
     // Route through the ADC quantisation path (noiseless).
-    return util::adc10_counts(v.value, hw::Adc10::kVref, 0.0);
+    return util::adc10_counts(v.value, 0.0);
   };
 
   const auto samples = core::sweep(util::Centimeters{4.0}, util::Centimeters{32.0}, 1.0,
@@ -40,7 +40,7 @@ int main() {
   std::vector<double> xs, ys, fit_xs, fit_ys;
   for (const auto& s : samples) {
     xs.push_back(s.distance.value);
-    ys.push_back(s.counts.value * 5.0 / 1023.0);
+    ys.push_back(util::adc10_volts(s.counts).value);
   }
   for (double d = 4.0; d <= 32.0; d += 0.25) {
     fit_xs.push_back(d);

@@ -25,7 +25,7 @@ int main() {
   auto read_counts = [&](util::Centimeters d) {
     fake_time += 0.1;
     const util::Volts v = ranger.output(d, util::Seconds{fake_time});
-    return util::adc10_counts(v.value, 5.0, 0.0);
+    return util::adc10_counts(v.value, 0.0);
   };
 
   const auto samples = core::sweep(util::Centimeters{4.0}, util::Centimeters{32.0}, 1.0,
@@ -34,7 +34,7 @@ int main() {
   std::vector<double> xs, ys;
   for (const auto& s : samples) {
     xs.push_back(s.distance.value);
-    ys.push_back(s.counts.value * 5.0 / 1023.0);
+    ys.push_back(util::adc10_volts(s.counts).value);
   }
   const util::PowerFit fit = util::fit_power(xs, ys);
 

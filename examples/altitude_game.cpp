@@ -28,13 +28,13 @@ int main() {
   sensors::Gp2d120Model ranger({}, rng.fork(1));
   hw::Adc10 adc({}, rng.fork(2));
   core::SensorCurve curve;
-  human::HandModel hand({}, rng.fork(3), 17.0);
+  human::HandModel hand(rng.fork(3), 17.0);
   // AnalogSource is non-owning: keep the callable alive alongside the ADC.
   auto ranger_source = [&](util::Seconds now) { return ranger.output(hand.distance(now), now); };
   const auto channel = adc.attach(ranger_source);
 
   display::Bt96040 panel;
-  game::AltitudeGame game({}, rng.fork(4));
+  game::AltitudeGame game(rng.fork(4));
 
   // Scripted player: re-plans toward the next wall's gap at ~4 Hz
   // (reaction-limited), occasionally firing with the thumb.
@@ -44,14 +44,14 @@ int main() {
   for (double t = 0.0; t < 30.0; t += 0.05) {
     const game::Wall* next = nullptr;
     for (const auto& wall : game.walls()) {
-      if (wall.x > game.config().plane_x && !wall.destroyed && (!next || wall.x < next->x)) {
+      if (wall.x > game::AltitudeGame::kPlaneX && !wall.destroyed && (!next || wall.x < next->x)) {
         next = &wall;
       }
     }
     if (next != nullptr && frames % 5 == 0) {
       // Gap altitude -> target distance on the 4..30 cm span.
       const double target_cm =
-          4.0 + (30.0 - 4.0) * next->gap_y / (game.config().height - 1);
+          4.0 + (30.0 - 4.0) * next->gap_y / (display::kDisplayHeight - 1);
       const auto reach = human::movement_time(profile.reach_fitts,
                                               std::abs(target_cm - hand.target_cm()), 2.0);
       hand.start_reach(util::Seconds{t}, target_cm, reach);
@@ -68,8 +68,8 @@ int main() {
   std::printf("=== DistScroll altitude game — final frame after 30 s ===\n");
   std::printf("%s", panel.render_ascii().c_str());
   std::printf("score: %d   crashes: %d   (gap threaded: +%d, wall blasted: +%d)\n",
-              game.score(), game.crashes(), game.config().pass_score,
-              game.config().blast_score);
+              game.score(), game.crashes(), game::AltitudeGame::kPassScore,
+              game::AltitudeGame::kBlastScore);
   std::printf("\nthe same sensor+curve stack the menu firmware uses, consumed as a\n"
               "continuous parameter — the paper's game application area.\n");
   return 0;

@@ -18,7 +18,7 @@ int main() {
   sim::EventQueue queue;
 
   pda::PdaAddon addon(queue, sim::Rng(99));
-  pda::PdaHost host({}, *menu_root);
+  pda::PdaHost host(*menu_root);
 
   // The serial cable: clock addon bytes into the host at UART pace.
   std::function<void()> drain = [&] {

@@ -4,6 +4,9 @@
 
 namespace distscroll::baselines {
 
+constexpr double kRepeatDelayS = 0.5;
+constexpr double kRepeatPeriodS = 0.08;  // 12.5 steps/s held
+
 void ButtonScroll::reset(std::size_t level_size, std::size_t start_index) {
   level_size_ = std::max<std::size_t>(1, level_size);
   cursor_ = std::min(start_index, level_size_ - 1);
@@ -22,14 +25,14 @@ void ButtonScroll::begin_hold(util::Seconds now, int direction) {
   holding_ = true;
   hold_direction_ = direction >= 0 ? 1 : -1;
   step(hold_direction_);  // initial press registers one step
-  next_repeat_s_ = now.value + config_.repeat_delay.value;
+  next_repeat_s_ = now.value + kRepeatDelayS;
 }
 
 void ButtonScroll::poll_hold(util::Seconds now) {
   if (!holding_) return;
   while (now.value >= next_repeat_s_) {
     step(hold_direction_);
-    next_repeat_s_ += config_.repeat_period.value;
+    next_repeat_s_ += kRepeatPeriodS;
   }
 }
 

@@ -11,14 +11,6 @@ namespace distscroll::baselines {
 
 class ButtonScroll final : public ScrollTechnique {
  public:
-  struct Config {
-    util::Seconds repeat_delay{0.5};
-    util::Seconds repeat_period{0.08};  // 12.5 steps/s held
-  };
-
-  ButtonScroll() : ButtonScroll(Config{}) {}
-  explicit ButtonScroll(Config config) : config_(config) {}
-
   [[nodiscard]] std::string name() const override { return "ButtonScroll"; }
   [[nodiscard]] ControlSpec spec() const override {
     return {ControlStyle::DiscreteSteps, -1.0, 1.0, 0.0, 0.0, "key"};
@@ -36,14 +28,12 @@ class ButtonScroll final : public ScrollTechnique {
   /// ...and release.
   void end_hold(util::Seconds now);
 
-  [[nodiscard]] const Config& config() const { return config_; }
   /// Tiny tactile keys: maximally glove-sensitive.
   [[nodiscard]] double glove_sensitivity() const override { return 1.0; }
 
  private:
   void step(int delta);
 
-  Config config_;
   std::size_t level_size_ = 1;
   std::size_t cursor_ = 0;
   bool holding_ = false;

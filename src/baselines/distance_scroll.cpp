@@ -62,8 +62,7 @@ void DistanceScroll::on_control_block(std::span<const double> now_s, HandSignal 
   DS_HOT_BEGIN
   {
     DS_STAGE(AdcSample);
-    const double tick = config_.firmware_tick.value;
-    const double vref = config_.curve.params().vref;
+    const double tick = core::kFirmwareTick.value;
     double next_tick = next_tick_s_;
     for (std::size_t k = 0; k < n; ++k) {
       if (now_s[k] < next_tick) {
@@ -77,7 +76,7 @@ void DistanceScroll::on_control_block(std::span<const double> now_s, HandSignal 
       const double u = ranger_.reads_at(now) ? hand(k) : kUnread;
       const util::Volts v = ranger_.output(util::Centimeters{u}, now);
       block_counts_[k] =
-          util::adc10_counts(v.value, vref, rng_.gaussian(0.0, config_.adc_noise_lsb)).value;
+          util::adc10_counts(v.value, rng_.gaussian(0.0, config_.adc_noise_lsb)).value;
     }
     next_tick_s_ = next_tick;
   }

@@ -23,8 +23,9 @@ class DistanceScroll final : public ScrollTechnique {
     core::SensorCurve curve{};
     core::IslandMapper::Config islands{};
     core::ScrollController::Config scroll{};
+    /// Test seams: the cross-model test turns the sensor and ADC noise
+    /// off to compare the technique with the device tick for tick.
     sensors::Gp2d120Model::Config sensor{};
-    util::Seconds firmware_tick{20e-3};
     double adc_noise_lsb = 0.5;
   };
 
@@ -40,8 +41,8 @@ class DistanceScroll final : public ScrollTechnique {
   /// The firmware's next tick: earlier samples are never read.
   [[nodiscard]] double next_control_s() const override { return next_tick_s_; }
   /// One firmware tick: a counted sample at t sets the next tick to
-  /// exactly t + firmware_tick.
-  [[nodiscard]] double control_period_s() const override { return config_.firmware_tick.value; }
+  /// exactly t + core::kFirmwareTick.
+  [[nodiscard]] double control_period_s() const override { return core::kFirmwareTick.value; }
   /// Two passes over the block: sensor + ADC for every tick, then the
   /// controller FSM. The sensor and ADC draw from separate streams and
   /// the FSM draws none, so the split keeps every draw in order. The

@@ -4,6 +4,8 @@
 
 namespace distscroll::baselines {
 
+constexpr double kEntriesPerRevolution = 8.0;
+
 void RadialScroll::reset(std::size_t level_size, std::size_t start_index) {
   level_size_ = std::max<std::size_t>(1, level_size);
   position_ = static_cast<double>(std::min(start_index, level_size_ - 1));
@@ -19,7 +21,7 @@ void RadialScroll::on_control(util::Seconds /*now*/, double u) {
   }
   const double du = u - last_u_;
   last_u_ = u;
-  position_ += du * config_.entries_per_revolution;
+  position_ += du * kEntriesPerRevolution;
   position_ = std::clamp(position_, 0.0, static_cast<double>(level_size_ - 1));
   cursor_ = entry_at(position_, level_size_);
 }

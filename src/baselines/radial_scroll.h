@@ -13,13 +13,6 @@ namespace distscroll::baselines {
 
 class RadialScroll final : public ScrollTechnique {
  public:
-  struct Config {
-    double entries_per_revolution = 8.0;
-  };
-
-  RadialScroll() : RadialScroll(Config{}) {}
-  explicit RadialScroll(Config config) : config_(config) {}
-
   [[nodiscard]] std::string name() const override { return "RadialScroll"; }
   [[nodiscard]] ControlSpec spec() const override {
     // u = accumulated gesture angle in revolutions; ~2 rev/s is a fast
@@ -31,14 +24,12 @@ class RadialScroll final : public ScrollTechnique {
   [[nodiscard]] std::size_t level_size() const override { return level_size_; }
   void on_control(util::Seconds now, double u) override;
 
-  [[nodiscard]] double entries_per_revolution() const { return config_.entries_per_revolution; }
   /// Touch screens and gloves don't mix (capacitive/fine stylus work).
   [[nodiscard]] double glove_sensitivity() const override { return 1.6; }
   /// Needs the stylus/second hand in the classic deployment.
   [[nodiscard]] bool one_handed() const override { return false; }
 
  private:
-  Config config_;
   std::size_t level_size_ = 1;
   double position_ = 0.0;
   std::size_t cursor_ = 0;  // position_ rounded; refreshed when it moves

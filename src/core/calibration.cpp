@@ -6,7 +6,7 @@
 
 namespace distscroll::core {
 
-CalibrationResult calibrate(std::span<const CalibrationSample> samples, double vref,
+CalibrationResult calibrate(std::span<const CalibrationSample> samples,
                             util::Centimeters min_fit_distance) {
   std::vector<double> xs, ys;
   xs.reserve(samples.size());
@@ -14,7 +14,7 @@ CalibrationResult calibrate(std::span<const CalibrationSample> samples, double v
   for (const auto& s : samples) {
     if (s.distance < min_fit_distance) continue;
     xs.push_back(s.distance.value);
-    ys.push_back(s.counts.value * vref / 1023.0);  // back to volts
+    ys.push_back(util::adc10_volts(s.counts).value);
   }
   assert(xs.size() >= 3 && "need at least 3 samples on the monotone branch");
 
@@ -22,14 +22,14 @@ CalibrationResult calibrate(std::span<const CalibrationSample> samples, double v
   const util::PowerFit power = util::fit_power(xs, ys);
 
   CalibrationResult result;
-  result.curve = SensorCurve(SensorCurve::Params{hyper.a, hyper.k, hyper.c, vref});
+  result.curve = SensorCurve(SensorCurve::Params{hyper.a, hyper.k, hyper.c});
   result.r_squared = hyper.r_squared;
   result.log_log_r_squared = power.r_squared;
   result.usable_near = min_fit_distance;
   // Usable range ends where the fitted curve's slope becomes too shallow
   // for the ADC to resolve neighbouring islands: require at least
   // 2 LSB/cm of sensitivity.
-  const double lsb_volts = vref / 1023.0;
+  const double lsb_volts = util::adc10_volts(util::AdcCounts{1}).value;
   double far = min_fit_distance.value;
   for (double d = min_fit_distance.value; d <= 60.0; d += 0.5) {
     const double slope =

@@ -30,7 +30,6 @@ struct CalibrationResult {
 /// Fit the curve to sweep samples; samples below `min_fit_distance` are
 /// excluded (they sit on the non-monotonic rising branch).
 [[nodiscard]] CalibrationResult calibrate(std::span<const CalibrationSample> samples,
-                                          double vref = 5.0,
                                           util::Centimeters min_fit_distance = util::Centimeters{4.0});
 
 /// Workload helper: perform a sweep against a provider of noisy counts

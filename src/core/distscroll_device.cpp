@@ -16,8 +16,7 @@ constexpr std::uint64_t kAdcCycles = 440;
 constexpr std::uint64_t kButtonScanCycles = 12;
 constexpr std::uint64_t kRedrawCycles = 900;  // formatting + I2C byte pumping
 constexpr double kRangerDrawMa = 33.0;        // GP2D120 typ. supply current
-// The 50 Hz sensing loop; a state frame goes out every second tick.
-constexpr util::Seconds kFirmwareTick{20e-3};
+// A state frame goes out every second firmware tick.
 constexpr int kTelemetryDivider = 2;
 
 // Default provider until the study wires a hand model in: the device
@@ -59,7 +58,7 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
 
   for (std::size_t pin = 0; pin < 3; ++pin) {
     buttons_.push_back(
-        std::make_unique<input::Button>(input::Button::Config{}, board_.gpio(), pin, queue, rng.fork(10 + pin)));
+        std::make_unique<input::Button>(board_.gpio(), pin, queue, rng.fork(10 + pin)));
     debouncers_.emplace_back();
     button_ctx_[pin] = ButtonCtx{this, pin};
   }
@@ -91,10 +90,7 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
   board_.mcu().reserve_flash("firmware", 14 * 1024);
 
   if (config_.use_dual_sensor) {
-    DualRangeResolver::Config resolver_config;
-    resolver_config.peak_cm = config_.sensor.peak_cm;
-    resolver_config.dead_zone_volts = config_.sensor.dead_zone_volts;
-    dual_resolver_.emplace(curve_, curve_, resolver_config);
+    dual_resolver_.emplace(curve_, curve_);
     board_.mcu().reserve_ram("dual-sensor-state", 16);
   }
 
@@ -169,10 +165,8 @@ void DistScrollDevice::rebuild_mapping() {
   controller_.set_tracer(tracer_);
   if (config_.enable_fast_scroll) {
     // The turbo zone starts just above the nearest island's counts.
-    FastScrollMode::Config fs;
-    fs.threshold_counts =
-        static_cast<std::uint16_t>(std::min(1020, mapper_.islands().front().high + 12));
-    fast_scroll_.emplace(fs);
+    fast_scroll_.emplace(
+        static_cast<std::uint16_t>(std::min(1020, mapper_.islands().front().high + 12)));
   } else {
     fast_scroll_.reset();
   }

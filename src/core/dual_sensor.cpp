@@ -3,28 +3,32 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sensors/gp2d120.h"
+
 namespace distscroll::core {
 
 namespace {
 // Reject resolutions whose best prediction error exceeds this many ADC
 // counts (e.g. a specular glitch on one sensor).
 constexpr double kMaxResidualCounts = 40.0;
+// The sensors' shared response peak (fold point) and their output at
+// touching distance (the rising-branch anchor).
+constexpr double kPeakCm = sensors::Gp2d120Model::kPeakCm;
+constexpr double kDeadZoneVolts = sensors::Gp2d120Model::kDeadZoneVolts;
 }  // namespace
 
 std::optional<util::Centimeters> DualRangeResolver::fold_branch_distance(util::Volts v) const {
-  // The rising branch is linear from (0, dead_zone_volts) to
-  // (peak_cm, V(peak)) — the same shape Gp2d120Model simulates.
-  const double peak_volts =
-      primary_.volts_at(util::Centimeters{config_.peak_cm}).value;
-  if (v.value < config_.dead_zone_volts || v.value > peak_volts) return std::nullopt;
-  const double t = (v.value - config_.dead_zone_volts) / (peak_volts - config_.dead_zone_volts);
-  return util::Centimeters{t * config_.peak_cm};
+  // The rising branch is linear from (0, kDeadZoneVolts) to
+  // (kPeakCm, V(peak)) — the same shape Gp2d120Model simulates.
+  const double peak_volts = primary_.volts_at(util::Centimeters{kPeakCm}).value;
+  if (v.value < kDeadZoneVolts || v.value > peak_volts) return std::nullopt;
+  const double t = (v.value - kDeadZoneVolts) / (peak_volts - kDeadZoneVolts);
+  return util::Centimeters{t * kPeakCm};
 }
 
 std::optional<DualRangeResolver::Resolution> DualRangeResolver::resolve(
     util::AdcCounts primary, util::AdcCounts secondary) const {
-  const double vref = primary_.params().vref;
-  const util::Volts v1{primary.value * vref / 1023.0};
+  const util::Volts v1 = util::adc10_volts(primary);
 
   struct Candidate {
     double distance_cm;
@@ -35,7 +39,7 @@ std::optional<DualRangeResolver::Resolution> DualRangeResolver::resolve(
 
   // Monotone-branch candidate (the normal interpretation).
   const double far_d = primary_.distance_at(v1).value;
-  if (far_d >= config_.peak_cm) candidates[n++] = {far_d, false};
+  if (far_d >= kPeakCm) candidates[n++] = {far_d, false};
 
   // Fold-back candidate (device too close).
   if (const auto near_d = fold_branch_distance(v1)) {

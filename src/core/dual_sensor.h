@@ -25,18 +25,11 @@ namespace distscroll::core {
 
 class DualRangeResolver {
  public:
-  struct Config {
-    /// The sensors' shared response peak (fold point).
-    double peak_cm = 3.2;
-    /// Output at touching distance (rising-branch anchor), in volts.
-    double dead_zone_volts = 0.45;
-  };
-
   /// How much deeper the secondary sensor sits in the case.
   static constexpr double kOffsetCm = 3.0;
 
-  DualRangeResolver(SensorCurve primary, SensorCurve secondary, Config config)
-      : primary_(primary), secondary_(secondary), config_(config) {}
+  DualRangeResolver(SensorCurve primary, SensorCurve secondary)
+      : primary_(primary), secondary_(secondary) {}
 
   struct Resolution {
     util::Centimeters distance{0.0};
@@ -50,13 +43,13 @@ class DualRangeResolver {
                                                   util::AdcCounts secondary) const;
 
   /// The fold-back branch inverse of the primary: distance below the
-  /// peak that produces `v` (linear rising branch, see Gp2d120Model).
+  /// peak that produces `v` (the linear rising branch Gp2d120Model
+  /// simulates, with its peak and touching-distance output).
   [[nodiscard]] std::optional<util::Centimeters> fold_branch_distance(util::Volts v) const;
 
  private:
   SensorCurve primary_;
   SensorCurve secondary_;
-  Config config_;
 };
 
 }  // namespace distscroll::core

@@ -2,8 +2,11 @@
 
 namespace distscroll::core {
 
+// Auto-repeat period while in the turbo zone.
+constexpr util::Seconds kRepeatPeriod{0.12};
+
 int FastScrollMode::on_sample(util::Seconds now, util::AdcCounts counts) {
-  return on_zone(now, counts.value > config_.threshold_counts);
+  return on_zone(now, counts.value > threshold_counts_);
 }
 
 int FastScrollMode::on_zone(util::Seconds now, bool in_zone) {
@@ -18,8 +21,8 @@ int FastScrollMode::on_zone(util::Seconds now, bool in_zone) {
     return 1;
   }
   int steps = 0;
-  while (now.value - last_step_.value >= config_.repeat_period.value) {
-    last_step_ = last_step_ + config_.repeat_period;
+  while (now.value - last_step_.value >= kRepeatPeriod.value) {
+    last_step_ = last_step_ + kRepeatPeriod;
     ++steps;
   }
   return steps;

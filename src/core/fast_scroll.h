@@ -24,18 +24,11 @@ namespace distscroll::core {
 
 class FastScrollMode {
  public:
-  struct Config {
-    /// Counts above this mean "closer than the calibrated near bound".
-    /// Typically islands.front().high + margin.
-    std::uint16_t threshold_counts = 0;
-    /// Auto-repeat period while in the turbo zone.
-    util::Seconds repeat_period{0.12};
-  };
-
-  explicit FastScrollMode(Config config) : config_(config) {}
+  /// Counts above `threshold_counts` mean "closer than the calibrated
+  /// near bound"; typically islands.front().high + margin.
+  explicit FastScrollMode(std::uint16_t threshold_counts) : threshold_counts_(threshold_counts) {}
 
   [[nodiscard]] bool active() const { return active_; }
-  [[nodiscard]] const Config& config() const { return config_; }
 
   /// Feed each ADC sample; returns the number of repeat steps to apply
   /// this sample (0 when inactive or between repeats). Steps are in the
@@ -52,7 +45,7 @@ class FastScrollMode {
   }
 
  private:
-  Config config_;
+  std::uint16_t threshold_counts_;
   bool active_ = false;
   util::Seconds last_step_{-1.0};
 };

@@ -23,6 +23,11 @@
 
 namespace distscroll::core {
 
+/// The firmware's 50 Hz sensing loop: one ranger sample and one
+/// controller step per tick. The device model, the DistanceScroll
+/// technique and the PDA add-on's sampling firmware all run on it.
+inline constexpr util::Seconds kFirmwareTick{20e-3};
+
 enum class ScrollDirection : std::uint8_t {
   /// Moving the device toward the body scrolls DOWN the menu (nearest
   /// island = last entry).

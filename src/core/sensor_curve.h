@@ -23,7 +23,6 @@ class SensorCurve {
     double a = 10.4;  // volt*cm
     double k = 0.6;   // cm
     double c = 0.0;   // volt
-    double vref = 5.0;
   };
 
   constexpr SensorCurve() = default;
@@ -39,7 +38,7 @@ class SensorCurve {
 
   /// Expected ADC counts at a distance.
   [[nodiscard]] util::AdcCounts counts_at(util::Centimeters d) const {
-    return util::adc10_counts(volts_at(d).value, params_.vref, 0.0);
+    return util::adc10_counts(volts_at(d).value, 0.0);
   }
 
   /// Inverse: distance for a voltage (on the monotone branch).
@@ -49,7 +48,7 @@ class SensorCurve {
   }
 
   [[nodiscard]] util::Centimeters distance_at(util::AdcCounts counts) const {
-    return distance_at(util::Volts{counts.value * params_.vref / 1023.0});
+    return distance_at(util::adc10_volts(counts));
   }
 
  private:

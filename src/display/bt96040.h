@@ -48,6 +48,7 @@ class Bt96040 final : public hw::I2cSlave {
 
   // --- host-side inspection ------------------------------------------------
   [[nodiscard]] bool pixel(int x, int y) const;
+  // ds-lint: allow(test-only-api) the tests check SetContrast clamps the register to 6 bits; programs see only its current draw
   [[nodiscard]] std::uint8_t contrast() const { return contrast_; }
 
   /// The text currently on a line, reconstructed from the text-mode

@@ -33,11 +33,6 @@ util::Seconds DisplayDriver::text_command(int row, int col, std::string_view tex
   return total + result.bus_time;
 }
 
-util::Seconds DisplayDriver::clear() {
-  shadow_valid_ = false;
-  return command(Command::Clear, {});
-}
-
 util::Seconds DisplayDriver::set_line_inverted(int row, bool inverted) {
   return command(Command::InvertLine,
                  {static_cast<std::uint8_t>(row), static_cast<std::uint8_t>(inverted ? 1 : 0)});

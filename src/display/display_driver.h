@@ -22,9 +22,6 @@ class DisplayDriver {
  public:
   DisplayDriver(hw::I2cBus& bus, std::uint8_t address) : bus_(&bus), address_(address) {}
 
-  /// Clear the panel. Returns bus time spent.
-  util::Seconds clear();
-
   /// Set line inversion (menu highlight).
   util::Seconds set_line_inverted(int row, bool inverted);
 

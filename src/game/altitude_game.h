@@ -27,21 +27,13 @@ struct Wall {
 
 class AltitudeGame {
  public:
-  struct Config {
-    int width = display::kDisplayWidth;
-    int height = display::kDisplayHeight;
-    int plane_x = 8;
-    int min_gap_half = 4;
-    int max_gap_half = 7;
-    int wall_spacing = 28;  // columns between spawns
-    int bullet_speed = 3;   // columns per step
-    int pass_score = 1;
-    int blast_score = 2;
-  };
+  /// The plane's column; walls score or crash as they reach it.
+  static constexpr int kPlaneX = 8;
+  static constexpr int kPassScore = 1;   // for threading a gap
+  static constexpr int kBlastScore = 2;  // for shooting a wall
 
-  AltitudeGame(Config config, sim::Rng rng);
+  explicit AltitudeGame(sim::Rng rng);
 
-  [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] int score() const { return score_; }
   [[nodiscard]] int crashes() const { return crashes_; }
   // ds-lint: allow(test-only-api) the game tests steer the plane; the example shows only the framebuffer
@@ -67,9 +59,16 @@ class AltitudeGame {
   void render(display::Bt96040& panel) const;
 
  private:
+  // The game fills the panel.
+  static constexpr int kWidth = display::kDisplayWidth;
+  static constexpr int kHeight = display::kDisplayHeight;
+  static constexpr int kMinGapHalf = 4;
+  static constexpr int kMaxGapHalf = 7;
+  static constexpr int kWallSpacing = 28;  // columns between spawns
+  static constexpr int kBulletSpeed = 3;   // columns per step
+
   void spawn_wall();
 
-  Config config_;
   sim::Rng rng_;
   int plane_y_;
   std::vector<Wall> walls_;

@@ -18,41 +18,29 @@ namespace distscroll::human {
 
 class FatigueModel {
  public:
-  struct Config {
-    /// Effort accrual in fatigue-units/second of active use, tuned so a
-    /// 15-minute continuous session approaches (but does not instantly
-    /// hit) saturation for the worst posture.
-    double wrist_tilt_rate = 0.0035;    // sustained wrist deviation: worst
-    double arm_extension_rate = 0.0019; // holding the arm out (DistScroll)
-    double stroke_rate = 0.0011;        // repeated pulls (YoYo wheel)
-    double button_rate = 0.0003;        // thumb presses: least
-    /// Recovery in units/second at rest.
-    double recovery_rate = 0.0009;
-    /// Feedback gains per fatigue unit.
-    double tremor_gain = 1.2;    // tremor amplitude multiplier slope
-    double slowdown_gain = 0.6;  // movement-speed multiplier slope
-    double cap = 1.0;            // saturation
-  };
-
-  FatigueModel() : FatigueModel(Config{}) {}
-  explicit FatigueModel(Config config) : config_(config) {}
+  /// Effort accrual in fatigue-units/second of active use, tuned so a
+  /// 15-minute continuous session approaches (but does not instantly
+  /// hit) saturation for the worst posture.
+  static constexpr double kWristTiltRate = 0.0035;     // sustained wrist deviation: worst
+  static constexpr double kArmExtensionRate = 0.0019;  // holding the arm out (DistScroll)
+  static constexpr double kStrokeRate = 0.0011;        // repeated pulls (YoYo wheel)
+  static constexpr double kButtonRate = 0.0003;        // thumb presses: least
 
   [[nodiscard]] double level() const { return level_; }
-  [[nodiscard]] const Config& config() const { return config_; }
 
-  /// Accrue `seconds` of active effort at `rate` (one of the config
-  /// rates), minus the concurrent recovery.
+  /// Accrue `seconds` of active effort at `rate` (one of the posture
+  /// rates above), minus the concurrent recovery.
   void accrue(double seconds, double rate) {
-    level_ = std::clamp(level_ + seconds * rate, 0.0, config_.cap);
+    level_ = std::clamp(level_ + seconds * rate, 0.0, kCap);
   }
 
   /// Rest for `seconds`.
   void rest(double seconds) {
-    level_ = std::max(0.0, level_ - seconds * config_.recovery_rate);
+    level_ = std::max(0.0, level_ - seconds * kRecoveryRate);
   }
 
-  [[nodiscard]] double tremor_multiplier() const { return 1.0 + config_.tremor_gain * level_; }
-  [[nodiscard]] double time_multiplier() const { return 1.0 + config_.slowdown_gain * level_; }
+  [[nodiscard]] double tremor_multiplier() const { return 1.0 + kTremorGain * level_; }
+  [[nodiscard]] double time_multiplier() const { return 1.0 + kSlowdownGain * level_; }
 
   /// A profile with the current fatigue applied. Degrades every motor
   /// pathway the planner uses: aimed reaches (Fitts slope, aim scatter,
@@ -71,7 +59,13 @@ class FatigueModel {
   }
 
  private:
-  Config config_;
+  /// Recovery in units/second at rest.
+  static constexpr double kRecoveryRate = 0.0009;
+  /// Feedback gains per fatigue unit.
+  static constexpr double kTremorGain = 1.2;    // tremor amplitude multiplier slope
+  static constexpr double kSlowdownGain = 0.6;  // movement-speed multiplier slope
+  static constexpr double kCap = 1.0;           // saturation
+
   double level_ = 0.0;
 };
 

@@ -31,7 +31,9 @@ class Tremor {
   struct Config {
     double frequency_hz = 9.0;       // physiological tremor band centre
     double amplitude_cm = 0.08;      // hand-held device, relaxed grip
-    double amplitude_jitter = 0.3;   // cycle-to-cycle amplitude variation
+    /// Cycle-to-cycle amplitude variation. A test seam: tests set it to 0
+    /// for a pure sinusoid, or raise it to stress the amplitude stream.
+    double amplitude_jitter = 0.3;
   };
 
   Tremor(Config config, sim::Rng rng) : config_(config), rng_(rng) {
@@ -87,21 +89,15 @@ class Tremor {
 /// with tremor into the continuous true distance signal.
 class HandModel {
  public:
-  struct Config {
-    double min_cm = 1.0;   // arm against the body
-    double max_cm = 45.0;  // full comfortable extension
-    Tremor::Config tremor{};
-  };
-
-  HandModel(Config config, sim::Rng rng, double initial_cm = 17.0)
-      : config_(config), tremor_(config.tremor, rng.fork(1)), base_(initial_cm), target_(initial_cm) {}
+  explicit HandModel(sim::Rng rng, double initial_cm = 17.0)
+      : tremor_(Tremor::Config{}, rng.fork(1)), base_(initial_cm), target_(initial_cm) {}
 
   /// Begin a reach toward `to_cm`, starting at simulated time `now`,
   /// lasting `duration`. Supersedes any reach in progress (from the
   /// current position).
   void start_reach(util::Seconds now, double to_cm, util::Seconds duration) {
     base_ = voluntary_position(now.value);
-    target_ = std::clamp(to_cm, config_.min_cm, config_.max_cm);
+    target_ = std::clamp(to_cm, kMinCm, kMaxCm);
     reach_start_ = now.value;
     reach_duration_ = duration.value;
   }
@@ -111,7 +107,7 @@ class HandModel {
   /// True device-to-body distance at time t (voluntary + tremor).
   [[nodiscard]] util::Centimeters distance(util::Seconds now) {
     const double d = voluntary_position(now.value) + tremor_.displacement_cm(now.value);
-    return util::Centimeters{std::clamp(d, 0.0, config_.max_cm)};
+    return util::Centimeters{std::clamp(d, 0.0, kMaxCm)};
   }
 
  private:
@@ -119,7 +115,9 @@ class HandModel {
     return min_jerk(base_, target_, t - reach_start_, reach_duration_);
   }
 
-  Config config_;
+  static constexpr double kMinCm = 1.0;   // arm against the body
+  static constexpr double kMaxCm = 45.0;  // full comfortable extension
+
   Tremor tremor_;
   double base_;
   double target_;

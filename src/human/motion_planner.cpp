@@ -208,7 +208,7 @@ bool MotionPlanner::commit_selection(baselines::ScrollTechnique& t, std::size_t 
     const double period = t.control_period_s();
     const double t0 = outcome.time_s;
     double next_control = t.next_control_s();
-    for (double dt = 0.0; dt < press_time; dt += config_.dt_s) {
+    for (double dt = 0.0; dt < press_time; dt += Config::dt_s) {
       const double now = t0 + dt;
       tremor.advance(now);
       if (now < next_control) continue;
@@ -264,7 +264,7 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
       if (now < next_control) overshoots.observe(static_cast<long>(t.cursor()));
       observe_pending = false;
     }
-    now = block.walk(tremor, now, end, config_.dt_s, next_control, period);
+    now = block.walk(tremor, now, end, Config::dt_s, next_control, period);
     const auto hand_at = [&](double at, double amplitude) {
       return hand(at) + tremor.at(at, amplitude);
     };
@@ -274,7 +274,7 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
     next_control = t.next_control_s();
   };
 
-  while (now < config_.timeout_s) {
+  while (now < Config::timeout_s) {
     // Aim with amplitude-proportional scatter; corrective movements aim
     // tighter (shorter amplitude => smaller sigma by Schmidt's law).
     const double amplitude = std::abs(goal_u - u);
@@ -294,7 +294,7 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
     u = aim;
 
     // Settle & perceive: hold, then check after the reaction time.
-    const double dwell = p.reaction_time_s + config_.settle_dwell_s;
+    const double dwell = p.reaction_time_s + Config::settle_dwell_s;
     phase(now + dwell, [&](double) { return u; });
 
     if (t.cursor() == target) {
@@ -335,7 +335,7 @@ AcquisitionOutcome MotionPlanner::run_rate(baselines::ScrollTechnique& t, std::s
   long cursor = static_cast<long>(t.cursor());
   double next_control = t.next_control_s();
 
-  while (now < config_.timeout_s) {
+  while (now < Config::timeout_s) {
     perception.observe(now, cursor);
     const long perceived = perception.perceived(now);
     const long err = static_cast<long>(target) - perceived;
@@ -346,7 +346,7 @@ AcquisitionOutcome MotionPlanner::run_rate(baselines::ScrollTechnique& t, std::s
     if (err == 0) desired = spec.u_neutral;
     // Wrist moves toward the desired angle at a limited (glove-scaled)
     // angular speed, with motor wobble.
-    const double max_step = (p.tilt_speed_rad_s / penalty) * config_.dt_s;
+    const double max_step = (p.tilt_speed_rad_s / penalty) * Config::dt_s;
     const double delta = std::clamp(desired - u, -max_step, max_step);
     u += delta + rng_.gaussian(0.0, 0.008 * penalty);
     u = std::clamp(u, spec.u_min, spec.u_max);
@@ -357,11 +357,11 @@ AcquisitionOutcome MotionPlanner::run_rate(baselines::ScrollTechnique& t, std::s
       next_control = t.next_control_s();
     }
     overshoots.observe(cursor);
-    now += config_.dt_s;
+    now += Config::dt_s;
 
     if (cursor == static_cast<long>(target) && std::abs(u) < 0.5 * spec.u_max) {
       if (on_target_since < 0.0) on_target_since = now;
-      if (now - on_target_since >= config_.settle_dwell_s + p.reaction_time_s) {
+      if (now - on_target_since >= Config::settle_dwell_s + p.reaction_time_s) {
         now += p.verification_time_s;
         outcome.time_s = now;
         if (commit_selection(t, target, p, u, /*feed_control=*/false, outcome)) {
@@ -392,7 +392,7 @@ AcquisitionOutcome MotionPlanner::run_stroke(baselines::ScrollTechnique& t, std:
 
   double now = 0.0;
   bool first = true;
-  while (now < config_.timeout_s) {
+  while (now < Config::timeout_s) {
     const long err = static_cast<long>(target) - static_cast<long>(t.cursor());
     if (err == 0) {
       now += p.verification_time_s;
@@ -424,7 +424,7 @@ AcquisitionOutcome MotionPlanner::run_stroke(baselines::ScrollTechnique& t, std:
       const double u = min_jerk(0.0, length, now - t0, pull_time.value);
       t.on_control(util::Seconds{now}, u);
       overshoots.observe(static_cast<long>(t.cursor()));
-      now += config_.dt_s;
+      now += Config::dt_s;
     }
     t.set_engaged(false);
     if (wheel && wheel->jammed(util::Seconds{now})) {
@@ -435,7 +435,7 @@ AcquisitionOutcome MotionPlanner::run_stroke(baselines::ScrollTechnique& t, std:
     while (now < r0 + 0.25) {
       const double u = min_jerk(length, 0.0, now - r0, 0.25);
       t.on_control(util::Seconds{now}, u);
-      now += config_.dt_s;
+      now += Config::dt_s;
     }
     now += p.reaction_time_s;
   }
@@ -462,11 +462,11 @@ AcquisitionOutcome MotionPlanner::run_unbounded(baselines::ScrollTechnique& t, s
   // As in run_rate: the cursor moves only inside on_control.
   long cursor = static_cast<long>(t.cursor());
 
-  while (now < config_.timeout_s) {
+  while (now < Config::timeout_s) {
     perception.observe(now, cursor);
     const long err = static_cast<long>(target) - perception.perceived(now);
 
-    if (touching && rng_.bernoulli(dropout_per_s * config_.dt_s)) {
+    if (touching && rng_.bernoulli(dropout_per_s * Config::dt_s)) {
       // Touch lost: lift, re-place the finger (costs time, no motion).
       touching = false;
       now += 0.5 * penalty;
@@ -479,15 +479,15 @@ AcquisitionOutcome MotionPlanner::run_unbounded(baselines::ScrollTechnique& t, s
     const double max_rate = spec.max_rate / penalty;
     const double rate =
         std::clamp(static_cast<double>(err) * 0.25, -max_rate, max_rate);
-    u += rate * config_.dt_s + rng_.gaussian(0.0, 0.002 * penalty);
+    u += rate * Config::dt_s + rng_.gaussian(0.0, 0.002 * penalty);
     t.on_control(util::Seconds{now}, u);
     cursor = static_cast<long>(t.cursor());
     overshoots.observe(cursor);
-    now += config_.dt_s;
+    now += Config::dt_s;
 
     if (cursor == static_cast<long>(target)) {
       if (on_target_since < 0.0) on_target_since = now;
-      if (now - on_target_since >= config_.settle_dwell_s + p.reaction_time_s) {
+      if (now - on_target_since >= Config::settle_dwell_s + p.reaction_time_s) {
         now += p.verification_time_s;
         outcome.time_s = now;
         if (commit_selection(t, target, p, u, /*feed_control=*/false, outcome)) {
@@ -517,7 +517,7 @@ AcquisitionOutcome MotionPlanner::run_discrete(baselines::ScrollTechnique& t, st
   const double miss_p = effective_miss_probability(t, p);
 
   double now = 0.0;
-  while (now < config_.timeout_s) {
+  while (now < Config::timeout_s) {
     const long err = static_cast<long>(target) - static_cast<long>(t.cursor());
     if (err == 0) {
       now += p.verification_time_s;
@@ -531,12 +531,12 @@ AcquisitionOutcome MotionPlanner::run_discrete(baselines::ScrollTechnique& t, st
       continue;
     }
 
-    if (buttons && std::abs(err) >= config_.hold_threshold) {
+    if (buttons && std::abs(err) >= Config::hold_threshold) {
       // Hold for auto-repeat; release is late by the reaction time, so
       // overshoot is built in.
       buttons->begin_hold(util::Seconds{now}, err > 0 ? 1 : -1);
       while (static_cast<long>(t.cursor()) != static_cast<long>(target) &&
-             now < config_.timeout_s) {
+             now < Config::timeout_s) {
         buttons->poll_hold(util::Seconds{now});
         overshoots.observe(static_cast<long>(t.cursor()));
         // Stop condition is evaluated on the *perceived* (delayed)
@@ -546,7 +546,7 @@ AcquisitionOutcome MotionPlanner::run_discrete(baselines::ScrollTechnique& t, st
             (err < 0 && c <= static_cast<long>(target))) {
           break;
         }
-        now += config_.dt_s;
+        now += Config::dt_s;
       }
       now += p.reaction_time_s;  // late release
       buttons->end_hold(util::Seconds{now});

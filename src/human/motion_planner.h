@@ -29,16 +29,18 @@ struct AcquisitionOutcome {
 
 class MotionPlanner {
  public:
+  /// The planner's fixed constants. The members are static so that
+  /// `Config{}.timeout_s` reads the timeout where a caller needs it.
   struct Config {
-    double dt_s = 0.004;            // control-loop integration step
-    double timeout_s = 40.0;        // trial abort
-    double settle_dwell_s = 0.20;   // time on target before trusting it
+    static constexpr double dt_s = 0.004;           // control-loop integration step
+    static constexpr double timeout_s = 40.0;       // trial abort
+    static constexpr double settle_dwell_s = 0.20;  // time on target before trusting it
     /// Discrete techniques hold the key (auto-repeat) above this
     /// distance instead of single presses.
-    int hold_threshold = 6;
+    static constexpr int hold_threshold = 6;
   };
 
-  MotionPlanner(Config config, sim::Rng rng) : config_(config), rng_(rng) {}
+  explicit MotionPlanner(sim::Rng rng) : rng_(rng) {}
 
   /// Acquire `target` in the technique's current level and commit with a
   /// select press. The technique must already be reset() to the level.
@@ -68,7 +70,6 @@ class MotionPlanner {
   static double effective_miss_probability(const baselines::ScrollTechnique& t,
                                            const UserProfile& p);
 
-  Config config_;
   sim::Rng rng_;
 };
 

@@ -13,7 +13,7 @@ std::size_t Adc10::attach(AnalogSource source) {
 util::AdcCounts Adc10::sample(std::size_t channel, util::Seconds now) {
   assert(channel < channels_.size());
   const util::Volts v = channels_[channel](now);
-  return util::adc10_counts(v.value, kVref, rng_.gaussian(0.0, config_.noise_lsb_stddev));
+  return util::adc10_counts(v.value, rng_.gaussian(0.0, config_.noise_lsb_stddev));
 }
 
 }  // namespace distscroll::hw

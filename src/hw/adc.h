@@ -29,10 +29,9 @@ using AnalogSource = util::FunctionRef<util::Volts(util::Seconds)>;
 class Adc10 {
  public:
   struct Config {
-    double noise_lsb_stddev = 0.5;  // conversion noise in LSBs
+    /// Conversion noise in LSBs; tests set it to 0 to read exact counts.
+    double noise_lsb_stddev = 0.5;
   };
-
-  static constexpr double kVref = 5.0;  // reference voltage
 
   Adc10(Config config, sim::Rng rng) : config_(config), rng_(rng) {}
 

@@ -66,10 +66,6 @@ class Eeprom {
     }
   }
 
-  void erase() {
-    cells_.fill(0xFF);
-  }
-
  private:
   std::array<std::uint8_t, kSize> cells_{};
   std::uint64_t writes_ = 0;

@@ -4,22 +4,6 @@ namespace distscroll::hw {
 
 Gpio::Gpio(std::size_t pin_count) : pins_(pin_count) {}
 
-void Gpio::set_mode(std::size_t pin, PinMode mode) {
-  assert(pin < pins_.size());
-  pins_[pin].mode = mode;
-}
-
-PinMode Gpio::mode(std::size_t pin) const {
-  assert(pin < pins_.size());
-  return pins_[pin].mode;
-}
-
-void Gpio::write(std::size_t pin, PinLevel level) {
-  assert(pin < pins_.size());
-  assert(pins_[pin].mode == PinMode::Output);
-  pins_[pin].level = level;
-}
-
 PinLevel Gpio::read(std::size_t pin) const {
   assert(pin < pins_.size());
   return pins_[pin].level;
@@ -27,7 +11,6 @@ PinLevel Gpio::read(std::size_t pin) const {
 
 void Gpio::drive_external(std::size_t pin, PinLevel level) {
   assert(pin < pins_.size());
-  assert(pins_[pin].mode == PinMode::Input);
   if (pins_[pin].level == level) return;
   pins_[pin].level = level;
   if (pins_[pin].on_edge) pins_[pin].on_edge(pin, level);

@@ -1,8 +1,8 @@
 // Digital I/O pins.
 //
 // The three push buttons of the prototype hang off GPIO inputs with
-// pull-ups (pressed = low, idle = high), and spare outputs drive debug
-// signals. Edge callbacks let the firmware register interrupt-on-change
+// pull-ups (pressed = low, idle = high); every modelled pin is such an
+// input. Edge callbacks let the firmware register interrupt-on-change
 // handlers the way PORTB interrupts work on the PIC.
 #pragma once
 
@@ -14,7 +14,6 @@
 namespace distscroll::hw {
 
 enum class PinLevel : std::uint8_t { Low = 0, High = 1 };
-enum class PinMode : std::uint8_t { Input, Output };
 
 class Gpio {
  public:
@@ -25,14 +24,8 @@ class Gpio {
 
   [[nodiscard]] std::size_t pin_count() const { return pins_.size(); }
 
-  void set_mode(std::size_t pin, PinMode mode);
-  [[nodiscard]] PinMode mode(std::size_t pin) const;
-
-  /// Firmware writes an output pin.
-  void write(std::size_t pin, PinLevel level);
-
-  /// Firmware reads a pin (inputs reflect the externally driven level;
-  /// unconnected inputs read High via pull-up).
+  /// Firmware reads a pin (the externally driven level; an undriven pin
+  /// reads High via its pull-up).
   [[nodiscard]] PinLevel read(std::size_t pin) const;
 
   /// External hardware (button model) drives an input pin. Fires the
@@ -44,7 +37,6 @@ class Gpio {
 
  private:
   struct Pin {
-    PinMode mode = PinMode::Input;
     PinLevel level = PinLevel::High;  // pull-up default
     EdgeCallback on_edge;
   };

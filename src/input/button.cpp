@@ -3,16 +3,16 @@
 namespace distscroll::input {
 
 namespace {
-// Contacts settle within this window after each transition.
+// Contacts settle within this window after each transition, with up to
+// this many spurious edges.
 constexpr double kMaxBounceDurationS = 4e-3;
+constexpr int kMaxBounceEdges = 6;
 }  // namespace
 
-bool Button::press() {
-  if (pressed_) return true;
-  if (rng_.bernoulli(config_.miss_probability)) return false;
+void Button::press() {
+  if (pressed_) return;
   pressed_ = true;
   emit_bounce(hw::PinLevel::Low);
-  return true;
 }
 
 void Button::release() {
@@ -23,7 +23,7 @@ void Button::release() {
 
 void Button::emit_bounce(hw::PinLevel final_level) {
   const std::uint64_t gen = ++generation_;
-  const int edges = rng_.uniform_int(0, config_.max_bounce_edges);
+  const int edges = rng_.uniform_int(0, kMaxBounceEdges);
   const double window = kMaxBounceDurationS;
   // Emit `edges` alternating spurious transitions inside the bounce
   // window, then the settled level at the end. Work backwards so the

@@ -19,24 +19,14 @@ namespace distscroll::input {
 
 class Button {
  public:
-  struct Config {
-    int max_bounce_edges = 6;
-    /// Gloved fingers press more slowly and sometimes only half-press;
-    /// probability that a press attempt fails to make contact at all.
-    double miss_probability = 0.0;
-  };
-
-  Button(Config config, hw::Gpio& gpio, std::size_t pin, sim::EventQueue& queue, sim::Rng rng)
-      : config_(config), gpio_(&gpio), pin_(pin), queue_(&queue), rng_(rng) {
-    gpio_->set_mode(pin_, hw::PinMode::Input);  // pull-up: idle High
-  }
+  Button(hw::Gpio& gpio, std::size_t pin, sim::EventQueue& queue, sim::Rng rng)
+      : gpio_(&gpio), pin_(pin), queue_(&queue), rng_(rng) {}
 
   [[nodiscard]] std::size_t pin() const { return pin_; }
 
   /// The (simulated) user presses the button now. Emits bounce edges
-  /// then settles Low (active-low wiring). Returns false if the press
-  /// missed (glove slip) and nothing was driven.
-  bool press();
+  /// then settles Low (active-low wiring).
+  void press();
 
   /// The user releases; bounces then settles High.
   void release();
@@ -44,7 +34,6 @@ class Button {
  private:
   void emit_bounce(hw::PinLevel final_level);
 
-  Config config_;
   hw::Gpio* gpio_;
   std::size_t pin_;
   sim::EventQueue* queue_;

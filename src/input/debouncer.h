@@ -14,7 +14,9 @@ namespace distscroll::input {
 class Debouncer {
  public:
   struct Config {
-    int stable_ticks = 8;  // 8 ms at a 1 kHz tick: > max bounce window
+    /// 8 ms at a 1 kHz tick: > max bounce window. A test seam: the
+    /// debounce property test sweeps it.
+    int stable_ticks = 8;
   };
 
   /// Non-owning delegate: the debouncer ticks at 1 kHz and its callbacks

@@ -20,7 +20,6 @@ namespace distscroll::obs {
 
 class Counter {
  public:
-  void increment(std::uint64_t n = 1) { value_ += n; }
   /// Snapshot-style assignment for components that keep their own
   /// counters and export them at the end of a run.
   void set(std::uint64_t value) { value_ = value; }

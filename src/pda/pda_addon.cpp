@@ -2,10 +2,12 @@
 
 #include <algorithm>
 
+#include "core/scroll_controller.h"
+
 namespace distscroll::pda {
 
 namespace {
-constexpr util::Seconds kFirmwareTick{20e-3};
+using core::kFirmwareTick;
 constexpr util::Seconds kButtonTick{1e-3};
 }  // namespace
 
@@ -17,10 +19,8 @@ PdaAddon::PdaAddon(sim::EventQueue& queue, sim::Rng rng)
     return self->ranger_.output(self->distance_provider_(now), now);
   }));
 
-  select_ = std::make_unique<input::Button>(input::Button::Config{}, board_.gpio(), 0, queue,
-                                            rng.fork(3));
-  back_ = std::make_unique<input::Button>(input::Button::Config{}, board_.gpio(), 1, queue,
-                                          rng.fork(4));
+  select_ = std::make_unique<input::Button>(board_.gpio(), 0, queue, rng.fork(3));
+  back_ = std::make_unique<input::Button>(board_.gpio(), 1, queue, rng.fork(4));
   debouncers_.resize(2);
   for (std::size_t i = 0; i < 2; ++i) {
     button_ctx_[i] = ButtonCtx{this, static_cast<std::uint8_t>(i)};
@@ -42,19 +42,11 @@ PdaAddon::PdaAddon(sim::EventQueue& queue, sim::Rng rng)
 void PdaAddon::power_on() {
   if (powered_) return;
   powered_ = true;
-  firmware_timer_ = board_.mcu().start_timer(kFirmwareTick, [this] { firmware_tick(); });
-  button_timer_ = board_.mcu().start_timer(kButtonTick, [this] { button_tick(); });
-}
-
-void PdaAddon::power_off() {
-  if (!powered_) return;
-  powered_ = false;
-  board_.mcu().stop_timer(firmware_timer_);
-  board_.mcu().stop_timer(button_timer_);
+  board_.mcu().start_timer(kFirmwareTick, [this] { firmware_tick(); });
+  board_.mcu().start_timer(kButtonTick, [this] { button_tick(); });
 }
 
 void PdaAddon::firmware_tick() {
-  if (!powered_) return;
   const auto counts = board_.adc().sample(ranger_channel_, queue_->now());
   board_.mcu().charge_cycles(440);
   if (++ticks_since_report_ >= report_divider_) {
@@ -66,7 +58,6 @@ void PdaAddon::firmware_tick() {
 }
 
 void PdaAddon::button_tick() {
-  if (!powered_) return;
   for (std::size_t i = 0; i < debouncers_.size(); ++i) {
     debouncers_[i].tick(board_.gpio().read(i));
   }

@@ -40,11 +40,11 @@ class PdaAddon {
   }
 
   void power_on();
-  void power_off();
 
   /// The single physical button (select; the host may interpret long
   /// presses as back).
   input::Button& select_button() { return *select_; }
+  // ds-lint: allow(test-only-api) the tests drive the host's back handling with it; the demo presses only select
   input::Button& back_button() { return *back_; }
 
   /// The serial connector to the PDA.
@@ -79,8 +79,6 @@ class PdaAddon {
   wireless::FrameDecoder host_decoder_;
 
   std::size_t ranger_channel_ = 0;
-  std::size_t firmware_timer_ = 0;
-  std::size_t button_timer_ = 0;
   bool powered_ = false;
   /// Distance frame every N ticks (host-adjustable via kRateCommand).
   int report_divider_ = 2;

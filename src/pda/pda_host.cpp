@@ -4,15 +4,19 @@
 
 namespace distscroll::pda {
 
-PdaHost::PdaHost(Config config, const menu::MenuNode& menu_root)
-    : config_(config), menu_root_(&menu_root), cursor_(menu_root) {
+namespace {
+constexpr std::size_t kScreenLines = 10;  // PDA screens fit more than 5 lines
+}  // namespace
+
+PdaHost::PdaHost(const menu::MenuNode& menu_root) : cursor_(menu_root) {
   rebuild_mapping();
 }
 
 void PdaHost::rebuild_mapping() {
   const std::size_t entries = std::max<std::size_t>(1, cursor_.level_size());
-  mapper_ = std::make_unique<core::IslandMapper>(config_.curve, entries, config_.islands);
-  controller_ = std::make_unique<core::ScrollController>(*mapper_, config_.scroll);
+  mapper_ = std::make_unique<core::IslandMapper>(core::SensorCurve{}, entries,
+                                                 core::IslandMapper::Config{});
+  controller_ = std::make_unique<core::ScrollController>(*mapper_, core::ScrollController::Config{});
 }
 
 void PdaHost::on_byte(std::uint8_t byte) {
@@ -27,7 +31,6 @@ void PdaHost::on_byte(std::uint8_t byte) {
 }
 
 void PdaHost::handle_distance(std::uint16_t counts) {
-  last_counts_ = counts;
   const auto update = controller_->on_sample(util::AdcCounts{counts});
   if (update.menu_index) {
     cursor_.move_to(*update.menu_index);
@@ -40,11 +43,7 @@ void PdaHost::handle_button(std::uint8_t button, bool pressed) {
     // Select.
     const menu::MenuNode& target = cursor_.highlighted();
     selections_.push_back({target.label(), target.is_leaf()});
-    if (cursor_.enter()) {
-      rebuild_mapping();
-    } else if (leaf_callback_) {
-      leaf_callback_(target.label());
-    }
+    if (cursor_.enter()) rebuild_mapping();
   } else if (button == 1) {
     if (cursor_.back()) rebuild_mapping();
   }
@@ -61,7 +60,7 @@ void PdaHost::request_report_divider(std::uint8_t divider) {
 std::vector<std::string> PdaHost::screen() const {
   const menu::MenuNode& level = cursor_.current_level();
   const std::size_t size = level.child_count();
-  const auto lines = static_cast<std::size_t>(config_.screen_lines);
+  const std::size_t lines = kScreenLines;
   std::size_t window_start = 0;
   if (size > lines) {
     const std::size_t half = lines / 2;

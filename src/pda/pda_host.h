@@ -10,13 +10,11 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/island_mapper.h"
 #include "core/scroll_controller.h"
-#include "core/sensor_curve.h"
 #include "menu/menu.h"
 #include "pda/pda_addon.h"
 #include "wireless/packet.h"
@@ -25,14 +23,8 @@ namespace distscroll::pda {
 
 class PdaHost {
  public:
-  struct Config {
-    core::SensorCurve curve{};
-    core::IslandMapper::Config islands{};
-    core::ScrollController::Config scroll{};
-    int screen_lines = 10;  // PDA screens fit more than 5 lines
-  };
-
-  PdaHost(Config config, const menu::MenuNode& menu_root);
+  /// The host runs the firmware's default curve, islands and controller.
+  explicit PdaHost(const menu::MenuNode& menu_root);
 
   /// Byte sink for the addon -> host serial direction.
   void on_byte(std::uint8_t byte);
@@ -49,34 +41,28 @@ class PdaHost {
     std::string label;
     bool is_leaf;
   };
+  // ds-lint: allow(test-only-api) the tests read which entries the host selected; the demo shows only the screen
   [[nodiscard]] const std::vector<Selection>& selections() const { return selections_; }
-  void on_leaf_activated(std::function<void(const std::string&)> cb) {
-    leaf_callback_ = std::move(cb);
-  }
 
   /// The rendered screen: menu window with '>' cursor marker.
   [[nodiscard]] std::vector<std::string> screen() const;
 
   // Link statistics.
+  // ds-lint: allow(test-only-api) the tests count the frames that cross the link; the demo prints no link counts
   [[nodiscard]] std::uint64_t frames_received() const { return decoder_.frames_decoded(); }
   [[nodiscard]] std::uint64_t crc_errors() const { return decoder_.crc_errors(); }
-  [[nodiscard]] std::optional<std::uint16_t> last_counts() const { return last_counts_; }
 
  private:
   void rebuild_mapping();
   void handle_distance(std::uint16_t counts);
   void handle_button(std::uint8_t button, bool pressed);
 
-  Config config_;
-  const menu::MenuNode* menu_root_;
   menu::MenuCursor cursor_;
   std::unique_ptr<core::IslandMapper> mapper_;
   std::unique_ptr<core::ScrollController> controller_;
   wireless::FrameDecoder decoder_;
   std::function<void(std::uint8_t)> addon_sink_;
-  std::function<void(const std::string&)> leaf_callback_;
   std::vector<Selection> selections_;
-  std::optional<std::uint16_t> last_counts_;
   std::uint8_t command_seq_ = 0;
 };
 

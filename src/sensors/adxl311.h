@@ -20,14 +20,12 @@ namespace distscroll::sensors {
 class Adxl311Model {
  public:
   struct Config {
-    double zero_g_volts = 1.5;       // mid-supply (3 V part)
-    double sensitivity_v_per_g = 0.174;
-    double noise_volts = 0.004;      // broadband noise through the bw cap
+    /// Broadband noise through the bandwidth cap; tests set it to 0 to
+    /// read the noiseless transfer.
+    double noise_volts = 0.004;
   };
 
   Adxl311Model(Config config, sim::Rng rng) : config_(config), rng_(rng) {}
-
-  [[nodiscard]] const Config& config() const { return config_; }
 
   /// Analog X output for a static pitch angle plus dynamic acceleration
   /// along the axis.

@@ -32,27 +32,23 @@ namespace distscroll::sensors {
 class Gp2d120Model {
  public:
   struct Config {
-    // Transfer curve V(d) = a/(d+k) + c for d >= peak_cm, fitted to the
-    // GP2D120 datasheet example curve.
+    // Transfer curve V(d) = a/(d+k) + c for d >= kPeakCm, fitted to the
+    // GP2D120 datasheet example curve; calibration_demo sets a unit's own.
     double curve_a = 10.4;   // volt * cm
     double curve_k = 0.6;    // cm
-    double curve_c = 0.0;    // volt
-    double peak_cm = 3.2;    // response maximum; below this it falls again
-    double min_output_volts = 0.25;  // floor when out of range (> ~35 cm)
-    double dead_zone_volts = 0.45;   // output at touching distance (0 cm)
-    double max_range_cm = 31.0;      // beyond: no measurement, output floors
+    /// Tests set it to 0 to read the noiseless curve.
     double output_noise_volts = 0.012;
-    util::Seconds measurement_period{38.3e-3};  // datasheet typical
-    /// How strongly (fractionally) reflectivity shifts the reading.
-    /// Datasheet: gray vs white differs by only a few percent.
-    double reflectivity_sensitivity = 0.03;
   };
+
+  static constexpr double kPeakCm = 3.2;           // response maximum; below this it falls again
+  static constexpr double kMinOutputVolts = 0.25;  // floor when out of range (> ~35 cm)
+  static constexpr double kDeadZoneVolts = 0.45;   // output at touching distance (0 cm)
+  static constexpr util::Seconds kMeasurementPeriod{38.3e-3};  // datasheet typical
 
   Gp2d120Model(Config config, sim::Rng rng, SurfaceProfile surface = {})
       : config_(config), rng_(rng), surface_(surface) {}
 
   void set_surface(SurfaceProfile surface) { surface_ = surface; }
-  [[nodiscard]] const Config& config() const { return config_; }
 
   /// Structured tracing of the sensor's internal measurement grid (one
   /// SensorMeasure event per remeasure, including specular glitches).
@@ -63,22 +59,21 @@ class Gp2d120Model {
   /// calibration and the Fig. 4 bench can compare fit vs truth.
   [[nodiscard]] util::Volts ideal_output(util::Centimeters distance) const {
     const double d = distance.value;
-    if (d >= config_.max_range_cm) {
-      return util::Volts{config_.min_output_volts};
+    if (d >= kMaxRangeCm) {
+      return util::Volts{kMinOutputVolts};
     }
-    const double peak_volts =
-        config_.curve_a / (config_.peak_cm + config_.curve_k) + config_.curve_c;
-    if (d < config_.peak_cm) {
+    const double peak_volts = config_.curve_a / (kPeakCm + config_.curve_k) + kCurveC;
+    if (d < kPeakCm) {
       // Rising branch below the response peak: triangulation geometry
       // folds back. Steeper than the far branch (the paper's fast-scroll
       // observation); modelled as linear from the touching-distance
       // output up to the peak.
-      if (d <= 0.0) return util::Volts{config_.dead_zone_volts};
-      const double t = d / config_.peak_cm;
-      return util::Volts{config_.dead_zone_volts + t * (peak_volts - config_.dead_zone_volts)};
+      if (d <= 0.0) return util::Volts{kDeadZoneVolts};
+      const double t = d / kPeakCm;
+      return util::Volts{kDeadZoneVolts + t * (peak_volts - kDeadZoneVolts)};
     }
-    const double v = config_.curve_a / (d + config_.curve_k) + config_.curve_c;
-    return util::Volts{std::max(config_.min_output_volts, v)};
+    const double v = config_.curve_a / (d + config_.curve_k) + kCurveC;
+    return util::Volts{std::max(kMinOutputVolts, v)};
   }
 
   /// Whether output() at `now` re-measures, and so reads the true
@@ -99,7 +94,7 @@ class Gp2d120Model {
                   static_cast<std::uint32_t>(held_volts_ * 1e6), glitch ? 1u : 0u);
       ever_measured_ = true;
       // Align the next measurement to the sensor's own internal grid.
-      const double period = config_.measurement_period.value;
+      const double period = kMeasurementPeriod.value;
       if (now.value >= next_measurement_s_ + period) {
         next_measurement_s_ = now.value + period;  // resync after a long gap
       } else {
@@ -130,17 +125,23 @@ class Gp2d120Model {
     if (rng_.bernoulli(surface_.specular_glitch_probability)) {
       // Beam deflected by a specular boundary: no valid measurement, the
       // output drops to the out-of-range floor for this cycle.
-      held_volts_ = config_.min_output_volts;
+      held_volts_ = kMinOutputVolts;
       return true;
     }
     // Reflectivity shifts the triangulation spot slightly; the datasheet
     // shows only a few percent difference between white and gray targets.
-    const double refl_shift = (surface_.reflectivity - 1.0) * config_.reflectivity_sensitivity;
+    const double refl_shift = (surface_.reflectivity - 1.0) * kReflectivitySensitivity;
     double v = ideal_output(distance).value * (1.0 + refl_shift);
     v += rng_.gaussian(0.0, config_.output_noise_volts);
     held_volts_ = std::clamp(v, 0.0, 3.3);
     return false;
   }
+
+  static constexpr double kCurveC = 0.0;       // volt
+  static constexpr double kMaxRangeCm = 31.0;  // beyond: no measurement, output floors
+  /// How strongly (fractionally) reflectivity shifts the reading.
+  /// Datasheet: gray vs white differs by only a few percent.
+  static constexpr double kReflectivitySensitivity = 0.03;
 
   Config config_;
   sim::Rng rng_;

@@ -23,8 +23,7 @@ void BatchTrialRunner::begin_group(std::size_t lanes) {
 void BatchTrialRunner::init_cell(std::size_t lane,
                                  const baselines::DistanceScroll::Config& config,
                                  sim::Rng technique_rng, std::span<const SelectionTask> tasks,
-                                 const human::UserProfile& profile, sim::Rng trials_rng,
-                                 human::MotionPlanner::Config planner) {
+                                 const human::UserProfile& profile, sim::Rng trials_rng) {
   assert(lane < cells_.size());
   Cell& cell = cells_[lane];
   cell.active = true;
@@ -33,7 +32,6 @@ void BatchTrialRunner::init_cell(std::size_t lane,
   cell.tasks.assign(tasks.begin(), tasks.end());
   cell.profile = profile;
   cell.trials_rng = trials_rng;
-  cell.planner = planner;
   cell.records.clear();
   cell.records.reserve(tasks.size());
 }
@@ -45,7 +43,7 @@ void BatchTrialRunner::run() {
     baselines::DistanceScroll technique(cell.config, cell.technique_rng);
     for (std::size_t i = 0; i < cell.tasks.size(); ++i) {
       cell.records.push_back(run_trial(technique, cell.tasks[i], cell.profile,
-                                       cell.trials_rng.fork(i), cell.planner));
+                                       cell.trials_rng.fork(i)));
     }
   }
 }

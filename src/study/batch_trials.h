@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "baselines/distance_scroll.h"
-#include "human/motion_planner.h"
 #include "human/user_profile.h"
 #include "sim/random.h"
 #include "study/metrics.h"
@@ -45,8 +44,7 @@ class BatchTrialRunner {
   /// copied; profile/config by value.
   void init_cell(std::size_t lane, const baselines::DistanceScroll::Config& config,
                  sim::Rng technique_rng, std::span<const SelectionTask> tasks,
-                 const human::UserProfile& profile, sim::Rng trials_rng,
-                 human::MotionPlanner::Config planner = {});
+                 const human::UserProfile& profile, sim::Rng trials_rng);
 
   /// Run every bound cell to completion, in lane order.
   void run();
@@ -63,7 +61,6 @@ class BatchTrialRunner {
     std::vector<SelectionTask> tasks;
     human::UserProfile profile;
     sim::Rng trials_rng{0};
-    human::MotionPlanner::Config planner;
     std::vector<TrialRecord> records;
   };
 

@@ -41,7 +41,7 @@ class DeviceParticipant {
         queue_(&queue),
         profile_(profile),
         rng_(rng),
-        hand_({}, rng_.fork(1)) {
+        hand_(rng_.fork(1)) {
     // Non-owning provider: the participant outlives every queue event of
     // its session (the device is powered off before it dies).
     device_->set_distance_provider_ref(core::DistScrollDevice::DistanceProvider(

@@ -11,13 +11,11 @@ namespace distscroll::study {
 /// Run one selection task with one participant on one technique.
 [[nodiscard]] TrialRecord run_trial(baselines::ScrollTechnique& technique,
                                     const SelectionTask& task,
-                                    const human::UserProfile& profile, sim::Rng rng,
-                                    human::MotionPlanner::Config planner_config = {});
+                                    const human::UserProfile& profile, sim::Rng rng);
 
 /// Run a batch of tasks, reusing the technique.
 [[nodiscard]] std::vector<TrialRecord> run_trials(baselines::ScrollTechnique& technique,
                                                   std::span<const SelectionTask> tasks,
-                                                  const human::UserProfile& profile, sim::Rng rng,
-                                                  human::MotionPlanner::Config planner_config = {});
+                                                  const human::UserProfile& profile, sim::Rng rng);
 
 }  // namespace distscroll::study

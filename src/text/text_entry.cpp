@@ -6,6 +6,9 @@
 
 namespace distscroll::text {
 
+/// Candidate list length shown on the display.
+constexpr std::size_t kCandidateLimit = 5;
+
 WordResult TextEntrySession::enter_word(baselines::ScrollTechnique& technique,
                                         std::string_view word,
                                         const human::UserProfile& profile, sim::Rng rng) const {
@@ -14,7 +17,7 @@ WordResult TextEntrySession::enter_word(baselines::ScrollTechnique& technique,
   const auto sequence = ZoneKeyboard::zone_sequence(word);
   if (!sequence) return result;
 
-  human::MotionPlanner planner(config_.planner, rng.fork(1));
+  human::MotionPlanner planner(rng.fork(1));
   double total_time = 0.0;
 
   // Phase 1: one zone acquisition per letter. The zone strip is a
@@ -44,7 +47,7 @@ WordResult TextEntrySession::enter_word(baselines::ScrollTechnique& technique,
       break;
     }
   }
-  if (rank >= candidates.size() || rank >= config_.candidate_limit) {
+  if (rank >= candidates.size() || rank >= kCandidateLimit) {
     // Word missing from the visible list: entry fails (the user would
     // fall back to a spelling mode we don't model).
     result.time_s = total_time;
@@ -56,7 +59,7 @@ WordResult TextEntrySession::enter_word(baselines::ScrollTechnique& technique,
     total_time += profile.verification_time_s + profile.button_press_s;
     ++result.selections;
   } else {
-    technique.reset(std::min(candidates.size(), config_.candidate_limit), 0);
+    technique.reset(std::min(candidates.size(), kCandidateLimit), 0);
     const auto outcome = planner.acquire(technique, rank, profile);
     total_time += outcome.time_s;
     result.wrong_selections += outcome.wrong_selections;

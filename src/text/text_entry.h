@@ -41,16 +41,7 @@ struct TextEntryStats {
 
 class TextEntrySession {
  public:
-  struct Config {
-    human::MotionPlanner::Config planner{};
-    /// Candidate list length shown on the display.
-    std::size_t candidate_limit = 5;
-  };
-
-  explicit TextEntrySession(const Dictionary& dictionary)
-      : TextEntrySession(dictionary, Config{}) {}
-  TextEntrySession(const Dictionary& dictionary, Config config)
-      : dictionary_(&dictionary), config_(config) {}
+  explicit TextEntrySession(const Dictionary& dictionary) : dictionary_(&dictionary) {}
 
   /// Enter one word with the given technique and participant.
   [[nodiscard]] WordResult enter_word(baselines::ScrollTechnique& technique,
@@ -67,7 +58,6 @@ class TextEntrySession {
 
  private:
   const Dictionary* dictionary_;
-  Config config_;
 };
 
 }  // namespace distscroll::text

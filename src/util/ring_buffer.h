@@ -52,11 +52,6 @@ class RingBuffer {
     return data_[(head_ + size_ - 1) % Capacity];
   }
 
-  constexpr void clear() {
-    head_ = 0;
-    size_ = 0;
-  }
-
  private:
   std::array<T, Capacity> data_{};
   std::size_t head_ = 0;

@@ -7,6 +7,10 @@
 
 namespace distscroll::wireless {
 
+namespace {
+constexpr std::size_t kWindow = 8;  // max unacked frames in flight
+}  // namespace
+
 // --- sender -----------------------------------------------------------------
 
 bool ArqSender::send(FrameType type, std::span<const std::uint8_t> payload) {
@@ -28,7 +32,7 @@ bool ArqSender::send(FrameType type, std::span<const std::uint8_t> payload) {
 
 void ArqSender::pump() {
   if (!wire_sink_) return;
-  const std::size_t active = std::min(config_.window, queue_.size());
+  const std::size_t active = std::min(kWindow, queue_.size());
   for (std::size_t i = 0; i < active; ++i) {
     Pending& pending = queue_[i];
     if (!pending.needs_tx) continue;
@@ -45,7 +49,7 @@ sim::Deadline ArqSender::next_deadline() const {
   // Only active-window frames are ever armed, and erasures ahead of an
   // armed frame keep it inside the window.
   sim::Deadline next;
-  const std::size_t active = std::min(config_.window, queue_.size());
+  const std::size_t active = std::min(kWindow, queue_.size());
   for (std::size_t i = 0; i < active; ++i) {
     const Pending& pending = queue_[i];
     if (!pending.needs_tx && pending.deadline < next) next = pending.deadline;

@@ -9,7 +9,7 @@
 //            ▲                                    │
 //            └────────── Ack frames ◀─────────────┘
 //
-// * 8-bit sequence numbers, a sliding window of `window` unacked frames;
+// * 8-bit sequence numbers, a sliding window of 8 unacked frames;
 // * per-frame retransmit timers with exponential backoff
 //   (initial_timeout · backoff_factor^attempt, capped at max_timeout);
 //   each armed timer is a deadline and an arm number in its frame's
@@ -59,8 +59,10 @@ namespace distscroll::wireless {
 /// outlive the endpoint it is set on.
 using WireSink = util::FunctionRef<bool(std::span<const std::uint8_t>)>;
 
+/// The overload run of exp_host_ingest sets `queue_capacity`. The retry
+/// fields are test seams: tests shorten the timeouts and attempts, or
+/// turn retries off with a long timeout.
 struct ArqConfig {
-  std::size_t window = 8;           // max unacked frames in flight
   std::size_t queue_capacity = 32;  // bounded retransmit queue (device RAM)
   util::Seconds initial_timeout{0.030};
   double backoff_factor = 2.0;
@@ -136,7 +138,7 @@ class ArqSender {
   sim::SimClock* clock_;  // device time
   WireSink wire_sink_;
   AckCallback ack_callback_;
-  // Seq order; the first `window` entries are active. Grows to the
+  // Seq order; the first kWindow entries are active. Grows to the
   // link's peak depth, then erase/emplace reuse its capacity.
   std::vector<Pending> queue_;
   std::uint8_t next_seq_ = 0;

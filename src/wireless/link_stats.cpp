@@ -63,11 +63,6 @@ double LinkStats::mean_attempts() const {
   return util::summarize(attempts_).mean;
 }
 
-double LinkStats::max_attempts() const {
-  if (attempts_.empty()) return 0.0;
-  return util::summarize(attempts_).max;
-}
-
 std::string LinkStats::report() const {
   char line[256];
   std::string out;

@@ -72,7 +72,6 @@ class LinkStats {
   [[nodiscard]] double latency_percentile(double p) const;
   [[nodiscard]] util::Summary latency_summary() const { return util::summarize(latencies_); }
   [[nodiscard]] double mean_attempts() const;
-  [[nodiscard]] double max_attempts() const;
 
   /// Human-readable dump (counters + latency histogram) for benches.
   [[nodiscard]] std::string report() const;

@@ -2,7 +2,14 @@
 
 #include <algorithm>
 
+#include "util/units.h"
+
 namespace distscroll::wireless {
+
+namespace {
+constexpr double kLatencyS = 1.5e-3;  // transceiver air + processing delay
+constexpr double kJitterS = 0.3e-3;   // above the 87 us byte time at 115 200 Bd
+}  // namespace
 
 void RfLink::start() {
   if (running_) return;
@@ -11,7 +18,6 @@ void RfLink::start() {
 }
 
 void RfLink::pump() {
-  if (!running_) return;
   if (auto byte = uart_->clock_out()) {
     ++bytes_sent_;
     if (rng_.bernoulli(config_.byte_loss_probability)) {
@@ -22,10 +28,10 @@ void RfLink::pump() {
         wire_byte ^= static_cast<std::uint8_t>(1u << rng_.uniform_int(0, 7));
         ++bytes_corrupted_;
       }
-      const double jitter = rng_.uniform(0.0, config_.jitter.value);
+      const double jitter = rng_.uniform(0.0, kJitterS);
       // A serial stream never reorders: arrivals are monotone even when
       // jitter exceeds the byte spacing.
-      double arrival = queue_->now().value + config_.latency.value + jitter;
+      double arrival = queue_->now().value + kLatencyS + jitter;
       arrival = std::max(arrival, last_arrival_s_ + 1e-9);
       last_arrival_s_ = arrival;
       queue_->schedule_at(util::Seconds{arrival}, [this, wire_byte] {

@@ -1,8 +1,8 @@
 // Lossy wireless link between the device UART and the host PC.
 //
 // Models the short-range RF transceiver behind the Smart-Its serial
-// connector: per-byte propagation through the event queue with a
-// configurable delay, jitter, independent byte-loss probability and
+// connector: per-byte propagation through the event queue with a fixed
+// delay and jitter, a configurable independent byte-loss probability and
 // bit-flip corruption. Frame CRCs (wireless::packet) catch corruption on
 // the host side — the classic end-to-end argument exercised in tests.
 #pragma once
@@ -13,15 +13,12 @@
 #include "hw/uart.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
-#include "util/units.h"
 
 namespace distscroll::wireless {
 
 class RfLink {
  public:
   struct Config {
-    util::Seconds latency{1.5e-3};
-    util::Seconds jitter{0.3e-3};
     double byte_loss_probability = 0.002;
     double bit_flip_probability = 0.0005;  // per byte
   };
@@ -37,7 +34,6 @@ class RfLink {
   /// Start pumping the device UART TX FIFO onto the air. Bytes leave at
   /// UART baud pacing, then arrive at the host after link latency.
   void start();
-  void stop() { running_ = false; }
 
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
   [[nodiscard]] std::uint64_t bytes_lost() const { return bytes_lost_; }

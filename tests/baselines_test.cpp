@@ -171,7 +171,7 @@ TEST(DistanceScrollBlock, MatchesPerSampleLoopBitForBit) {
 
 /// The samples on which DistanceScroll's sensor re-measures, replayed on
 /// a separate Gp2d120Model: the firmware ticks (a sample at or after the
-/// previous tick + firmware_tick), then the sensor's own reads_at().
+/// previous tick + core::kFirmwareTick), then the sensor's own reads_at().
 std::vector<bool> remeasure_samples(std::span<const double> now_s) {
   const DistanceScroll::Config config;
   sensors::Gp2d120Model sensor(config.sensor, sim::Rng(1));
@@ -179,7 +179,7 @@ std::vector<bool> remeasure_samples(std::span<const double> now_s) {
   double next_tick = 0.0;
   for (std::size_t k = 0; k < now_s.size(); ++k) {
     if (now_s[k] < next_tick) continue;
-    next_tick = now_s[k] + config.firmware_tick.value;
+    next_tick = now_s[k] + core::kFirmwareTick.value;
     const util::Seconds now{now_s[k]};
     reads[k] = sensor.reads_at(now);
     (void)sensor.output(util::Centimeters{15.0}, now);
@@ -194,7 +194,7 @@ TEST(DistanceScrollBlock, HandIsReadOnlyOnRemeasureTicks) {
   ControlFeed feed = planner_feed(3000, 5);
   for (std::size_t k = 1500; k < feed.now_s.size(); ++k) feed.now_s[k] += 0.7;
   const std::vector<bool> reads = remeasure_samples(feed.now_s);
-  const double period = sensors::Gp2d120Model::Config{}.measurement_period.value;
+  const double period = sensors::Gp2d120Model::kMeasurementPeriod.value;
   std::vector<std::size_t> expected;
   bool resynced = false;
   for (std::size_t k = 0; k < reads.size(); ++k) {
@@ -246,7 +246,7 @@ TEST(DistanceScrollBlock, HandIsReadOnlyOnRemeasureTicks) {
 TEST(DistanceScrollBlock, PeriodIsTheFirmwareTick) {
   DistanceScroll technique({}, sim::Rng(2));
   technique.reset(10, 0);
-  const double tick = DistanceScroll::Config{}.firmware_tick.value;
+  const double tick = core::kFirmwareTick.value;
   EXPECT_EQ(technique.control_period_s(), tick);
   // Counted calls, each at or after the previous deadline.
   for (const double t : {0.0, 0.02, 0.1234, 7.0}) {
@@ -326,7 +326,7 @@ TEST(DistanceScrollCrossModel, MatchesTheDeviceOnANoiselessSweep) {
   for (const double t : tick_s) {
     technique_cursors.push_back(technique.cursor());
     technique.on_control(util::Seconds{t}, hand(util::Seconds{t}).value);
-    ASSERT_EQ(technique.next_control_s(), t + technique_config.firmware_tick.value) << t;
+    ASSERT_EQ(technique.next_control_s(), t + core::kFirmwareTick.value) << t;
   }
   technique_cursors.push_back(technique.cursor());
 

@@ -84,7 +84,7 @@ TEST_F(CalibrationFixture, SurvivesPowerCycle) {
 
 TEST(Fatigue, AccruesAndRecovers) {
   human::FatigueModel fatigue;
-  fatigue.accrue(300.0, fatigue.config().wrist_tilt_rate);  // 5 min of tilting
+  fatigue.accrue(300.0, human::FatigueModel::kWristTiltRate);  // 5 min of tilting
   const double after = fatigue.level();
   EXPECT_GT(after, 0.5);
   fatigue.rest(60.0);
@@ -95,22 +95,22 @@ TEST(Fatigue, AccruesAndRecovers) {
 
 TEST(Fatigue, SaturatesAtCap) {
   human::FatigueModel fatigue;
-  fatigue.accrue(1e6, fatigue.config().wrist_tilt_rate);
+  fatigue.accrue(1e6, human::FatigueModel::kWristTiltRate);
   EXPECT_DOUBLE_EQ(fatigue.level(), 1.0);
 }
 
 TEST(Fatigue, PostureRatesOrdered) {
   // Wrist deviation > arm extension > strokes > buttons — the ordering
   // behind the paper's critique of tilt.
-  const human::FatigueModel::Config config;
-  EXPECT_GT(config.wrist_tilt_rate, config.arm_extension_rate);
-  EXPECT_GT(config.arm_extension_rate, config.stroke_rate);
-  EXPECT_GT(config.stroke_rate, config.button_rate);
+  using human::FatigueModel;
+  EXPECT_GT(FatigueModel::kWristTiltRate, FatigueModel::kArmExtensionRate);
+  EXPECT_GT(FatigueModel::kArmExtensionRate, FatigueModel::kStrokeRate);
+  EXPECT_GT(FatigueModel::kStrokeRate, FatigueModel::kButtonRate);
 }
 
 TEST(Fatigue, AppliedProfileDegrades) {
   human::FatigueModel fatigue;
-  fatigue.accrue(120.0, fatigue.config().wrist_tilt_rate);
+  fatigue.accrue(120.0, human::FatigueModel::kWristTiltRate);
   const auto base = human::UserProfile::average();
   const auto tired = fatigue.apply(base);
   EXPECT_GT(tired.tremor.amplitude_cm, base.tremor.amplitude_cm);

@@ -391,29 +391,31 @@ TEST(ChunkedScroll, DegenerateSizes) {
 
 // --- fast scroll -------------------------------------------------------------------
 
+// The turbo zone repeats every 0.12 s.
+
 TEST(FastScroll, InactiveBelowThreshold) {
-  FastScrollMode turbo({500, util::Seconds{0.1}});
+  FastScrollMode turbo(500);
   EXPECT_EQ(turbo.on_sample(util::Seconds{0.0}, util::AdcCounts{400}), 0);
   EXPECT_FALSE(turbo.active());
 }
 
 TEST(FastScroll, ImmediateStepOnEntry) {
-  FastScrollMode turbo({500, util::Seconds{0.1}});
+  FastScrollMode turbo(500);
   EXPECT_EQ(turbo.on_sample(util::Seconds{0.0}, util::AdcCounts{600}), 1);
   EXPECT_TRUE(turbo.active());
 }
 
 TEST(FastScroll, RepeatsAtPeriod) {
-  FastScrollMode turbo({500, util::Seconds{0.1}});
+  FastScrollMode turbo(500);
   turbo.on_sample(util::Seconds{0.0}, util::AdcCounts{600});
-  EXPECT_EQ(turbo.on_sample(util::Seconds{0.05}, util::AdcCounts{600}), 0);
-  EXPECT_EQ(turbo.on_sample(util::Seconds{0.11}, util::AdcCounts{600}), 1);
-  // A long stay emits catch-up steps.
-  EXPECT_EQ(turbo.on_sample(util::Seconds{0.45}, util::AdcCounts{600}), 3);
+  EXPECT_EQ(turbo.on_sample(util::Seconds{0.06}, util::AdcCounts{600}), 0);
+  EXPECT_EQ(turbo.on_sample(util::Seconds{0.13}, util::AdcCounts{600}), 1);
+  // A long stay emits catch-up steps (at 0.24, 0.36 and 0.48 s).
+  EXPECT_EQ(turbo.on_sample(util::Seconds{0.53}, util::AdcCounts{600}), 3);
 }
 
 TEST(FastScroll, LeavingZoneDeactivates) {
-  FastScrollMode turbo({500, util::Seconds{0.1}});
+  FastScrollMode turbo(500);
   turbo.on_sample(util::Seconds{0.0}, util::AdcCounts{600});
   EXPECT_EQ(turbo.on_sample(util::Seconds{0.2}, util::AdcCounts{300}), 0);
   EXPECT_FALSE(turbo.active());

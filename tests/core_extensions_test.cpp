@@ -16,7 +16,6 @@ namespace {
 
 struct DualFixture : ::testing::Test {
   SensorCurve curve{};
-  DualRangeResolver::Config config{};
   sensors::Gp2d120Model::Config sensor_config = [] {
     sensors::Gp2d120Model::Config c;
     c.output_noise_volts = 0.0;
@@ -24,12 +23,7 @@ struct DualFixture : ::testing::Test {
   }();
   sensors::Gp2d120Model primary{sensor_config, sim::Rng(1)};
 
-  DualRangeResolver make() {
-    DualRangeResolver::Config c = config;
-    c.peak_cm = sensor_config.peak_cm;
-    c.dead_zone_volts = sensor_config.dead_zone_volts;
-    return DualRangeResolver(curve, curve, c);
-  }
+  DualRangeResolver make() { return DualRangeResolver(curve, curve); }
 
   std::uint16_t counts_at_true_distance(double d) {
     const double v = primary.ideal_output(util::Centimeters{d}).value;

@@ -190,7 +190,7 @@ TEST_F(DriverFixture, BusTimeForFullRedrawIsMilliseconds) {
 
 TEST_F(DriverFixture, MissingPanelReportsNack) {
   DisplayDriver ghost(bus, 0x55);
-  ghost.clear();
+  ghost.show({"A", "B", "C", "D", "E"}, 0);
   EXPECT_FALSE(ghost.last_acked());
 }
 

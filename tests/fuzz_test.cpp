@@ -165,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DecoderFuzz, ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(PdaHostFuzz, RandomByteStreamIsHarmless) {
   auto menu_root = menu::make_flat_menu(10);
-  pda::PdaHost host({}, *menu_root);
+  pda::PdaHost host(*menu_root);
   sim::Rng rng(77);
   for (int i = 0; i < 50000; ++i) {
     host.on_byte(static_cast<std::uint8_t>(rng.uniform_int(0, 255)));

@@ -93,28 +93,30 @@ TEST(Tremor, SparseEvaluationMatchesDenseBitForBit) {
 // --- hand model ---------------------------------------------------------------------
 
 TEST(HandModel, ReachMovesToTarget) {
-  HandModel hand({}, sim::Rng(3), 17.0);
+  HandModel hand(sim::Rng(3), 17.0);
   hand.start_reach(util::Seconds{0.0}, 8.0, util::Seconds{0.5});
   EXPECT_NEAR(hand.distance(util::Seconds{1.0}).value, 8.0, 0.3);  // tremor slop
 }
 
 TEST(HandModel, SupersedingReachStartsFromCurrentPosition) {
-  HandModel::Config config;
-  config.tremor.amplitude_cm = 0.0;
-  HandModel hand(config, sim::Rng(4), 20.0);
+  HandModel hand(sim::Rng(4), 20.0);
   hand.start_reach(util::Seconds{0.0}, 5.0, util::Seconds{1.0});
   const double mid = hand.distance(util::Seconds{0.5}).value;
   hand.start_reach(util::Seconds{0.5}, 25.0, util::Seconds{0.5});
-  // Position continues from mid, no teleport.
+  // Position continues from mid, no teleport: the tremor at one time is
+  // the same on both sides of the new reach.
   EXPECT_NEAR(hand.distance(util::Seconds{0.5}).value, mid, 1e-9);
-  EXPECT_NEAR(hand.distance(util::Seconds{1.1}).value, 25.0, 1e-9);
+  // The reach ends exactly at 25 cm: a tremor on the hand's stream, asked
+  // at the same times, gives the displacement riding on top.
+  Tremor reference(Tremor::Config{}, sim::Rng(4).fork(1));
+  (void)reference.displacement_cm(0.5);
+  (void)reference.displacement_cm(0.5);
+  EXPECT_NEAR(hand.distance(util::Seconds{1.1}).value, 25.0 + reference.displacement_cm(1.1), 1e-9);
 }
 
 TEST(HandModel, ClampsToPhysicalRange) {
-  HandModel::Config config;
-  config.tremor.amplitude_cm = 0.0;
-  config.max_cm = 45.0;
-  HandModel hand(config, sim::Rng(5), 17.0);
+  // The clamp applies after the tremor is added, so it holds with tremor.
+  HandModel hand(sim::Rng(5), 17.0);
   hand.start_reach(util::Seconds{0.0}, 99.0, util::Seconds{0.1});
   EXPECT_LE(hand.distance(util::Seconds{0.2}).value, 45.0);
 }
@@ -220,7 +222,7 @@ class LinearAbsolute final : public baselines::ScrollTechnique {
 TEST(MotionPlanner, AcquiresTargetOnCleanTechnique) {
   LinearAbsolute technique;
   technique.reset(10, 0);
-  MotionPlanner planner({}, sim::Rng(1));
+  MotionPlanner planner(sim::Rng(1));
   const auto outcome = planner.acquire(technique, 7, UserProfile::average());
   EXPECT_TRUE(outcome.success);
   EXPECT_EQ(technique.cursor(), 7u);
@@ -234,10 +236,10 @@ TEST(MotionPlanner, ExpertsFasterThanNovices) {
   for (int i = 0; i < 20; ++i) {
     LinearAbsolute technique;
     technique.reset(10, 0);
-    MotionPlanner planner({}, sim::Rng(100 + i));
+    MotionPlanner planner(sim::Rng(100 + i));
     novice_total += planner.acquire(technique, 8, UserProfile{}.with_expertise(0.15)).time_s;
     technique.reset(10, 0);
-    MotionPlanner planner2({}, sim::Rng(200 + i));
+    MotionPlanner planner2(sim::Rng(200 + i));
     expert_total += planner2.acquire(technique, 8, UserProfile{}.with_expertise(0.95)).time_s;
   }
   EXPECT_LT(expert_total, novice_total);
@@ -253,11 +255,11 @@ TEST(MotionPlanner, FinerTargetsTakeLonger) {
   for (int i = 0; i < 20; ++i) {
     LinearAbsolute coarse;
     coarse.reset(5, 0);  // slot width 2.0 u
-    MotionPlanner planner({}, sim::Rng(300 + i));
+    MotionPlanner planner(sim::Rng(300 + i));
     coarse_total += planner.acquire(coarse, 3, UserProfile::average()).time_s;
     LinearAbsolute fine;
     fine.reset(40, 0);  // slot width 0.25 u
-    MotionPlanner planner2({}, sim::Rng(300 + i));
+    MotionPlanner planner2(sim::Rng(300 + i));
     fine_total += planner2.acquire(fine, 30, UserProfile::average()).time_s;
   }
   EXPECT_GT(fine_total, coarse_total * 1.2);
@@ -267,7 +269,7 @@ TEST(MotionPlanner, DeterministicForSeed) {
   LinearAbsolute t1, t2;
   t1.reset(10, 0);
   t2.reset(10, 0);
-  MotionPlanner p1({}, sim::Rng(7)), p2({}, sim::Rng(7));
+  MotionPlanner p1(sim::Rng(7)), p2(sim::Rng(7));
   const auto o1 = p1.acquire(t1, 5, UserProfile::average());
   const auto o2 = p2.acquire(t2, 5, UserProfile::average());
   EXPECT_DOUBLE_EQ(o1.time_s, o2.time_s);

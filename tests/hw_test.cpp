@@ -113,13 +113,6 @@ TEST(Gpio, ExternalDriveFiresEdgeCallbackOnChangeOnly) {
   EXPECT_EQ(edges, 2);
 }
 
-TEST(Gpio, OutputWriteReadback) {
-  Gpio gpio(2);
-  gpio.set_mode(1, PinMode::Output);
-  gpio.write(1, PinLevel::Low);
-  EXPECT_EQ(gpio.read(1), PinLevel::Low);
-}
-
 // --- I2C -----------------------------------------------------------------------
 
 class EchoSlave final : public I2cSlave {

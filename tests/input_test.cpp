@@ -16,8 +16,8 @@ struct ButtonFixture : ::testing::Test {
 };
 
 TEST_F(ButtonFixture, PressDrivesPinLowEventually) {
-  Button button({}, gpio, 0, queue, sim::Rng(1));
-  EXPECT_TRUE(button.press());
+  Button button(gpio, 0, queue, sim::Rng(1));
+  button.press();
   queue.run_until(util::Seconds{0.01});
   EXPECT_EQ(gpio.read(0), hw::PinLevel::Low);
   button.release();
@@ -26,15 +26,13 @@ TEST_F(ButtonFixture, PressDrivesPinLowEventually) {
 }
 
 TEST_F(ButtonFixture, BounceProducesMultipleEdges) {
-  Button::Config config;
-  config.max_bounce_edges = 6;
   int edges = 0;
   gpio.on_edge(0, [&](std::size_t, hw::PinLevel) { ++edges; });
   // Try several seeds: at least one press must visibly bounce.
   int max_edges = 0;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     edges = 0;
-    Button button(config, gpio, 0, queue, sim::Rng(seed));
+    Button button(gpio, 0, queue, sim::Rng(seed));
     button.press();
     queue.run_until(util::Seconds{queue.now().value + 0.02});
     max_edges = std::max(max_edges, edges);
@@ -46,7 +44,7 @@ TEST_F(ButtonFixture, BounceProducesMultipleEdges) {
 
 TEST_F(ButtonFixture, SettlesToFinalLevelDespiteBounce) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    Button button({}, gpio, 0, queue, sim::Rng(seed));
+    Button button(gpio, 0, queue, sim::Rng(seed));
     button.press();
     queue.run_until(util::Seconds{queue.now().value + 0.02});
     EXPECT_EQ(gpio.read(0), hw::PinLevel::Low) << "seed " << seed;
@@ -56,17 +54,8 @@ TEST_F(ButtonFixture, SettlesToFinalLevelDespiteBounce) {
   }
 }
 
-TEST_F(ButtonFixture, MissProbabilityDropsPresses) {
-  Button::Config config;
-  config.miss_probability = 1.0;  // gloved worst case
-  Button button(config, gpio, 0, queue, sim::Rng(3));
-  EXPECT_FALSE(button.press());
-  queue.run_until(util::Seconds{0.02});
-  EXPECT_EQ(gpio.read(0), hw::PinLevel::High);  // nothing happened
-}
-
 TEST_F(ButtonFixture, RapidRepressSupersedesOldBounce) {
-  Button button({}, gpio, 0, queue, sim::Rng(4));
+  Button button(gpio, 0, queue, sim::Rng(4));
   button.press();
   button.release();
   button.press();  // before bounce of release finishes
@@ -120,7 +109,7 @@ TEST(Debouncer, BounceWithinWindowIgnored) {
 TEST(DebouncerWithButton, EndToEndThroughGpio) {
   sim::EventQueue queue;
   hw::Gpio gpio(1);
-  Button button({}, gpio, 0, queue, sim::Rng(5));
+  Button button(gpio, 0, queue, sim::Rng(5));
   Debouncer deb;
   int presses = 0, releases = 0;
   auto count_press = [&] { ++presses; };

@@ -26,7 +26,7 @@ struct PdaFixture : ::testing::Test {
     addon = std::make_unique<PdaAddon>(queue, sim::Rng(1));
     addon->set_distance_provider(
         [this](util::Seconds) { return util::Centimeters{distance_cm}; });
-    host = std::make_unique<PdaHost>(PdaHost::Config{}, *menu_root);
+    host = std::make_unique<PdaHost>(*menu_root);
     host->set_addon_sink([this](std::uint8_t byte) { addon->on_host_byte(byte); });
     schedule_drain();  // clock the serial line
     addon->power_on();
@@ -79,17 +79,6 @@ TEST_F(PdaFixture, ButtonsNavigateTheTree) {
   EXPECT_EQ(host->cursor().depth(), 0u);
 }
 
-TEST_F(PdaFixture, LeafActivationCallback) {
-  wire_direct();
-  std::string activated;
-  host->on_leaf_activated([&](const std::string& label) { activated = label; });
-  distance_cm = distance_for_index(6);  // "Profiles" leaf at root
-  settle(0.6);
-  ASSERT_EQ(host->cursor().highlighted().label(), "Profiles");
-  click(addon->select_button());
-  EXPECT_EQ(activated, "Profiles");
-}
-
 TEST_F(PdaFixture, ScreenShowsCursorMarker) {
   wire_direct();
   distance_cm = distance_for_index(2);
@@ -122,13 +111,52 @@ TEST_F(PdaFixture, AddonFirmwareIsTiny) {
   EXPECT_LE(addon->board().mcu().ram_used(), 128u);
 }
 
+/// A scripted session of raw ADC counts and button edges pins the
+/// host's curve, islands, controller and screen window: the selections
+/// it makes, where the cursor ends and the lines it renders.
+TEST(PdaHost, ScriptedSessionIsPinned) {
+  auto menu_root = menu::make_phone_menu();
+  PdaHost host(*menu_root);
+  std::uint8_t seq = 0;
+  const auto send = [&](wireless::FrameType type, std::uint8_t b0, std::uint8_t b1) {
+    const std::uint8_t payload[] = {b0, b1};
+    std::array<std::uint8_t, wireless::kMaxEncodedFrame> wire{};
+    const std::size_t len = wireless::encode_into(type, seq++, payload, wire);
+    for (std::size_t i = 0; i < len; ++i) host.on_byte(wire[i]);
+  };
+  struct Step {
+    std::uint16_t counts;
+    int button;  // -1 none, 0 select, 1 back
+  };
+  const Step script[] = {{420, 0}, {300, -1}, {610, 0}, {250, 1}, {350, 0}, {140, 0},
+                         {530, 1}, {200, 0}, {470, 0}, {120, -1}, {390, 0}};
+  for (const Step& step : script) {
+    for (int i = 0; i < 6; ++i) {
+      send(kDistanceFrame, static_cast<std::uint8_t>(step.counts & 0xFF),
+           static_cast<std::uint8_t>(step.counts >> 8));
+    }
+    if (step.button >= 0) {
+      send(kButtonFrame, static_cast<std::uint8_t>(step.button), 1);
+      send(kButtonFrame, static_cast<std::uint8_t>(step.button), 0);
+    }
+  }
+  std::string selections;
+  for (const auto& s : host.selections()) selections += s.label + (s.is_leaf ? "*;" : ";");
+  std::string screen;
+  for (const auto& line : host.screen()) screen += line + "|";
+  EXPECT_EQ(selections, "Messages;Templates*;SIM services*;Organiser;Organiser;Alarm clock*;Alarm clock*;");
+  EXPECT_EQ(host.cursor().depth(), 1u);
+  EXPECT_EQ(host.cursor().index(), 0u);
+  EXPECT_EQ(screen, "> Alarm clock|  Calendar|  To-do list|  Notes|");
+}
+
 TEST(PdaOverLossyLink, SurvivesLoss) {
   auto menu_root = menu::make_phone_menu();
   sim::EventQueue queue;
   double distance_cm = 17.0;
   PdaAddon addon(queue, sim::Rng(7));
   addon.set_distance_provider([&](util::Seconds) { return util::Centimeters{distance_cm}; });
-  PdaHost host({}, *menu_root);
+  PdaHost host(*menu_root);
 
   wireless::RfLink::Config link_config;
   link_config.byte_loss_probability = 0.01;

@@ -52,7 +52,7 @@ TEST(Eeprom, CorruptFlipsBits) {
 
 core::CalibrationResult sample_calibration() {
   core::CalibrationResult calibration;
-  calibration.curve = core::SensorCurve({10.9, 0.81, -0.02, 5.0});
+  calibration.curve = core::SensorCurve({10.9, 0.81, -0.02});
   calibration.usable_near = util::Centimeters{4.2};
   calibration.usable_far = util::Centimeters{29.5};
   return calibration;

@@ -54,8 +54,7 @@ TEST(Regression, DistanceScrollTrialsDoNotSlowDown) {
 TEST(Regression, JitterNeverReordersBytes) {
   sim::EventQueue queue;
   hw::Uart uart;
-  wireless::RfLink::Config config;
-  config.jitter = util::Seconds{5e-3};  // >> byte time (87 us)
+  wireless::RfLink::Config config;  // its 0.3 ms jitter exceeds the byte time (87 us)
   config.byte_loss_probability = 0.0;
   config.bit_flip_probability = 0.0;
   wireless::RfLink link(config, uart, queue, sim::Rng(3));
@@ -153,9 +152,7 @@ TEST_F(UiFixture, DepthReportedInTelemetry) {
 
 TEST(PdaHostScreen, WindowFollowsCursorInLongMenu) {
   auto root = menu::make_flat_menu(30);
-  pda::PdaHost::Config config;
-  config.screen_lines = 10;
-  pda::PdaHost host(config, *root);
+  pda::PdaHost host(*root);  // a 10-line screen
   // Drive the cursor to entry 25 via a distance frame at its island.
   const auto& mapper = host.mapper();
   const std::size_t island = mapper.entries() - 1 - 25;

@@ -6,6 +6,7 @@
 
 #include "sensors/adxl311.h"
 #include "sensors/gp2d120.h"
+#include "util/rounding.h"
 
 namespace distscroll::sensors {
 namespace {
@@ -53,9 +54,10 @@ TEST(Gp2d120, NearBranchSteeperThanFarBranch) {
 
 TEST(Gp2d120, OutOfRangeFloorsToMinimum) {
   Gp2d120Model sensor(quiet_config(), sim::Rng(1));
-  const auto& config = sensor.config();
-  EXPECT_DOUBLE_EQ(sensor.ideal_output(util::Centimeters{35.0}).value, config.min_output_volts);
-  EXPECT_DOUBLE_EQ(sensor.ideal_output(util::Centimeters{100.0}).value, config.min_output_volts);
+  EXPECT_DOUBLE_EQ(sensor.ideal_output(util::Centimeters{35.0}).value,
+                   Gp2d120Model::kMinOutputVolts);
+  EXPECT_DOUBLE_EQ(sensor.ideal_output(util::Centimeters{100.0}).value,
+                   Gp2d120Model::kMinOutputVolts);
 }
 
 TEST(Gp2d120, PaperRangeValuesPlausible) {
@@ -131,14 +133,13 @@ TEST(Gp2d120, NearlyColorIndependent) {
 TEST(Gp2d120, ReflectiveBoundariesGlitch) {
   // "Potentially problematic could be reflective surfaces with clear
   // boundaries" — glitches read as out-of-range.
-  Gp2d120Model::Config config = quiet_config();
-  Gp2d120Model vest(config, sim::Rng(3), SurfaceProfile{1.0, 0.12});  // reflective vest
+  Gp2d120Model vest(quiet_config(), sim::Rng(3), SurfaceProfile{1.0, 0.12});  // reflective vest
   int glitches = 0;
   double t = 0.0;
   for (int i = 0; i < 500; ++i) {
     t += 0.04;
     const double v = vest.output(util::Centimeters{15.0}, util::Seconds{t}).value;
-    if (v <= config.min_output_volts + 1e-9) ++glitches;
+    if (v <= Gp2d120Model::kMinOutputVolts + 1e-9) ++glitches;
   }
   // ~12% glitch probability configured.
   EXPECT_GT(glitches, 20);
@@ -146,13 +147,12 @@ TEST(Gp2d120, ReflectiveBoundariesGlitch) {
 }
 
 TEST(Gp2d120, OrdinaryClothingNeverGlitches) {
-  Gp2d120Model::Config config = quiet_config();
-  Gp2d120Model shirt(config, sim::Rng(3), SurfaceProfile{0.9, 0.0});  // white shirt
+  Gp2d120Model shirt(quiet_config(), sim::Rng(3), SurfaceProfile{0.9, 0.0});  // white shirt
   double t = 0.0;
   for (int i = 0; i < 500; ++i) {
     t += 0.04;
     const double v = shirt.output(util::Centimeters{15.0}, util::Seconds{t}).value;
-    EXPECT_GT(v, config.min_output_volts + 0.1);
+    EXPECT_GT(v, Gp2d120Model::kMinOutputVolts + 0.1);
   }
 }
 
@@ -179,7 +179,7 @@ TEST_P(Gp2d120MonotoneSweep, StrictlyDecreasingStep) {
   EXPECT_GT(v0, v1);
   // The per-cm step must exceed 1 ADC LSB (5 V / 1023) so neighbouring
   // centimetres stay distinguishable — the premise of island mapping.
-  EXPECT_GT(v0 - v1, 5.0 / 1023.0);
+  EXPECT_GT(v0 - v1, util::adc10_volts(util::AdcCounts{1}).value);
 }
 
 INSTANTIATE_TEST_SUITE_P(UsableRange, Gp2d120MonotoneSweep,

@@ -8,10 +8,12 @@
 #include <cmath>
 #include <cstddef>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "core/distscroll_device.h"
 #include "menu/phone_menu.h"
+#include "obs/trace_io.h"
 #include "obs/tracer.h"
 
 namespace distscroll {
@@ -154,6 +156,25 @@ TEST_F(SmokeInvariants, ButtonScriptReachesTheMenuLayer) {
   EXPECT_EQ(releases, 2u);
   // The select at 1.2 s activated an entry; depth went down and back up.
   EXPECT_FALSE(device_->selections().empty());
+}
+
+TEST_F(SmokeInvariants, EveryKindTheTraceFormatAcceptsIsRecorded) {
+  // A kind the reader accepts but no run records is a kind nobody can
+  // see working: each kind byte obs::deserialize loads must show up in
+  // this full-mask session.
+  std::set<int> recorded;
+  for (const obs::TraceEvent& event : events_) recorded.insert(static_cast<int>(event.kind));
+  int accepted = 0;
+  for (int byte = 0; byte < 256; ++byte) {
+    obs::Trace probe;
+    probe.events.push_back({0.0, static_cast<obs::EventKind>(byte), 0, 0});
+    if (!obs::deserialize(obs::serialize(probe))) continue;
+    ++accepted;
+    EXPECT_EQ(recorded.count(byte), 1u)
+        << "trace kind " << byte << " (" << obs::kind_name(static_cast<obs::EventKind>(byte))
+        << ") loads from a trace file, but no test run records it";
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 }  // namespace

@@ -70,15 +70,6 @@ TEST(RingBuffer, WrapsAroundManyTimes) {
   EXPECT_EQ(rb.back(), 99);
 }
 
-TEST(RingBuffer, ClearResets) {
-  RingBuffer<int, 2> rb;
-  EXPECT_TRUE(rb.try_push(1));
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-  EXPECT_TRUE(rb.try_push(9));
-  EXPECT_EQ(rb.front(), 9);
-}
-
 // --- sequence window -------------------------------------------------------
 
 TEST(SeqWindow, VerdictTable) {
@@ -158,14 +149,20 @@ TEST(RoundNonneg, MatchesLroundOnRandomDoubles) {
 }
 
 TEST(Adc10Counts, ScalesAddsNoiseClampsAndRounds) {
-  EXPECT_EQ(adc10_counts(0.0, 5.0, 0.0).value, 0);
-  EXPECT_EQ(adc10_counts(5.0, 5.0, 0.0).value, 1023);
-  EXPECT_EQ(adc10_counts(2.5, 5.0, 0.0).value, 512);   // 511.5 rounds half up
-  EXPECT_EQ(adc10_counts(2.5, 5.0, -0.2).value, 511);  // the noise is added before rounding
-  EXPECT_EQ(adc10_counts(1.0, 3.3, 0.0).value, 310);   // 310.0 against a 3.3 V reference
-  EXPECT_EQ(adc10_counts(-1.0, 5.0, 0.0).value, 0);    // clamped below
-  EXPECT_EQ(adc10_counts(6.0, 5.0, 0.0).value, 1023);  // clamped above
-  EXPECT_EQ(adc10_counts(5.0, 5.0, 3.0).value, 1023);  // noise cannot leave the range
+  EXPECT_EQ(adc10_counts(0.0, 0.0).value, 0);
+  EXPECT_EQ(adc10_counts(5.0, 0.0).value, 1023);
+  EXPECT_EQ(adc10_counts(2.5, 0.0).value, 512);   // 511.5 rounds half up
+  EXPECT_EQ(adc10_counts(2.5, -0.2).value, 511);  // the noise is added before rounding
+  EXPECT_EQ(adc10_counts(-1.0, 0.0).value, 0);    // clamped below
+  EXPECT_EQ(adc10_counts(6.0, 0.0).value, 1023);  // clamped above
+  EXPECT_EQ(adc10_counts(5.0, 3.0).value, 1023);  // noise cannot leave the range
+}
+
+TEST(Adc10Counts, VoltsInvertsEveryCount) {
+  for (int c = 0; c <= 1023; ++c) {
+    const AdcCounts counts{static_cast<std::uint16_t>(c)};
+    EXPECT_EQ(adc10_counts(adc10_volts(counts).value, 0.0), counts) << c;
+  }
 }
 
 // --- CRC ---------------------------------------------------------------------

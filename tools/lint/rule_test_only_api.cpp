@@ -5,21 +5,24 @@
 //
 //   declarations = function declarators at namespace or class scope of
 //                  every indexed src/ header (constructors, destructors,
-//                  operators, `= delete`, qualified out-of-class
-//                  definitions and macros are not declarations here)
+//                  operators, overrides, `= delete`, qualified
+//                  out-of-class definitions and macros are not
+//                  declarations here)
 //   references   = every other occurrence of the declared name as an
 //                  identifier, preprocessor lines included (a call made
-//                  inside a macro body counts), in any file outside
-//                  tests/ — indexed or reference-only (examples/,
-//                  perfbench/) — minus the name tokens of header
-//                  declarators and indexed function definitions
+//                  inside a macro body counts), in a file that can see
+//                  the declaration: the header itself, its sibling .cpp,
+//                  and every file whose include closure holds the header
+//                  — indexed or reference-only (examples/, perfbench/) —
+//                  minus the name tokens of header declarators and
+//                  indexed function definitions
 //
-// A name with zero references is reported at each declaration, as
-// "tests only" when tests/ mention it and "unreferenced" otherwise.
-// Matching is by unqualified name, so a same-named function anywhere —
-// another class's member, an override reached through its base —
-// keeps a dead one alive: that false negative is the accepted envelope
-// (DESIGN.md §14). A call from the function's own .cpp counts.
+// A declaration with zero references outside tests/ is reported, as
+// "tests only" when tests/ reference it and "unreferenced" otherwise.
+// Matching is by unqualified name among the files that see the header,
+// so a same-named function there still keeps a dead one alive: that
+// false negative is the accepted envelope (DESIGN.md §14). An override
+// is reached through its base, so the base's declaration stands for it.
 #include <algorithm>
 #include <string>
 #include <unordered_map>
@@ -172,8 +175,13 @@ void scan_scope(const SourceFile& f, std::uint32_t fi, std::size_t i, std::size_
                                    : skip_balanced(f, body, "{", "}");
       const bool deleted = body == std::string::npos && stop >= 2 && stop <= end &&
                            f.is_ident(stop - 1, "delete") && f.is_punct(stop - 2, "=");
+      bool overrides = false;
+      for (std::size_t k = params_end; k < std::min(stop, end) && !overrides; ++k) {
+        if (k == body) break;
+        overrides = f.is_ident(k, "override") || f.is_ident(k, "final");
+      }
       own.emplace_back(fi, static_cast<std::uint32_t>(i));
-      if (typed && !friend_decl && name != cls && !deleted) {
+      if (typed && !friend_decl && name != cls && !deleted && !overrides) {
         out.push_back(Decl{fi, static_cast<std::uint32_t>(i)});
       }
       i = stop;
@@ -183,19 +191,35 @@ void scan_scope(const SourceFile& f, std::uint32_t fi, std::size_t i, std::size_
   }
 }
 
-/// Count identifier occurrences of the tallied names in one file: its
-/// tokens, plus the identifiers of its preprocessor lines (which carry
-/// no tokens, so macro bodies would otherwise be invisible).
-void count_references(const SourceFile& f,
-                      std::unordered_map<std::string_view, Tally>& tally) {
+using Own = std::vector<std::pair<std::uint32_t, std::uint32_t>>;  // (file, name token)
+
+/// Count the references one file makes: each identifier token (and each
+/// identifier of its preprocessor lines, which carry no tokens, so macro
+/// bodies would otherwise be invisible) that names a declaration whose
+/// header `visible` marks. `fi` is the file's index, or npos for a
+/// reference-only file; its own declarator and definition names are
+/// skipped.
+void count_references(const SourceFile& f, std::size_t fi,
+                      const std::unordered_map<std::string_view, std::vector<std::uint32_t>>& by_name,
+                      const std::vector<Decl>& decls, const std::vector<char>& visible,
+                      const Own& own, std::vector<Tally>& tally) {
   const bool test = starts_with(f.path, "tests/");
   const auto hit = [&](std::string_view word) {
-    const auto it = tally.find(word);
-    if (it == tally.end()) return;
-    ++(test ? it->second.tests : it->second.program);
+    const auto it = by_name.find(word);
+    if (it == by_name.end()) return;
+    for (const std::uint32_t d : it->second) {
+      if (visible[decls[d].file] != 0) ++(test ? tally[d].tests : tally[d].program);
+    }
   };
-  for (const Token& t : f.tokens) {
-    if (t.kind == Token::Kind::Ident) hit(f.text(t));
+  for (std::size_t k = 0; k < f.tokens.size(); ++k) {
+    const Token& t = f.tokens[k];
+    if (t.kind != Token::Kind::Ident) continue;
+    if (fi != std::string::npos &&
+        std::binary_search(own.begin(), own.end(),
+                           std::pair{static_cast<std::uint32_t>(fi), static_cast<std::uint32_t>(k)})) {
+      continue;  // a declarator or definition name is not a reference to itself
+    }
+    hit(f.text(t));
   }
   for (std::size_t li = 0; li < f.code.size(); ++li) {
     if (!f.preprocessor[li]) continue;
@@ -213,11 +237,35 @@ void count_references(const SourceFile& f,
   }
 }
 
+/// Mark in `visible` the headers a file sees: the ones its includes
+/// reach, itself, and — for a .cpp — its sibling header.
+void mark_visible(const FileIndex& index, const SourceFile& f, std::size_t fi,
+                  std::vector<char>& visible) {
+  std::fill(visible.begin(), visible.end(), 0);
+  const auto mark_with_closure = [&](std::uint32_t at) {
+    visible[at] = 1;
+    for (const std::uint32_t c : index.include_closure[at]) visible[c] = 1;
+  };
+  if (fi != std::string::npos) {
+    mark_with_closure(static_cast<std::uint32_t>(fi));
+  } else {
+    for (const IncludeDirective& inc : f.includes) {
+      const auto it = index.by_path.find("src/" + inc.target);
+      if (it != index.by_path.end()) mark_with_closure(it->second);
+    }
+  }
+  constexpr std::string_view kCpp = ".cpp";
+  if (f.path.size() > kCpp.size() && f.path.ends_with(kCpp)) {
+    const auto it = index.by_path.find(f.path.substr(0, f.path.size() - kCpp.size()) + ".h");
+    if (it != index.by_path.end()) visible[it->second] = 1;
+  }
+}
+
 }  // namespace
 
 void rule_test_only_api(const FileIndex& index, Emit& out) {
   std::vector<Decl> decls;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> own;  // (file, name token)
+  Own own;
   for (std::size_t fi = 0; fi < index.files.size(); ++fi) {
     const SourceFile& src = index.files[fi];
     if (!starts_with(src.path, "src/") || !is_header(src.path)) continue;
@@ -228,28 +276,29 @@ void rule_test_only_api(const FileIndex& index, Emit& out) {
   std::sort(own.begin(), own.end());
   own.erase(std::unique(own.begin(), own.end()), own.end());
 
-  std::unordered_map<std::string_view, Tally> tally;
-  for (const Decl& d : decls) {
-    const SourceFile& src = index.files[d.file];
-    tally.emplace(src.text(src.tokens[d.tok]), Tally{});
+  std::unordered_map<std::string_view, std::vector<std::uint32_t>> by_name;
+  for (std::size_t d = 0; d < decls.size(); ++d) {
+    const SourceFile& src = index.files[decls[d].file];
+    by_name[src.text(src.tokens[decls[d].tok])].push_back(static_cast<std::uint32_t>(d));
   }
-  for (const SourceFile& src : index.files) count_references(src, tally);
-  for (const SourceFile& src : index.reference_files) count_references(src, tally);
-  // A declarator or definition name is not a reference to itself.
-  for (const auto& [fi, tok] : own) {
-    const SourceFile& src = index.files[fi];
-    const auto it = tally.find(src.text(src.tokens[tok]));
-    if (it == tally.end()) continue;
-    --(starts_with(src.path, "tests/") ? it->second.tests : it->second.program);
+  std::vector<Tally> tally(decls.size());
+  std::vector<char> visible(index.files.size(), 0);
+  for (std::size_t fi = 0; fi < index.files.size(); ++fi) {
+    mark_visible(index, index.files[fi], fi, visible);
+    count_references(index.files[fi], fi, by_name, decls, visible, own, tally);
+  }
+  for (const SourceFile& src : index.reference_files) {
+    mark_visible(index, src, std::string::npos, visible);
+    count_references(src, std::string::npos, by_name, decls, visible, own, tally);
   }
 
-  for (const Decl& d : decls) {
-    const SourceFile& src = index.files[d.file];
-    const std::string_view name = src.text(src.tokens[d.tok]);
-    const Tally& t = tally.at(name);
-    if (t.program != 0) continue;
-    emit(out, src, src.tokens[d.tok].line, "test-only-api",
-         quoted(name) + (t.tests != 0 ? " is called only from tests/" : " is unreferenced") +
+  for (std::size_t d = 0; d < decls.size(); ++d) {
+    const SourceFile& src = index.files[decls[d].file];
+    const Token& name_tok = src.tokens[decls[d].tok];
+    if (tally[d].program != 0) continue;
+    emit(out, src, name_tok.line, "test-only-api",
+         quoted(src.text(name_tok)) +
+             (tally[d].tests != 0 ? " is called only from tests/" : " is unreferenced") +
              "; delete it, or allow() it with the behaviour only it exposes");
   }
 }
