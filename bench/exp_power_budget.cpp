@@ -8,7 +8,9 @@
 #include <cstdio>
 
 #include "core/distscroll_device.h"
+#include "hw/smart_its.h"
 #include "menu/menu_builder.h"
+#include "sensors/gp2d120.h"
 #include "study/report.h"
 #include "util/csv.h"
 
@@ -46,11 +48,12 @@ int main() {
   };
   // GP2D120 typ. 33 mA continuous; 10% duty (wake on button, 38 ms
   // bursts) averages ~4.3 mA incl. settle time.
-  for (const auto& s : {Scenario{"continuous sensing (prototype)", 33.0},
+  for (const auto& s : {Scenario{"continuous sensing (prototype)",
+                                 sensors::Gp2d120Model::kSupplyMa},
                         Scenario{"50% duty cycle", 17.5},
                         Scenario{"10% duty + wake-on-button", 4.3}}) {
     hw::Battery fresh;
-    fresh.add_consumer("base-board+mcu", 12.0);
+    fresh.add_consumer("base-board+mcu", hw::SmartIts::kBoardDrawMa);
     fresh.add_consumer("gp2d120", s.sensor_ma);
     fresh.add_consumer("displays", 2.0);
     whatif.add_row({s.name, study::fmt(fresh.total_draw_ma(), 1),

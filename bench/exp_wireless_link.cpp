@@ -11,20 +11,22 @@
 //         with a lossy reverse ack channel — the reliable transport
 //
 // and reports delivered-frame ratio, CRC rejections, sequence gaps,
-// retransmit counts and delivery-latency percentiles via
-// wireless::LinkStats / util::stats.
+// retransmit counts and delivery-latency percentiles (util::stats),
+// read from the counters each link component keeps.
 #include <array>
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <vector>
 
 #include "core/distscroll_device.h"
 #include "menu/menu_builder.h"
+#include "obs/metrics.h"
 #include "study/report.h"
 #include "util/csv.h"
+#include "util/stats.h"
 #include "wireless/arq.h"
 #include "wireless/host_logger.h"
-#include "wireless/link_stats.h"
 #include "wireless/rf_link.h"
 
 using namespace distscroll;
@@ -78,6 +80,52 @@ struct ArqResult {
   std::string report;
 };
 
+/// p in [0, 1]; 0 when nothing was recorded.
+double percentile_or_zero(const std::vector<double>& values, double p) {
+  return values.empty() ? 0.0 : util::percentile(values, p);
+}
+
+/// The counters of every component on the ARQ path, then the delivery
+/// latencies: percentiles and the log-bucketed histogram.
+std::string link_report(const wireless::RfLink& link, const wireless::ArqReceiver& receiver,
+                        const wireless::ArqSender& sender, const wireless::HostLogger& logger,
+                        const std::vector<double>& latencies, const obs::Histogram& latency_hist) {
+  const wireless::FrameDecoder& decoder = receiver.decoder();
+  const auto n = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
+  char line[256];
+  std::string out;
+  std::snprintf(line, sizeof(line), "link:    sent=%llu lost=%llu corrupted=%llu\n",
+                n(link.bytes_sent()), n(link.bytes_lost()), n(link.bytes_corrupted()));
+  out += line;
+  std::snprintf(line, sizeof(line),
+                "decoder: frames=%llu crc_err=%llu framing_err=%llu resyncs=%llu\n",
+                n(decoder.frames_decoded()), n(decoder.crc_errors()), n(decoder.framing_errors()),
+                n(decoder.resyncs()));
+  out += line;
+  std::snprintf(line, sizeof(line),
+                "arq tx:  accepted=%llu transmissions=%llu retransmissions=%llu acks=%llu\n"
+                "         drops(queue_full)=%llu drops(retry_exhausted)=%llu\n",
+                n(sender.frames_accepted()), n(sender.transmissions()),
+                n(sender.retransmissions()), n(sender.acks_received()),
+                n(sender.drops_queue_full()), n(sender.drops_retry_exhausted()));
+  out += line;
+  std::snprintf(line, sizeof(line), "arq rx:  delivered=%llu duplicates=%llu acks_sent=%llu\n",
+                n(receiver.frames_delivered()), n(receiver.duplicates_discarded()),
+                n(receiver.acks_sent()));
+  out += line;
+  std::snprintf(line, sizeof(line), "logger:  frames=%llu seq_gaps=%llu\n",
+                n(logger.frames_received()), n(logger.sequence_gaps()));
+  out += line;
+  if (!latencies.empty()) {
+    std::snprintf(line, sizeof(line), "latency: n=%zu p50=%.2f ms p99=%.2f ms max=%.2f ms\n",
+                  latencies.size(), util::percentile(latencies, 0.50) * 1e3,
+                  util::percentile(latencies, 0.99) * 1e3, util::summarize(latencies).max * 1e3);
+    out += line;
+    out += latency_hist.render();
+  }
+  return out;
+}
+
 ArqResult run_arq_link(double byte_loss, double bit_flip, std::uint64_t seed) {
   sim::EventQueue queue;
   hw::Uart device_uart;
@@ -92,7 +140,9 @@ ArqResult run_arq_link(double byte_loss, double bit_flip, std::uint64_t seed) {
   wireless::EventArqSender arq(wireless::ArqConfig{}, queue);
   wireless::ArqReceiver receiver;
   wireless::HostLogger logger;
-  wireless::LinkStats stats;
+  std::vector<double> latencies;
+  std::vector<double> attempts;
+  obs::Histogram latency_hist;
 
   const auto to_device_uart = [&](std::span<const std::uint8_t> wire) {
     if (device_uart.tx_free() < wire.size()) return false;
@@ -112,12 +162,14 @@ ArqResult run_arq_link(double byte_loss, double bit_flip, std::uint64_t seed) {
   receiver.set_frame_sink([&](const wireless::FrameView& frame) {
     // Delivery latency: first enqueue at the device to arrival here.
     if (const auto t0 = arq.sender().enqueue_time_s(frame.seq)) {
-      stats.record_delivery_latency(queue.now().value - *t0);
+      const double latency = queue.now().value - *t0;
+      latencies.push_back(latency);
+      latency_hist.record(latency);
     }
     logger.on_frame(frame);
   });
   arq.set_ack_callback(
-      [&](std::uint8_t, double, int attempts) { stats.record_attempts(attempts); });
+      [&](std::uint8_t, double, int n) { attempts.push_back(static_cast<double>(n)); });
   forward.start();
   reverse.start();
 
@@ -140,17 +192,16 @@ ArqResult run_arq_link(double byte_loss, double bit_flip, std::uint64_t seed) {
   // Run past the last send so in-flight retransmits drain.
   queue.run_until(util::Seconds{kRunSeconds + 5.0});
 
-  stats.sample(&forward, &receiver.decoder(), &arq.sender(), &receiver, &logger);
-  const auto& c = stats.counters();
+  const wireless::ArqSender& sender = arq.sender();
   return {offered,
           offered ? static_cast<double>(receiver.frames_delivered()) / static_cast<double>(offered)
                   : 0.0,
-          c.arq_retransmissions,
-          c.arq_drops_queue_full + c.arq_drops_retry_exhausted,
-          stats.latency_percentile(0.50) * 1e3,
-          stats.latency_percentile(0.99) * 1e3,
-          stats.mean_attempts(),
-          stats.report()};
+          sender.retransmissions(),
+          sender.drops_queue_full() + sender.drops_retry_exhausted(),
+          percentile_or_zero(latencies, 0.50) * 1e3,
+          percentile_or_zero(latencies, 0.99) * 1e3,
+          attempts.empty() ? 0.0 : util::summarize(attempts).mean,
+          link_report(forward, receiver, sender, logger, latencies, latency_hist)};
 }
 
 }  // namespace
@@ -197,7 +248,7 @@ int main() {
   }
   std::printf("%s\n", arq_table.render().c_str());
 
-  std::printf("LinkStats at the acceptance point (1%% byte loss, 0.1%% bit flips):\n%s\n",
+  std::printf("Link counters at the acceptance point (1%% byte loss, 0.1%% bit flips):\n%s\n",
               worst_case_report.c_str());
   std::printf("shape: the raw pipeline degrades with loss (corrupted frames are\n"
               "ALWAYS rejected by CRC, never delivered wrong; sequence numbers\n"

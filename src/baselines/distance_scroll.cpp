@@ -95,21 +95,14 @@ void DistanceScroll::on_control_block(std::span<const double> now_s, HandSignal 
   DS_HOT_END
 }
 
-std::size_t DistanceScroll::island_of_menu_index(std::size_t menu_index) const {
-  if (config_.scroll.direction == core::ScrollDirection::TowardUserScrollsDown) {
-    return level_size_ - 1 - menu_index;
-  }
-  return menu_index;
-}
-
 std::optional<double> DistanceScroll::target_u(std::size_t target) const {
   if (target >= level_size_) return std::nullopt;
-  return mapper_.centre_distance(island_of_menu_index(target)).value;
+  return mapper_.centre_distance(controller_.to_menu_index(target)).value;
 }
 
 double DistanceScroll::target_width_u(std::size_t target) const {
   if (target >= level_size_) return 0.1;
-  const auto& island = mapper_.islands()[island_of_menu_index(target)];
+  const auto& island = mapper_.islands()[controller_.to_menu_index(target)];
   // Convert the island's count bounds back to distances; the width in cm
   // is what the user must hit.
   const double d_low = config_.curve.distance_at(util::AdcCounts{island.high}).value;

@@ -59,8 +59,6 @@ class DistanceScroll final : public ScrollTechnique {
   [[nodiscard]] const core::IslandMapper& mapper() const { return mapper_; }
 
  private:
-  [[nodiscard]] std::size_t island_of_menu_index(std::size_t menu_index) const;
-
   Config config_;
   sim::Rng rng_;
   // Direct members, rebuilt in place by reset(): run_trial() resets the

@@ -18,8 +18,6 @@ class ChunkedScroll {
       : total_(std::max<std::size_t>(1, total_entries)),
         chunk_size_(std::max<std::size_t>(1, chunk_size)) {}
 
-  [[nodiscard]] std::size_t total_entries() const { return total_; }
-  [[nodiscard]] std::size_t chunk_size() const { return chunk_size_; }
   [[nodiscard]] std::size_t chunk_count() const { return (total_ + chunk_size_ - 1) / chunk_size_; }
   [[nodiscard]] std::size_t chunk() const { return chunk_; }
 

@@ -1,6 +1,7 @@
 #include "core/distscroll_device.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "obs/stage_timer.h"
@@ -11,11 +12,8 @@ namespace distscroll::core {
 namespace {
 constexpr std::uint8_t kTopDisplayAddress = 0x3C;
 constexpr std::uint8_t kBottomDisplayAddress = 0x3D;
-// ADC conversion busy-wait at 10 MIPS (~44 us) in instruction cycles.
-constexpr std::uint64_t kAdcCycles = 440;
 constexpr std::uint64_t kButtonScanCycles = 12;
 constexpr std::uint64_t kRedrawCycles = 900;  // formatting + I2C byte pumping
-constexpr double kRangerDrawMa = 33.0;        // GP2D120 typ. supply current
 // A state frame goes out every second firmware tick.
 constexpr int kTelemetryDivider = 2;
 
@@ -33,6 +31,7 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
       secondary_ranger_(config.sensor, rng.fork(20)),
       top_driver_(board_.i2c(), kTopDisplayAddress),
       bottom_driver_(board_.i2c(), kBottomDisplayAddress),
+      buttons_(board_.gpio(), queue, {rng.fork(10), rng.fork(11), rng.fork(12)}),
       cursor_(menu_root),
       mapper_(curve_, 1, islands_),
       controller_(mapper_, config.scroll),
@@ -56,42 +55,22 @@ DistScrollDevice::DistScrollDevice(Config config, const menu::MenuNode& menu_roo
     return self->secondary_ranger_.output(util::Centimeters{d}, now);
   }));
 
-  for (std::size_t pin = 0; pin < 3; ++pin) {
-    buttons_.push_back(
-        std::make_unique<input::Button>(board_.gpio(), pin, queue, rng.fork(10 + pin)));
-    debouncers_.emplace_back();
-    button_ctx_[pin] = ButtonCtx{this, pin};
-  }
-  // All debounced edges funnel through on_button_edge: one place that
-  // traces the edge and dispatches it — and the same entry point trace
-  // replay injects recorded edges into.
-  for (std::size_t i = 0; i < debouncers_.size(); ++i) {
-    debouncers_[i].on_press(input::Debouncer::Callback(&button_ctx_[i], [](void* ctx) {
-      auto* c = static_cast<ButtonCtx*>(ctx);
-      c->device->on_button_edge(c->index, true);
-    }));
-    debouncers_[i].on_release(input::Debouncer::Callback(&button_ctx_[i], [](void* ctx) {
-      auto* c = static_cast<ButtonCtx*>(ctx);
-      c->device->on_button_edge(c->index, false);
-    }));
-  }
-
-  // Battery consumers beyond the base board: ranger (GP2D120 typ. 33 mA)
-  // and the two displays.
-  board_.battery().add_consumer("gp2d120", kRangerDrawMa);
+  // Battery consumers beyond the base board: the ranger and the two
+  // displays.
+  board_.battery().add_consumer("gp2d120", sensors::Gp2d120Model::kSupplyMa);
   board_.battery().add_consumer(
       "displays", top_panel_.current_draw_ma() + bottom_panel_.current_draw_ma());
 
   // Firmware static memory: island table (4 B/entry, worst case 64
   // entries), frame buffer shadows are in the display controllers, not
   // the PIC.
-  board_.mcu().reserve_ram("island-table", 256);
-  board_.mcu().reserve_ram("fifos+state", 192);
-  board_.mcu().reserve_flash("firmware", 14 * 1024);
+  board_.mcu().reserve_ram(256);  // island table
+  board_.mcu().reserve_ram(192);  // FIFOs + state
+  board_.mcu().reserve_flash(14 * 1024);
 
   if (config_.use_dual_sensor) {
     dual_resolver_.emplace(curve_, curve_);
-    board_.mcu().reserve_ram("dual-sensor-state", 16);
+    board_.mcu().reserve_ram(16);  // dual-sensor state
   }
 
   rebuild_mapping();
@@ -134,7 +113,8 @@ void DistScrollDevice::power_on() {
   if (powered_) return;
   powered_ = true;
   firmware_timer_ = board_.mcu().start_timer(kFirmwareTick, [this] { firmware_tick(); });
-  button_timer_ = board_.mcu().start_timer(kButtonTick, [this] { button_tick(); });
+  button_timer_ =
+      board_.mcu().start_timer(input::ButtonPanel::kScanPeriod, [this] { button_tick(); });
   redraw();
 }
 
@@ -205,7 +185,7 @@ void DistScrollDevice::firmware_tick() {
     } else {
       last_counts_ = board_.adc().sample(ranger_channel_, now);
     }
-    mcu.charge_cycles(kAdcCycles);
+    mcu.charge_cycles(hw::Adc10::kConversionCycles);
   }
   DS_TRACE(tracer_, obs::EventKind::AdcRead, static_cast<std::uint32_t>(ranger_channel_),
            last_counts_.value);
@@ -217,7 +197,7 @@ void DistScrollDevice::firmware_tick() {
   if (dual_resolver_) {
     DS_STAGE(Sensor);
     const auto secondary = board_.adc().sample(secondary_channel_, now);
-    mcu.charge_cycles(kAdcCycles + 180);  // two inversions + compare
+    mcu.charge_cycles(hw::Adc10::kConversionCycles + 180);  // two inversions + compare
     const auto resolution = dual_resolver_->resolve(last_counts_, secondary);
     if (!resolution) {
       sample_valid = false;  // unexplained pair: glitch, skip sample
@@ -296,9 +276,9 @@ void DistScrollDevice::save_calibration_to_eeprom(const CalibrationResult& calib
 
 void DistScrollDevice::button_tick() {
   if (!powered_) return;
-  for (std::size_t i = 0; i < debouncers_.size(); ++i) {
-    debouncers_[i].tick(board_.gpio().read(i));
-  }
+  // Every debounced edge goes through on_button_edge, the entry point
+  // trace replay injects recorded edges into.
+  buttons_.scan([this](std::size_t pin, bool pressed) { on_button_edge(pin, pressed); });
   board_.mcu().charge_cycles(kButtonScanCycles);
 }
 
@@ -356,13 +336,8 @@ void DistScrollDevice::redraw() {
   // --- top display: 5-line menu window around the cursor -----------------
   const menu::MenuNode& level = cursor_.current_level();
   const std::size_t size = level.child_count();
-  std::size_t window_start = 0;
-  if (size > display::kTextLines) {
-    const std::size_t cursor_index = cursor_.index();
-    const std::size_t half = display::kTextLines / 2;
-    window_start = (cursor_index > half) ? cursor_index - half : 0;
-    window_start = std::min(window_start, size - display::kTextLines);
-  }
+  const std::size_t window_start =
+      cursor_.window_start(static_cast<std::size_t>(display::kTextLines));
   std::array<std::string, display::kTextLines> lines{};
   int highlight = -1;
   for (int row = 0; row < display::kTextLines; ++row) {
@@ -399,8 +374,8 @@ void DistScrollDevice::send_state_frame() {
   report.menu_depth = static_cast<std::uint8_t>(cursor_.depth());
   report.cursor_index = static_cast<std::uint8_t>(std::min<std::size_t>(255, cursor_.index()));
   report.level_size = static_cast<std::uint8_t>(std::min<std::size_t>(255, cursor_.level_size()));
-  for (std::size_t i = 0; i < debouncers_.size(); ++i) {
-    if (debouncers_[i].pressed()) report.buttons |= static_cast<std::uint8_t>(1u << i);
+  for (std::size_t pin = 0; pin < buttons_.size(); ++pin) {
+    if (buttons_.pressed(pin)) report.buttons |= static_cast<std::uint8_t>(1u << pin);
   }
   // Stack-buffer encode (bytes identical to wireless::encode): the
   // state frame fires every kTelemetryDivider ticks, squarely inside

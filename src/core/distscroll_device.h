@@ -9,9 +9,7 @@
 // button which is most conveniently operated with the thumb".
 #pragma once
 
-#include <array>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,8 +24,7 @@
 #include "display/bt96040.h"
 #include "display/display_driver.h"
 #include "hw/smart_its.h"
-#include "input/button.h"
-#include "input/debouncer.h"
+#include "input/button_panel.h"
 #include "menu/menu.h"
 #include "obs/tracer.h"
 #include "sensors/gp2d120.h"
@@ -54,10 +51,6 @@ class DistScrollDevice {
     /// ambiguity (the board's unused second sensor, Section 4).
     bool use_dual_sensor = false;
   };
-
-  /// The 1 kHz button scan period (trace replay injects recorded edges
-  /// on the same grid).
-  static constexpr util::Seconds kButtonTick{1e-3};
 
   DistScrollDevice(Config config, const menu::MenuNode& menu_root, sim::EventQueue& queue,
                    sim::Rng rng);
@@ -90,9 +83,9 @@ class DistScrollDevice {
   [[nodiscard]] hw::Eeprom& eeprom() { return eeprom_; }
 
   // --- the user's fingers ------------------------------------------------
-  input::Button& select_button() { return *buttons_[0]; }  // top right, thumb
-  input::Button& back_button() { return *buttons_[1]; }    // left side
-  input::Button& aux_button() { return *buttons_[2]; }     // left side (chunk paging)
+  input::Button& select_button() { return buttons_.button(0); }  // top right, thumb
+  input::Button& back_button() { return buttons_.button(1); }    // left side
+  input::Button& aux_button() { return buttons_.button(2); }     // left side (chunk paging)
 
   // --- state inspection (host/study side) --------------------------------
   [[nodiscard]] const menu::MenuCursor& cursor() const { return cursor_; }
@@ -143,7 +136,7 @@ class DistScrollDevice {
     counts_override_ = std::move(source);
   }
   /// Deliver a debounced button edge directly (bypassing GPIO bounce and
-  /// the debouncer): exactly what the debouncer callback would do,
+  /// the debouncer): exactly what the button scan does with an edge,
   /// including the trace event. Used by trace replay to re-drive
   /// recorded ButtonEdge events.
   void inject_button_edge(std::size_t button, bool pressed) { on_button_edge(button, pressed); }
@@ -177,14 +170,7 @@ class DistScrollDevice {
   display::Bt96040 bottom_panel_;
   display::DisplayDriver top_driver_;
   display::DisplayDriver bottom_driver_;
-  std::vector<std::unique_ptr<input::Button>> buttons_;
-  std::vector<input::Debouncer> debouncers_;
-  /// Stable contexts for the debouncers' non-owning edge callbacks.
-  struct ButtonCtx {
-    DistScrollDevice* device = nullptr;
-    std::size_t index = 0;
-  };
-  std::array<ButtonCtx, 3> button_ctx_{};
+  input::ButtonPanel buttons_;
 
   menu::MenuCursor cursor_;
 

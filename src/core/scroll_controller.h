@@ -96,6 +96,17 @@ class ScrollController {
     return update;
   }
 
+  /// The scroll direction's island <-> menu index flip; its own inverse,
+  /// so it also gives the island that selects a menu index.
+  [[nodiscard]] std::size_t to_menu_index(std::size_t island_index) const {
+    // Island 0 is the NEAREST entry. "Toward user scrolls down" therefore
+    // means the nearest island is the bottom of the menu.
+    if (config_.direction == ScrollDirection::TowardUserScrollsDown) {
+      return mapper_->entries() - 1 - island_index;
+    }
+    return island_index;
+  }
+
   /// Current selection as a menu index (nullopt before first island hit).
   [[nodiscard]] std::optional<std::size_t> selection() const {
     if (island_ == kNoIsland) return std::nullopt;
@@ -132,15 +143,6 @@ class ScrollController {
   [[nodiscard]] std::uint64_t gap_samples() const { return gap_samples_; }
 
  private:
-  [[nodiscard]] std::size_t to_menu_index(std::size_t island_index) const {
-    // Island 0 is the NEAREST entry. "Toward user scrolls down" therefore
-    // means the nearest island is the bottom of the menu.
-    if (config_.direction == ScrollDirection::TowardUserScrollsDown) {
-      return mapper_->entries() - 1 - island_index;
-    }
-    return island_index;
-  }
-
   std::uint16_t apply_smoothing(std::uint16_t raw, std::uint64_t& cycles) {
     switch (config_.smoothing) {
       case Smoothing::Raw:

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 
+#include "sensors/gp2d120.h"
 #include "util/rounding.h"
 #include "util/units.h"
 
@@ -19,10 +20,11 @@ namespace distscroll::core {
 
 class SensorCurve {
  public:
+  /// Defaults to the GP2D120's datasheet curve.
   struct Params {
-    double a = 10.4;  // volt*cm
-    double k = 0.6;   // cm
-    double c = 0.0;   // volt
+    double a = sensors::Gp2d120Model::kCurveA;  // volt*cm
+    double k = sensors::Gp2d120Model::kCurveK;  // cm
+    double c = sensors::Gp2d120Model::kCurveC;  // volt
   };
 
   constexpr SensorCurve() = default;

@@ -4,10 +4,12 @@
 // input port": the firmware never sees volts, it sees ADC counts. The
 // model covers reference-relative quantisation, input clamping and
 // optional LSB noise. The ~44 us acquisition+conversion a real PIC
-// busy-waits is charged by the firmware as MCU cycles.
+// busy-waits is charged by the firmware as MCU cycles
+// (Adc10::kConversionCycles).
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <vector>
 
 #include "sim/random.h"
@@ -28,6 +30,9 @@ using AnalogSource = util::FunctionRef<util::Volts(util::Seconds)>;
 
 class Adc10 {
  public:
+  /// The conversion busy-wait (~44 us at 10 MIPS) in instruction cycles.
+  static constexpr std::uint64_t kConversionCycles = 440;
+
   struct Config {
     /// Conversion noise in LSBs; tests set it to 0 to read exact counts.
     double noise_lsb_stddev = 0.5;

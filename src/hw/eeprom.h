@@ -3,9 +3,9 @@
 // The real prototype must keep its per-unit sensor calibration across
 // battery changes ("To allow an opening of the device for battery
 // changes...", paper Section 4.1) — that is what the PIC's on-chip data
-// EEPROM is for. Modelled: byte-addressed read/write, the PIC's slow
-// (~4 ms) self-timed write, a total write count, and fault injection
-// for corruption tests.
+// EEPROM is for. Modelled: byte-addressed writes, block reads, the
+// PIC's slow (~4 ms) self-timed write, a total write count, and fault
+// injection for corruption tests.
 #pragma once
 
 #include <array>
@@ -26,11 +26,6 @@ class Eeprom {
   static constexpr util::Seconds kWriteTime{4e-3};
 
   Eeprom() { cells_.fill(0xFF); }  // erased state
-
-  [[nodiscard]] std::uint8_t read(std::size_t address) const {
-    assert(address < kSize);
-    return cells_[address];
-  }
 
   /// Write one byte; returns the time the firmware must wait.
   util::Seconds write(std::size_t address, std::uint8_t value) {

@@ -1,14 +1,13 @@
 // Digital I/O pins.
 //
-// The three push buttons of the prototype hang off GPIO inputs with
-// pull-ups (pressed = low, idle = high); every modelled pin is such an
-// input. Edge callbacks let the firmware register interrupt-on-change
-// handlers the way PORTB interrupts work on the PIC.
+// The push buttons of the prototype hang off GPIO inputs with pull-ups
+// (pressed = low, idle = high); every modelled pin is such an input.
+// The firmware polls them (input::ButtonPanel's 1 kHz scan).
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace distscroll::hw {
@@ -17,30 +16,24 @@ enum class PinLevel : std::uint8_t { Low = 0, High = 1 };
 
 class Gpio {
  public:
-  // ds-lint: allow(no-std-function-hot-path) wired once at board setup; fires per edge, not per sample
-  using EdgeCallback = std::function<void(std::size_t pin, PinLevel level)>;
-
-  explicit Gpio(std::size_t pin_count);
-
-  [[nodiscard]] std::size_t pin_count() const { return pins_.size(); }
+  /// Every pin starts High through its pull-up.
+  explicit Gpio(std::size_t pin_count) : levels_(pin_count, PinLevel::High) {}
 
   /// Firmware reads a pin (the externally driven level; an undriven pin
   /// reads High via its pull-up).
-  [[nodiscard]] PinLevel read(std::size_t pin) const;
+  [[nodiscard]] PinLevel read(std::size_t pin) const {
+    assert(pin < levels_.size());
+    return levels_[pin];
+  }
 
-  /// External hardware (button model) drives an input pin. Fires the
-  /// edge callback on change.
-  void drive_external(std::size_t pin, PinLevel level);
-
-  /// Register interrupt-on-change for a pin.
-  void on_edge(std::size_t pin, EdgeCallback cb);
+  /// External hardware (button model) drives an input pin.
+  void drive_external(std::size_t pin, PinLevel level) {
+    assert(pin < levels_.size());
+    levels_[pin] = level;
+  }
 
  private:
-  struct Pin {
-    PinLevel level = PinLevel::High;  // pull-up default
-    EdgeCallback on_edge;
-  };
-  std::vector<Pin> pins_;
+  std::vector<PinLevel> levels_;
 };
 
 }  // namespace distscroll::hw

@@ -45,6 +45,7 @@ class I2cBus {
   Result write(std::uint8_t address, std::span<const std::uint8_t> payload);
 
   /// Master read transaction: START, address+R, `length` bytes, STOP.
+  // ds-lint: allow(test-only-api) the bus tests pin a read's NACK, data and traffic count; no firmware reads a slave
   Result read(std::uint8_t address, std::size_t length);
 
   // ds-lint: allow(test-only-api) the display tests observe bus traffic with it; no program prints it

@@ -7,16 +7,14 @@ constexpr std::size_t kFlashBytes = 32 * 1024;
 constexpr std::size_t kRamBytes = 1536;
 }  // namespace
 
-void Mcu::reserve_ram(std::string what, std::size_t bytes) {
+void Mcu::reserve_ram(std::size_t bytes) {
   assert(ram_used_ + bytes <= kRamBytes && "PIC 18F452 RAM budget (1536 B) exceeded");
   ram_used_ += bytes;
-  ram_allocations_.push_back({std::move(what), bytes});
 }
 
-void Mcu::reserve_flash(std::string what, std::size_t bytes) {
+void Mcu::reserve_flash(std::size_t bytes) {
   assert(flash_used_ + bytes <= kFlashBytes && "PIC 18F452 flash budget (32 KiB) exceeded");
   flash_used_ += bytes;
-  flash_allocations_.push_back({std::move(what), bytes});
 }
 
 std::size_t Mcu::start_timer(util::Seconds period, std::function<void()> handler) {

@@ -11,7 +11,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -32,8 +31,8 @@ class Mcu {
   // --- memory budgets ----------------------------------------------------
   /// Register a static RAM allocation (firmware tables, FIFOs). Asserts
   /// the budget is not exceeded — the 1.5 KiB constraint is real.
-  void reserve_ram(std::string what, std::size_t bytes);
-  void reserve_flash(std::string what, std::size_t bytes);
+  void reserve_ram(std::size_t bytes);
+  void reserve_flash(std::size_t bytes);
   [[nodiscard]] std::size_t ram_used() const { return ram_used_; }
   [[nodiscard]] std::size_t flash_used() const { return flash_used_; }
 
@@ -54,12 +53,6 @@ class Mcu {
   std::uint64_t cycles_ = 0;
   std::size_t ram_used_ = 0;
   std::size_t flash_used_ = 0;
-  struct Allocation {
-    std::string what;
-    std::size_t bytes;
-  };
-  std::vector<Allocation> ram_allocations_;
-  std::vector<Allocation> flash_allocations_;
   struct Timer {
     util::Seconds period{0.0};
     // ds-lint: allow(no-std-function-hot-path) owning slot; per-tick dispatch is one erased call, no alloc

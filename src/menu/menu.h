@@ -6,6 +6,7 @@
 // firmware mutates (scroll within a level, enter a submenu, go back).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <string>
@@ -34,20 +35,6 @@ class MenuNode {
     return *children_.back();
   }
 
-  /// Total nodes in the subtree including this one.
-  [[nodiscard]] std::size_t subtree_size() const {
-    std::size_t n = 1;
-    for (const auto& c : children_) n += c->subtree_size();
-    return n;
-  }
-
-  /// Maximum depth below this node (leaf = 0).
-  [[nodiscard]] std::size_t depth() const {
-    std::size_t d = 0;
-    for (const auto& c : children_) d = std::max(d, 1 + c->depth());
-    return d;
-  }
-
  private:
   std::string label_;
   std::vector<std::unique_ptr<MenuNode>> children_;
@@ -68,6 +55,15 @@ class MenuCursor {
   [[nodiscard]] std::size_t index() const { return index_; }
   [[nodiscard]] const MenuNode& highlighted() const { return current_level().child(index_); }
   [[nodiscard]] std::size_t depth() const { return path_.size(); }
+
+  /// First entry of a `lines`-line view of the level that keeps the
+  /// cursor in the middle row where the level's ends allow.
+  [[nodiscard]] std::size_t window_start(std::size_t lines) const {
+    const std::size_t size = level_size();
+    if (size <= lines) return 0;
+    const std::size_t half = lines / 2;
+    return std::min(index_ > half ? index_ - half : 0, size - lines);
+  }
 
   /// Absolute positioning within the level — this is what distance
   /// scrolling drives. Clamps to the level bounds.

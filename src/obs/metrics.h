@@ -40,9 +40,9 @@ class Gauge {
 
 /// Log₂-bucketed histogram: bucket 0 covers [0, first_bucket), bucket
 /// i >= 1 covers [first_bucket · 2^(i-1), first_bucket · 2^i), with
-/// overflow folded into the last bucket. With the default config this
-/// is exactly the delivery-latency histogram LinkStats has always
-/// reported: 16 buckets from 0.5 ms reaching ~16 s, rendered in ms.
+/// overflow folded into the last bucket. The default config is the
+/// delivery-latency histogram exp_wireless_link reports: 16 buckets
+/// from 0.5 ms reaching ~16 s, rendered in ms.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 16;

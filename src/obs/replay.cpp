@@ -139,7 +139,7 @@ Trace replay_device_trace(const Trace& trace) {
   // timestamps — the order the recorded edges were traced in (a
   // debounced edge fires inside button_tick, which runs after
   // firmware_tick when both land on the same instant).
-  const double scan_period = core::DistScrollDevice::kButtonTick.value;
+  const double scan_period = input::ButtonPanel::kScanPeriod.value;
   std::function<void()> inject = [&] {
     const double now = queue.now().value;
     while (!edges.empty() && edges.front().t <= now + 1e-12) {

@@ -13,12 +13,9 @@
 
 #include <array>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "hw/smart_its.h"
-#include "input/button.h"
-#include "input/debouncer.h"
+#include "input/button_panel.h"
 #include "sensors/gp2d120.h"
 #include "wireless/packet.h"
 
@@ -43,9 +40,9 @@ class PdaAddon {
 
   /// The single physical button (select; the host may interpret long
   /// presses as back).
-  input::Button& select_button() { return *select_; }
+  input::Button& select_button() { return buttons_.button(0); }
   // ds-lint: allow(test-only-api) the tests drive the host's back handling with it; the demo presses only select
-  input::Button& back_button() { return *back_; }
+  input::Button& back_button() { return buttons_.button(1); }
 
   /// The serial connector to the PDA.
   [[nodiscard]] hw::Uart& uart() { return board_.uart(); }
@@ -66,15 +63,7 @@ class PdaAddon {
   sim::EventQueue* queue_;
   hw::SmartIts board_;
   sensors::Gp2d120Model ranger_;
-  std::unique_ptr<input::Button> select_;
-  std::unique_ptr<input::Button> back_;
-  std::vector<input::Debouncer> debouncers_;
-  /// Stable contexts for the debouncers' non-owning edge callbacks.
-  struct ButtonCtx {
-    PdaAddon* addon = nullptr;
-    std::uint8_t index = 0;
-  };
-  std::array<ButtonCtx, 2> button_ctx_{};
+  input::ButtonPanel buttons_;
   std::function<util::Centimeters(util::Seconds)> distance_provider_;
   wireless::FrameDecoder host_decoder_;
 

@@ -60,15 +60,9 @@ void PdaHost::request_report_divider(std::uint8_t divider) {
 std::vector<std::string> PdaHost::screen() const {
   const menu::MenuNode& level = cursor_.current_level();
   const std::size_t size = level.child_count();
-  const std::size_t lines = kScreenLines;
-  std::size_t window_start = 0;
-  if (size > lines) {
-    const std::size_t half = lines / 2;
-    window_start = cursor_.index() > half ? cursor_.index() - half : 0;
-    window_start = std::min(window_start, size - lines);
-  }
+  const std::size_t window_start = cursor_.window_start(kScreenLines);
   std::vector<std::string> out;
-  for (std::size_t row = 0; row < lines; ++row) {
+  for (std::size_t row = 0; row < kScreenLines; ++row) {
     const std::size_t entry = window_start + row;
     if (entry >= size) break;
     out.push_back((entry == cursor_.index() ? "> " : "  ") + level.child(entry).label());

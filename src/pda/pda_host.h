@@ -50,7 +50,6 @@ class PdaHost {
   // Link statistics.
   // ds-lint: allow(test-only-api) the tests count the frames that cross the link; the demo prints no link counts
   [[nodiscard]] std::uint64_t frames_received() const { return decoder_.frames_decoded(); }
-  [[nodiscard]] std::uint64_t crc_errors() const { return decoder_.crc_errors(); }
 
  private:
   void rebuild_mapping();

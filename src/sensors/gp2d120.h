@@ -31,11 +31,19 @@ namespace distscroll::sensors {
 
 class Gp2d120Model {
  public:
+  // Transfer curve V(d) = a/(d+k) + c for d >= kPeakCm, fitted to the
+  // GP2D120 datasheet example curve. The firmware's default expected
+  // curve (core::SensorCurve) is this one.
+  static constexpr double kCurveA = 10.4;  // volt * cm
+  static constexpr double kCurveK = 0.6;   // cm
+  static constexpr double kCurveC = 0.0;   // volt
+  /// Supply current, datasheet typical; drawn continuously.
+  static constexpr double kSupplyMa = 33.0;
+
   struct Config {
-    // Transfer curve V(d) = a/(d+k) + c for d >= kPeakCm, fitted to the
-    // GP2D120 datasheet example curve; calibration_demo sets a unit's own.
-    double curve_a = 10.4;   // volt * cm
-    double curve_k = 0.6;    // cm
+    // A unit's own a and k (calibration_demo sets them).
+    double curve_a = kCurveA;
+    double curve_k = kCurveK;
     /// Tests set it to 0 to read the noiseless curve.
     double output_noise_volts = 0.012;
   };
@@ -137,7 +145,6 @@ class Gp2d120Model {
     return false;
   }
 
-  static constexpr double kCurveC = 0.0;       // volt
   static constexpr double kMaxRangeCm = 31.0;  // beyond: no measurement, output floors
   /// How strongly (fractionally) reflectivity shifts the reading.
   /// Datasheet: gray vs white differs by only a few percent.

@@ -61,11 +61,8 @@ class DeviceParticipant {
   /// current level. Knowledge of the mapping comes with expertise.
   [[nodiscard]] double aim_distance_for(std::size_t index) {
     const auto& mapper = device_->mapper();
-    std::size_t island = index;
-    if (device_->config().scroll.direction == core::ScrollDirection::TowardUserScrollsDown) {
-      island = mapper.entries() - 1 - index;
-    }
-    island = std::min(island, mapper.entries() - 1);
+    const std::size_t island =
+        std::min(device_->controller().to_menu_index(index), mapper.entries() - 1);
     const double centre = mapper.centre_distance(island).value;
     const double knowledge_noise = (1.0 - profile_.expertise) * 1.2;
     return centre + rng_.gaussian(0.0, profile_.aim_w0_cm + knowledge_noise);

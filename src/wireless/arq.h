@@ -111,7 +111,7 @@ class ArqSender {
 
   [[nodiscard]] std::size_t queued() const { return queue_.size(); }
 
-  // Counters for LinkStats.
+  // Link counters (exp_wireless_link prints them).
   [[nodiscard]] std::uint64_t frames_accepted() const { return frames_accepted_; }
   [[nodiscard]] std::uint64_t transmissions() const { return transmissions_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }

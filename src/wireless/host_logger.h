@@ -27,7 +27,7 @@ class HostLogger {
   /// pipeline — framing and dedupe already happened downstairs).
   /// Retransmissions arrive out of order there; a late frame fills the
   /// gap it left, so sequence_gaps() settles to the frames never
-  /// delivered. ARQ delivery accounting lives in LinkStats.
+  /// delivered. ARQ delivery accounting lives in ArqSender/ArqReceiver.
   void on_frame(const FrameView& frame);
 
   /// Most recent state report logged.

@@ -64,7 +64,7 @@ TEST_P(DeviceFuzz, ChaoticUseNeverBreaksInvariants) {
     // Invariants.
     const auto& cursor = device.cursor();
     ASSERT_LT(cursor.index(), cursor.level_size());
-    ASSERT_LE(cursor.depth(), menu_root->depth());
+    ASSERT_LE(cursor.depth(), menu::test_support::max_depth(*menu_root));
     ASSERT_GE(device.mapper().entries(), 1u);
     if (device.current_chunk()) {
       ASSERT_LT(*device.current_chunk(), 1000u);

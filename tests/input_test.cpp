@@ -1,9 +1,12 @@
-// Unit tests for buttons (with mechanical bounce) and the firmware
-// debouncer.
+// Unit tests for buttons (with mechanical bounce), the firmware
+// debouncer and the button panel that scans them.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "hw/gpio.h"
 #include "input/button.h"
+#include "input/button_panel.h"
 #include "input/debouncer.h"
 #include "sim/event_queue.h"
 
@@ -26,18 +29,30 @@ TEST_F(ButtonFixture, PressDrivesPinLowEventually) {
 }
 
 TEST_F(ButtonFixture, BounceProducesMultipleEdges) {
-  int edges = 0;
-  gpio.on_edge(0, [&](std::size_t, hw::PinLevel) { ++edges; });
+  // Count level changes of the pin, read every 0.1 ms: bounce edges are
+  // at least 4 ms / 7 apart, so no change between two reads is missed.
+  const auto count_edges = [&](double duration_s) {
+    int edges = 0;
+    hw::PinLevel last = gpio.read(0);
+    const double end = queue.now().value + duration_s;
+    while (queue.now().value < end) {
+      queue.run_until(util::Seconds{queue.now().value + 1e-4});
+      if (gpio.read(0) != last) ++edges;
+      last = gpio.read(0);
+    }
+    return edges;
+  };
   // Try several seeds: at least one press must visibly bounce.
   int max_edges = 0;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    edges = 0;
     Button button(gpio, 0, queue, sim::Rng(seed));
+    const hw::PinLevel before = gpio.read(0);
     button.press();
-    queue.run_until(util::Seconds{queue.now().value + 0.02});
-    max_edges = std::max(max_edges, edges);
+    // The first contact drives the pin at once, before the first read.
+    const int first_contact = gpio.read(0) != before ? 1 : 0;
+    max_edges = std::max(max_edges, first_contact + count_edges(0.02));
     button.release();
-    queue.run_until(util::Seconds{queue.now().value + 0.02});
+    count_edges(0.02);
   }
   EXPECT_GT(max_edges, 1);
 }
@@ -65,71 +80,76 @@ TEST_F(ButtonFixture, RapidRepressSupersedesOldBounce) {
 
 // --- debouncer -------------------------------------------------------------------
 
+/// Feeds `count` samples of `level`; returns the edges tick() reported.
+int feed(Debouncer& deb, hw::PinLevel level, int count) {
+  int edges = 0;
+  for (int i = 0; i < count; ++i) edges += deb.tick(level) ? 1 : 0;
+  return edges;
+}
+
 TEST(Debouncer, RequiresStableLevels) {
   Debouncer deb;
-  int presses = 0;
-  auto count_press = [&] { ++presses; };  // Callback is non-owning: keep alive
-  deb.on_press(count_press);
   // 3 noisy low samples then back high: no press (needs 8 stable).
-  for (int i = 0; i < 3; ++i) deb.tick(hw::PinLevel::Low);
-  deb.tick(hw::PinLevel::High);
-  EXPECT_EQ(presses, 0);
-  // 8 consecutive lows: press fires once.
-  for (int i = 0; i < 8; ++i) deb.tick(hw::PinLevel::Low);
-  EXPECT_EQ(presses, 1);
+  EXPECT_EQ(feed(deb, hw::PinLevel::Low, 3), 0);
+  EXPECT_EQ(feed(deb, hw::PinLevel::High, 1), 0);
+  // 8 consecutive lows: exactly one edge, on the 8th sample.
+  EXPECT_EQ(feed(deb, hw::PinLevel::Low, 7), 0);
+  EXPECT_TRUE(deb.tick(hw::PinLevel::Low));
   EXPECT_TRUE(deb.pressed());
   // Staying low doesn't re-fire.
-  for (int i = 0; i < 20; ++i) deb.tick(hw::PinLevel::Low);
-  EXPECT_EQ(presses, 1);
+  EXPECT_EQ(feed(deb, hw::PinLevel::Low, 20), 0);
 }
 
 TEST(Debouncer, ReleaseFiresAfterStableHigh) {
   Debouncer deb;
-  int releases = 0;
-  auto count_release = [&] { ++releases; };
-  deb.on_release(count_release);
-  for (int i = 0; i < 8; ++i) deb.tick(hw::PinLevel::Low);
-  for (int i = 0; i < 8; ++i) deb.tick(hw::PinLevel::High);
-  EXPECT_EQ(releases, 1);
+  EXPECT_EQ(feed(deb, hw::PinLevel::Low, 8), 1);
+  EXPECT_EQ(feed(deb, hw::PinLevel::High, 8), 1);
   EXPECT_FALSE(deb.pressed());
 }
 
 TEST(Debouncer, BounceWithinWindowIgnored) {
   Debouncer deb;
-  int presses = 0;
-  auto count_press = [&] { ++presses; };
-  deb.on_press(count_press);
   // Alternate every 3 ticks forever: never stable, never fires.
+  int edges = 0;
   for (int i = 0; i < 60; ++i) {
-    deb.tick((i / 3) % 2 ? hw::PinLevel::Low : hw::PinLevel::High);
+    edges += deb.tick((i / 3) % 2 ? hw::PinLevel::Low : hw::PinLevel::High) ? 1 : 0;
   }
-  EXPECT_EQ(presses, 0);
+  EXPECT_EQ(edges, 0);
+  EXPECT_FALSE(deb.pressed());
 }
 
-TEST(DebouncerWithButton, EndToEndThroughGpio) {
-  sim::EventQueue queue;
-  hw::Gpio gpio(1);
-  Button button(gpio, 0, queue, sim::Rng(5));
-  Debouncer deb;
-  int presses = 0, releases = 0;
-  auto count_press = [&] { ++presses; };
-  auto count_release = [&] { ++releases; };
-  deb.on_press(count_press);
-  deb.on_release(count_release);
+// --- button panel ----------------------------------------------------------------
 
-  // 1 kHz firmware scan co-simulated with the bouncing button.
-  button.press();
-  for (int ms = 0; ms < 40; ++ms) {
-    queue.run_until(util::Seconds{ms / 1000.0});
-    deb.tick(gpio.read(0));
-  }
-  button.release();
-  for (int ms = 40; ms < 80; ++ms) {
-    queue.run_until(util::Seconds{ms / 1000.0});
-    deb.tick(gpio.read(0));
-  }
-  EXPECT_EQ(presses, 1);
-  EXPECT_EQ(releases, 1);
+TEST(ButtonPanel, EndToEndThroughGpio) {
+  sim::EventQueue queue;
+  hw::Gpio gpio(2);
+  ButtonPanel panel(gpio, queue, {sim::Rng(5), sim::Rng(6)});
+  ASSERT_EQ(panel.size(), 2u);
+  std::vector<std::pair<std::size_t, bool>> edges;
+  int ms = 0;
+  const auto scan_until = [&](int end_ms) {
+    for (; ms < end_ms; ++ms) {
+      queue.run_until(util::Seconds{ms / 1000.0});
+      panel.scan([&](std::size_t pin, bool pressed) { edges.emplace_back(pin, pressed); });
+    }
+  };
+
+  // 1 kHz firmware scan co-simulated with the bouncing buttons.
+  panel.button(1).press();
+  scan_until(40);
+  EXPECT_TRUE(panel.pressed(1));
+  EXPECT_FALSE(panel.pressed(0));
+  panel.button(1).release();
+  scan_until(80);
+  panel.button(0).press();
+  scan_until(120);
+  panel.button(0).release();
+  scan_until(160);
+  const std::vector<std::pair<std::size_t, bool>> expected = {
+      {1, true}, {1, false}, {0, true}, {0, false}};
+  EXPECT_EQ(edges, expected);
+  EXPECT_FALSE(panel.pressed(0));
+  EXPECT_FALSE(panel.pressed(1));
 }
 
 }  // namespace

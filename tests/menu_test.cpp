@@ -10,6 +10,14 @@ namespace distscroll::menu {
 namespace {
 
 using test_support::make_random_menu;
+using test_support::max_depth;
+
+/// Nodes in the subtree, this one included.
+std::size_t count_nodes(const MenuNode& node) {
+  std::size_t n = 1;
+  for (std::size_t i = 0; i < node.child_count(); ++i) n += count_nodes(node.child(i));
+  return n;
+}
 
 TEST(MenuNode, LeafAndInterior) {
   MenuNode root("root");
@@ -26,9 +34,9 @@ TEST(MenuNode, SubtreeSizeAndDepth) {
   a.add_child("a1");
   a.add_child("a2");
   root.add_child("b");
-  EXPECT_EQ(root.subtree_size(), 5u);
-  EXPECT_EQ(root.depth(), 2u);
-  EXPECT_EQ(a.depth(), 1u);
+  EXPECT_EQ(count_nodes(root), 5u);
+  EXPECT_EQ(max_depth(root), 2u);
+  EXPECT_EQ(max_depth(a), 1u);
 }
 
 TEST(MenuCursor, MoveWithinLevel) {
@@ -116,8 +124,8 @@ TEST(PhoneMenu, MatchesPaperStructure) {
   auto root = make_phone_menu();
   EXPECT_GE(root->child_count(), 6u);
   EXPECT_EQ(root->child(0).label(), "Messages");
-  EXPECT_GE(root->depth(), 2u);       // Settings has nested submenus
-  EXPECT_GE(root->subtree_size(), 30u);
+  EXPECT_GE(max_depth(*root), 2u);  // Settings has nested submenus
+  EXPECT_GE(count_nodes(*root), 30u);
 }
 
 TEST(PhoneMenu, NavigableToNestedLeaf) {
@@ -162,7 +170,7 @@ TEST_P(RandomMenuProperty, CursorWalkNeverEscapesTree) {
     ASSERT_LT(cursor.index(), cursor.level_size());
     ASSERT_GE(cursor.level_size(), 1u);
     max_depth_seen = std::max(max_depth_seen, cursor.depth());
-    ASSERT_LE(cursor.depth(), root->depth());
+    ASSERT_LE(cursor.depth(), max_depth(*root));
   }
   // The walk should actually have descended somewhere.
   EXPECT_GE(max_depth_seen, 1u);

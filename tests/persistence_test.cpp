@@ -3,6 +3,8 @@
 // layer of the prototype.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/calibration_store.h"
 #include "core/distscroll_device.h"
 #include "hw/eeprom.h"
@@ -15,15 +17,14 @@ namespace {
 
 TEST(Eeprom, ErasedStateIsFF) {
   hw::Eeprom eeprom;
-  for (std::size_t a = 0; a < hw::Eeprom::kSize; a += 17) {
-    EXPECT_EQ(eeprom.read(a), 0xFF);
-  }
+  EXPECT_EQ(eeprom.read_block(0, hw::Eeprom::kSize),
+            std::vector<std::uint8_t>(hw::Eeprom::kSize, 0xFF));
 }
 
 TEST(Eeprom, WriteReadBack) {
   hw::Eeprom eeprom;
   const auto t = eeprom.write(10, 0x42);
-  EXPECT_EQ(eeprom.read(10), 0x42);
+  EXPECT_EQ(eeprom.read_block(10, 1), std::vector<std::uint8_t>{0x42});
   EXPECT_DOUBLE_EQ(t.value, hw::Eeprom::kWriteTime.value);
 }
 
@@ -41,8 +42,8 @@ TEST(Eeprom, CorruptFlipsBits) {
   sim::Rng rng(1);
   eeprom.corrupt(rng, 8);
   int changed = 0;
-  for (std::size_t a = 0; a < hw::Eeprom::kSize; ++a) {
-    if (eeprom.read(a) != 0xFF) ++changed;
+  for (const std::uint8_t cell : eeprom.read_block(0, hw::Eeprom::kSize)) {
+    if (cell != 0xFF) ++changed;
   }
   EXPECT_GT(changed, 0);
   EXPECT_LE(changed, 8);
@@ -81,7 +82,7 @@ TEST(CalibrationStore, DetectsCorruption) {
     hw::Eeprom eeprom;
     core::CalibrationStore::save(eeprom, sample_calibration());
     const auto address = core::CalibrationStore::kBaseAddress + byte;
-    eeprom.write(address, eeprom.read(address) ^ 0x04);
+    eeprom.write(address, eeprom.read_block(address, 1)[0] ^ 0x04);
     EXPECT_FALSE(core::CalibrationStore::load(eeprom).has_value()) << "byte " << byte;
   }
 }

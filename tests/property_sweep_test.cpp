@@ -74,17 +74,18 @@ TEST_P(DebouncerSweep, ShorterBouncesNeverFire) {
   input::Debouncer::Config config;
   config.stable_ticks = GetParam();
   input::Debouncer debouncer(config);
-  int presses = 0;
-  auto count_press = [&] { ++presses; };  // Callback is non-owning: keep alive
-  debouncer.on_press(count_press);
+  int edges = 0;
   // Any alternation faster than stable_ticks must never register.
   for (int i = 0; i < 50 * GetParam(); ++i) {
-    debouncer.tick(((i / (GetParam() - 1)) % 2) ? hw::PinLevel::Low : hw::PinLevel::High);
+    edges += debouncer.tick(((i / (GetParam() - 1)) % 2) ? hw::PinLevel::Low : hw::PinLevel::High)
+                 ? 1
+                 : 0;
   }
-  EXPECT_EQ(presses, 0);
+  EXPECT_EQ(edges, 0);
   // A real press (>= stable_ticks lows) registers exactly once.
-  for (int i = 0; i < 3 * GetParam(); ++i) debouncer.tick(hw::PinLevel::Low);
-  EXPECT_EQ(presses, 1);
+  for (int i = 0; i < 3 * GetParam(); ++i) edges += debouncer.tick(hw::PinLevel::Low) ? 1 : 0;
+  EXPECT_EQ(edges, 1);
+  EXPECT_TRUE(debouncer.pressed());
 }
 
 INSTANTIATE_TEST_SUITE_P(Ticks, DebouncerSweep, ::testing::Values(2, 4, 8, 16, 32));

@@ -1,8 +1,10 @@
 // Test-side random menu trees for the tree-navigation property tests
-// and the device fuzzer. No program builds random menus, so the
-// generator lives with its only callers.
+// and the device fuzzer, and the tree depth both bound the cursor by.
+// No program builds random menus or measures a tree's depth, so these
+// live with their only callers.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <string>
@@ -35,6 +37,15 @@ inline std::unique_ptr<MenuNode> make_random_menu(sim::Rng& rng, int min_fanout,
   // Guarantee the root is non-empty (MenuCursor requires entries).
   if (root->is_leaf()) root->add_child("r.only");
   return root;
+}
+
+/// Levels below the node (a leaf is 0).
+inline std::size_t max_depth(const MenuNode& node) {
+  std::size_t d = 0;
+  for (std::size_t i = 0; i < node.child_count(); ++i) {
+    d = std::max(d, 1 + max_depth(node.child(i)));
+  }
+  return d;
 }
 
 }  // namespace distscroll::menu::test_support

@@ -258,6 +258,10 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(values, 0.0), 10.0);
   EXPECT_DOUBLE_EQ(percentile(values, 1.0), 40.0);
   EXPECT_DOUBLE_EQ(percentile(values, 0.5), 25.0);
+  std::vector<double> ms;
+  for (int i = 1; i <= 100; ++i) ms.push_back(i * 1e-3);
+  EXPECT_NEAR(percentile(ms, 0.50), 0.0505, 1e-12);
+  EXPECT_NEAR(percentile(ms, 0.99), 0.09901, 1e-12);
 }
 
 TEST(Stats, LinearFitExact) {

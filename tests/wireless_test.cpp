@@ -16,7 +16,6 @@
 #include "sim/event_queue.h"
 #include "wireless/arq.h"
 #include "wireless/host_logger.h"
-#include "wireless/link_stats.h"
 #include "wireless/packet.h"
 #include "wireless/rf_link.h"
 #include "wire_frames.h"
@@ -185,7 +184,7 @@ TEST(Packet, AnySingleByteCorruptionLosesAtMostOneFrame) {
 
 // The same corpus, held to the counters rather than the frames: which
 // check rejects a window, and how often a rescan starts, are part of
-// what LinkStats reports. frames, crc and framing were recorded from the
+// what the decoder reports. frames, crc and framing were recorded from the
 // replay-queue state-machine decoder at commit 5cd5f53; the window
 // decoder must match them exactly. resyncs counts every rescan, the
 // bad-LEN ones included (that decoder left those out and read 196).
@@ -795,44 +794,6 @@ TEST_F(LinkFixture, ArqOverLossyLinkDeliversEverythingExactlyOnce) {
   for (int i = 0; i < kFrames; ++i) EXPECT_EQ(sorted[static_cast<std::size_t>(i)], i);
   EXPECT_GT(arq.sender().retransmissions(), 0u);  // the link really was lossy
   EXPECT_EQ(arq.sender().queued(), 0u);
-}
-
-// --- link stats -------------------------------------------------------------
-
-TEST(LinkStats, PercentilesAndHistogramAgree) {
-  LinkStats stats;
-  for (int i = 1; i <= 100; ++i) stats.record_delivery_latency(i * 1e-3);
-  EXPECT_EQ(stats.latency_summary().count, 100u);
-  EXPECT_NEAR(stats.latency_percentile(0.50), 0.0505, 1e-4);
-  EXPECT_GT(stats.latency_percentile(0.99), stats.latency_percentile(0.50));
-  // The report prints the sample count, then renders the histogram.
-  const std::string report = stats.report();
-  const std::size_t line = report.find("latency: n=100 ");
-  ASSERT_NE(line, std::string::npos) << report;
-  EXPECT_LT(report.find('\n', line) + 1, report.size()) << report;
-}
-
-TEST(LinkStats, AttemptsSummary) {
-  LinkStats stats;
-  stats.record_attempts(1);
-  stats.record_attempts(1);
-  stats.record_attempts(4);
-  EXPECT_NEAR(stats.mean_attempts(), 2.0, 1e-12);
-}
-
-TEST(LinkStats, SamplesCountersFromComponents) {
-  FrameDecoder decoder;
-  const OwnedFrame frame{FrameType::Heartbeat, 0, {1, 2}};
-  feed_all(decoder, wire_of(frame));
-  auto bad = wire_of(frame);
-  bad[4] ^= 0x40;
-  feed_all(decoder, bad);
-
-  LinkStats stats;
-  stats.sample(nullptr, &decoder, nullptr, nullptr, nullptr);
-  EXPECT_EQ(stats.counters().frames_decoded, 1u);
-  EXPECT_EQ(stats.counters().crc_errors, 1u);
-  EXPECT_FALSE(stats.report().empty());
 }
 
 }  // namespace
